@@ -9,8 +9,9 @@ Two classic TM workloads run on the simulated CMP:
 
 Both run with deliberately tiny (heavily aliasing) 64-bit signatures and
 the aggressive contention manager, then the final structures are checked
-against their serial oracles. A trace recorder captures the transaction
-lifecycle so the run ends with a per-thread timeline.
+against their serial oracles. An event bus with a ring-buffer log
+captures the transaction lifecycle so the run ends with a per-thread
+timeline.
 
 Usage::
 
@@ -30,7 +31,7 @@ THREADS = 8
 
 def run_traced(cfg, workload, seed=21):
     system = System(cfg, seed=seed)
-    recorder = system.attach_tracer()
+    _bus, log = system.attach_bus()
     threads = system.place_threads(workload.num_threads)
     procs = []
     for i, thread in enumerate(threads):
@@ -40,7 +41,7 @@ def run_traced(cfg, workload, seed=21):
                                   system.stats)
         procs.append(system.sim.spawn(executor.run(), name=f"t{i}"))
     system.sim.run_until_done(procs, limit=500_000_000)
-    return system, recorder
+    return system, log
 
 
 def main() -> None:
@@ -52,7 +53,7 @@ def main() -> None:
     print("    aggressive contention manager ===")
     bank = BankTransfer(num_threads=THREADS, units_per_thread=12,
                         num_accounts=24, compute_between=60)
-    system, recorder = run_traced(cfg, bank)
+    system, log = run_traced(cfg, bank)
     total = bank.total_balance(system, system.page_table(0))
     print(f"finished in {system.sim.now:,} cycles; "
           f"commits={system.stats.value('tm.commits')}, "
@@ -64,7 +65,7 @@ def main() -> None:
     if total != 0:
         raise SystemExit(1)
     print()
-    print(recorder.summary_table(range(THREADS)))
+    print(log.summary_table(range(THREADS)))
 
     print()
     print("=== sorted linked-list set: inserts + deletes, "
@@ -72,7 +73,7 @@ def main() -> None:
     lst = LinkedListSet(num_threads=THREADS, units_per_thread=8,
                         key_space=48, delete_fraction=0.25, seed=21,
                         compute_between=40)
-    system, recorder = run_traced(cfg, lst)
+    system, log = run_traced(cfg, lst)
     keys = lst.walk(system, system.page_table(0))
     must_have, ambiguous = lst.expected_membership()
     ok = (keys == sorted(set(keys))
@@ -87,7 +88,7 @@ def main() -> None:
         raise SystemExit(1)
     print()
     print("last trace events:")
-    print(recorder.render(limit=8))
+    print(log.render(limit=8))
 
 
 if __name__ == "__main__":

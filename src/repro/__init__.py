@@ -40,7 +40,7 @@ from repro.common.errors import (
     WorkloadError,
 )
 from repro.common.stats import ConfidenceInterval, StatsRegistry
-from repro.harness.parallel import ResultCache, SweepExecutionError
+from repro.harness.parallel import SweepExecutionError
 from repro.harness.runner import RunResult, run_perturbed, run_workload
 from repro.harness.sweep import SweepResult, run_sweep
 from repro.harness.system import System
@@ -56,7 +56,6 @@ __all__ = [
     "LockImpl",
     "ConfigError",
     "ReproError",
-    "ResultCache",
     "RunResult",
     "SignatureConfig",
     "SignatureKind",

@@ -25,12 +25,13 @@ a script::
 
 The global ``--json`` flag switches every command from rendered tables to
 structured JSON records (``RunResult``/``SweepResult`` serializations or
-experiment row dicts) for downstream tooling. ``sweep`` keeps an on-disk
-result cache (``~/.cache/repro/sweeps`` or ``$REPRO_CACHE_DIR``): repeat
-an invocation and only missing cells execute. ``trace`` runs one workload
-with the observability bus attached and writes a Chrome Trace Event JSON
-(open it in Perfetto or ``chrome://tracing``); ``sweep --trace-dir DIR``
-does the same per variant.
+experiment row dicts) for downstream tooling. ``sweep`` stores results in
+the SQLite run store that ``serve`` and ``cache`` also open (``--db``;
+default ``$REPRO_CACHE_DIR/sweeps.db`` or ``~/.cache/repro/sweeps.db``):
+repeat an invocation and only missing cells execute. ``trace`` runs one
+workload with the observability bus attached and writes a Chrome Trace
+Event JSON (open it in Perfetto or ``chrome://tracing``); ``sweep
+--trace-dir DIR`` does the same per variant.
 """
 
 from __future__ import annotations
@@ -44,8 +45,7 @@ from typing import List, Optional
 
 from repro.common.config import SignatureKind, SyncMode, SystemConfig
 from repro.harness import experiments as E
-from repro.harness.parallel import (ResultCache, SweepExecutionError,
-                                    run_parallel_sweep)
+from repro.harness.parallel import SweepExecutionError, run_parallel_sweep
 from repro.harness.runner import run_workload
 from repro.svc.spec import SWEEP_MODES, SpecError, SweepSpec
 
@@ -65,6 +65,18 @@ def _nonneg_int(text: str) -> int:
     if value < 0:
         raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
     return value
+
+
+def _add_db(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--db", default=None,
+                        help="SQLite run store (default: "
+                             "$REPRO_CACHE_DIR/sweeps.db or "
+                             "~/.cache/repro/sweeps.db)")
+
+
+def _db_path(args) -> str:
+    from repro.svc.repository import default_db_path
+    return args.db or default_db_path()
 
 
 def _add_jobs(parser: argparse.ArgumentParser) -> None:
@@ -492,8 +504,10 @@ def _cmd_sweep(args) -> int:
     baseline = spec.baseline_label
     factory = spec.workload_factory()
 
-    no_cache = args.no_cache or args.trace_dir is not None
-    cache = None if no_cache else ResultCache(args.cache_dir)
+    cache = None
+    if not (args.no_cache or args.trace_dir is not None):
+        from repro.svc.repository import RunRepository
+        cache = RunRepository(_db_path(args))
     # Always the engine (even jobs=1, no cache): identical results to the
     # serial path, but the run carries execution metadata to report.
     try:
@@ -531,15 +545,14 @@ def _cmd_serve(args) -> int:
     from repro.svc.api import serve
     from repro.svc.service import SweepService
 
-    cache = None if args.no_cache else ResultCache(args.cache_dir)
-    service = SweepService(args.db, workers=args.workers, cache=cache,
+    db = _db_path(args)
+    service = SweepService(db, workers=args.workers,
                            drain_timeout=args.drain_timeout)
     service.start()
     server = serve(service, host=args.host, port=args.port)
     host, port = server.server_address[:2]
     print(f"sweep service listening on http://{host}:{port}  "
-          f"(db={args.db}, workers={args.workers}, "
-          f"cache={'off' if cache is None else cache.root})", flush=True)
+          f"(db={db}, workers={args.workers})", flush=True)
 
     def _request_stop(signum, frame):
         # serve_forever blocks this thread; shutdown() must come from
@@ -652,14 +665,16 @@ def _cmd_jobs(args) -> int:
 
 
 def _cmd_cache(args) -> int:
-    cache = ResultCache(args.cache_dir)
+    from repro.svc.repository import RunRepository
+
+    db = _db_path(args)
+    store = RunRepository(db)
     if args.action == "stats":
-        payload = {"root": str(cache.root),
-                   "entries": cache.entry_count(),
-                   "bytes": cache.size_bytes()}
+        payload = {"db": db, "entries": store.run_count(),
+                   "bytes": os.path.getsize(db)}
         if args.json:
             return _emit_json(payload)
-        print(f"root    : {payload['root']}")
+        print(f"db      : {payload['db']}")
         print(f"entries : {payload['entries']}")
         print(f"size    : {payload['bytes']:,} bytes")
         return 0
@@ -667,14 +682,13 @@ def _cmd_cache(args) -> int:
     if args.max_entries is None:
         print("cache prune requires --max-entries N", file=sys.stderr)
         return 2
-    before = cache.entry_count()
-    removed = cache.prune(max_entries=args.max_entries)
+    before = store.run_count()
+    removed = store.prune(args.max_entries)
     if args.json:
-        return _emit_json({"root": str(cache.root), "before": before,
-                           "removed": removed,
-                           "entries": cache.entry_count()})
+        return _emit_json({"db": db, "before": before, "removed": removed,
+                           "entries": store.run_count()})
     print(f"pruned {removed} of {before} entries "
-          f"(cap {args.max_entries}, root {cache.root})")
+          f"(cap {args.max_entries}, db {db})")
     return 0
 
 
@@ -925,14 +939,12 @@ def build_parser() -> argparse.ArgumentParser:
         help="run one workload across a config family (parallel, cached)")
     _add_spec_args(p)
     _add_jobs(p)
+    _add_db(p)
     p.add_argument("--no-cache", action="store_true",
-                   help="always execute; do not read or write the cache")
-    p.add_argument("--cache-dir", default=None,
-                   help="cache directory (default: $REPRO_CACHE_DIR or "
-                        "~/.cache/repro/sweeps)")
+                   help="always execute; do not read or write the store")
     p.add_argument("--trace-dir", default=None,
                    help="write per-variant Chrome trace + JSONL artifacts "
-                        "into this directory (disables the cache)")
+                        "into this directory (disables the store)")
     p.set_defaults(fn=_cmd_sweep)
 
     p = sub.add_parser(
@@ -942,14 +954,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--port", type=int, default=8642)
     p.add_argument("--workers", type=int, default=2,
                    help="persistent worker processes (default: 2)")
-    p.add_argument("--db", default="sweeps.db",
-                   help="SQLite job/result repository path "
-                        "(default: sweeps.db)")
+    _add_db(p)
     p.add_argument("--no-cache", action="store_true",
-                   help="skip the shared on-disk result cache")
-    p.add_argument("--cache-dir", default=None,
-                   help="result cache directory (default: $REPRO_CACHE_DIR "
-                        "or ~/.cache/repro/sweeps)")
+                   help="accepted and ignored: the service always serves "
+                        "and stores results through --db")
     p.add_argument("--drain-timeout", type=float, default=30.0,
                    help="seconds to let in-flight cells finish on "
                         "SIGTERM/SIGINT (default: 30)")
@@ -996,14 +1004,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "cache",
-        help="inspect or prune the on-disk sweep result cache")
+        help="inspect or prune the sweep run store")
     p.add_argument("action", choices=["stats", "prune"])
-    p.add_argument("--max-entries", type=int, default=None,
-                   help="prune: evict least-recently-used entries beyond "
-                        "this cap")
-    p.add_argument("--cache-dir", default=None,
-                   help="cache directory (default: $REPRO_CACHE_DIR or "
-                        "~/.cache/repro/sweeps)")
+    p.add_argument("--max-entries", type=_nonneg_int, default=None,
+                   help="prune: evict least-recently-used runs beyond "
+                        "this cap (runs a job references are kept)")
+    _add_db(p)
     p.set_defaults(fn=_cmd_cache)
 
     p = sub.add_parser(

@@ -3,11 +3,11 @@
 from repro.coherence.directory import DirectoryEntry, DirectoryFabric
 from repro.coherence.fabric import CoherenceFabric
 from repro.coherence.msgs import Blocker, CoherenceResult, ConflictPort
-from repro.coherence.invariants import InvariantViolation, check_all
+from repro.coherence.invariants import check_all
 from repro.coherence.multichip import MultiChipFabric
 from repro.coherence.snooping import SnoopingFabric
 
 __all__ = ["Blocker", "CoherenceFabric", "CoherenceResult", "ConflictPort",
-           "DirectoryEntry", "DirectoryFabric", "InvariantViolation",
-           "MultiChipFabric", "check_all",
+           "DirectoryEntry", "DirectoryFabric", "MultiChipFabric",
+           "check_all",
            "SnoopingFabric"]

@@ -32,16 +32,11 @@ from repro.cache.block import MESI
 from repro.coherence.directory import DirectoryFabric
 from repro.coherence.multichip import MultiChipFabric
 from repro.coherence.snooping import SnoopingFabric
-# Re-exported for backwards compatibility: InvariantViolation moved to
-# ``repro.common.errors`` so it derives from ReproError (it used to be a
-# bare AssertionError subclass, which ``python -O`` semantics made
-# misleading). Importing it from here keeps working.
 from repro.common.errors import InvariantViolation
 
 __all__ = [
-    "InvariantViolation", "check_cache_invariants",
-    "check_directory_accuracy", "check_isolation_coverage",
-    "check_tm_bookkeeping", "check_all",
+    "check_cache_invariants", "check_directory_accuracy",
+    "check_isolation_coverage", "check_tm_bookkeeping", "check_all",
 ]
 
 

@@ -131,9 +131,9 @@ class Histogram:
 class StatsRegistry:
     """Namespace of counters and histograms for one simulated system.
 
-    A trace recorder (see :mod:`repro.harness.trace`) may be attached;
-    components then emit timestamped lifecycle events through
-    :meth:`emit`. With no recorder attached, ``emit`` is one attribute
+    An event bus (see :meth:`repro.harness.system.System.attach_bus`)
+    may be attached; components then emit timestamped lifecycle events
+    through :meth:`emit`. With no recorder attached, ``emit`` is one attribute
     check — effectively free.
     """
 

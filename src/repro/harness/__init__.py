@@ -1,18 +1,16 @@
 """Experiment harness: system builder, runner, experiments, reports,
-parallel sweep execution and the on-disk result cache."""
+and parallel sweep execution over the worker fleet."""
 
-from repro.harness.parallel import (ResultCache, RunTask,
-                                    SweepExecutionError, TaskOutcome,
-                                    execute_tasks, run_parallel_sweep)
+from repro.harness.parallel import (RunTask, SweepExecutionError,
+                                    TaskOutcome, execute_tasks,
+                                    run_parallel_sweep)
 from repro.harness.runner import RunResult, run_perturbed, run_workload
 from repro.harness.sweep import (SweepResult, run_sweep,
                                  signature_design_variants,
                                  signature_size_variants)
 from repro.harness.system import System
-from repro.harness.trace import TraceEvent, TraceRecorder
 
-__all__ = ["ResultCache", "RunResult", "RunTask", "SweepExecutionError",
-           "SweepResult", "System", "TaskOutcome", "TraceEvent",
-           "TraceRecorder", "execute_tasks", "run_parallel_sweep",
+__all__ = ["RunResult", "RunTask", "SweepExecutionError", "SweepResult",
+           "System", "TaskOutcome", "execute_tasks", "run_parallel_sweep",
            "run_perturbed", "run_sweep", "run_workload",
            "signature_design_variants", "signature_size_variants"]

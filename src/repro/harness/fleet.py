@@ -1,29 +1,30 @@
-"""Worker fleet: persistent simulator worker processes.
+"""Worker fleet: the one pool of worker processes.
 
-The parallel engine in :mod:`repro.harness.parallel` launches one
-process per task and lets it die; a long-running service amortizes
-process startup across jobs instead. :class:`WorkerFleet` keeps a fixed
-pool of worker processes alive, each connected to the parent by a
-duplex pipe:
+:class:`WorkerFleet` keeps a fixed pool of worker processes alive, each
+connected to the parent by a duplex pipe. Each worker calls ``run(item)``
+on every item it is sent; ``run`` is handed to the process when it is
+created, so under ``fork`` it is inherited (closures included) and never
+pickled. Both process-pool users drive a fleet: the parallel sweep engine
+(:func:`repro.harness.parallel.execute_tasks`, one fleet per batch,
+items are task keys) and the sweep service (:mod:`repro.svc.service`,
+one long-lived fleet, items are cells that know how to ``run()``).
 
-* **dispatch** — the parent assigns a :class:`~repro.svc.spec.CellTask`
-  to an idle worker (tasks are spec+label pairs, picklable under both
-  ``fork`` and ``spawn`` start methods);
+* **dispatch** — the parent assigns an item to an idle worker;
 * **heartbeat** — an idle worker pings every
   :data:`HEARTBEAT_INTERVAL` seconds; a busy worker is monitored by
-  process liveness and its cell deadline;
-* **reap** — a worker that dies mid-cell is detected (``is_alive`` +
-  broken pipe), its cell reported back as *crashed* so the scheduler
-  can re-queue it, and a replacement worker is spawned to keep the
-  fleet at strength; a worker past its cell deadline is terminated the
-  same way and reported as *timeout*;
+  process liveness and its deadline;
+* **reap** — a worker that dies mid-item is detected (``is_alive`` +
+  broken pipe), its item reported back as *crashed* so the caller can
+  re-queue it, and a replacement worker is spawned to keep the fleet at
+  strength; a worker past its deadline is terminated the same way and
+  reported as *timeout*;
 * **drain** — graceful shutdown: idle workers get a sentinel and exit
-  cleanly, busy workers get until ``timeout`` to finish their cell
+  cleanly, busy workers get until ``timeout`` to finish their item
   (results are still delivered), stragglers are terminated.
 
 The fleet is deliberately policy-free: *what* to do with a crash or
-timeout (retry budgets, failure records) is the scheduler's decision in
-:mod:`repro.svc.service`; the fleet only detects and reports.
+timeout (retry budgets, failure records) is the caller's decision; the
+fleet only detects and reports.
 """
 
 from __future__ import annotations
@@ -34,31 +35,35 @@ import time
 import traceback
 from dataclasses import dataclass
 from multiprocessing import connection as mp_connection
-from typing import Callable, Dict, List, Optional
-
-from repro.svc.spec import CellTask
+from typing import Any, Callable, Dict, Iterable, List, Optional
 
 #: Seconds between idle-worker heartbeats.
 HEARTBEAT_INTERVAL = 1.0
 
 
-def _fleet_worker(worker_id: int, conn) -> None:  # pragma: no cover - child
-    """Worker main loop: heartbeat while idle, run cells, exit on None."""
+def _run_item(item: Any) -> Any:
+    """The default ``run``: items know how to run themselves."""
+    return item.run()
+
+
+def _fleet_worker(worker_id: int, conn,
+                  run: Callable[[Any], Any]) -> None:  # pragma: no cover
+    """Worker main loop: heartbeat while idle, run items, exit on None."""
     try:
         while True:
             while not conn.poll(HEARTBEAT_INTERVAL):
                 conn.send(("hb", worker_id))
-            task = conn.recv()
-            if task is None:
+            item = conn.recv()
+            if item is None:
                 conn.send(("bye", worker_id))
                 return
             try:
-                result = task.run()
+                result = run(item)
             except BaseException:
-                conn.send(("error", worker_id, task,
+                conn.send(("error", worker_id, item,
                            traceback.format_exc()))
             else:
-                conn.send(("done", worker_id, task, result))
+                conn.send(("done", worker_id, item, result))
     except (EOFError, OSError, BrokenPipeError):
         return  # parent went away; nothing useful left to do
     finally:
@@ -76,15 +81,15 @@ def _mp_context():
 
 @dataclass
 class FleetMessage:
-    """One scheduler-relevant fleet occurrence (see ``kind``).
+    """One caller-relevant fleet occurrence (see ``kind``).
 
     kinds: ``done`` (result attached), ``error`` (worker raised;
-    traceback in ``error``), ``crashed`` (worker died mid-cell),
-    ``timeout`` (worker terminated past its cell deadline).
+    traceback in ``error``), ``crashed`` (worker died mid-item),
+    ``timeout`` (worker terminated past its item's deadline).
     """
 
     kind: str
-    task: CellTask
+    item: Any
     worker_id: int
     result: Optional[object] = None
     error: Optional[str] = None
@@ -95,34 +100,35 @@ class FleetMessage:
 class _Worker:
     """Parent-side record of one fleet worker process."""
 
-    __slots__ = ("worker_id", "proc", "conn", "task", "started",
-                 "deadline", "last_seen", "cells_done", "draining")
+    __slots__ = ("worker_id", "proc", "conn", "item", "started",
+                 "deadline", "last_seen", "draining")
 
     def __init__(self, worker_id: int, proc, conn) -> None:
         self.worker_id = worker_id
         self.proc = proc
         self.conn = conn
-        self.task: Optional[CellTask] = None
+        self.item: Optional[Any] = None
         self.started = 0.0
         self.deadline: Optional[float] = None
         self.last_seen = time.monotonic()
-        self.cells_done = 0
         self.draining = False
 
 
 class WorkerFleet:
-    """Spawn/heartbeat/reap a pool of simulator worker processes."""
+    """Spawn/heartbeat/reap a pool of worker processes running ``run``."""
 
     def __init__(self, size: int,
-                 emit: Optional[Callable[..., None]] = None) -> None:
+                 emit: Optional[Callable[..., None]] = None,
+                 run: Callable[[Any], Any] = _run_item) -> None:
         if size < 1:
             raise ValueError(f"fleet size must be >= 1, got {size}")
         self.size = size
         self._emit = emit or (lambda kind, **fields: None)
+        self._run = run
         self._ctx = _mp_context()
         # Guards _workers / _next_id / restarts / _started: the API
         # methods run on the caller's thread while the scheduler thread
-        # polls. Worker *records* (task/deadline/...) are only touched
+        # polls. Worker *records* (item/deadline/...) are only touched
         # by whoever holds the worker, so the lock covers membership and
         # counters, not per-worker fields.
         self._lock = threading.Lock()
@@ -150,8 +156,8 @@ class WorkerFleet:
             self._next_id += 1
         parent_conn, child_conn = self._ctx.Pipe(duplex=True)
         proc = self._ctx.Process(target=_fleet_worker,
-                                 args=(worker_id, child_conn),
-                                 name=f"svc-worker-{worker_id}")
+                                 args=(worker_id, child_conn, self._run),
+                                 name=f"fleet-worker-{worker_id}")
         proc.daemon = True
         proc.start()
         child_conn.close()
@@ -177,15 +183,11 @@ class WorkerFleet:
 
     def idle_count(self) -> int:
         return sum(1 for w in self._snapshot()
-                   if w.task is None and not w.draining
+                   if w.item is None and not w.draining
                    and w.proc.is_alive())
 
     def busy_count(self) -> int:
-        return sum(1 for w in self._snapshot() if w.task is not None)
-
-    def busy_tasks(self) -> List[CellTask]:
-        return [w.task for w in self._snapshot()
-                if w.task is not None]
+        return sum(1 for w in self._snapshot() if w.item is not None)
 
     def restart_count(self) -> int:
         with self._lock:
@@ -193,25 +195,25 @@ class WorkerFleet:
 
     # -- dispatch ----------------------------------------------------------
 
-    def dispatch(self, task: CellTask,
+    def dispatch(self, item: Any,
                  timeout: Optional[float] = None) -> Optional[int]:
-        """Hand a cell to an idle worker; its id, or None if saturated.
+        """Hand an item to an idle worker; its id, or None if saturated.
 
-        ``timeout`` is the cell's wall-clock budget in seconds; the
-        worker is terminated (and the cell reported as ``timeout``) if
+        ``timeout`` is the item's wall-clock budget in seconds; the
+        worker is terminated (and the item reported as ``timeout``) if
         it is still running past it.
         """
         for worker in self._snapshot():
-            if worker.task is None and not worker.draining \
+            if worker.item is None and not worker.draining \
                     and worker.proc.is_alive():
-                worker.task = task
+                worker.item = item
                 worker.started = time.monotonic()
                 worker.deadline = (worker.started + timeout
                                    if timeout is not None else None)
                 try:
-                    worker.conn.send(task)
+                    worker.conn.send(item)
                 except (OSError, BrokenPipeError):
-                    worker.task = None
+                    worker.item = None
                     continue  # dying worker; the next poll reaps it
                 return worker.worker_id
         return None
@@ -219,7 +221,7 @@ class WorkerFleet:
     # -- monitoring --------------------------------------------------------
 
     def poll(self, wait: float = 0.05) -> List[FleetMessage]:
-        """Collect finished cells, crashes, and timeouts; keep strength.
+        """Collect finished items, crashes, and timeouts; keep strength.
 
         Blocks up to ``wait`` seconds for worker traffic, then performs
         one sweep of message draining, liveness checks, deadline
@@ -261,64 +263,62 @@ class WorkerFleet:
             elif kind == "bye":
                 worker.draining = True
             elif kind in ("done", "error"):
-                _kind, _wid, task, tail = payload
+                _kind, _wid, item, tail = payload
                 wall = time.monotonic() - worker.started
-                worker.task = None
+                worker.item = None
                 worker.deadline = None
                 worker.last_seen = time.monotonic()
-                worker.cells_done += 1
                 if kind == "done":
                     messages.append(FleetMessage(
-                        "done", task, worker.worker_id, result=tail,
+                        "done", item, worker.worker_id, result=tail,
                         wall_time=wall))
                 else:
                     messages.append(FleetMessage(
-                        "error", task, worker.worker_id, error=tail,
+                        "error", item, worker.worker_id, error=tail,
                         wall_time=wall))
         if not worker.proc.is_alive():
             exitcode = worker.proc.exitcode
-            task = worker.task
+            item = worker.item
             self._reap(worker)
-            if worker.draining and task is None:
+            if worker.draining and item is None:
                 self._emit("svc.worker.exit", worker=worker.worker_id)
             else:
                 self._emit("svc.worker.crash", worker=worker.worker_id,
                            exitcode=exitcode)
-                if task is not None:
+                if item is not None:
                     messages.append(FleetMessage(
-                        "crashed", task, worker.worker_id,
+                        "crashed", item, worker.worker_id,
                         exitcode=exitcode,
                         wall_time=time.monotonic() - worker.started))
             return messages
-        if (worker.deadline is not None and worker.task is not None
+        if (worker.deadline is not None and worker.item is not None
                 and time.monotonic() > worker.deadline):
-            task = worker.task
-            self._emit("svc.worker.timeout", worker=worker.worker_id,
-                       job=task.job_id, label=task.label)
+            item = worker.item
             self._reap(worker)
             messages.append(FleetMessage(
-                "timeout", task, worker.worker_id,
+                "timeout", item, worker.worker_id,
                 wall_time=time.monotonic() - worker.started))
         return messages
 
     # -- cancellation / shutdown ------------------------------------------
 
-    def terminate_job(self, job_id: str) -> List[CellTask]:
-        """Kill workers running the job's cells; return the killed cells.
+    def terminate(self, items: Iterable[Any]) -> List[Any]:
+        """Kill workers running any of ``items``; return the killed items.
 
-        Replacement workers are spawned on the next :meth:`poll`, so a
-        cancelled job does not shrink the fleet.
+        Replacement workers are spawned on the next :meth:`poll`, so
+        cancelling work does not shrink the fleet.
         """
-        killed: List[CellTask] = []
+        doomed = list(items)
+        killed: List[Any] = []
         for worker in self._snapshot():
-            if worker.task is not None and worker.task.job_id == job_id:
-                killed.append(worker.task)
-                worker.task = None
+            if worker.item is not None and worker.item in doomed:
+                killed.append(worker.item)
+                worker.item = None
                 self._reap(worker)
         return killed
 
     def drain(self, timeout: float = 10.0) -> List[FleetMessage]:
-        """Graceful shutdown: finish in-flight cells, then stop everyone.
+        """Graceful shutdown: finish in-flight items, then stop everyone.
 
         Returns any messages (completions included) collected while
         draining, so the caller can persist late results.
@@ -328,7 +328,7 @@ class WorkerFleet:
         deadline = time.monotonic() + timeout
         messages: List[FleetMessage] = []
         for worker in self._snapshot():
-            if worker.task is None and not worker.draining:
+            if worker.item is None and not worker.draining:
                 worker.draining = True
                 try:
                     worker.conn.send(None)
@@ -337,13 +337,13 @@ class WorkerFleet:
         while self._snapshot() and time.monotonic() < deadline:
             messages.extend(self.poll(wait=0.05))
             for worker in self._snapshot():
-                if worker.task is None and not worker.draining:
+                if worker.item is None and not worker.draining:
                     worker.draining = True
                     try:
                         worker.conn.send(None)
                     except (OSError, BrokenPipeError):
                         pass
-            if all(w.draining and w.task is None
+            if all(w.draining and w.item is None
                    for w in self._snapshot()):
                 # Everyone acknowledged; give them a moment to exit.
                 for worker in self._snapshot():

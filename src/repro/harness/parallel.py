@@ -1,19 +1,22 @@
-"""Parallel sweep execution with an on-disk result cache.
+"""Parallel sweep execution over the worker fleet, with a result store.
 
 The paper's evaluation artifacts are all "one workload x many configs"
 grids, and every cell is an independent, deterministic function of
 ``(config, workload, seed)``. This module exploits both properties:
 
-* :func:`execute_tasks` fans :class:`RunTask` cells out over
-  ``multiprocessing`` workers (``jobs`` at a time), with a per-task
-  wall-clock ``timeout`` and retry-on-worker-crash. A task that fails is
-  recorded and its siblings keep running; the error raised at the end
-  (:class:`SweepExecutionError`) carries every completed result.
-* :class:`ResultCache` is a content-addressed on-disk cache keyed by
-  ``(code version, config, workload, seed, label, cycle limit)``:
+* :func:`execute_tasks` fans :class:`RunTask` cells out over a
+  :class:`~repro.harness.fleet.WorkerFleet` (``jobs`` workers), with a
+  per-task wall-clock ``timeout`` and retry-on-worker-crash. A task that
+  fails is recorded and its siblings keep running; the error raised at
+  the end (:class:`SweepExecutionError`) carries every completed result.
+  The fleet owns the worker processes; the retry and timeout policy
+  lives here, above it.
+* :func:`cell_key` is a cell's content address, over ``(code version,
+  config, workload, seed, label, cycle limit, verify mode)``. Given a
+  result store (``cache=``, a :class:`~repro.svc.repository.RunRepository`),
   re-running a sweep — or resuming one that was interrupted — only
   executes the missing cells. Any change to the ``repro`` sources
-  invalidates the whole cache (the key embeds a hash of the package).
+  invalidates every stored result (the key embeds a hash of the package).
 
 ``run_parallel_sweep`` is the engine behind ``run_sweep(..., jobs=N)``;
 see :mod:`repro.harness.sweep` for the serial semantics it preserves.
@@ -25,26 +28,26 @@ On spawn-only platforms the factory must be picklable.
 
 from __future__ import annotations
 
+import functools
 import hashlib
-import multiprocessing
 import os
-import pickle
 import time
 import traceback
-from dataclasses import dataclass, field
-from multiprocessing import connection as mp_connection
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import (TYPE_CHECKING, Callable, Dict, Iterable, List, Optional,
+                    Tuple)
 
 from repro.common.config import SystemConfig
 from repro.common.errors import ReproError
 from repro.common.rng import DEFAULT_SEED
+from repro.harness.fleet import WorkerFleet
 from repro.harness.runner import (DEFAULT_CYCLE_LIMIT, RunResult,
                                   run_workload)
 from repro.workloads.base import Workload
 
-#: Environment variable overriding the default cache directory.
-CACHE_DIR_ENV = "REPRO_CACHE_DIR"
+if TYPE_CHECKING:  # the store lives in repro.svc, which pulls in sqlite3
+    from repro.svc.repository import RunRepository
 
 
 class SweepExecutionError(ReproError):
@@ -63,7 +66,7 @@ class SweepExecutionError(ReproError):
 
 
 # ---------------------------------------------------------------------------
-# Cache
+# Cell keys
 # ---------------------------------------------------------------------------
 
 _CODE_VERSION: Optional[str] = None
@@ -72,8 +75,8 @@ _CODE_VERSION: Optional[str] = None
 def code_version() -> str:
     """Content hash of every ``.py`` file in the installed ``repro`` package.
 
-    Used as the cache key's code component: any source change invalidates
-    all cached results (conservative, but sweeps are cheap to re-run next
+    Used as the cell key's code component: any source change invalidates
+    all stored results (conservative, but sweeps are cheap to re-run next
     to the cost of trusting a stale model). Computed once per process.
     """
     global _CODE_VERSION
@@ -89,7 +92,7 @@ def code_version() -> str:
 
 
 def workload_fingerprint(workload: Workload) -> str:
-    """Cache-key component identifying a workload instance.
+    """Cell-key component identifying a workload instance.
 
     ``describe()`` covers the thread/unit geometry; class identity and the
     construction seed cover the generated layout (workload generators are
@@ -100,143 +103,20 @@ def workload_fingerprint(workload: Workload) -> str:
             f"|{workload.describe()}|seed={workload.seed}")
 
 
-def default_cache_dir() -> Path:
-    env = os.environ.get(CACHE_DIR_ENV)
-    if env:
-        return Path(env)
-    return Path.home() / ".cache" / "repro" / "sweeps"
+def cell_key(cfg: SystemConfig, fingerprint: str, seed: int, label: str,
+             cycle_limit: int = DEFAULT_CYCLE_LIMIT,
+             verify: object = False) -> str:
+    """Content address of one sweep cell: the result store's key.
 
-
-class ResultCache:
-    """Content-addressed on-disk store of pickled :class:`RunResult`.
-
-    Layout: ``<root>/<key[:2]>/<key>.pkl`` where ``key`` is the SHA-256 of
-    the canonical ``(code version, config repr, workload fingerprint, seed,
-    label, cycle limit)`` tuple. Writes are atomic (temp file + rename), so
-    concurrent sweeps sharing a cache directory are safe. Corrupt or
-    unreadable entries count as misses and are re-executed.
-
-    ``max_entries`` bounds on-disk growth for long-running users (the
-    sweep service): once the store exceeds the cap, the least-recently
-    used entries (by mtime — hits touch their entry) are evicted back
-    down to it. ``None`` (the default) keeps the historical unbounded
-    behaviour; :meth:`prune` is also callable directly and backs
-    ``repro cache prune``.
+    The SHA-256 of the canonical ``(code version, config repr, workload
+    fingerprint, seed, label, cycle limit, verify mode)`` tuple, so the
+    CLI sweep and the service agree on it (see
+    :meth:`repro.svc.spec.SweepSpec.cache_keys`).
     """
-
-    def __init__(self, root: Optional[object] = None,
-                 max_entries: Optional[int] = None) -> None:
-        self.root = Path(root) if root is not None else default_cache_dir()
-        if max_entries is not None and max_entries < 0:
-            raise ValueError(f"max_entries must be >= 0, got {max_entries}")
-        self.max_entries = max_entries
-        self.hits = 0
-        self.misses = 0
-        self.evicted = 0
-        self._entry_count: Optional[int] = None  # lazily scanned
-
-    def key(self, cfg: SystemConfig, fingerprint: str, seed: int,
-            label: str, cycle_limit: int = DEFAULT_CYCLE_LIMIT,
-            verify: object = False) -> str:
-        payload = "\n".join([code_version(), repr(cfg), fingerprint,
-                             str(seed), label, str(cycle_limit),
-                             f"verify={verify!r}"])
-        return hashlib.sha256(payload.encode("utf-8")).hexdigest()
-
-    def _path(self, key: str) -> Path:
-        return self.root / key[:2] / f"{key}.pkl"
-
-    def load(self, key: str) -> Optional[RunResult]:
-        """The cached result for ``key``, or None (counted as hit/miss)."""
-        try:
-            with open(self._path(key), "rb") as fh:
-                result = pickle.load(fh)
-        except (OSError, pickle.UnpicklingError, EOFError, AttributeError,
-                ImportError, IndexError):
-            self.misses += 1
-            return None
-        if not isinstance(result, RunResult):
-            self.misses += 1
-            return None
-        self.hits += 1
-        try:
-            os.utime(self._path(key))  # LRU touch: hits refresh recency
-        except OSError:
-            pass
-        return result
-
-    def store(self, key: str, result: RunResult) -> None:
-        path = self._path(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        existed = path.exists()
-        tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-        with open(tmp, "wb") as fh:
-            pickle.dump(result, fh, protocol=pickle.HIGHEST_PROTOCOL)
-        os.replace(tmp, path)
-        if self.max_entries is not None:
-            if self._entry_count is None:
-                self._entry_count = self._scan_count()
-            elif not existed:
-                self._entry_count += 1
-            if self._entry_count > self.max_entries:
-                self.prune()
-
-    def _entries(self) -> List[Path]:
-        if not self.root.is_dir():
-            return []
-        return [p for p in self.root.glob("*/*.pkl")
-                if not p.name.startswith(".")]
-
-    def _scan_count(self) -> int:
-        return len(self._entries())
-
-    def entry_count(self) -> int:
-        """Number of entries currently on disk (always a fresh scan)."""
-        self._entry_count = self._scan_count()
-        return self._entry_count
-
-    def size_bytes(self) -> int:
-        total = 0
-        for path in self._entries():
-            try:
-                total += path.stat().st_size
-            except OSError:
-                pass
-        return total
-
-    def prune(self, max_entries: Optional[int] = None) -> int:
-        """Evict least-recently-used entries beyond the cap; return count.
-
-        ``max_entries`` overrides the instance cap for this call (so
-        ``repro cache prune --max-entries N`` works on any cache dir).
-        Entries are ranked by mtime: loads touch their file, so recency
-        reflects use, not just creation. Races with concurrent writers
-        are benign — a vanished file is simply skipped.
-        """
-        cap = self.max_entries if max_entries is None else max_entries
-        if cap is None:
-            raise ValueError("prune needs a max_entries cap")
-        entries = []
-        for path in self._entries():
-            try:
-                entries.append((path.stat().st_mtime, path))
-            except OSError:
-                pass
-        entries.sort(key=lambda pair: pair[0])
-        evicted = 0
-        excess = len(entries) - cap
-        for _mtime, path in entries[:max(excess, 0)]:
-            try:
-                path.unlink()
-                evicted += 1
-            except OSError:
-                pass
-        self.evicted += evicted
-        self._entry_count = len(entries) - evicted
-        return evicted
-
-    def stats(self) -> Dict[str, int]:
-        return {"hits": self.hits, "misses": self.misses}
+    payload = "\n".join([code_version(), repr(cfg), fingerprint,
+                         str(seed), label, str(cycle_limit),
+                         f"verify={verify!r}"])
+    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +130,7 @@ class RunTask:
     With ``trace_dir`` set, the cell runs traced and writes its trace
     artifacts (``<key>.trace.json`` Chrome trace + ``<key>.jsonl`` raw
     events) into that directory *inside the worker* — events never travel
-    through the result pipe or the cache.
+    through the result pipe or the store.
     """
 
     key: str                                  # unique id within the batch
@@ -275,9 +155,9 @@ class TaskOutcome:
 
     key: str
     result: RunResult
-    wall_time: float = 0.0     # seconds spent executing (0.0 for cache hits)
+    wall_time: float = 0.0     # seconds spent executing (0.0 for store hits)
     cached: bool = False
-    attempts: int = 1          # worker launches consumed (0 for cache hits)
+    attempts: int = 1          # worker dispatches consumed (0 for store hits)
     retries: int = 0           # relaunches after a crash/timeout (attempts-1)
     timeouts: int = 0          # attempts that hit the wall-clock timeout
 
@@ -290,7 +170,7 @@ def _run_task(task: RunTask) -> RunResult:
                           verify=task.verify)
     # The report object holds live references into the simulated system;
     # the JSON-safe fields (checks_run, violations) already carry the
-    # findings, so drop it before pickling into a pipe or the cache.
+    # findings, so drop it before pickling into a pipe.
     result.verify_report = None
     if task.trace_dir is not None and result.events is not None:
         from repro.obs.export import export_chrome_trace, export_jsonl
@@ -301,28 +181,15 @@ def _run_task(task: RunTask) -> RunResult:
         export_chrome_trace(result.events, str(out / f"{stem}.trace.json"),
                             label=label)
         export_jsonl(result.events, str(out / f"{stem}.jsonl"))
-        # Events stay on disk; shipping them through the result pipe (or
-        # pickling them into the cache) would cost far more than the run.
+        # Events stay on disk; shipping them through the result pipe
+        # would cost far more than the run.
         result.events = None
     return result
 
 
-def _worker(task: RunTask, conn) -> None:  # pragma: no cover - child process
-    try:
-        conn.send(("ok", _run_task(task)))
-    except BaseException:
-        try:
-            conn.send(("error", traceback.format_exc()))
-        except BaseException:
-            pass
-    finally:
-        conn.close()
-
-
-def _mp_context():
-    methods = multiprocessing.get_all_start_methods()
-    return multiprocessing.get_context(
-        "fork" if "fork" in methods else "spawn")
+def _run_keyed(tasks: Dict[str, RunTask], key: str) -> RunResult:
+    """Fleet ``run``: workers are sent task keys and look the task up."""
+    return _run_task(tasks[key])
 
 
 def resolve_jobs(jobs: Optional[int]) -> int:
@@ -338,24 +205,29 @@ def execute_tasks(tasks: Iterable[RunTask],
                   jobs: Optional[int] = 1,
                   timeout: Optional[float] = None,
                   retries: int = 1,
-                  cache: Optional[ResultCache] = None,
+                  cache: Optional[RunRepository] = None,
                   retry_timeouts: bool = False
                   ) -> Dict[str, TaskOutcome]:
     """Execute every task; return outcomes keyed by task key, in task order.
 
-    * Cache hits never launch a worker.
-    * A worker that dies without reporting (crash, OOM-kill) is relaunched
-      up to ``retries`` extra times; a task exceeding ``timeout`` seconds
-      is terminated and by default not retried (a deterministic simulation
-      that timed out once will time out again). ``retry_timeouts=True``
-      relaunches timed-out tasks against the same ``retries`` budget — the
-      sweep service uses this because wall-clock timeouts on a loaded box
-      are *not* deterministic.
+    * ``cache`` is the result store, used through ``load_run`` and
+      ``store_run``. Store hits never reach a worker; when every task is
+      a hit, no worker process starts.
+    * With ``jobs=1`` and no ``timeout`` the tasks run in-process.
+      Otherwise one :class:`WorkerFleet` of ``min(jobs, pending)``
+      workers runs the batch and is stopped when it ends.
+    * A worker that dies without reporting (crash, OOM-kill) is replaced
+      and its task re-dispatched up to ``retries`` extra times; a task
+      exceeding ``timeout`` seconds is terminated and by default not
+      retried (a deterministic simulation that timed out once will time
+      out again). ``retry_timeouts=True`` re-dispatches timed-out tasks
+      against the same ``retries`` budget, for callers that know their
+      wall-clock timeouts are *not* deterministic (a loaded box).
     * Failures do not abort the batch: remaining tasks still run, then one
       :class:`SweepExecutionError` summarises every failure and carries the
       completed sibling results.
     * Each :class:`TaskOutcome` carries the execution metadata — wall
-      time, cache flag, ``attempts``/``retries``/``timeouts`` — that
+      time, store-hit flag, ``attempts``/``retries``/``timeouts`` — that
       ``run_parallel_sweep`` surfaces in ``SweepResult.meta``.
     """
     tasks = list(tasks)
@@ -371,11 +243,11 @@ def execute_tasks(tasks: Iterable[RunTask],
     for task in tasks:
         cache_key = None
         if cache is not None:
-            cache_key = cache.key(task.cfg,
-                                  workload_fingerprint(task.make_workload()),
-                                  task.seed, task.label, task.cycle_limit,
-                                  verify=task.verify)
-            result = cache.load(cache_key)
+            cache_key = cell_key(task.cfg,
+                                 workload_fingerprint(task.make_workload()),
+                                 task.seed, task.label, task.cycle_limit,
+                                 verify=task.verify)
+            result = cache.load_run(cache_key)
             if result is not None:
                 outcomes[task.key] = TaskOutcome(task.key, result,
                                                  wall_time=0.0, cached=True,
@@ -387,9 +259,9 @@ def execute_tasks(tasks: Iterable[RunTask],
         if jobs == 1 and timeout is None:
             _execute_inline(pending, cache, outcomes, failures)
         else:
-            _execute_in_processes(pending, jobs, timeout, retries, cache,
-                                  outcomes, failures,
-                                  retry_timeouts=retry_timeouts)
+            _execute_on_fleet(pending, jobs, timeout, retries, cache,
+                              outcomes, failures,
+                              retry_timeouts=retry_timeouts)
 
     if failures:
         done = {key: out.result for key, out in outcomes.items()}
@@ -414,92 +286,65 @@ def _execute_inline(pending, cache, outcomes, failures) -> None:
         wall = time.perf_counter() - start
         outcomes[task.key] = TaskOutcome(task.key, result, wall_time=wall)
         if cache is not None and cache_key is not None:
-            cache.store(cache_key, result)
+            cache.store_run(cache_key, result)
 
 
-def _execute_in_processes(pending, jobs, timeout, retries, cache,
-                          outcomes, failures,
-                          retry_timeouts: bool = False) -> None:
-    ctx = _mp_context()
-    queue: List[Tuple[RunTask, Optional[str]]] = list(pending)
+def _execute_on_fleet(pending, jobs, timeout, retries, cache,
+                      outcomes, failures,
+                      retry_timeouts: bool = False) -> None:
+    """Run the batch on its own fleet; retries and timeouts are decided here.
+
+    Workers are forked after ``tasks`` is built, so they inherit it (and
+    every workload closure in it); only task keys cross the pipes.
+    """
+    tasks = {task.key: task for task, _cache_key in pending}
+    store_keys = {task.key: cache_key for task, cache_key in pending}
+    queue: List[str] = list(tasks)
     attempts: Dict[str, int] = {}
     timeout_counts: Dict[str, int] = {}
-    running: Dict[str, dict] = {}
-
-    def start(task: RunTask, cache_key: Optional[str]) -> None:
-        recv, send = ctx.Pipe(duplex=False)
-        proc = ctx.Process(target=_worker, args=(task, send),
-                           name=f"sweep-{task.key}")
-        proc.start()
-        send.close()  # child holds the write end
-        attempts[task.key] = attempts.get(task.key, 0) + 1
-        running[task.key] = dict(task=task, cache_key=cache_key, proc=proc,
-                                 conn=recv, started=time.perf_counter())
-
-    def finish(key: str) -> dict:
-        worker = running.pop(key)
-        worker["conn"].close()
-        worker["proc"].join()
-        return worker
-
+    inflight = 0
+    fleet = WorkerFleet(min(jobs, len(tasks)),
+                        run=functools.partial(_run_keyed, tasks))
+    fleet.start()
     try:
-        while queue or running:
-            while queue and len(running) < jobs:
-                start(*queue.pop(0))
-            mp_connection.wait([w["conn"] for w in running.values()],
-                               timeout=0.05)
-            for key in list(running):
-                worker = running[key]
-                task = worker["task"]
-                message = None
-                if worker["conn"].poll():
-                    try:
-                        message = worker["conn"].recv()
-                    except (EOFError, OSError):
-                        message = None  # died mid-send: treat as a crash
-                if message is not None:
-                    wall = time.perf_counter() - worker["started"]
-                    finish(key)
-                    status, payload = message
-                    if status == "ok":
-                        outcomes[key] = TaskOutcome(
-                            key, payload, wall_time=wall,
-                            attempts=attempts[key],
-                            retries=attempts[key] - 1,
-                            timeouts=timeout_counts.get(key, 0))
-                        if cache is not None and worker["cache_key"]:
-                            cache.store(worker["cache_key"], payload)
-                    else:
-                        failures[key] = (f"variant {task.label!r} raised in "
-                                         f"worker:\n{payload}")
-                    continue
-                if not worker["proc"].is_alive():
-                    exitcode = worker["proc"].exitcode
-                    finish(key)
+        while queue or inflight:
+            while queue and fleet.dispatch(queue[0],
+                                           timeout=timeout) is not None:
+                key = queue.pop(0)
+                attempts[key] = attempts.get(key, 0) + 1
+                inflight += 1
+            for message in fleet.poll(wait=0.05):
+                key = message.item
+                label = tasks[key].label
+                inflight -= 1
+                if message.kind == "done":
+                    outcomes[key] = TaskOutcome(
+                        key, message.result, wall_time=message.wall_time,
+                        attempts=attempts[key], retries=attempts[key] - 1,
+                        timeouts=timeout_counts.get(key, 0))
+                    if cache is not None and store_keys[key]:
+                        cache.store_run(store_keys[key], message.result)
+                elif message.kind == "error":
+                    failures[key] = (f"variant {label!r} raised in "
+                                     f"worker:\n{message.error}")
+                elif message.kind == "crashed":
                     if attempts[key] <= retries:
-                        queue.append((task, worker["cache_key"]))
+                        queue.append(key)
                     else:
                         failures[key] = (
-                            f"variant {task.label!r}: worker crashed with "
-                            f"exit code {exitcode} "
+                            f"variant {label!r}: worker crashed with "
+                            f"exit code {message.exitcode} "
                             f"({attempts[key]} attempt(s))")
-                    continue
-                if (timeout is not None
-                        and time.perf_counter() - worker["started"] > timeout):
-                    worker["proc"].terminate()
-                    finish(key)
+                else:  # timeout
                     timeout_counts[key] = timeout_counts.get(key, 0) + 1
                     if retry_timeouts and attempts[key] <= retries:
-                        queue.append((task, worker["cache_key"]))
+                        queue.append(key)
                     else:
                         failures[key] = (
-                            f"variant {task.label!r}: timed out after "
+                            f"variant {label!r}: timed out after "
                             f"{timeout:g}s ({attempts[key]} attempt(s))")
     finally:
-        for worker in running.values():
-            worker["proc"].terminate()
-            worker["conn"].close()
-            worker["proc"].join()
+        fleet.stop()
 
 
 # ---------------------------------------------------------------------------
@@ -510,7 +355,7 @@ def run_parallel_sweep(variants, workload_factory,
                        seed: int = DEFAULT_SEED,
                        baseline_label: Optional[str] = None,
                        jobs: Optional[int] = None,
-                       cache: Optional[ResultCache] = None,
+                       cache: Optional[RunRepository] = None,
                        timeout: Optional[float] = None,
                        retries: int = 1,
                        trace_dir: Optional[str] = None,
@@ -520,12 +365,12 @@ def run_parallel_sweep(variants, workload_factory,
 
     Produces a ``SweepResult`` equal to the serial one (results are stored
     in variant order regardless of completion order), with execution
-    metadata in ``SweepResult.meta``: per-variant wall time, cache-hit
+    metadata in ``SweepResult.meta``: per-variant wall time, store-hit
     flags, attempt/retry/timeout counts, plus batch totals.
 
     ``trace_dir`` writes per-variant trace artifacts (Chrome trace JSON +
-    JSONL) into that directory and disables the cache for the batch — a
-    cache hit would skip the run that produces the artifacts.
+    JSONL) into that directory and disables the store for the batch — a
+    store hit would skip the run that produces the artifacts.
     """
     from repro.harness.sweep import SweepResult  # circular at import time
 

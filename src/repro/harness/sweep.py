@@ -7,10 +7,11 @@ design points.
 
 ``run_sweep`` executes serially by default (``jobs=1``) and is then
 byte-for-byte the historical implementation; ``jobs>1`` — or passing a
-:class:`~repro.harness.parallel.ResultCache` — routes through the parallel
-engine in :mod:`repro.harness.parallel`, which returns an equal
-``SweepResult`` (cells are independent, deterministic functions of
-``(config, workload, seed)``) annotated with execution metadata.
+result store (``cache=``, a :class:`~repro.svc.repository.RunRepository`)
+— routes through the parallel engine in :mod:`repro.harness.parallel`,
+which returns an equal ``SweepResult`` (cells are independent,
+deterministic functions of ``(config, workload, seed)``) annotated with
+execution metadata.
 """
 
 from __future__ import annotations
@@ -108,17 +109,18 @@ def run_sweep(variants: Iterable[Variant],
 
     ``jobs=1`` with no cache/timeout is the exact serial implementation.
     ``jobs>1`` (or ``jobs=None``/``0`` for one worker per CPU), a
-    ``cache`` (:class:`repro.harness.parallel.ResultCache`), or a per-cell
+    ``cache`` (the result store, a
+    :class:`repro.svc.repository.RunRepository`), or a per-cell
     ``timeout`` route through the parallel engine, which returns an equal
     ``SweepResult`` plus execution metadata in ``.meta``. ``retries``
     bounds relaunches after a worker crash (parallel engine only).
     ``trace_dir`` writes per-variant observability artifacts (Chrome trace
     JSON + JSONL) into that directory; it routes through the parallel
-    engine and disables the cache (cached hits produce no artifacts).
+    engine and disables the store (stored hits produce no artifacts).
     ``verify`` attaches the correctness checkers to every cell (see
     :func:`repro.harness.runner.run_workload`); findings land on each
-    cell's ``RunResult.verify_violations`` and are part of the cached
-    record (the cache key includes the verify mode).
+    cell's ``RunResult.verify_violations`` and are part of the stored
+    record (the cell key includes the verify mode).
     ``retry_timeouts`` relaunches timed-out cells against the ``retries``
     budget instead of failing them outright (parallel engine only; see
     :func:`repro.harness.parallel.execute_tasks`).

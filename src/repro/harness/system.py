@@ -132,20 +132,6 @@ class System:
             threads.append(thread)
         return threads
 
-    def attach_tracer(self, max_events: int = 100_000, kinds=None):
-        """Attach a TraceRecorder capturing TM/OS lifecycle events.
-
-        Legacy single-sink path (see :meth:`attach_bus` for the full
-        observability subsystem); also wires the simulation kernel's
-        tracer hook so ``sim.*`` events are captured.
-        """
-        from repro.obs.bus import TraceRecorder
-        recorder = TraceRecorder(clock=lambda: self.sim.now,
-                                 max_events=max_events, kinds=kinds)
-        self.stats.recorder = recorder
-        self.sim.tracer = recorder
-        return recorder
-
     def attach_bus(self, max_events: int = 100_000, kinds=None,
                    strict: bool = False, with_log: bool = True):
         """Attach an :class:`repro.obs.bus.EventBus` plus a ring-buffer log.

@@ -18,8 +18,8 @@ protocol model's reachable states, with
   path minimal in transition count. The parent chain stores the exact
   (non-canonicalized) predecessor states and actions, so the extracted
   path is concretely executable; :func:`replay` re-runs it on a fresh
-  model with a :class:`~repro.obs.bus.TraceRecorder` attached, turning
-  the abstract action list into the PR-2 event taxonomy (``coh.*``,
+  model with an :class:`~repro.obs.bus.EventBus` attached, turning the
+  abstract action list into the PR-2 event taxonomy (``coh.*``,
   ``tm.*``, ``log.*``, ``os.*``) with the step index as the clock.
 
 Single live model, no deep copies: BFS re-installs states via
@@ -38,7 +38,7 @@ from repro.mc.model import (Action, ModelConfig, ProtocolModel,
                             TransitionViolation, action_from_dict,
                             action_to_dict, format_action)
 from repro.mc.state import canonical_key, symmetry_maps
-from repro.obs.bus import TraceRecorder
+from repro.obs.bus import EventBus, RingBufferLog
 
 #: Default bound on distinct canonical states explored. The clean
 #: 2-core/2-block/1-context directory space closes at 124,229 canonical
@@ -149,7 +149,7 @@ class ModelCheckResult:
 
 
 class _EventSink:
-    """Minimal recorder (duck-typing ``TraceRecorder.record``) that
+    """Minimal recorder (duck-typing ``EventBus.record``) that
     collects one transition's emitted events for the observer."""
 
     __slots__ = ("events",)
@@ -274,14 +274,16 @@ def _replayed(mcfg: ModelConfig, path: List[Action], invariant: str,
               message: str) -> Counterexample:
     """Re-run a violating path on a fresh model, capturing events.
 
-    The recorder's clock is the (0-based) step index, so each event
-    lands in the step that caused it. The final step is allowed to raise
-    (a transition-scoped violation *is* the finding).
+    The bus's clock is the (0-based) step index, so each event lands in
+    the step that caused it. The final step is allowed to raise (a
+    transition-scoped violation *is* the finding).
     """
     model = ProtocolModel(mcfg)
     clock = [0]
-    recorder = TraceRecorder(clock=lambda: clock[0])
-    model.stats.recorder = recorder
+    bus = EventBus(clock=lambda: clock[0])
+    log = RingBufferLog()
+    bus.subscribe(log)
+    model.stats.recorder = bus
     for i, action in enumerate(path):
         clock[0] = i
         try:
@@ -290,7 +292,7 @@ def _replayed(mcfg: ModelConfig, path: List[Action], invariant: str,
             if i != len(path) - 1:
                 raise   # mid-path violations mean a nondeterministic model
     by_step: Dict[int, List[Dict[str, object]]] = {}
-    for event in recorder.events():
+    for event in log.events():
         by_step.setdefault(event.time, []).append(event.to_dict())
     steps = [CounterexampleStep(index=i + 1, action=action_to_dict(a),
                                 label=format_action(a),

@@ -38,9 +38,9 @@ from __future__ import annotations
 from typing import Callable, List, Optional, Tuple
 
 from repro.coherence.invariants import (
-    InvariantViolation, _directory_covers, check_cache_invariants,
-    check_directory_accuracy, check_isolation_coverage,
-    check_tm_bookkeeping)
+    _directory_covers, check_cache_invariants, check_directory_accuracy,
+    check_isolation_coverage, check_tm_bookkeeping)
+from repro.common.errors import InvariantViolation
 from repro.mc.model import ProtocolModel
 
 

@@ -11,9 +11,6 @@ lifecycles, build conflict graphs, and attribute aborts to their mechanism
 (true conflict / signature false positive / sticky / capacity / summary),
 and the exporters in :mod:`repro.obs.export` produce JSONL and Chrome
 Trace Event JSON (opens in Perfetto). See ``docs/observability.md``.
-
-The legacy ``repro.harness.trace`` API (``TraceRecorder``/``TraceEvent``)
-is a shim over this package.
 """
 
 from repro.obs.analysis import (CATEGORIES, AbortAttribution, ConflictEdge,
@@ -21,9 +18,9 @@ from repro.obs.analysis import (CATEGORIES, AbortAttribution, ConflictEdge,
                                 attribute_stalls, classify_abort,
                                 dominant_via, reconstruct,
                                 render_attribution)
-from repro.obs.bus import EventBus, RingBufferLog, TraceRecorder
-from repro.obs.events import (NAMESPACES, TAXONOMY, Event, TraceEvent,
-                              event_from_dict, namespace_of, validate_kind)
+from repro.obs.bus import EventBus, RingBufferLog
+from repro.obs.events import (NAMESPACES, TAXONOMY, Event, event_from_dict,
+                              namespace_of, validate_kind)
 from repro.obs.export import (JsonlWriter, chrome_trace, export_chrome_trace,
                               export_jsonl, load_jsonl,
                               validate_chrome_trace)
@@ -43,8 +40,6 @@ __all__ = [
     "NAMESPACES",
     "RingBufferLog",
     "TAXONOMY",
-    "TraceEvent",
-    "TraceRecorder",
     "TxAttempt",
     "attribute_aborts",
     "attribute_stalls",

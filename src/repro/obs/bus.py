@@ -8,9 +8,7 @@ one attribute check when nothing is attached, so instrumentation is
 zero-cost in ordinary (untraced) runs.
 
 :class:`RingBufferLog` is the standard sink: a bounded deque of events with
-query helpers. :class:`TraceRecorder` is the legacy standalone flavor (its
-own clock, same query surface) kept for the pre-obs
-``repro.harness.trace`` API.
+query helpers.
 """
 
 from __future__ import annotations
@@ -72,8 +70,8 @@ class EventBus:
     def record(self, kind: str, **fields: Any) -> None:
         """Build an event at the current virtual time and dispatch it.
 
-        This is the same signature as the legacy ``TraceRecorder.record``,
-        so a bus can sit directly behind ``StatsRegistry.recorder``.
+        This is the signature ``StatsRegistry.emit`` calls, so a bus can
+        sit directly behind ``StatsRegistry.recorder``.
         """
         if self.strict:
             validate_kind(kind)
@@ -202,21 +200,3 @@ class RingBufferLog:
              "Mean cycles"],
             rows, title="Per-thread transaction summary")
 
-
-class TraceRecorder(RingBufferLog):
-    """Standalone recorder: a ring-buffer log with its own clock.
-
-    This is the legacy ``repro.harness.trace.TraceRecorder`` surface
-    (attachable directly to ``StatsRegistry.recorder``), now implemented on
-    the obs layer. New code should prefer ``System.attach_bus()`` — a bus
-    fans out to any number of sinks and carries the full cross-layer
-    taxonomy; a recorder is one fixed ring buffer.
-    """
-
-    def __init__(self, clock: Callable[[], int], max_events: int = 100_000,
-                 kinds: Optional[Iterable[str]] = None) -> None:
-        super().__init__(max_events=max_events, kinds=kinds)
-        self._clock = clock
-
-    def record(self, kind: str, **fields: Any) -> None:
-        self.append(Event(self._clock(), kind, fields))

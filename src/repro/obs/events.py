@@ -58,11 +58,6 @@ class Event:
                 "fields": dict(self.fields)}
 
 
-#: Backwards-compatible name: the pre-obs trace layer called these
-#: ``TraceEvent`` (see :mod:`repro.harness.trace`).
-TraceEvent = Event
-
-
 def event_from_dict(data: Dict[str, Any]) -> Event:
     """Rebuild an :class:`Event` from :meth:`Event.to_dict` output."""
     return Event(time=int(data["time"]), kind=str(data["kind"]),
@@ -130,7 +125,7 @@ TAXONOMY: Dict[str, Tuple[str, Tuple[str, ...]]] = {
     "svc.job.started": ("job left the queue; cells being resolved",
                         ("job",)),
     "svc.job.done": ("every cell terminal, none failed",
-                     ("job", "executed", "cache_hits", "repo_hits")),
+                     ("job", "executed", "repo_hits")),
     "svc.job.failed": ("one or more cells failed", ("job", "failed")),
     "svc.job.cancelled": ("job cancelled (queued or mid-run)", ("job",)),
     "svc.cell.dispatch": ("cell handed to a fleet worker",

@@ -8,15 +8,13 @@ This package turns the one-shot sweep harness
   (spec, label) cell;
 * :mod:`repro.svc.scheduler` — the durable priority+FIFO
   :class:`JobQueue` and the job state machine;
-* :mod:`repro.svc.workers` — :class:`WorkerFleet`, persistent worker
-  processes with heartbeat/crash/timeout detection and graceful drain;
-* :mod:`repro.svc.repository` — :class:`RunRepository`, SQLite
-  persistence keyed by the same content address as
-  :class:`~repro.harness.parallel.ResultCache`, so identical cells
-  dedupe to one execution across submissions;
+* :mod:`repro.svc.repository` — :class:`RunRepository`, the SQLite run
+  store keyed by :func:`~repro.harness.parallel.cell_key` (shared with
+  ``repro sweep``), so identical cells dedupe to one execution across
+  submissions;
 * :mod:`repro.svc.service` — :class:`SweepService`, the orchestrator
-  tying the above together and publishing ``svc.*`` events/metrics
-  through :mod:`repro.obs`;
+  tying the above to the :class:`~repro.harness.fleet.WorkerFleet` and
+  publishing ``svc.*`` events/metrics through :mod:`repro.obs`;
 * :mod:`repro.svc.api` — the stdlib HTTP layer (``repro serve``);
 * :mod:`repro.svc.client` — :class:`ServiceClient` for ``repro
   submit`` / ``repro jobs`` and tests.
@@ -30,7 +28,6 @@ from repro.svc.repository import RunRepository, result_digest
 from repro.svc.scheduler import JobQueue, StateError, check_transition
 from repro.svc.service import ServiceError, SweepService
 from repro.svc.spec import CellTask, SpecError, SweepSpec
-from repro.svc.workers import WorkerFleet
 
 __all__ = [
     "CellTask",
@@ -41,7 +38,6 @@ __all__ = [
     "StateError",
     "SweepService",
     "SweepSpec",
-    "WorkerFleet",
     "check_transition",
     "result_digest",
 ]

@@ -2,16 +2,18 @@
 
 Two responsibilities, one database file:
 
-* **Run repository** — every :class:`~repro.harness.runner.RunResult`
-  the service has ever produced (or imported from the on-disk
-  :class:`~repro.harness.parallel.ResultCache`), keyed by the *same*
-  content-address the cache uses. That shared key is the dedupe
-  mechanism: when a new submission contains a cell whose key is already
-  present — from any earlier submission — the stored result is served
-  and no worker runs. Results are stored as their canonical JSON record
-  plus a SHA-256 ``digest`` of it, so clients can compare runs across
+* **Run repository** — the one result store. Every
+  :class:`~repro.harness.runner.RunResult` the service or a ``repro
+  sweep`` has produced, keyed by its cell's content address
+  (:func:`~repro.harness.parallel.cell_key`). That shared key is the
+  dedupe mechanism: when a new submission or sweep contains a cell
+  whose key is already present, the stored result is served and no
+  worker runs. Results are stored as their canonical JSON record plus a
+  SHA-256 ``digest`` of it, so clients can compare runs across
   submissions (and against the committed ``BENCH_*.json`` digests)
-  without transferring the records.
+  without transferring the records. Each hit refreshes the run's
+  ``last_used`` time, and :meth:`RunRepository.prune` evicts the least
+  recently used runs that no job references.
 
 * **Job store** — every submitted job (spec, priority, state-machine
   timestamps) and its per-cell execution ledger (state, source,
@@ -37,6 +39,9 @@ from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
 from repro.harness.runner import RunResult
 from repro.svc.spec import SweepSpec
 
+#: Environment variable naming the directory of the default store.
+CACHE_DIR_ENV = "REPRO_CACHE_DIR"
+
 #: Job lifecycle states (the scheduler enforces the transitions).
 JOB_STATES = ("queued", "running", "done", "failed", "cancelled")
 #: Cell lifecycle states.
@@ -47,7 +52,8 @@ CREATE TABLE IF NOT EXISTS runs (
     cache_key   TEXT PRIMARY KEY,
     digest      TEXT NOT NULL,
     result_json TEXT NOT NULL,
-    created_at  REAL NOT NULL
+    created_at  REAL NOT NULL,
+    last_used   REAL NOT NULL
 );
 CREATE TABLE IF NOT EXISTS jobs (
     seq          INTEGER PRIMARY KEY AUTOINCREMENT,
@@ -78,6 +84,13 @@ CREATE INDEX IF NOT EXISTS jobs_by_state ON jobs (state);
 """
 
 
+def default_db_path() -> str:
+    """``$REPRO_CACHE_DIR/sweeps.db``, else ``~/.cache/repro/sweeps.db``."""
+    root = (os.environ.get(CACHE_DIR_ENV)
+            or os.path.join(os.path.expanduser("~"), ".cache", "repro"))
+    return os.path.join(root, "sweeps.db")
+
+
 def result_digest(record: Dict[str, Any]) -> str:
     """Canonical SHA-256 of a JSON-safe result record.
 
@@ -98,6 +111,14 @@ class RunRepository:
         os.makedirs(parent, exist_ok=True)
         with self._connect() as conn:
             conn.executescript(_SCHEMA)
+            columns = {row["name"] for row
+                       in conn.execute("PRAGMA table_info(runs)")}
+            if "last_used" not in columns:
+                # A store from before LRU pruning: recency starts at
+                # each run's creation.
+                conn.execute("ALTER TABLE runs ADD COLUMN "
+                             "last_used REAL NOT NULL DEFAULT 0")
+                conn.execute("UPDATE runs SET last_used = created_at")
 
     @contextmanager
     def _connect(self) -> Iterator[sqlite3.Connection]:
@@ -123,28 +144,38 @@ class RunRepository:
         """
         record = result.to_dict()
         digest = result_digest(record)
+        now = time.time()
         with self._connect() as conn:
             conn.execute(
                 "INSERT OR IGNORE INTO runs "
-                "(cache_key, digest, result_json, created_at) "
-                "VALUES (?, ?, ?, ?)",
-                (cache_key, digest, json.dumps(record), time.time()))
+                "(cache_key, digest, result_json, created_at, last_used) "
+                "VALUES (?, ?, ?, ?, ?)",
+                (cache_key, digest, json.dumps(record), now, now))
         return digest
 
     def load_run(self, cache_key: str) -> Optional[RunResult]:
-        record = self.load_run_record(cache_key)
-        if record is None:
-            return None
-        return RunResult.from_dict(record)
-
-    def load_run_record(self, cache_key: str) -> Optional[Dict[str, Any]]:
+        """The stored result, or None; a hit refreshes its recency."""
         with self._connect() as conn:
             row = conn.execute(
                 "SELECT result_json FROM runs WHERE cache_key = ?",
                 (cache_key,)).fetchone()
+            if row is not None:
+                self._touch(conn, cache_key)
         if row is None:
             return None
-        return json.loads(row["result_json"])
+        return RunResult.from_dict(json.loads(row["result_json"]))
+
+    def touch_run(self, cache_key: str) -> bool:
+        """Refresh a stored run's recency; True if the run exists."""
+        with self._connect() as conn:
+            return self._touch(conn, cache_key)
+
+    @staticmethod
+    def _touch(conn: sqlite3.Connection, cache_key: str) -> bool:
+        cur = conn.execute(
+            "UPDATE runs SET last_used = ? WHERE cache_key = ?",
+            (time.time(), cache_key))
+        return cur.rowcount > 0
 
     def run_digest(self, cache_key: str) -> Optional[str]:
         with self._connect() as conn:
@@ -153,20 +184,27 @@ class RunRepository:
                 (cache_key,)).fetchone()
         return None if row is None else row["digest"]
 
-    def have_runs(self, cache_keys: Iterable[str]) -> Dict[str, bool]:
-        keys = list(cache_keys)
-        out = {key: False for key in keys}
-        with self._connect() as conn:
-            for key in keys:
-                row = conn.execute(
-                    "SELECT 1 FROM runs WHERE cache_key = ?",
-                    (key,)).fetchone()
-                out[key] = row is not None
-        return out
-
     def run_count(self) -> int:
         with self._connect() as conn:
             return conn.execute("SELECT COUNT(*) FROM runs").fetchone()[0]
+
+    def prune(self, max_entries: int) -> int:
+        """Evict least-recently-used runs beyond the cap; return the count.
+
+        A run that any job cell references is never evicted, so every
+        job's results stay fetchable; the store may therefore stay above
+        the cap.
+        """
+        if max_entries < 0:
+            raise ValueError(f"max_entries must be >= 0, got {max_entries}")
+        with self._connect() as conn:
+            cur = conn.execute(
+                "DELETE FROM runs WHERE cache_key IN ("
+                "SELECT cache_key FROM runs WHERE cache_key NOT IN "
+                "(SELECT cache_key FROM cells) ORDER BY last_used, rowid "
+                "LIMIT max(0, (SELECT COUNT(*) FROM runs) - ?))",
+                (max_entries,))
+            return cur.rowcount
 
     # -- jobs --------------------------------------------------------------
 

@@ -1,4 +1,4 @@
-"""The sweep service: queue + fleet + repository + cache, orchestrated.
+"""The sweep service: queue + fleet + repository, orchestrated.
 
 :class:`SweepService` is the hub every other ``repro.svc`` module plugs
 into. A submission flows through it as::
@@ -9,7 +9,6 @@ into. A submission flows through it as::
                                         │
                 scheduler thread: for each cell of the job
                     repository hit? ──────────────> cell done (repo)
-                    ResultCache hit? ─> store+done  (cache)
                     else ─> WorkerFleet.dispatch ─> run ─> store+done
                                         │
                     crash/timeout ─> re-queue (retry budget) or failed
@@ -18,14 +17,16 @@ Progress is published on a :class:`repro.obs.bus.EventBus` (``svc.*``
 events, wall-clock milliseconds since service start) feeding a global
 ring buffer, per-job event logs (the ``/events`` NDJSON endpoint), and
 a :class:`repro.obs.metrics.MetricsRegistry` (queue depth, cells/sec,
-cache hit rate, worker restarts — the ``/metrics`` endpoint).
+repository hit rate, worker restarts — the ``/metrics`` endpoint).
 
-Execution semantics are inherited from the parallel engine: per-cell
-timeout and retry budgets (``SweepSpec.timeout`` / ``retries``),
-crashes re-queued, worker exceptions terminal (a deterministic model
-error will not heal on retry). Timeouts *are* retried here — unlike
-the one-shot CLI default — because wall-clock deadlines on a shared
-box are not deterministic (see ``execute_tasks(retry_timeouts=)``).
+The :class:`~repro.harness.fleet.WorkerFleet` only runs cells and
+reports crashes and timeouts; the policy is decided here, with the
+parallel engine's semantics: per-cell timeout and retry budgets
+(``SweepSpec.timeout`` / ``retries``), crashes re-queued, worker
+exceptions terminal (a deterministic model error will not heal on
+retry). Timeouts *are* retried here — unlike the one-shot CLI default —
+because wall-clock deadlines on a shared box are not deterministic (see
+``execute_tasks(retry_timeouts=)``).
 """
 
 from __future__ import annotations
@@ -35,14 +36,13 @@ import time
 from typing import Any, Dict, Iterable, List, Optional
 
 from repro.common.errors import ReproError
-from repro.harness.parallel import ResultCache
+from repro.harness.fleet import WorkerFleet
 from repro.obs.bus import EventBus, RingBufferLog
 from repro.obs.events import Event
 from repro.obs.metrics import MetricsRegistry
 from repro.svc.repository import RunRepository
 from repro.svc.scheduler import JobQueue, check_transition
 from repro.svc.spec import CellTask, SweepSpec
-from repro.svc.workers import WorkerFleet
 
 #: Events kept per job for the ``/events`` endpoint.
 MAX_JOB_EVENTS = 10_000
@@ -57,11 +57,9 @@ class SweepService:
 
     def __init__(self, db_path: object,
                  workers: int = 2,
-                 cache: Optional[ResultCache] = None,
                  drain_timeout: float = 10.0) -> None:
         self.repository = RunRepository(db_path)
         self.queue = JobQueue()
-        self.cache = cache
         self.drain_timeout = drain_timeout
         self._t0 = time.monotonic()
         self.bus = EventBus(clock=self._clock, strict=True)
@@ -135,7 +133,7 @@ class SweepService:
         if drain:
             for message in self.fleet.drain(timeout=timeout):
                 if message.kind == "done":
-                    self._store_late_result(message.task, message.result)
+                    self._store_late_result(message.item, message.result)
         else:
             self.fleet.stop()
         self.repository.recover()  # normalize interrupted state to queued
@@ -143,8 +141,6 @@ class SweepService:
     def _store_late_result(self, task: CellTask, result) -> None:
         """Persist a result that arrived while draining."""
         self.repository.store_run(task.cache_key, result)
-        if self.cache is not None:
-            self.cache.store(task.cache_key, result)
         self.repository.update_cell(task.job_id, task.label,
                                     state="done", source="executed")
 
@@ -228,13 +224,12 @@ class SweepService:
         snapshot = self.metrics.snapshot()
         uptime = max(time.monotonic() - self._t0, 1e-9)
         executed = snapshot.get("svc.cells.executed", 0)
-        cache_hits = (snapshot.get("svc.cells.cache_hits", 0)
-                      + snapshot.get("svc.cells.repo_hits", 0))
-        resolved = executed + cache_hits
+        repo_hits = snapshot.get("svc.cells.repo_hits", 0)
+        resolved = executed + repo_hits
         snapshot["svc.uptime_seconds"] = round(uptime, 3)
         snapshot["svc.cells.per_second"] = round(resolved / uptime, 6)
         snapshot["svc.cache.hit_rate"] = (
-            round(cache_hits / resolved, 6) if resolved else 0.0)
+            round(repo_hits / resolved, 6) if resolved else 0.0)
         snapshot["svc.workers.alive"] = self.fleet.alive_count()
         snapshot["svc.workers.restarts"] = self.fleet.restart_count()
         snapshot["svc.queue.depth"] = self.queue.depth()
@@ -274,28 +269,26 @@ class SweepService:
         spec = SweepSpec.from_dict(job["spec"])
         keys = {cell["label"]: cell["cache_key"] for cell in job["cells"]}
 
-        # Resolve what we can without running anything: repository first
-        # (cross-submission dedupe), then the on-disk cache. Cells a
-        # previous incarnation already finished (restart recovery) are
-        # skipped outright.
+        # Serve what the repository already holds (cross-submission
+        # dedupe) without running anything. Cells a previous incarnation
+        # already finished (restart recovery) are skipped outright.
         pending: List[str] = []
         for cell in job["cells"]:
             if cell["state"] != "pending":
                 continue
             label = cell["label"]
-            if not self._resolve_without_execution(job_id, label,
-                                                   keys[label]):
+            if not self._resolve_from_repository(job_id, label,
+                                                 keys[label]):
                 pending.append(label)
 
         attempts: Dict[str, int] = {}
         timeouts: Dict[str, int] = {}
-        inflight: set = set()
+        inflight: Dict[str, CellTask] = {}
         interrupted = False
 
         while pending or inflight:
             if self._cancelled(job_id):
-                for task in self.fleet.terminate_job(job_id):
-                    inflight.discard(task.label)
+                self.fleet.terminate(inflight.values())
                 self._finalize_cancel(job_id)
                 return
             if self._stop.is_set():
@@ -313,7 +306,7 @@ class SweepService:
                         pending.insert(0, label)
                         break
                     attempts[label] = attempts.get(label, 0) + 1
-                    inflight.add(label)
+                    inflight[label] = task
                     self.repository.update_cell(
                         job_id, label, state="running",
                         attempts=attempts[label],
@@ -322,12 +315,12 @@ class SweepService:
                     self._emit("svc.cell.dispatch", job=job_id,
                                label=label, worker=worker_id)
             for message in self.fleet.poll(wait=0.05):
-                label = message.task.label
-                if message.task.job_id != job_id:
+                label = message.item.label
+                if message.item.job_id != job_id:
                     continue  # a cancelled predecessor's stray result
-                inflight.discard(label)
+                inflight.pop(label, None)
                 if message.kind == "done":
-                    self._record_done(message.task, message.result,
+                    self._record_done(message.item, message.result,
                                       source="executed",
                                       wall_time=message.wall_time,
                                       attempts=attempts.get(label, 1),
@@ -338,6 +331,9 @@ class SweepService:
                     if message.kind == "timeout":
                         timeouts[label] = timeouts.get(label, 0) + 1
                         self.metrics.counter("svc.worker.timeouts").add()
+                        self._emit("svc.worker.timeout",
+                                   worker=message.worker_id, job=job_id,
+                                   label=label)
                     if attempts.get(label, 0) <= spec.retries:
                         pending.append(label)
                         self.metrics.counter("svc.cells.requeued").add()
@@ -370,44 +366,27 @@ class SweepService:
                 "svc.job.done", job=job_id,
                 executed=sum(1 for c in ledger["cells"]
                              if c["source"] == "executed"),
-                cache_hits=sum(1 for c in ledger["cells"]
-                               if c["source"] == "cache"),
                 repo_hits=sum(1 for c in ledger["cells"]
                               if c["source"] == "repository"))
 
     # -- cell resolution ---------------------------------------------------
 
-    def _resolve_without_execution(self, job_id: str, label: str,
-                                   cache_key: str) -> bool:
-        """Serve a cell from the repository or cache; True if satisfied."""
-        record = self.repository.load_run(cache_key)
-        if record is not None:
-            if self.cache is not None and self.cache.load(cache_key) is None:
-                self.cache.store(cache_key, record)
-            self.repository.update_cell(job_id, label, state="done",
-                                        source="repository")
-            self.metrics.counter("svc.cells.repo_hits").add()
-            self._emit("svc.cell.done", job=job_id, label=label,
-                       source="repository", wall_time=0.0, attempts=0)
-            return True
-        if self.cache is not None:
-            result = self.cache.load(cache_key)
-            if result is not None:
-                self.repository.store_run(cache_key, result)
-                self.repository.update_cell(job_id, label, state="done",
-                                            source="cache")
-                self.metrics.counter("svc.cells.cache_hits").add()
-                self._emit("svc.cell.done", job=job_id, label=label,
-                           source="cache", wall_time=0.0, attempts=0)
-                return True
-        return False
+    def _resolve_from_repository(self, job_id: str, label: str,
+                                 cache_key: str) -> bool:
+        """Serve a cell from the repository; True if it was stored."""
+        if not self.repository.touch_run(cache_key):
+            return False
+        self.repository.update_cell(job_id, label, state="done",
+                                    source="repository")
+        self.metrics.counter("svc.cells.repo_hits").add()
+        self._emit("svc.cell.done", job=job_id, label=label,
+                   source="repository", wall_time=0.0, attempts=0)
+        return True
 
     def _record_done(self, task: CellTask, result, source: str,
                      wall_time: float, attempts: int,
                      timeouts: int) -> None:
         self.repository.store_run(task.cache_key, result)
-        if self.cache is not None:
-            self.cache.store(task.cache_key, result)
         self.repository.update_cell(
             task.job_id, task.label, state="done", source=source,
             attempts=attempts, retries=max(attempts - 1, 0),

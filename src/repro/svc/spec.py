@@ -13,9 +13,9 @@ closure.
 The variant grid a spec expands to is *identical* to what ``repro
 sweep`` builds for the same arguments, and the content-address of each
 cell (:meth:`SweepSpec.cache_keys`) is the very same
-:meth:`~repro.harness.parallel.ResultCache.key` the CLI path uses —
-that shared key is what makes service results byte-identical to, and
-dedupe against, direct ``run_sweep`` invocations.
+:func:`~repro.harness.parallel.cell_key` the CLI path uses — that
+shared key is what makes service results byte-identical to, and dedupe
+against, direct ``run_sweep`` invocations.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from repro.common.config import (SignatureKind, SystemConfig,
                                  figure4_variants)
 from repro.common.errors import ReproError
 from repro.common.rng import DEFAULT_SEED
-from repro.harness.parallel import ResultCache, workload_fingerprint
+from repro.harness.parallel import cell_key, workload_fingerprint
 from repro.harness.runner import DEFAULT_CYCLE_LIMIT
 from repro.harness.sweep import (Variant, signature_design_variants,
                                  signature_size_variants)
@@ -126,18 +126,16 @@ class SweepSpec:
     def workload_factory(self) -> Callable[[], Workload]:
         return self.make_workload
 
-    def cache_keys(self, cache: Optional[ResultCache] = None
-                   ) -> Dict[str, str]:
+    def cache_keys(self) -> Dict[str, str]:
         """label -> content-address, exactly as the CLI sweep computes it.
 
         The key binds the code version, config, workload fingerprint,
-        seed, label, cycle limit and verify mode — so a repository or
-        cache entry written by either path satisfies the other.
+        seed, label, cycle limit and verify mode — so a stored run
+        written by either path satisfies the other.
         """
-        cache = cache or ResultCache("/nonexistent")
         fingerprint = workload_fingerprint(self.make_workload())
-        return {label: cache.key(cfg, fingerprint, self.seed, label,
-                                 self.cycle_limit, verify=self.verify)
+        return {label: cell_key(cfg, fingerprint, self.seed, label,
+                                self.cycle_limit, verify=self.verify)
                 for label, cfg in self.variants()}
 
     # -- serialization -----------------------------------------------------

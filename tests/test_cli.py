@@ -105,7 +105,7 @@ class TestSweepCommand:
         assert "unknown workload" in capsys.readouterr().err
 
     def test_repeat_invocation_hits_cache(self, tmp_path, capsys):
-        cache_args = self.ARGS + ["--cache-dir", str(tmp_path)]
+        cache_args = self.ARGS + ["--db", str(tmp_path / "sweeps.db")]
         assert main(cache_args) == 0
         assert "cache: 0 hit(s), 2 miss(es)" in capsys.readouterr().out
         assert main(cache_args) == 0
@@ -113,7 +113,7 @@ class TestSweepCommand:
 
     def test_json_round_trips(self, tmp_path, capsys):
         assert main(["--json"] + self.ARGS
-                    + ["--cache-dir", str(tmp_path)]) == 0
+                    + ["--db", str(tmp_path / "sweeps.db")]) == 0
         data = json.loads(capsys.readouterr().out)
         sweep = SweepResult.from_dict(data)
         assert sweep.labels() == ["BS_64", "BS_256"]
@@ -225,6 +225,12 @@ class TestServiceParser:
         assert args.drain_timeout == 5.0
         assert callable(args.fn)
 
+    def test_serve_no_cache_still_parses(self):
+        # A documented no-op kept for scripts that pass it.
+        args = build_parser().parse_args(["serve", "--no-cache"])
+        assert args.no_cache
+        assert args.db is None  # the default store, resolved at start
+
     def test_submit_shares_sweep_spec_arguments(self):
         args = build_parser().parse_args(
             ["submit", "Mp3d", "--mode", "figure4", "--threads", "4",
@@ -269,30 +275,49 @@ class TestServiceCommands:
 
 
 class TestCacheCommand:
-    def _warm(self, cache_dir, sizes):
+    def _warm(self, db, sizes):
         return main(["sweep", "Mp3d", "--mode", "sizes", "--sizes"]
                     + [str(s) for s in sizes]
-                    + ["--threads", "2", "--units", "1",
-                       "--cache-dir", str(cache_dir)])
+                    + ["--threads", "2", "--units", "1", "--db", str(db)])
 
     def test_stats(self, tmp_path, capsys):
-        assert self._warm(tmp_path, [64, 256]) == 0
+        db = tmp_path / "sweeps.db"
+        assert self._warm(db, [64, 256]) == 0
         capsys.readouterr()
-        assert main(["--json", "cache", "stats",
-                     "--cache-dir", str(tmp_path)]) == 0
+        assert main(["--json", "cache", "stats", "--db", str(db)]) == 0
         stats = json.loads(capsys.readouterr().out)
         assert stats["entries"] == 2
         assert stats["bytes"] > 0
 
     def test_prune_to_cap(self, tmp_path, capsys):
-        assert self._warm(tmp_path, [64, 256, 2048]) == 0
+        db = tmp_path / "sweeps.db"
+        assert self._warm(db, [64, 256, 2048]) == 0
         capsys.readouterr()
         assert main(["--json", "cache", "prune", "--max-entries", "1",
-                     "--cache-dir", str(tmp_path)]) == 0
+                     "--db", str(db)]) == 0
         report = json.loads(capsys.readouterr().out)
-        assert report == {"root": str(tmp_path), "before": 3,
+        assert report == {"db": str(db), "before": 3,
                           "removed": 2, "entries": 1}
 
     def test_prune_requires_cap(self, tmp_path, capsys):
-        assert main(["cache", "prune", "--cache-dir", str(tmp_path)]) == 2
+        assert main(["cache", "prune",
+                     "--db", str(tmp_path / "sweeps.db")]) == 2
         assert "--max-entries" in capsys.readouterr().err
+
+    def test_prune_rejects_negative_cap(self, tmp_path, capsys):
+        db = tmp_path / "sweeps.db"
+        assert self._warm(db, [64]) == 0
+        capsys.readouterr()
+        with pytest.raises(SystemExit) as info:
+            main(["cache", "prune", "--max-entries", "-1", "--db", str(db)])
+        assert info.value.code == 2
+        assert "--max-entries" in capsys.readouterr().err
+        assert main(["--json", "cache", "stats", "--db", str(db)]) == 0
+        assert json.loads(capsys.readouterr().out)["entries"] == 1
+
+    def test_default_store_follows_cache_dir_env(self, tmp_path,
+                                                 monkeypatch, capsys):
+        monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
+        assert main(["--json", "cache", "stats"]) == 0
+        stats = json.loads(capsys.readouterr().out)
+        assert stats["db"] == str(tmp_path / "sweeps.db")

@@ -324,8 +324,8 @@ class TestInvariantAudits:
 
     def test_directory_accuracy_rejects_planted_holder(self):
         from repro.cache.block import MESI
-        from repro.coherence.invariants import (InvariantViolation,
-                                                check_directory_accuracy)
+        from repro.coherence.invariants import check_directory_accuracy
+        from repro.common.errors import InvariantViolation
         system, _ = build()
         # A cached line no directory level knows about is a protocol bug.
         system.cores[3].l1.insert(0x880, MESI.SHARED)
@@ -333,8 +333,8 @@ class TestInvariantAudits:
             check_directory_accuracy(system)
 
     def test_isolation_coverage_rejects_stranded_write_set(self):
-        from repro.coherence.invariants import (InvariantViolation,
-                                                check_isolation_coverage)
+        from repro.coherence.invariants import check_isolation_coverage
+        from repro.common.errors import InvariantViolation
         system, threads = build()
         a = threads[0]
 

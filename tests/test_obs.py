@@ -2,9 +2,9 @@
 
 Covers the typed event taxonomy, the bus and its sinks, the metrics
 registry, the analyzers (lifecycle reconstruction, conflict graph, abort
-attribution), the exporters (JSONL, Chrome Trace Event), the legacy
-``repro.harness.trace`` shim, and cross-layer event emission from the real
-machine (coherence directory/snooping, OS model, undo log, interconnect).
+attribution), the exporters (JSONL, Chrome Trace Event), the log's query
+surface, and cross-layer event emission from the real machine (coherence
+directory/snooping, OS model, undo log, interconnect).
 """
 
 import json
@@ -371,28 +371,23 @@ class TestExport:
 
 
 class TestLegacyShim:
-    def test_harness_names_still_importable(self):
-        from repro.harness import TraceEvent, TraceRecorder
-        from repro.harness.trace import TraceEvent as ShimEvent
-        from repro.harness.trace import TraceRecorder as ShimRecorder
-        from repro.obs.bus import TraceRecorder as ObsRecorder
-        assert TraceRecorder is ShimRecorder is ObsRecorder
-        assert TraceEvent is ShimEvent is Event
-
     def test_legacy_api_surface(self):
-        # The surface the pre-obs tests and downstream scripts relied on.
-        from repro.harness.trace import TraceRecorder
-        rec = TraceRecorder(clock=lambda: 5, max_events=10)
-        rec.record("tm.begin", thread=0, depth=1)
-        rec.record("tm.commit", thread=0, outer=True)
-        assert len(rec) == 2
-        assert rec.dropped == 0
-        assert rec.counts() == {"tm.begin": 1, "tm.commit": 1}
-        assert rec.events(kind="tm.begin", thread=0)
-        assert rec.transactions(0)[0]["outcome"] == "commit"
-        assert "tm.begin" in rec.render()
-        assert "Per-thread transaction summary" in rec.summary_table([0])
-        event = rec.events()[0]
+        # The surface the pre-obs tests and downstream scripts relied on,
+        # now on the log that attach_bus() returns.
+        system = System(SystemConfig.small(num_cores=1, threads_per_core=1),
+                        seed=1)
+        bus, log = system.attach_bus(max_events=10)
+        system.sim.now = 5
+        bus.record("tm.begin", thread=0, depth=1)
+        bus.record("tm.commit", thread=0, outer=True)
+        assert len(log) == 2
+        assert log.dropped == 0
+        assert log.counts() == {"tm.begin": 1, "tm.commit": 1}
+        assert log.events(kind="tm.begin", thread=0)
+        assert log.transactions(0)[0]["outcome"] == "commit"
+        assert "tm.begin" in log.render()
+        assert "Per-thread transaction summary" in log.summary_table([0])
+        event = log.events()[0]
         assert event.time == 5 and event.fields["thread"] == 0
 
 

@@ -1,18 +1,20 @@
-"""Tests for the parallel sweep engine and its on-disk result cache."""
+"""Tests for the parallel sweep engine and its result store."""
 
 import json
 import os
+import sqlite3
 import time
 
 import pytest
 
 from repro.common.config import SignatureKind, SystemConfig
 from repro.harness import parallel as parallel_mod
-from repro.harness.parallel import (ResultCache, RunTask,
-                                    SweepExecutionError, code_version,
-                                    execute_tasks, workload_fingerprint)
+from repro.harness.parallel import (RunTask, SweepExecutionError, cell_key,
+                                    code_version, execute_tasks,
+                                    workload_fingerprint)
 from repro.harness.runner import run_workload
 from repro.harness.sweep import SweepResult, run_sweep
+from repro.svc.repository import RunRepository
 from repro.workloads import SharedCounter
 
 
@@ -58,17 +60,21 @@ class TestDeterminism:
 
 
 class TestResultCache:
+    """Sweeps against the result store (a :class:`RunRepository`)."""
+
     def test_cold_then_warm(self, tmp_path):
-        cache = ResultCache(tmp_path)
+        cache = RunRepository(tmp_path / "sweeps.db")
         cold = run_sweep(variants(), factory, cache=cache)
-        assert cache.stats() == {"hits": 0, "misses": 2}
+        assert cold.meta["cache"] == {"hits": 0, "misses": 2,
+                                      "enabled": True}
         warm = run_sweep(variants(), factory, cache=cache)
-        assert cache.stats() == {"hits": 2, "misses": 2}
+        assert warm.meta["cache"] == {"hits": 2, "misses": 0,
+                                      "enabled": True}
         assert warm == cold
         assert all(v["cached"] for v in warm.meta["variants"].values())
 
     def test_cache_hit_skips_execution(self, tmp_path, monkeypatch):
-        cache = ResultCache(tmp_path)
+        cache = RunRepository(tmp_path / "sweeps.db")
         run_sweep(variants(), factory, cache=cache)
 
         def exploding(*args, **kwargs):
@@ -81,32 +87,23 @@ class TestResultCache:
                    for v in warm.meta["variants"].values())
 
     def test_partial_cache_runs_only_missing_cells(self, tmp_path):
-        cache = ResultCache(tmp_path)
+        cache = RunRepository(tmp_path / "sweeps.db")
         run_sweep(variants()[:1], factory, cache=cache)
         sweep = run_sweep(variants(), factory, cache=cache)
         per = sweep.meta["variants"]
         assert per["a"]["cached"] and not per["b"]["cached"]
 
     def test_key_sensitivity(self):
-        cache = ResultCache("/nonexistent")
         fp = workload_fingerprint(factory())
-        base = cache.key(small(), fp, seed=1, label="x")
-        assert base == cache.key(small(), fp, seed=1, label="x")
-        assert base != cache.key(small(), fp, seed=2, label="x")
-        assert base != cache.key(small(), fp, seed=1, label="y")
+        base = cell_key(small(), fp, seed=1, label="x")
+        assert base == cell_key(small(), fp, seed=1, label="x")
+        assert base != cell_key(small(), fp, seed=2, label="x")
+        assert base != cell_key(small(), fp, seed=1, label="y")
         other_cfg = small().with_signature(SignatureKind.BIT_SELECT, bits=64)
-        assert base != cache.key(other_cfg, fp, seed=1, label="x")
+        assert base != cell_key(other_cfg, fp, seed=1, label="x")
         other_wl = workload_fingerprint(
             SharedCounter(num_threads=2, units_per_thread=4))
-        assert base != cache.key(small(), other_wl, seed=1, label="x")
-
-    def test_corrupt_entry_is_a_miss(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        run_sweep(variants()[:1], factory, cache=cache)
-        for path in tmp_path.rglob("*.pkl"):
-            path.write_bytes(b"not a pickle")
-        sweep = run_sweep(variants()[:1], factory, cache=cache)
-        assert not sweep.meta["variants"]["a"]["cached"]
+        assert base != cell_key(small(), other_wl, seed=1, label="x")
 
     def test_code_version_stable_and_short(self):
         assert code_version() == code_version()
@@ -169,7 +166,7 @@ class TestFailureHandling:
         assert set(info.value.completed) == {"a"}
         assert "timed out" in info.value.failures["b"]
 
-    def test_inline_failure_keeps_siblings(self, monkeypatch):
+    def test_inline_failure_keeps_siblings(self, monkeypatch, tmp_path):
         # jobs=1 without timeout runs in-process; failures behave the same.
         def raise_on_b(label):
             if label == "b":
@@ -178,7 +175,7 @@ class TestFailureHandling:
         self._patch(monkeypatch, raise_on_b)
         with pytest.raises(SweepExecutionError) as info:
             run_sweep(variants(), factory, jobs=1,
-                      cache=ResultCache("/tmp/nonexistent-unused"))
+                      cache=RunRepository(tmp_path / "sweeps.db"))
         assert set(info.value.completed) == {"a"}
 
 
@@ -228,67 +225,54 @@ class TestJsonRoundTrip:
 
 
 class TestCacheEviction:
-    """The LRU size cap (``max_entries``) and ``prune``."""
+    """The store's LRU ``prune``."""
 
-    def _fill(self, cache, n):
+    def _fill(self, store, n):
         fp = workload_fingerprint(factory())
         result = run_workload(small(), factory(), config_label="a")
         keys = []
         for i in range(n):
-            key = cache.key(small(), fp, seed=i, label="a")
-            cache.store(key, result)
+            key = cell_key(small(), fp, seed=i, label="a")
+            store.store_run(key, result)
             keys.append(key)
         return keys
 
     def test_unbounded_by_default(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        self._fill(cache, 5)
-        assert cache.entry_count() == 5
-        assert cache.evicted == 0
-        with pytest.raises(ValueError):
-            cache.prune()  # no cap configured, none given
-
-    def test_store_evicts_beyond_cap(self, tmp_path):
-        cache = ResultCache(tmp_path, max_entries=3)
-        keys = self._fill(cache, 6)
-        assert cache.entry_count() == 3
-        assert cache.evicted == 3
-        # The newest entries survive (mtime order).
-        assert all(cache.load(k) is not None for k in keys[-3:])
+        store = RunRepository(tmp_path / "sweeps.db")
+        self._fill(store, 5)
+        assert store.run_count() == 5
 
     def test_lru_not_fifo_hits_refresh_recency(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        keys = self._fill(cache, 4)
-        # Age the files explicitly (mtime resolution is too coarse to
-        # rely on insertion timing), oldest first.
-        now = time.time()
-        for i, key in enumerate(keys):
-            os.utime(cache._path(key), (now - 100 + i, now - 100 + i))
-        assert cache.load(keys[0]) is not None  # touch the oldest
-        assert cache.prune(max_entries=2) == 2
-        assert cache.load(keys[0]) is not None  # survived: recently used
-        assert cache.load(keys[3]) is not None
-        assert cache.load(keys[1]) is None
-        assert cache.load(keys[2]) is None
+        store = RunRepository(tmp_path / "sweeps.db")
+        keys = self._fill(store, 4)
+        # Age the runs explicitly, oldest first, so the order does not
+        # hang on clock resolution.
+        conn = sqlite3.connect(store.path)
+        with conn:
+            for i, key in enumerate(keys):
+                conn.execute("UPDATE runs SET last_used = ? "
+                             "WHERE cache_key = ?", (i, key))
+        conn.close()
+        assert store.load_run(keys[0]) is not None  # touch the oldest
+        assert store.prune(max_entries=2) == 2
+        assert store.load_run(keys[0]) is not None  # survived: recently used
+        assert store.load_run(keys[3]) is not None
+        assert store.load_run(keys[1]) is None
+        assert store.load_run(keys[2]) is None
 
     def test_prune_reports_and_counts(self, tmp_path):
-        cache = ResultCache(tmp_path)
-        self._fill(cache, 5)
-        assert cache.prune(max_entries=2) == 3
-        assert cache.evicted == 3
-        assert cache.prune(max_entries=2) == 0  # already within cap
-        assert cache.entry_count() == 2
-        assert cache.size_bytes() > 0
+        store = RunRepository(tmp_path / "sweeps.db")
+        self._fill(store, 5)
+        assert store.prune(max_entries=2) == 3
+        assert store.prune(max_entries=2) == 0  # already within cap
+        assert store.run_count() == 2
 
     def test_invalid_cap_rejected(self, tmp_path):
+        store = RunRepository(tmp_path / "sweeps.db")
+        self._fill(store, 3)
         with pytest.raises(ValueError):
-            ResultCache(tmp_path, max_entries=-1)
-
-    def test_capped_cache_still_correct_in_sweeps(self, tmp_path):
-        cache = ResultCache(tmp_path, max_entries=1)
-        sweep = run_sweep(variants(), factory, cache=cache)
-        assert sweep == run_sweep(variants(), factory)
-        assert cache.entry_count() == 1  # evicted down to the cap
+            store.prune(max_entries=-1)
+        assert store.run_count() == 3  # nothing evicted
 
 
 class TestRetryAndTimeoutMeta:

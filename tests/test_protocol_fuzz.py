@@ -162,8 +162,8 @@ class TestInvariantCheckerOnRealRuns:
     def test_detects_planted_violation(self):
         """The checker must actually catch corruption, not rubber-stamp."""
         from repro.cache.block import MESI
-        from repro.coherence.invariants import (InvariantViolation,
-                                                check_cache_invariants)
+        from repro.coherence.invariants import check_cache_invariants
+        from repro.common.errors import InvariantViolation
         system, threads = build_system()
         # Plant two exclusive copies of one block.
         system.cores[0].l1.insert(0x40, MESI.MODIFIED)

@@ -1,23 +1,23 @@
 """Tests for the sweep-service building blocks (no live fleet).
 
 Covers :mod:`repro.svc.spec` (submission contract),
-:mod:`repro.svc.scheduler` (queue + state machine),
-:mod:`repro.svc.repository` (SQLite persistence + dedupe + recovery),
-and the concurrent-access guarantees of
-:class:`repro.harness.parallel.ResultCache` that the service relies on.
-The live end-to-end paths (worker fleet, HTTP) are in
-``test_svc_service.py``.
+:mod:`repro.svc.scheduler` (queue + state machine), and
+:mod:`repro.svc.repository` (SQLite persistence + dedupe + recovery,
+LRU pruning, and the concurrent-access guarantees the sweep CLI and the
+service rely on). The live end-to-end paths (worker fleet, HTTP) are
+in ``test_svc_service.py``.
 """
 
 import json
 import multiprocessing
 import os
+import sqlite3
 import threading
 import time
 
 import pytest
 
-from repro.harness.parallel import ResultCache, workload_fingerprint
+from repro.harness.parallel import cell_key, workload_fingerprint
 from repro.harness.runner import run_workload
 from repro.harness.sweep import run_sweep
 from repro.svc.repository import RunRepository, result_digest
@@ -83,11 +83,10 @@ class TestSweepSpec:
     def test_cache_keys_match_cli_path(self):
         """The service content-address IS the CLI cache's address."""
         spec = tiny_spec()
-        cache = ResultCache("/nonexistent")
         fingerprint = workload_fingerprint(spec.make_workload())
         for label, cfg in spec.variants():
-            expected = cache.key(cfg, fingerprint, spec.seed, label,
-                                 spec.cycle_limit, verify=spec.verify)
+            expected = cell_key(cfg, fingerprint, spec.seed, label,
+                                spec.cycle_limit, verify=spec.verify)
             assert spec.cache_keys()[label] == expected
 
     def test_cell_task_runs_the_exact_cell(self):
@@ -194,7 +193,6 @@ class TestRunRepository:
         assert result_digest(loaded.to_dict()) == digest
         assert repo.load_run("missing") is None
         assert repo.run_count() == 1
-        assert repo.have_runs(["k1", "k2"]) == {"k1": True, "k2": False}
 
     def test_first_write_wins(self, tmp_path):
         repo = RunRepository(tmp_path / "svc.db")
@@ -203,6 +201,26 @@ class TestRunRepository:
         repo.store_run("k1", result)
         assert repo.run_count() == 1
         assert repo.run_digest("k1") == first
+
+    def test_store_without_last_used_is_migrated(self, tmp_path):
+        """A store written before LRU pruning gains ``last_used``."""
+        db_path = tmp_path / "svc.db"
+        record = self._result().to_dict()
+        conn = sqlite3.connect(db_path)
+        with conn:
+            conn.execute("CREATE TABLE runs (cache_key TEXT PRIMARY KEY, "
+                         "digest TEXT NOT NULL, result_json TEXT NOT NULL, "
+                         "created_at REAL NOT NULL)")
+            conn.execute("INSERT INTO runs VALUES (?, ?, ?, ?)",
+                         ("old", result_digest(record), json.dumps(record),
+                          1.0))
+        conn.close()
+        repo = RunRepository(db_path)
+        repo.store_run("new", self._result())
+        # The old run's recency starts at its creation, so it goes first.
+        assert repo.prune(max_entries=1) == 1
+        assert repo.load_run("old") is None
+        assert repo.load_run("new") is not None
 
     def test_job_lifecycle(self, tmp_path):
         repo = RunRepository(tmp_path / "svc.db")
@@ -330,24 +348,25 @@ class TestRunRepository:
         assert len(repo.list_jobs(limit=100)) == 20
 
 
-def _store_same_key(root, key, barrier, payload_path):
+def _store_same_key(db_path, key, barrier, payload_path):
     """Child process: wait at the barrier, then store the shared key."""
     import pickle
     with open(payload_path, "rb") as fh:
         result = pickle.load(fh)
-    cache = ResultCache(root)
+    store = RunRepository(db_path)
     barrier.wait(timeout=30)
     for _ in range(5):
-        cache.store(key, result)
+        store.store_run(key, result)
 
 
 class TestConcurrentResultCache:
-    def test_parallel_same_key_writers(self, tmp_path):
-        """N processes storing one key concurrently never corrupt it.
+    """Concurrent writers and readers of one run store."""
 
-        ``store`` writes to a pid-unique temp file and ``os.replace``s
-        it into place, so readers always see either the old or the new
-        complete entry — never a partial write.
+    def test_parallel_same_key_writers(self, tmp_path):
+        """N processes storing one key concurrently leave one run.
+
+        ``store_run`` is first-write-wins inside a SQLite transaction,
+        so no content address is ever stored with two digests.
         """
         spec = tiny_spec()
         [(label, cfg)] = spec.variants()
@@ -358,12 +377,13 @@ class TestConcurrentResultCache:
         with open(payload_path, "wb") as fh:
             pickle.dump(result, fh)
         key = spec.cache_keys()[label]
-        root = tmp_path / "cache"
+        db_path = tmp_path / "sweeps.db"
+        store = RunRepository(db_path)
 
         ctx = multiprocessing.get_context()
         barrier = ctx.Barrier(4)
         procs = [ctx.Process(target=_store_same_key,
-                             args=(str(root), key, barrier,
+                             args=(str(db_path), key, barrier,
                                    str(payload_path)))
                  for _ in range(4)]
         for p in procs:
@@ -372,44 +392,42 @@ class TestConcurrentResultCache:
             p.join(timeout=60)
         assert all(p.exitcode == 0 for p in procs)
 
-        cache = ResultCache(root)
-        loaded = cache.load(key)
+        loaded = store.load_run(key)
         assert loaded is not None
-        assert result_digest(loaded.to_dict()) == \
-            result_digest(result.to_dict())
-        # Exactly one entry, and no temp droppings left behind.
-        assert cache.entry_count() == 1
-        leftovers = [p for p in root.rglob("*.tmp")]
-        assert leftovers == []
+        digest = result_digest(result.to_dict())
+        assert result_digest(loaded.to_dict()) == digest
+        # Exactly one row, carrying one digest.
+        assert store.run_count() == 1
+        assert store.run_digest(key) == digest
 
     def test_reader_during_writes_sees_whole_entries(self, tmp_path):
         spec = tiny_spec()
         [(label, cfg)] = spec.variants()
         result = run_workload(cfg, spec.make_workload(), seed=spec.seed,
                               config_label=label)
-        root = tmp_path / "cache"
+        db_path = tmp_path / "sweeps.db"
         key = spec.cache_keys()[label]
-        writer = ResultCache(root)
-        reader = ResultCache(root)
+        writer = RunRepository(db_path)
+        reader = RunRepository(db_path)
         digest = result_digest(result.to_dict())
         for _ in range(10):
-            writer.store(key, result)
-            seen = reader.load(key)
+            writer.store_run(key, result)
+            seen = reader.load_run(key)
             assert seen is not None
             assert result_digest(seen.to_dict()) == digest
 
 
 class TestRepositoryCacheInterop:
     def test_sweep_cache_entry_satisfies_service_key(self, tmp_path):
-        """A direct ``repro sweep`` warms the cache the service reads."""
+        """A direct ``repro sweep`` warms the store the service reads."""
         spec = tiny_spec()
-        cache = ResultCache(tmp_path / "cache")
+        store = RunRepository(tmp_path / "sweeps.db")
         sweep = run_sweep(spec.variants(), spec.workload_factory(),
                           seed=spec.seed,
-                          baseline_label=spec.baseline_label, cache=cache)
-        assert cache.stats()["misses"] == 1
+                          baseline_label=spec.baseline_label, cache=store)
+        assert sweep.meta["cache"]["misses"] == 1
         [(label, _cfg)] = spec.variants()
-        hit = cache.load(spec.cache_keys()[label])
+        hit = store.load_run(spec.cache_keys()[label])
         assert hit is not None
         assert result_digest(hit.to_dict()) == \
             result_digest(sweep.results[label].to_dict())

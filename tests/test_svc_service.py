@@ -16,14 +16,13 @@ import time
 import pytest
 
 import repro.harness.runner as runner_mod
-from repro.harness.parallel import ResultCache
+from repro.harness.fleet import WorkerFleet
 from repro.harness.sweep import run_sweep
 from repro.svc.api import serve
 from repro.svc.client import ClientError, ServiceClient
-from repro.svc.repository import result_digest
+from repro.svc.repository import RunRepository, result_digest
 from repro.svc.service import ServiceError, SweepService
 from repro.svc.spec import CellTask, SweepSpec
-from repro.svc.workers import WorkerFleet
 
 HAVE_FORK = "fork" in multiprocessing.get_all_start_methods()
 
@@ -42,6 +41,12 @@ def fig4_spec(**overrides):
     fields = dict(workload="Mp3d", mode="figure4", threads=2, units=1)
     fields.update(overrides)
     return SweepSpec(**fields)
+
+
+def _sleep_then_return(seconds):
+    """A fleet ``run`` that is not ``item.run()``."""
+    time.sleep(seconds)
+    return seconds
 
 
 def wait_terminal(service, job_id, timeout=120.0):
@@ -114,24 +119,39 @@ class TestServiceEndToEnd:
         assert first_digests == second_digests
 
     def test_prewarmed_cache_serves_cells(self, tmp_path):
-        cache_dir = tmp_path / "cache"
+        db_path = tmp_path / "sweeps.db"
         spec = tiny_spec()
         run_sweep(spec.variants(), spec.workload_factory(), seed=spec.seed,
                   baseline_label=spec.baseline_label,
-                  cache=ResultCache(cache_dir))
-        svc = SweepService(tmp_path / "svc.db", workers=1,
-                           cache=ResultCache(cache_dir))
+                  cache=RunRepository(db_path))
+        svc = SweepService(db_path, workers=1)
         svc.start()
         try:
             job = svc.submit(spec.to_dict())
             final = wait_terminal(svc, job["id"])
             assert final["state"] == "done"
             results = svc.results(job["id"])
-            assert {e["source"] for e in results.values()} == {"cache"}
+            assert {e["source"] for e in results.values()} \
+                == {"repository"}
             assert svc.metrics_snapshot().get("svc.cells.executed",
                                               0) == 0
         finally:
             svc.shutdown(drain=False)
+
+    def test_prune_keeps_finished_job_results(self, service):
+        spec = tiny_spec()
+        job = service.submit(spec.to_dict())
+        assert wait_terminal(service, job["id"])["state"] == "done"
+        before = service.results(job["id"])
+        # A run no job references, as a CLI sweep would leave behind.
+        [label] = spec.labels()
+        service.repository.store_run(
+            "unreferenced",
+            runner_mod.RunResult.from_dict(before[label]["result"]))
+        assert service.repository.prune(max_entries=0) == 1
+        after = service.results(job["id"])
+        assert after == before
+        assert all(entry["result"] is not None for entry in after.values())
 
     def test_bench_digest_parity(self, service):
         """The committed BENCH_fig4_cell digest, reproduced via workers.
@@ -313,6 +333,60 @@ class TestWorkerFaults:
         finally:
             svc.shutdown(drain=False)
 
+    def _patch_slow_once(self, monkeypatch, flag):
+        real = runner_mod.run_workload
+
+        def wrapper(cfg, workload, **kwargs):
+            if not os.path.exists(flag):
+                with open(flag, "a") as fh:
+                    fh.write("x")
+                time.sleep(30)
+            return real(cfg, workload, **kwargs)
+
+        monkeypatch.setattr(runner_mod, "run_workload", wrapper)
+
+    def test_timeout_requeued_and_reported_by_service(self, tmp_path,
+                                                      monkeypatch):
+        spec = tiny_spec(timeout=1.0, retries=1)
+        [label] = spec.labels()
+        self._patch_slow_once(monkeypatch, str(tmp_path / "slow"))
+        svc = SweepService(tmp_path / "svc.db", workers=1)
+        svc.start()
+        try:
+            job = svc.submit(spec.to_dict())
+            final = wait_terminal(svc, job["id"])
+            assert final["state"] == "done"
+            [cell] = final["cells"]
+            assert cell["timeouts"] == 1
+            [event] = [e for e in svc.job_events(job["id"])
+                       if e.kind == "svc.worker.timeout"]
+            assert event.fields["job"] == job["id"]
+            assert event.fields["label"] == label
+            assert "worker" in event.fields
+        finally:
+            svc.shutdown(drain=False)
+
+    def test_cancel_running_job_kills_its_worker(self, tmp_path,
+                                                 monkeypatch):
+        flag = tmp_path / "slow"
+        self._patch_slow_once(monkeypatch, str(flag))
+        svc = SweepService(tmp_path / "svc.db", workers=1)
+        svc.start()
+        try:
+            job = svc.submit(tiny_spec().to_dict())
+            deadline = time.monotonic() + 30
+            while not flag.exists() and time.monotonic() < deadline:
+                time.sleep(0.02)
+            assert flag.exists()  # the cell is running in the worker
+            svc.cancel(job["id"])
+            assert wait_terminal(svc, job["id"])["state"] == "cancelled"
+            # The killed worker is replaced: the next job still runs.
+            after = svc.submit(tiny_spec(sizes=(256,)).to_dict())
+            assert wait_terminal(svc, after["id"])["state"] == "done"
+            assert svc.fleet.restart_count() >= 1
+        finally:
+            svc.shutdown(drain=False)
+
 
 @needs_fork
 class TestWorkerFleet:
@@ -332,9 +406,26 @@ class TestWorkerFleet:
                 messages = fleet.poll(wait=0.1)
             [message] = messages
             assert message.kind == "done"
-            assert message.task.label == label
+            assert message.item.label == label
             assert message.result.cycles > 0
             assert message.wall_time > 0
+        finally:
+            fleet.stop()
+
+    def test_custom_run_and_terminate(self):
+        fleet = WorkerFleet(2, run=_sleep_then_return)
+        fleet.start()
+        try:
+            assert fleet.dispatch(30.0) is not None
+            assert fleet.dispatch(0.0) is not None
+            assert fleet.terminate([30.0]) == [30.0]
+            deadline = time.monotonic() + 30
+            done = []
+            while not done and time.monotonic() < deadline:
+                done = [m for m in fleet.poll(wait=0.1) if m.kind == "done"]
+            [message] = done
+            assert message.item == 0.0 and message.result == 0.0
+            assert fleet.alive_count() == 2  # the killed worker replaced
         finally:
             fleet.stop()
 
@@ -362,7 +453,7 @@ class TestWorkerFleet:
                 crashed = [m for m in fleet.poll(wait=0.1)
                            if m.kind == "crashed"]
             [message] = crashed
-            assert message.task.label == label
+            assert message.item.label == label
             assert fleet.restarts == 1
             assert fleet.alive_count() == 1  # replacement spawned
         finally:

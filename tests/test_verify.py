@@ -20,10 +20,10 @@ import pytest
 
 from repro.common.config import CoherenceStyle, SignatureKind, SystemConfig
 from repro.common.errors import ReproError, VerificationError
-from repro.harness.parallel import ResultCache
 from repro.harness.runner import RunResult, run_workload
 from repro.harness.sweep import run_sweep
 from repro.harness.system import System
+from repro.svc.repository import RunRepository
 from repro.verify import VerificationSuite, Violation
 from repro.verify.faults import LossySignature, make_lossy
 from repro.workloads import BankTransfer, LinkedListSet, SharedCounter
@@ -241,7 +241,7 @@ class TestReportPlumbing:
                                   verify_report=None)
 
     def test_sweep_threads_verify_through_cache(self, tmp_path):
-        cache = ResultCache(tmp_path)
+        cache = RunRepository(tmp_path / "sweeps.db")
         variants = [("base", small_cfg())]
 
         def factory():
@@ -255,7 +255,7 @@ class TestReportPlumbing:
         assert warm.results["base"] == cold.results["base"]
 
     def test_cache_key_separates_verify_modes(self, tmp_path):
-        cache = ResultCache(tmp_path)
+        cache = RunRepository(tmp_path / "sweeps.db")
         variants = [("base", small_cfg())]
 
         def factory():
