@@ -14,6 +14,14 @@ from typing import Dict, Iterator, List, Optional, Tuple
 from repro.common.config import CacheConfig
 from repro.cache.block import CacheBlock, MESI
 
+#: The set every untouched set starts as, shared by all arrays and never
+#: written: ``insert`` gives a set its own dict before its first block goes
+#: in, and a ``.get`` or ``.pop(addr, None)`` on it is a miss. A small run
+#: touches a few dozen of the Table 1 L2's 16,384 sets, so allocating sets
+#: on first insert keeps building a machine cheap, while the set geometry,
+#: and so every victimization, stays exact.
+_EMPTY_SET: Dict[int, CacheBlock] = {}
+
 
 class CacheArray:
     """Tag array: ``num_sets`` sets of ``associativity`` ways, LRU."""
@@ -24,8 +32,7 @@ class CacheArray:
     def __init__(self, cfg: CacheConfig, name: str = "cache") -> None:
         self.cfg = cfg
         self.name = name
-        self._sets: List[Dict[int, CacheBlock]] = [
-            {} for _ in range(cfg.num_sets)]
+        self._sets: List[Dict[int, CacheBlock]] = [_EMPTY_SET] * cfg.num_sets
         self._use_clock = 0
         self._block_shift = cfg.block_bytes.bit_length() - 1
         self._set_mask = cfg.num_sets - 1
@@ -62,7 +69,10 @@ class CacheArray:
         The LRU way of a full set is evicted; the caller is responsible for
         any writeback / directory notification for the victim.
         """
-        cache_set = self._sets[self.set_index(block_addr)]
+        index = self.set_index(block_addr)
+        cache_set = self._sets[index]
+        if cache_set is _EMPTY_SET:
+            cache_set = self._sets[index] = {}
         existing = cache_set.get(block_addr)
         if existing is not None:
             existing.state = state
@@ -95,8 +105,7 @@ class CacheArray:
     def flush(self) -> int:
         """Drop every block (test helper); returns how many were resident."""
         count = self.occupancy
-        for cache_set in self._sets:
-            cache_set.clear()
+        self._sets = [_EMPTY_SET] * self.cfg.num_sets
         return count
 
     def __repr__(self) -> str:

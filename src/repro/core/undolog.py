@@ -120,12 +120,14 @@ class UndoLog:
     def append(self, vblock: int, memory: PhysicalMemory,
                translate: Callable[[int], int]) -> UndoRecord:
         """Log the current contents of the block containing ``vblock``."""
-        # Per-word translation is deliberate: a block may straddle a page
-        # under relocation, so each word resolves through the page table.
+        # One translation covers the block: ``AddressMap`` requires
+        # power-of-two block and page sizes with the page a multiple of the
+        # block, so an aligned block never straddles a page.
         load = memory.load
+        pblock = translate(vblock)
         old_words: Dict[int, int] = {
-            vaddr: load(translate(vaddr))
-            for vaddr in range(vblock, vblock + self.block_bytes, WORD_BYTES)}
+            vblock + offset: load(pblock + offset)
+            for offset in range(0, self.block_bytes, WORD_BYTES)}
         record = UndoRecord(vblock=vblock, old_words=old_words)
         self.current.records.append(record)
         self.appended += 1

@@ -179,6 +179,32 @@ def run_workload(cfg: SystemConfig, workload: Workload,
     the run (it attaches the event bus); it never changes simulated
     cycle counts.
     """
+    # Cyclic GC is paused for the whole cell: the event loop allocates
+    # generators and heap entries at a rate that triggers frequent gen-0
+    # collections, none of which find garbage the refcounter misses. The
+    # finished machine is cyclic garbage (processes, cores and the fabric
+    # point at one another). Built with GC paused, it is all still in the
+    # youngest generation when the cell returns, so one generation-0
+    # collection frees it at a cost that scales with the cell, not the
+    # heap; left to automatic GC, finished machines pile up in older
+    # generations. Results do not depend on when GC runs.
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _run_cell(cfg, workload, seed, cycle_limit, config_label,
+                         start_skew, keep_system, trace, trace_max_events,
+                         trace_kinds, verify)
+    finally:
+        if gc_was_enabled:
+            gc.collect(0)
+            gc.enable()
+
+
+def _run_cell(cfg: SystemConfig, workload: Workload, seed: int,
+              cycle_limit: int, config_label: str, start_skew: int,
+              keep_system: bool, trace: bool, trace_max_events: int,
+              trace_kinds: Optional[List[str]], verify) -> RunResult:
+    """Body of :func:`run_workload`, which owns the GC policy around it."""
     system = System(cfg, seed=seed)
     trace_log = None
     suite = None
@@ -213,18 +239,7 @@ def run_workload(cfg: SystemConfig, workload: Workload,
         gen = staggered(executor, delay) if delay else executor.run()
         procs.append(system.sim.spawn(gen,
                                       name=f"{workload.name}.t{index}"))
-    # Pause cyclic GC for the simulation proper: the event loop allocates
-    # generators and heap entries at a rate that triggers frequent gen-0
-    # collections, none of which find garbage the refcounter misses. Purely
-    # a wall-clock effect — allocation order and results are unchanged.
-    gc_was_enabled = gc.isenabled()
-    if gc_was_enabled:
-        gc.disable()
-    try:
-        system.sim.run_until_done(procs, limit=cycle_limit)
-    finally:
-        if gc_was_enabled:
-            gc.enable()
+    system.sim.run_until_done(procs, limit=cycle_limit)
     units = sum(e.units_done for e in executors)
     report = suite.finish() if suite is not None else None
     if report is not None and verify == "strict" and not report.ok:

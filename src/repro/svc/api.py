@@ -58,6 +58,10 @@ class SweepRequestHandler(BaseHTTPRequestHandler):
 
     server: SweepServer
     protocol_version = "HTTP/1.1"
+    #: ``TCP_NODELAY``: headers and body go out in separate writes, and on a
+    #: kept-alive connection Nagle's algorithm would hold the body until
+    #: the client's delayed ACK, about 40 ms per response.
+    disable_nagle_algorithm = True
 
     # -- plumbing ----------------------------------------------------------
 

@@ -1,10 +1,13 @@
 """Tests for the cache substrate (MESI block state, set-associative array)."""
 
+import tracemalloc
+
 import pytest
 
 from repro.cache.array import CacheArray
 from repro.cache.block import MESI, CacheBlock
-from repro.common.config import CacheConfig
+from repro.common.config import CacheConfig, SystemConfig
+from repro.harness.system import System
 
 
 def small_cache(sets=4, ways=2) -> CacheArray:
@@ -102,3 +105,22 @@ class TestCacheArray:
         cache.insert(64, MESI.SHARED)
         assert cache.flush() == 2
         assert cache.occupancy == 0
+
+
+class TestLazySets:
+    def test_table1_machine_builds_without_allocating_empty_sets(self):
+        """Sets are allocated on first insert, so a fresh machine is small.
+
+        Allocating every set up front gives the 8 MB L2 alone 16,384
+        dicts, over 1 MB, paid by every cell of every sweep.
+        """
+        cfg = SystemConfig.default()
+        System(cfg)  # first build pays one-time import and cache costs
+        tracemalloc.start()
+        try:
+            system = System(cfg)
+            allocated, _peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert system.fabric.l2.cfg.num_sets == 16384
+        assert allocated < 512 * 1024

@@ -4,13 +4,21 @@ from collections import OrderedDict
 
 from hypothesis import given, settings, strategies as st
 
-from repro.cache.array import CacheArray
+from repro.cache.array import _EMPTY_SET, CacheArray
 from repro.cache.block import MESI
 from repro.common.config import CacheConfig
 
 accesses = st.lists(
     st.tuples(st.sampled_from(["lookup", "insert", "invalidate"]),
               st.integers(min_value=0, max_value=31)),
+    min_size=1, max_size=120)
+
+#: The reference comparison also peeks and flushes; flushes are drawn
+#: rarely so that most examples still fill sets and evict.
+reference_ops = st.lists(
+    st.tuples(st.sampled_from(
+        ["lookup", "insert", "invalidate", "peek"] * 4 + ["flush"]),
+        st.integers(min_value=0, max_value=31)),
     min_size=1, max_size=120)
 
 
@@ -22,6 +30,9 @@ class ReferenceLRU:
         self.ways = ways
         self.block_bytes = block_bytes
         self.num_sets = sets
+        self.hits = 0
+        self.misses = 0
+        self.evictions = 0
 
     def _set(self, addr):
         return (addr // self.block_bytes) % self.num_sets
@@ -30,8 +41,13 @@ class ReferenceLRU:
         s = self.sets[self._set(addr)]
         if addr in s:
             s.move_to_end(addr)
+            self.hits += 1
             return True
+        self.misses += 1
         return False
+
+    def peek(self, addr):
+        return addr in self.sets[self._set(addr)]
 
     def insert(self, addr):
         s = self.sets[self._set(addr)]
@@ -41,11 +57,18 @@ class ReferenceLRU:
             return None
         if len(s) >= self.ways:
             victim, _ = s.popitem(last=False)
+            self.evictions += 1
         s[addr] = True
         return victim
 
     def invalidate(self, addr):
         self.sets[self._set(addr)].pop(addr, None)
+
+    def flush(self):
+        count = len(self.resident())
+        for s in self.sets:
+            s.clear()
+        return count
 
     def resident(self):
         out = set()
@@ -54,7 +77,7 @@ class ReferenceLRU:
         return out
 
 
-@given(ops=accesses)
+@given(ops=reference_ops)
 @settings(max_examples=200, deadline=None)
 def test_cache_matches_reference_lru(ops):
     cfg = CacheConfig(size_bytes=4 * 2 * 64, associativity=2,
@@ -69,11 +92,20 @@ def test_cache_matches_reference_lru(ops):
             _blk, victim = cache.insert(addr, MESI.SHARED)
             ref_victim = ref.insert(addr)
             assert (victim.addr if victim else None) == ref_victim
-        else:
+        elif kind == "invalidate":
             got = cache.invalidate(addr)
             assert (got is not None) == (addr in ref.resident())
             ref.invalidate(addr)
+        elif kind == "peek":
+            assert (cache.peek(addr) is not None) == ref.peek(addr)
+        else:
+            assert cache.flush() == ref.flush()
     assert {b.addr for b in cache.resident_blocks()} == ref.resident()
+    assert (cache.hits, cache.misses, cache.evictions) == \
+        (ref.hits, ref.misses, ref.evictions)
+    # Every untouched set of every array shares this one dict; a block
+    # leaking into it would appear resident in all of them.
+    assert _EMPTY_SET == {}
 
 
 @given(ops=accesses)

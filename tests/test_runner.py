@@ -1,7 +1,11 @@
 """Tests for the workload runner and RunResult accounting."""
 
+import gc
+import weakref
+
 import pytest
 
+import repro.harness.runner as runner_mod
 from repro.common.config import SignatureKind, SyncMode, SystemConfig
 from repro.common.errors import ConfigError
 from repro.harness.runner import RunResult, run_perturbed, run_workload
@@ -63,6 +67,26 @@ class TestRunWorkload:
         result = run_workload(small_cfg(),
                               SharedCounter(num_threads=2, units_per_thread=1))
         assert result.system is None
+
+    def test_finished_machine_is_freed_when_the_run_returns(self,
+                                                            monkeypatch):
+        """The machine is cyclic garbage; the run frees it itself, so a
+        sweep's finished machines never pile up awaiting a full
+        collection."""
+        built = []
+
+        class Recorded(runner_mod.System):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                built.append(weakref.ref(self))
+
+        monkeypatch.setattr(runner_mod, "System", Recorded)
+        assert gc.isenabled()
+        run_workload(small_cfg(),
+                     SharedCounter(num_threads=2, units_per_thread=1))
+        assert len(built) == 1
+        assert built[0]() is None
+        assert gc.isenabled()
 
     def test_config_label_defaults_to_signature(self):
         cfg = small_cfg().with_signature(SignatureKind.BIT_SELECT, bits=64)

@@ -7,11 +7,14 @@ which replays the committed ``BENCH_fig4_cell.json`` full-scale cell
 through the service and demands a byte-identical result digest.
 """
 
+import http.client
 import json
 import multiprocessing
 import os
+import statistics
 import threading
 import time
+from urllib.parse import urlparse
 
 import pytest
 
@@ -535,6 +538,24 @@ class TestHTTPApi:
         with pytest.raises(ClientError) as info:
             endpoint.cancel("ghost")
         assert info.value.status == 404
+
+    def test_keep_alive_responses_do_not_stall(self, endpoint):
+        """Requests on one kept-alive connection are not held by Nagle."""
+        url = urlparse(endpoint.base_url)
+        conn = http.client.HTTPConnection(url.hostname, url.port, timeout=10)
+        elapsed = []
+        try:
+            for _ in range(10):
+                start = time.perf_counter()
+                conn.request("GET", "/healthz")
+                response = conn.getresponse()
+                assert json.loads(response.read())["status"] == "ok"
+                elapsed.append(time.perf_counter() - start)
+        finally:
+            conn.close()
+        # The first request opens the connection; the stall, when present,
+        # hits every later one (about 40 ms of delayed ACK each).
+        assert statistics.median(elapsed[1:]) < 0.020, elapsed
 
     def test_unreachable_server(self):
         client = ServiceClient("http://127.0.0.1:9", timeout=1.0)

@@ -4,7 +4,9 @@ import pytest
 
 from repro.common.errors import TransactionError
 from repro.core.undolog import UndoLog
+from repro.mem.address import AddressMap
 from repro.mem.physical import WORD_BYTES, PhysicalMemory
+from repro.mem.vm import FrameAllocator, PageTable
 
 IDENTITY = lambda vaddr: vaddr
 
@@ -86,6 +88,38 @@ class TestAppendAndUnroll:
         mem.store(0x2000, 10)
         log.unroll_frame(mem, translate)
         assert mem.load(0x2000) == 9
+
+    def test_append_translates_once_per_block(self):
+        """A block never straddles a page, so one translation serves it.
+
+        The page is unmapped until ``append`` touches it, and its frame is
+        a recycled one still holding data, so the record must come from
+        the frame that first translation allocates.
+        """
+        page = 4096
+        amap = AddressMap(block_bytes=64, page_bytes=page)
+        mem = PhysicalMemory(1 << 20)
+        allocator = FrameAllocator(amap, 1 << 20)
+        recycled = allocator.allocate()
+        for offset in range(0, page, WORD_BYTES):
+            mem.store(recycled + offset, 1000 + offset)
+        allocator.release(recycled)
+        table = PageTable(amap, allocator)
+        calls = []
+
+        def counting(vaddr):
+            calls.append(vaddr)
+            return table.translate(vaddr)
+
+        log = UndoLog(block_bytes=64)
+        log.push_frame()
+        vblock = 5 * page + page - 64      # last block of its page
+        record = log.append(vblock, mem, counting)
+        assert calls == [vblock]
+        per_word = {vaddr: mem.load(table.translate(vaddr))
+                    for vaddr in range(vblock, vblock + 64, WORD_BYTES)}
+        assert list(record.old_words.items()) == list(per_word.items())
+        assert record.old_words[vblock] == 1000 + page - 64
 
 
 class TestNestingSemantics:
