@@ -1,15 +1,19 @@
-"""Static dataflow analysis framework (``repro analyze``).
+"""Static analysis (``repro analyze``, ``repro lint``).
 
 A stdlib-``ast`` framework — per-function CFGs, reaching definitions,
-a cross-module call graph — carrying three analysis passes:
+a cross-module call graph — and one engine
+(:mod:`repro.analysis.engine`) that reads and parses each file once
+and runs every static check in the repo:
 
+* :mod:`repro.analysis.lint` — the per-module lint rules: the
+  workload scope (VR000–VR005, ``repro lint``) and the determinism
+  self-lint scope (SR000–SR003, ``repro lint --self``);
 * :mod:`repro.analysis.locksets` — Eraser-style lockset and section-
   consistency analysis for workload programs (RC001, RC002);
 * :mod:`repro.analysis.threads` — thread-safety lockset inference for
   threaded service classes (RC003, RC004);
-* :mod:`repro.analysis.registry` — the plugin rule registry that also
-  re-homes the ``repro lint`` VR rules and the ``--self`` SR rules, so
-  every static check in the repo runs on one substrate.
+* :mod:`repro.analysis.protocol` — coherence-protocol conformance
+  against a declarative spec (PC001–PC004).
 
 Output formats: text, JSON, and SARIF 2.1.0
 (:mod:`repro.analysis.sarif`); CI gating goes through the committed
@@ -21,7 +25,8 @@ from repro.analysis.baseline import (DEFAULT_BASELINE, apply_baseline,
                                      default_baseline_path,
                                      load_baseline, save_baseline)
 from repro.analysis.cfg import CFG, ReachingDefs
-from repro.analysis.engine import analyze_paths, render_text, rules_catalog
+from repro.analysis.engine import (analyze_paths, lint_paths, render_text,
+                                   rules_catalog)
 from repro.analysis.findings import ANALYSIS_RULES, Finding
 from repro.analysis.sarif import (findings_from_sarif, render_sarif,
                                   to_sarif)
@@ -29,7 +34,7 @@ from repro.analysis.sarif import (findings_from_sarif, render_sarif,
 __all__ = [
     "ANALYSIS_RULES", "CFG", "DEFAULT_BASELINE", "Finding",
     "ReachingDefs", "analyze_paths", "apply_baseline",
-    "default_baseline_path", "findings_from_sarif", "load_baseline",
-    "render_sarif", "render_text", "rules_catalog", "save_baseline",
-    "to_sarif",
+    "default_baseline_path", "findings_from_sarif", "lint_paths",
+    "load_baseline", "render_sarif", "render_text", "rules_catalog",
+    "save_baseline", "to_sarif",
 ]

@@ -1,44 +1,41 @@
-"""The ``repro analyze`` engine: classify files, run every pass.
+"""The static-analysis engine behind ``repro analyze`` and ``repro lint``.
 
-For each ``.py`` file under the given paths:
+One loader walks the given paths, reads every ``.py`` file and parses
+it once; a missing or unreadable path raises :class:`OSError`. Three
+entry points share it:
 
-* unparsable -> a parse-error finding (``VR000``);
-* contains ``Section(...)`` calls -> *workload* module: VR module
-  rules + membership in the RC001/RC002 workload project;
-* inside the installed ``repro`` package -> *simulator* module: SR
-  module rules;
-* every parsed module joins one :class:`Project` over which the
-  project rules (RC003/RC004 thread pass, RC001/RC002 workload pass)
-  run once.
+* :func:`lint_paths` runs one lint scope
+  (:data:`repro.analysis.lint.SCOPES`) over every file and no project
+  pass: ``repro lint`` runs the ``workload`` scope, ``repro lint
+  --self`` the ``self`` scope.
+* :func:`analyze_paths` runs, per file, the scopes that apply —
+  ``workload`` for modules that call ``Section(...)``, ``self`` for
+  modules inside the installed ``repro`` package — and then the
+  :data:`PROJECT_PASSES` once over every parsed module. An unparsable
+  file is one ``VR000`` finding.
+* :func:`build_project` returns the parsed modules as a
+  :class:`Project` without running anything.
 
-Module-rule findings inherit the lint suppression-comment semantics
-(they *are* the lint, re-homed); project-rule findings are governed by
-the committed baseline instead (:mod:`repro.analysis.baseline`).
+Lint findings follow the ``# lint: disable`` suppression comments;
+project-pass findings are governed by the committed baseline instead
+(:mod:`repro.analysis.baseline`).
 """
 
 from __future__ import annotations
 
 import ast
 import os
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import replace
+from typing import (Callable, Dict, List, Optional, Sequence, Tuple,
+                    Union)
 
 from repro.analysis.callgraph import ModuleInfo, Project, parse_module
-from repro.analysis.findings import Finding
-from repro.analysis.registry import (all_rules, project_rules,
-                                     run_module_scope)
-
-
-def _collect_files(paths: Sequence[str]) -> List[str]:
-    files: List[str] = []
-    for path in paths:
-        if os.path.isdir(path):
-            for root, _dirs, names in os.walk(path):
-                for name in sorted(names):
-                    if name.endswith(".py"):
-                        files.append(os.path.join(root, name))
-        else:
-            files.append(path)
-    return files
+from repro.analysis.findings import ANALYSIS_RULES, Finding
+from repro.analysis.lint import RULES, SELF_RULES, lint_tree, parse_error
+from repro.analysis.locksets import analyze_workload_module
+from repro.analysis.protocol import protocol_pass
+from repro.analysis.protospec import PROTOCOL_RULES
+from repro.analysis.threads import analyze_threads
 
 
 def _repro_package_dir() -> str:
@@ -54,6 +51,39 @@ def _module_name(path: str, package_dir: str) -> str:
         return f"repro.{dotted}"
     base = os.path.basename(path)
     return base[:-3] if base.endswith(".py") else base
+
+
+def _load(paths: Optional[Sequence[str]]
+          ) -> List[Tuple[str, Union[ModuleInfo, SyntaxError]]]:
+    """``(path, module or its SyntaxError)`` per ``.py`` file, in walk order.
+
+    Directories are walked recursively; a file named explicitly is read
+    whatever its suffix. Default target is the installed ``repro``
+    package. Each file is read and parsed exactly once; a missing or
+    unreadable path raises :class:`OSError`.
+    """
+    package_dir = _repro_package_dir()
+    files: List[str] = []
+    for path in paths or [package_dir]:
+        if os.path.isdir(path):
+            for root, _dirs, names in os.walk(path):
+                files.extend(os.path.join(root, name)
+                             for name in sorted(names)
+                             if name.endswith(".py"))
+        else:
+            files.append(path)
+    loaded: List[Tuple[str, Union[ModuleInfo, SyntaxError]]] = []
+    for path in files:
+        with open(path, "r", encoding="utf-8") as handle:
+            source = handle.read()
+        parsed: Union[ModuleInfo, SyntaxError]
+        try:
+            parsed = parse_module(path, source,
+                                  name=_module_name(path, package_dir))
+        except SyntaxError as exc:
+            parsed = exc
+        loaded.append((path, parsed))
+    return loaded
 
 
 def _symbol_index(tree: ast.Module) -> List[Tuple[int, int, str]]:
@@ -88,108 +118,102 @@ def _context_for(spans: List[Tuple[int, int, str]], line: int) -> str:
     return best
 
 
-def build_project(paths: Optional[Sequence[str]] = None) -> Project:
-    """Parse ``paths`` (default: the repro package) into a Project.
-
-    Unparsable and unreadable files are skipped — callers that need
-    parse errors reported as findings use :func:`analyze_paths`. This
-    is the entry point for consumers that want the call graph without
-    the passes (the protocol extractor, table dumping, tests).
-    """
-    package_dir = _repro_package_dir()
-    if not paths:
-        paths = [package_dir]
-    modules: List[ModuleInfo] = []
-    for path in _collect_files(paths):
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                source = handle.read()
-        except OSError:
-            continue
-        try:
-            modules.append(parse_module(path, source,
-                                        name=_module_name(path,
-                                                          package_dir)))
-        except SyntaxError:
-            continue
-    return Project(modules)
+def _with_context(findings: List[Finding],
+                  modules: List[ModuleInfo]) -> List[Finding]:
+    """Give every finding without a ``context`` its enclosing symbol."""
+    spans = {module.path: _symbol_index(module.tree) for module in modules}
+    return [replace(f, context=_context_for(spans[f.path], f.line))
+            if not f.context and f.path in spans else f
+            for f in findings]
 
 
-def analyze_paths(paths: Optional[Sequence[str]] = None
-                  ) -> List[Finding]:
-    """Run every registered pass over ``paths``; sorted findings.
-
-    Default target is the installed ``repro`` package.
-    """
-    package_dir = _repro_package_dir()
-    if not paths:
-        paths = [package_dir]
-    files = _collect_files(paths)
-
-    findings: List[Finding] = []
-    modules: List[ModuleInfo] = []
-    span_index: Dict[str, List[Tuple[int, int, str]]] = {}
-
-    for path in files:
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                source = handle.read()
-        except OSError:
-            continue
-        name = _module_name(path, package_dir)
-        try:
-            module = parse_module(path, source, name=name)
-        except SyntaxError as exc:
-            findings.append(Finding(
-                path=path, line=exc.lineno or 1, rule="VR000",
-                message=f"syntax error: {exc.msg}",
-                fixit="fix the syntax error"))
-            continue
-        modules.append(module)
-        span_index[path] = _symbol_index(module.tree)
-
-        in_package = os.path.abspath(path).startswith(
-            package_dir + os.sep)
-        scopes: List[str] = []
-        if _is_workload_module(module):
-            scopes.append("workload")
-        if in_package:
-            scopes.append("self")
-        for scope in scopes:
-            for lint_finding in run_module_scope(scope, source, path):
-                if lint_finding.rule in ("VR000", "SR000"):
-                    continue  # already parsed above
-                findings.append(Finding(
-                    path=lint_finding.path, line=lint_finding.line,
-                    rule=lint_finding.rule,
-                    message=lint_finding.message,
-                    fixit=lint_finding.fixit,
-                    context=_context_for(span_index[path],
-                                         lint_finding.line)))
-
-    project = Project(modules)
-    for rule in project_rules():
-        for finding in rule.check(project):
-            context = finding.context
-            if not context and finding.path in span_index:
-                context = _context_for(span_index[finding.path],
-                                       finding.line)
-            findings.append(Finding(
-                path=finding.path, line=finding.line, rule=finding.rule,
-                message=finding.message, fixit=finding.fixit,
-                context=context))
-
-    findings.sort(key=lambda f: (f.path, f.line, f.rule))
-    return findings
-
-
-def _is_workload_module(module: ModuleInfo) -> bool:
-    for node in ast.walk(module.tree):
+def _is_workload(tree: ast.Module) -> bool:
+    """Whether a module builds ``Section(...)``s (a workload)."""
+    for node in ast.walk(tree):
         if isinstance(node, ast.Call) and \
                 isinstance(node.func, ast.Name) and \
                 node.func.id == "Section":
             return True
     return False
+
+
+def _workload_pass(project: Project) -> List[Finding]:
+    findings: List[Finding] = []
+    for module in project.modules:
+        if _is_workload(module.tree):
+            findings.extend(analyze_workload_module(module.tree,
+                                                    module.path))
+    return findings
+
+
+#: The whole-project passes, in report order: workload locksets
+#: (RC001, RC002), thread safety (RC003, RC004) and protocol
+#: conformance (PC001-PC004).
+PROJECT_PASSES: Tuple[Callable[[Project], List[Finding]], ...] = (
+    _workload_pass, analyze_threads, protocol_pass)
+
+
+def lint_paths(paths: Optional[Sequence[str]],
+               scope: str = "workload") -> List[Finding]:
+    """Run one lint scope over ``paths``; findings file by file.
+
+    Each file's findings are sorted by line, then rule; files keep
+    walk order. An unparsable file is one finding under the scope's
+    parse-error rule (``VR000``/``SR000``).
+    """
+    findings: List[Finding] = []
+    modules: List[ModuleInfo] = []
+    for path, parsed in _load(paths):
+        if isinstance(parsed, SyntaxError):
+            findings.append(parse_error(path, parsed, scope))
+            continue
+        modules.append(parsed)
+        findings.extend(lint_tree(parsed.tree, parsed.source, path,
+                                  scope))
+    return _with_context(findings, modules)
+
+
+def build_project(paths: Optional[Sequence[str]] = None) -> Project:
+    """Parse ``paths`` (default: the repro package) into a Project.
+
+    Unparsable files are skipped — callers that need parse errors
+    reported as findings use :func:`analyze_paths`. This is the entry
+    point for consumers that want the call graph without the passes
+    (the protocol extractor, table dumping, tests).
+    """
+    return Project([parsed for _path, parsed in _load(paths)
+                    if isinstance(parsed, ModuleInfo)])
+
+
+def analyze_paths(paths: Optional[Sequence[str]] = None
+                  ) -> List[Finding]:
+    """Run every applicable pass over ``paths``; sorted findings.
+
+    Default target is the installed ``repro`` package.
+    """
+    package_prefix = _repro_package_dir() + os.sep
+    findings: List[Finding] = []
+    modules: List[ModuleInfo] = []
+    for path, parsed in _load(paths):
+        if isinstance(parsed, SyntaxError):
+            findings.append(parse_error(path, parsed, "workload"))
+            continue
+        modules.append(parsed)
+        scopes: List[str] = []
+        if _is_workload(parsed.tree):
+            scopes.append("workload")
+        if os.path.abspath(path).startswith(package_prefix):
+            scopes.append("self")
+        for scope in scopes:
+            findings.extend(lint_tree(parsed.tree, parsed.source, path,
+                                      scope))
+
+    project = Project(modules)
+    for project_pass in PROJECT_PASSES:
+        findings.extend(project_pass(project))
+    findings = _with_context(findings, modules)
+    findings.sort(key=lambda f: (f.path, f.line, f.rule))
+    return findings
 
 
 def render_text(findings: Sequence[Finding]) -> str:
@@ -209,8 +233,10 @@ def render_text(findings: Sequence[Finding]) -> str:
 
 
 def rules_catalog() -> Dict[str, str]:
-    return all_rules()
+    """Complete rule id -> description catalog: both lint scopes and
+    every project pass."""
+    return {**RULES, **SELF_RULES, **ANALYSIS_RULES, **PROTOCOL_RULES}
 
 
-__all__ = ["analyze_paths", "build_project", "render_text",
-           "rules_catalog"]
+__all__ = ["PROJECT_PASSES", "analyze_paths", "build_project",
+           "lint_paths", "render_text", "rules_catalog"]

@@ -1,9 +1,8 @@
-"""The analyzer's finding type and rule catalog.
+"""The one finding type of ``repro lint`` and ``repro analyze``.
 
-:class:`Finding` is a superset of the linter's
-:class:`~repro.verify.lint.LintFinding`: same rendering, plus the
-enclosing-symbol ``context`` the baseline fingerprint needs to stay
-stable when unrelated edits shift line numbers.
+:class:`Finding` renders as ``path:line: RULE message [fix: ...]`` and
+carries the enclosing-symbol ``context`` the baseline fingerprint needs
+to stay stable when unrelated edits shift line numbers.
 """
 
 from __future__ import annotations
@@ -13,7 +12,7 @@ from dataclasses import dataclass, field
 from typing import Dict
 
 #: rule id -> one-line description for the concurrency passes
-#: (``repro analyze``'s own rules; VR*/SR* ride along via the registry).
+#: (the VR/SR lint rules are catalogued in :mod:`repro.analysis.lint`).
 ANALYSIS_RULES: Dict[str, str] = {
     "RC001": "shared location guarded inconsistently across sections "
              "(lockset mismatch)",

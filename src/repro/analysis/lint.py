@@ -1,4 +1,12 @@
-"""Static lint for workload definitions (``repro lint``).
+"""Per-module lint rules: the workload lint and the determinism self-lint.
+
+Every rule here checks one parsed module on its own. The rules come in
+two *scopes* (:data:`SCOPES`): ``repro lint`` runs the ``workload``
+scope over workload definitions, ``repro lint --self`` runs the
+``self`` scope over the simulator's own sources, and ``repro analyze``
+runs whichever scopes apply to each file next to its whole-project
+passes (:mod:`repro.analysis.engine`). All of them report the
+analyzer's :class:`~repro.analysis.findings.Finding`.
 
 Workloads are ordinary Python (:mod:`repro.workloads`), and the three
 recurring ways to write a *wrong* one are all statically visible:
@@ -32,28 +40,55 @@ recurring ways to write a *wrong* one are all statically visible:
     when the dict's keys were inserted while looping over a set (the
     insertion order — hence ``.keys()`` order — is already unordered).
 
+The self scope holds ``src/repro`` itself to the same bar. The
+simulator's claim — same seed, same config, same result, byte for byte
+— is what makes the sweep cache sound, golden traces diffable, and the
+model checker's replays meaningful. Three source patterns silently
+break it:
+
+``SR001`` **unseeded randomness.** Any call into the ``random``
+    module's global functions, or a bare ``random.Random()``, anywhere
+    in simulator source. Everything stochastic must derive from an
+    explicit seed.
+
+``SR002`` **wall-clock read inside a simulation process.** Generator
+    functions are (potentially) scheduler-driven processes; reading
+    ``time.time()`` / ``datetime.now()`` inside one couples simulated
+    behaviour to host speed. Timing *around* a simulation — e.g. the
+    sweep harness measuring wall time in plain functions — is fine and
+    not flagged.
+
+``SR003`` **unordered-collection iteration inside a simulation
+    process.** A ``for`` statement over a ``set`` (or a dict keyed
+    while looping a set) inside a generator visits elements in hash
+    order; if the loop body has side effects (messages, NACK order,
+    stat increments), runs diverge across hash seeds. Comprehensions
+    are exempt — they overwhelmingly feed order-insensitive reductions.
+
+The two scopes share their detectors: VR002/SR001 one unseeded-random
+detector, VR004/SR002 one wall-clock detector, VR005/SR003 one
+set-iteration detector, so the two lints cannot drift apart.
+
 Suppression: append ``# lint: disable=VR001`` (comma-separate several
 ids, or omit the ``=`` part to disable all rules) to the offending line
-or the line directly above it.
+or the line directly above it. The self scope uses the same syntax
+(``# lint: disable=SR003``).
 
-:mod:`repro.verify.selflint` reuses the VR004/VR005 machinery to hold
-the simulator's *own* sources to the same determinism bar
-(``repro lint --self``).
-
-The linter is pure stdlib (:mod:`ast` + :mod:`tokenize`): it runs in CI
-and pre-commit without importing the workload under analysis.
+The rules are pure stdlib (:mod:`ast` + :mod:`tokenize`): they run in
+CI and pre-commit without importing the module under analysis.
 """
 
 from __future__ import annotations
 
 import ast
-import os
 import tokenize
-from dataclasses import dataclass
 from io import StringIO
-from typing import Dict, Iterable, List, Optional, Sequence, Set
+from typing import (Callable, Dict, Iterable, Iterator, List, Optional,
+                    Set, Tuple)
 
-#: rule id -> one-line description (the ``repro lint --rules`` catalog).
+from repro.analysis.findings import Finding
+
+#: rule id -> one-line description for the ``workload`` scope.
 RULES: Dict[str, str] = {
     "VR000": "file does not parse",
     "VR001": "shared-memory write outside an atomic (locked) section",
@@ -64,27 +99,16 @@ RULES: Dict[str, str] = {
     "VR005": "iteration over an unordered set (or a dict keyed from one)",
 }
 
+#: rule id -> one-line description for the ``self`` scope.
+SELF_RULES: Dict[str, str] = {
+    "SR000": "file does not parse",
+    "SR001": "unseeded randomness in simulator source",
+    "SR002": "wall-clock read inside a simulation process (generator)",
+    "SR003": "unordered-set iteration inside a simulation process",
+}
+
 #: Op constructors that produce memory writes.
 _WRITE_OPS = frozenset({"store", "incr", "swap"})
-
-
-@dataclass(frozen=True)
-class LintFinding:
-    """One lint diagnostic."""
-
-    path: str
-    line: int
-    rule: str
-    message: str
-    fixit: str
-
-    def to_dict(self) -> Dict[str, object]:
-        return {"path": self.path, "line": self.line, "rule": self.rule,
-                "message": self.message, "fixit": self.fixit}
-
-    def __str__(self) -> str:
-        return (f"{self.path}:{self.line}: {self.rule} {self.message}"
-                f" [fix: {self.fixit}]")
 
 
 # ---------------------------------------------------------------------------
@@ -124,7 +148,7 @@ def _suppressions(source: str) -> Dict[int, Optional[Set[str]]]:
     return out
 
 
-def _is_suppressed(finding: LintFinding,
+def _is_suppressed(finding: Finding,
                    supp: Dict[int, Optional[Set[str]]]) -> bool:
     rules = supp.get(finding.line, set())
     return rules is None or finding.rule in rules
@@ -239,8 +263,8 @@ def _ops_expr_has_write(expr: ast.AST, func: Optional[ast.FunctionDef],
 # Rules
 # ---------------------------------------------------------------------------
 
-def _check_vr001(tree: ast.Module, path: str) -> List[LintFinding]:
-    findings: List[LintFinding] = []
+def _check_vr001(tree: ast.Module, path: str) -> List[Finding]:
+    findings: List[Finding] = []
     scope = _Scope(tree)
 
     def visit(node: ast.AST, func: Optional[ast.FunctionDef],
@@ -277,7 +301,7 @@ def _check_vr001(tree: ast.Module, path: str) -> List[LintFinding]:
         if ops is None:
             return
         if _ops_expr_has_write(ops, func, cls, scope):
-            findings.append(LintFinding(
+            findings.append(Finding(
                 path=path, line=call.lineno, rule="VR001",
                 message=("Section without a lock contains memory writes "
                          "(Op.store/Op.incr); it races in both TM and "
@@ -290,8 +314,10 @@ def _check_vr001(tree: ast.Module, path: str) -> List[LintFinding]:
     return findings
 
 
-def _check_vr002(tree: ast.Module, path: str) -> List[LintFinding]:
-    findings: List[LintFinding] = []
+def _unseeded_random_calls(tree: ast.Module
+                           ) -> Iterator[Tuple[ast.Call, str]]:
+    """``(call, attr)`` for module-level ``random.*`` calls and bare
+    ``random.Random()``. Shared by VR002 and the self-lint's SR001."""
     for node in ast.walk(tree):
         if not (isinstance(node, ast.Call)
                 and isinstance(node.func, ast.Attribute)
@@ -299,9 +325,15 @@ def _check_vr002(tree: ast.Module, path: str) -> List[LintFinding]:
                 and node.func.value.id == "random"):
             continue
         attr = node.func.attr
+        if attr == "Random" and (node.args or node.keywords):
+            continue  # seeded constructor: fine
+        yield node, attr
+
+
+def _check_vr002(tree: ast.Module, path: str) -> List[Finding]:
+    findings: List[Finding] = []
+    for node, attr in _unseeded_random_calls(tree):
         if attr == "Random":
-            if node.args or node.keywords:
-                continue  # seeded constructor: fine
             message = ("random.Random() without a seed is "
                        "irreproducible")
             fixit = ("seed it from the workload: "
@@ -312,9 +344,9 @@ def _check_vr002(tree: ast.Module, path: str) -> List[LintFinding]:
                        "sweep caches unsound")
             fixit = ("use the seeded rng passed to program(), or a "
                      "random.Random(self.seed ^ <salt>) instance")
-        findings.append(LintFinding(path=path, line=node.lineno,
-                                    rule="VR002", message=message,
-                                    fixit=fixit))
+        findings.append(Finding(path=path, line=node.lineno,
+                                rule="VR002", message=message,
+                                fixit=fixit))
     return findings
 
 
@@ -352,8 +384,8 @@ def _walk_scope(func: ast.AST) -> Iterable[ast.AST]:
         stack.extend(ast.iter_child_nodes(node))
 
 
-def _check_vr003(tree: ast.Module, path: str) -> List[LintFinding]:
-    findings: List[LintFinding] = []
+def _check_vr003(tree: ast.Module, path: str) -> List[Finding]:
+    findings: List[Finding] = []
     for func in ast.walk(tree):
         if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
             continue
@@ -368,7 +400,7 @@ def _check_vr003(tree: ast.Module, path: str) -> List[LintFinding]:
                 continue
             if _loop_escapes(node):
                 continue
-            findings.append(LintFinding(
+            findings.append(Finding(
                 path=path, line=node.lineno, rule="VR003",
                 message=("'while True:' inside a generator never yields, "
                          "breaks, returns, or raises — the cooperative "
@@ -412,10 +444,10 @@ def _wallclock_call(node: ast.AST) -> Optional[str]:
 
 
 def _check_wallclock(tree: ast.Module, path: str,
-                     rule: str) -> List[LintFinding]:
+                     rule: str) -> List[Finding]:
     """Wall-clock reads inside generator functions (thread programs /
     simulation processes). Shared by VR004 and the self-lint's SR002."""
-    findings: List[LintFinding] = []
+    findings: List[Finding] = []
     for func in ast.walk(tree):
         if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
             continue
@@ -425,7 +457,7 @@ def _check_wallclock(tree: ast.Module, path: str,
             label = _wallclock_call(node)
             if label is None:
                 continue
-            findings.append(LintFinding(
+            findings.append(Finding(
                 path=path, line=node.lineno, rule=rule,
                 message=(f"{label} reads the host clock inside a "
                          "simulated process; behaviour then depends on "
@@ -437,7 +469,7 @@ def _check_wallclock(tree: ast.Module, path: str,
     return findings
 
 
-def _check_vr004(tree: ast.Module, path: str) -> List[LintFinding]:
+def _check_vr004(tree: ast.Module, path: str) -> List[Finding]:
     return _check_wallclock(tree, path, "VR004")
 
 
@@ -553,7 +585,7 @@ def _set_tainted_dicts(
 
 
 def _check_set_iteration(tree: ast.Module, path: str, rule: str,
-                         generators_only: bool) -> List[LintFinding]:
+                         generators_only: bool) -> List[Finding]:
     """``for`` statements iterating a set (or a set-keyed dict).
 
     Shared by VR005 (any function in a workload module) and the
@@ -561,7 +593,7 @@ def _check_set_iteration(tree: ast.Module, path: str, rule: str,
     only). Comprehensions are deliberately exempt: they almost always
     feed order-insensitive reductions (``max``, ``sum``, ``any``).
     """
-    findings: List[LintFinding] = []
+    findings: List[Finding] = []
     wrappers = {node.name: node for node in tree.body
                 if isinstance(node, ast.FunctionDef)}
     for func in ast.walk(tree):
@@ -588,7 +620,7 @@ def _check_set_iteration(tree: ast.Module, path: str, rule: str,
                 bad = f"dict '{it.id}' keyed from a set"
             if bad is None:
                 continue
-            findings.append(LintFinding(
+            findings.append(Finding(
                 path=path, line=node.lineno, rule=rule,
                 message=(f"iterating {bad}: visit order is hash- and "
                          "insertion-dependent, so anything downstream "
@@ -597,54 +629,85 @@ def _check_set_iteration(tree: ast.Module, path: str, rule: str,
     return findings
 
 
-def _check_vr005(tree: ast.Module, path: str) -> List[LintFinding]:
+def _check_vr005(tree: ast.Module, path: str) -> List[Finding]:
     return _check_set_iteration(tree, path, "VR005",
                                 generators_only=False)
 
 
-# ---------------------------------------------------------------------------
-# Entry points
-# ---------------------------------------------------------------------------
+def _check_sr001(tree: ast.Module, path: str) -> List[Finding]:
+    """Module-level ``random.*`` calls and bare ``random.Random()``.
 
-def lint_source(source: str, path: str = "<string>") -> List[LintFinding]:
-    """Lint one module's source; returns unsuppressed findings.
-
-    Delegates to the plugin registry
-    (:mod:`repro.analysis.registry`), which replays the original
-    composition — parse, VR checks in registration order, suppression
-    comments, sort — so output is identical to the pre-registry linter.
+    Same surface as the workload lint's VR002, but phrased for
+    simulator code (derive from the run seed, not a workload rng).
     """
-    # Imported here, not at module top: the registry imports this
-    # module's check functions to register them.
-    from repro.analysis.registry import run_module_scope
-    return run_module_scope("workload", source, path)
-
-
-def lint_file(path: str) -> List[LintFinding]:
-    with open(path, "r", encoding="utf-8") as handle:
-        return lint_source(handle.read(), path)
-
-
-def lint_paths(paths: Sequence[str]) -> List[LintFinding]:
-    """Lint files and (recursively) directories of ``.py`` files."""
-    files: List[str] = []
-    for path in paths:
-        if os.path.isdir(path):
-            for root, _dirs, names in os.walk(path):
-                for name in sorted(names):
-                    if name.endswith(".py"):
-                        files.append(os.path.join(root, name))
+    findings: List[Finding] = []
+    for node, attr in _unseeded_random_calls(tree):
+        if attr == "Random":
+            message = "random.Random() without a seed is irreproducible"
         else:
-            files.append(path)
-    findings: List[LintFinding] = []
-    for filename in files:
-        findings.extend(lint_file(filename))
+            message = (f"random.{attr}() uses the shared module-level "
+                       "RNG; simulator behaviour must derive from the "
+                       "run seed")
+        findings.append(Finding(
+            path=path, line=node.lineno, rule="SR001", message=message,
+            fixit="construct random.Random(<run seed> ^ <salt>) and "
+                  "thread it through"))
     return findings
 
 
-def render_findings(findings: Iterable[LintFinding]) -> str:
-    lines = [str(f) for f in findings]
-    if not lines:
-        return "lint: no findings"
-    lines.append(f"lint: {len(lines)} finding(s)")
-    return "\n".join(lines)
+def _check_sr002(tree: ast.Module, path: str) -> List[Finding]:
+    return _check_wallclock(tree, path, "SR002")
+
+
+def _check_sr003(tree: ast.Module, path: str) -> List[Finding]:
+    return _check_set_iteration(tree, path, "SR003",
+                                generators_only=True)
+
+
+# ---------------------------------------------------------------------------
+# Scopes
+# ---------------------------------------------------------------------------
+
+Check = Callable[[ast.Module, str], List[Finding]]
+
+#: scope -> (rule id for an unparsable file, checks in report order).
+SCOPES: Dict[str, Tuple[str, Tuple[Check, ...]]] = {
+    "workload": ("VR000", (_check_vr001, _check_vr002, _check_vr003,
+                           _check_vr004, _check_vr005)),
+    "self": ("SR000", (_check_sr001, _check_sr002, _check_sr003)),
+}
+
+
+def parse_error(path: str, exc: SyntaxError, scope: str) -> Finding:
+    """The scope's parse-error finding (``VR000``/``SR000``)."""
+    return Finding(path=path, line=exc.lineno or 1,
+                   rule=SCOPES[scope][0],
+                   message=f"syntax error: {exc.msg}",
+                   fixit="fix the syntax error")
+
+
+def lint_tree(tree: ast.Module, source: str, path: str,
+              scope: str) -> List[Finding]:
+    """Run one scope's rules over a parsed module; returns its
+    unsuppressed findings sorted by line, then rule."""
+    findings: List[Finding] = []
+    for check in SCOPES[scope][1]:
+        findings.extend(check(tree, path))
+    supp = _suppressions(source)
+    kept = [f for f in findings if not _is_suppressed(f, supp)]
+    kept.sort(key=lambda f: (f.line, f.rule))
+    return kept
+
+
+def lint_source(source: str, path: str = "<string>",
+                scope: str = "workload") -> List[Finding]:
+    """Parse and lint one module's source in ``scope``."""
+    try:
+        tree = ast.parse(source, filename=path)
+    except SyntaxError as exc:
+        return [parse_error(path, exc, scope)]
+    return lint_tree(tree, source, path, scope)
+
+
+__all__ = ["RULES", "SCOPES", "SELF_RULES", "lint_source", "lint_tree",
+           "parse_error"]

@@ -430,7 +430,10 @@ class WorkloadAnalyzer:
                 continue
             if guards == {None}:
                 continue  # purely unguarded writes are VR001's domain
-            majority = max(guards,
+            # Sorted first so a tied majority is the same guard under
+            # every PYTHONHASHSEED.
+            ordered = sorted(guards, key=lambda g: (g is None, str(g)))
+            majority = max(ordered,
                            key=lambda g: sum(1 for a in acc
                                              if a.guard == g))
             offender = next((a for a in acc if a.guard is None),
@@ -443,8 +446,7 @@ class WorkloadAnalyzer:
                          else "no lock")
                 return f"{label} (line {where})"
 
-            detail = "; ".join(describe(g) for g in sorted(
-                guards, key=lambda g: (g is None, str(g))))
+            detail = "; ".join(describe(g) for g in ordered)
             self.findings.append(Finding(
                 path=self.path, line=offender.line, rule="RC001",
                 message=(f"shared location '{key}' is guarded "

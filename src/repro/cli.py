@@ -196,31 +196,35 @@ def _cmd_run(args) -> int:
     return 0
 
 
+def _cannot_read(command: str, exc: OSError) -> int:
+    """Report a missing or unreadable input path; usage error (exit 2)."""
+    print(f"{command}: cannot read {exc.filename}: {exc.strerror}",
+          file=sys.stderr)
+    return 2
+
+
 def _cmd_lint(args) -> int:
-    from repro.verify.lint import lint_paths, render_findings
+    from repro.analysis import lint_paths
 
     paths = args.paths
-    if args.self:
-        from repro.verify.selflint import selflint_paths
-        findings = selflint_paths(paths or None)
-        if not paths:
-            import repro
-            paths = [str(__import__("pathlib").Path(
-                repro.__file__).parent)]
-    else:
-        if not paths:
-            # Default target: the bundled workload definitions, wherever
-            # the package is installed.
-            import repro.workloads
-            paths = [str(__import__("pathlib").Path(
-                repro.workloads.__file__).parent)]
-        findings = lint_paths(paths)
+    if not paths:
+        # Default target: the bundled workload definitions (with --self,
+        # the whole package), wherever the package is installed.
+        import repro.workloads
+        package = repro if args.self else repro.workloads
+        paths = [os.path.dirname(package.__file__)]
+    try:
+        findings = lint_paths(paths, "self" if args.self else "workload")
+    except OSError as exc:
+        return _cannot_read("lint", exc)
     # Findings always exit nonzero, whatever the output format.
     if args.format == "json" or args.json:
-        _emit_json([dataclasses.asdict(f) for f in findings])
+        _emit_json([f.to_dict() for f in findings])
         return 1 if findings else 0
     if findings:
-        print(render_findings(findings))
+        for finding in findings:
+            print(finding)
+        print(f"lint: {len(findings)} finding(s)")
         print(f"{len(findings)} finding(s) in {len(paths)} path(s)")
         return 1
     print(f"clean: no findings in {', '.join(paths)}")
@@ -242,7 +246,10 @@ def _cmd_analyze(args) -> int:
     if not paths:
         import repro
         paths = [str(__import__("pathlib").Path(repro.__file__).parent)]
-    findings = analyze_paths(paths)
+    try:
+        findings = analyze_paths(paths)
+    except OSError as exc:
+        return _cannot_read("analyze", exc)
 
     if args.update_baseline:
         return _write_baseline(args, findings)
@@ -318,7 +325,11 @@ def _cmd_analyze_protocol(args) -> int:
         import repro.coherence
         paths = [str(__import__("pathlib").Path(
             repro.coherence.__file__).parent)]
-    extractions = extract_tables(build_project(paths))
+    try:
+        project = build_project(paths)
+    except OSError as exc:
+        return _cannot_read("analyze", exc)
+    extractions = extract_tables(project)
     if not extractions:
         print("analyze: no coherence fabric classes found under "
               f"{', '.join(paths)}", file=sys.stderr)

@@ -1,17 +1,17 @@
-"""Correctness-analysis suite: dynamic checkers and static workload lint.
-
-Two halves, one import:
+"""Correctness-analysis suite: dynamic checkers and seeded faults.
 
 * :mod:`repro.verify.checkers` — the :class:`VerificationSuite`, an
   event-bus subscriber that shadows a run against the paper's
   correctness contract (signature false negatives, undo-log
   restoration, isolation, conflict serializability). Enable per run
   with ``run_workload(..., verify=True)`` or ``repro run --verify``.
-* :mod:`repro.verify.lint` — AST-based static analysis of workload
-  definitions (``repro lint``), rules ``VR001``-``VR003``.
+* :mod:`repro.verify.faults` — seeded faults (a bit-dropping signature
+  wrapper, resurrected protocol bugs) so tests can prove the checkers
+  and the model checker actually convict.
 
-:mod:`repro.verify.faults` provides seeded faults (a bit-dropping
-signature wrapper) so tests can prove the checkers actually convict.
+The static workload lint (``repro lint``, rules ``VR000``-``VR005``)
+and the determinism self-lint (``repro lint --self``, ``SR000``-
+``SR003``) live in :mod:`repro.analysis.lint`.
 
 See ``docs/verification.md`` for the checker catalog, rule ids,
 suppression syntax, and cost model.
@@ -20,11 +20,8 @@ suppression syntax, and cost model.
 from repro.common.errors import VerificationError
 from repro.verify.checkers import (VerificationReport, VerificationSuite,
                                    Violation)
-from repro.verify.lint import (RULES, LintFinding, lint_file, lint_paths,
-                               lint_source, render_findings)
 
 __all__ = [
     "VerificationError", "VerificationReport", "VerificationSuite",
-    "Violation", "RULES", "LintFinding", "lint_file", "lint_paths",
-    "lint_source", "render_findings",
+    "Violation",
 ]

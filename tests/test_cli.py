@@ -144,6 +144,18 @@ class TestLintCommand:
         assert main(["lint", str(bad)]) == 1
         assert "VR001" in capsys.readouterr().out
 
+    def test_text_format_lines(self, tmp_path, capsys):
+        bad = tmp_path / "wl.py"
+        bad.write_text("x = random.Random()\n")
+        assert main(["lint", str(bad)]) == 1
+        assert capsys.readouterr().out.splitlines() == [
+            f"{bad}:1: VR002 random.Random() without a seed is "
+            "irreproducible [fix: seed it from the workload: "
+            "random.Random(self.seed ^ <salt>)]",
+            "lint: 1 finding(s)",
+            "1 finding(s) in 1 path(s)",
+        ]
+
     def test_format_json(self, tmp_path, capsys):
         bad = tmp_path / "wl.py"
         bad.write_text("def p(self, i, rng):\n"
@@ -153,6 +165,10 @@ class TestLintCommand:
         findings = json.loads(capsys.readouterr().out)
         assert [f["rule"] for f in findings] == ["VR004"]
         assert findings[0]["path"].endswith("wl.py")
+        # The same item shape as `repro analyze --format json`.
+        assert list(findings[0]) == ["path", "line", "rule", "message",
+                                     "fixit", "context", "baselined"]
+        assert findings[0]["context"] == "p"
 
     def test_format_json_clean_is_empty_list(self, tmp_path, capsys):
         good = tmp_path / "wl.py"
@@ -173,6 +189,24 @@ class TestLintCommand:
                      str(bad)]) == 1
         findings = json.loads(capsys.readouterr().out)
         assert [f["rule"] for f in findings] == ["SR002"]
+
+
+class TestMissingPaths:
+    """A mistyped path is a usage error, never a silent pass."""
+
+    @pytest.mark.parametrize("argv", [
+        ["lint"], ["lint", "--self"], ["analyze"],
+        ["analyze", "--baseline", "ANALYSIS_BASELINE.json"],
+        ["analyze", "--protocol"],
+    ], ids=["lint", "lint-self", "analyze", "analyze-baseline",
+            "analyze-protocol"])
+    def test_missing_path_exits_two(self, argv, tmp_path, capsys):
+        missing = str(tmp_path / "no" / "such")
+        assert main(argv + [missing]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == (f"{argv[0]}: cannot read {missing}: "
+                                "No such file or directory\n")
+        assert captured.out == ""
 
 
 class TestMcCommand:

@@ -1,10 +1,10 @@
-"""Tests for the static workload linter (:mod:`repro.verify.lint`)."""
+"""Tests for the lint rules (:mod:`repro.analysis.lint`)."""
 
 import os
 import textwrap
 
-from repro.verify.lint import (RULES, LintFinding, lint_file, lint_paths,
-                               lint_source, render_findings)
+from repro.analysis.engine import lint_paths
+from repro.analysis.lint import RULES, SELF_RULES, lint_source
 
 
 def lint(snippet):
@@ -286,10 +286,8 @@ class TestVR005SetIteration:
 
 class TestSelfLint:
     def lint_self(self, snippet):
-        import textwrap
-
-        from repro.verify.selflint import selflint_source
-        return selflint_source(textwrap.dedent(snippet), path="sim.py")
+        return lint_source(textwrap.dedent(snippet), path="sim.py",
+                           scope="self")
 
     def test_sr001_unseeded_random(self):
         findings = self.lint_self("""
@@ -352,13 +350,11 @@ class TestSelfLint:
 
     def test_simulator_source_passes_self_lint(self):
         import repro
-        from repro.verify.selflint import selflint_paths
         pkg_dir = os.path.dirname(repro.__file__)
-        findings = selflint_paths([pkg_dir])
+        findings = lint_paths([pkg_dir], "self")
         assert findings == [], "\n".join(str(f) for f in findings)
 
     def test_self_rules_catalog(self):
-        from repro.verify.selflint import SELF_RULES
         assert set(SELF_RULES) == {"SR000", "SR001", "SR002", "SR003"}
 
     def test_sr000_syntax_error(self):
@@ -445,20 +441,11 @@ class TestEntryPoints:
     def test_lint_file_reads_from_disk(self, tmp_path):
         target = tmp_path / "wl.py"
         target.write_text("x = random.Random()\n")
-        findings = lint_file(str(target))
+        findings = lint_paths([str(target)])
         assert rules_of(findings) == ["VR002"]
-
-    def test_render_findings_formats(self):
-        finding = LintFinding(path="wl.py", line=3, rule="VR001",
-                              message="races", fixit="add a lock")
-        text = render_findings([finding])
-        assert "wl.py:3: VR001" in text
-        assert "1 finding(s)" in text
-        assert render_findings([]) == "lint: no findings"
-        assert finding.to_dict()["rule"] == "VR001"
 
     def test_bundled_workloads_pass_the_linter(self):
         import repro.workloads as workloads
         pkg_dir = os.path.dirname(workloads.__file__)
         findings = lint_paths([pkg_dir])
-        assert findings == [], render_findings(findings)
+        assert findings == [], "\n".join(str(f) for f in findings)

@@ -4,7 +4,8 @@ Covers: the seeded-defect corpus (every planted race/atomicity/deadlock
 defect convicted with the right rule and nothing else), CFG and
 reaching-definitions unit behaviour, the workload lockset pass, the
 thread-safety pass, SARIF round-tripping, the findings baseline, the
-rule registry's byte-compatibility with the pre-plugin linters, and the
+lint scopes' pinned findings, the single loader (one parse per file),
+output that does not depend on ``PYTHONHASHSEED``, and the
 order-normalizing-wrapper skip in VR005/SR003.
 """
 
@@ -13,6 +14,8 @@ from __future__ import annotations
 import ast
 import json
 import os
+import subprocess
+import sys
 import textwrap
 
 import pytest
@@ -23,12 +26,10 @@ from repro.analysis import (analyze_paths, apply_baseline, findings_from_sarif,
 from repro.analysis.callgraph import Project, parse_module
 from repro.analysis.cfg import CFG, ReachingDefs
 from repro.analysis.findings import Finding
+from repro.analysis.lint import SCOPES, lint_source
 from repro.analysis.locksets import analyze_workload_module
-from repro.analysis.registry import module_rules, run_module_scope
 from repro.analysis.threads import analyze_threads
 from repro.cli import main
-from repro.verify import lint as lint_mod
-from repro.verify import selflint as selflint_mod
 
 CORPUS_DIR = os.path.join(os.path.dirname(__file__), "analysis_corpus")
 
@@ -416,49 +417,8 @@ def test_cli_analyze_sarif_is_valid_json(capsys):
 
 
 # ---------------------------------------------------------------------------
-# Registry byte-compatibility with the pre-plugin linters
+# Lint scopes: pinned findings
 # ---------------------------------------------------------------------------
-
-def _legacy_lint(source: str, path: str):
-    """The exact pre-registry lint_source composition."""
-    try:
-        tree = ast.parse(source, filename=path)
-    except SyntaxError as exc:
-        return [lint_mod.LintFinding(
-            path=path, line=exc.lineno or 1, rule="VR000",
-            message=f"syntax error: {exc.msg}",
-            fixit="fix the syntax error")]
-    findings = []
-    findings.extend(lint_mod._check_vr001(tree, path))
-    findings.extend(lint_mod._check_vr002(tree, path))
-    findings.extend(lint_mod._check_vr003(tree, path))
-    findings.extend(lint_mod._check_vr004(tree, path))
-    findings.extend(lint_mod._check_vr005(tree, path))
-    supp = lint_mod._suppressions(source)
-    kept = [f for f in findings if not lint_mod._is_suppressed(f, supp)]
-    kept.sort(key=lambda f: (f.path, f.line, f.rule))
-    return kept
-
-
-def _legacy_selflint(source: str, path: str):
-    """The exact pre-registry selflint_source composition."""
-    try:
-        tree = ast.parse(source, filename=path)
-    except SyntaxError as exc:
-        return [lint_mod.LintFinding(
-            path=path, line=exc.lineno or 1, rule="SR000",
-            message=f"syntax error: {exc.msg}",
-            fixit="fix the syntax error")]
-    findings = []
-    findings.extend(selflint_mod._check_sr001(tree, path))
-    findings.extend(lint_mod._check_wallclock(tree, path, "SR002"))
-    findings.extend(lint_mod._check_set_iteration(tree, path, "SR003",
-                                                  generators_only=True))
-    supp = lint_mod._suppressions(source)
-    kept = [f for f in findings if not lint_mod._is_suppressed(f, supp)]
-    kept.sort(key=lambda f: (f.path, f.line, f.rule))
-    return kept
-
 
 DIRTY_WORKLOAD = """
 import random
@@ -484,59 +444,70 @@ def program(self, thread_index, rng):
 """
 
 
-@pytest.mark.parametrize("source,path", [
-    (DIRTY_WORKLOAD, "dirty.py"),
-    (SUPPRESSED_WORKLOAD, "suppressed.py"),
-    ("def broken(:\n", "broken.py"),
-    ("x = 1\n", "clean.py"),
-])
-def test_lint_source_matches_legacy_composition(source, path):
-    assert lint_mod.lint_source(source, path) == _legacy_lint(source, path)
+SELF_SAMPLE = ("import random, time\n"
+               "def proc(env):\n"
+               "    t = time.time()\n"
+               "    r = random.random()\n"
+               "    yield t + r\n")
 
 
-def test_selflint_source_matches_legacy_composition():
-    dirty = ("import random, time\n"
-             "def proc(env):\n"
-             "    t = time.time()\n"
-             "    r = random.random()\n"
-             "    yield t + r\n")
-    assert selflint_mod.selflint_source(dirty, "p.py") == \
-        _legacy_selflint(dirty, "p.py")
-    assert selflint_mod.selflint_source("x = 1\n", "c.py") == []
+@pytest.mark.parametrize("source,scope,expected", [
+    (DIRTY_WORKLOAD, "workload", [("VR002", 7), ("VR004", 8),
+                                  ("VR005", 10), ("VR001", 11),
+                                  ("VR003", 12)]),
+    (SUPPRESSED_WORKLOAD, "workload", []),
+    ("def broken(:\n", "workload", [("VR000", 1)]),
+    ("x = 1\n", "workload", []),
+    (SELF_SAMPLE, "self", [("SR002", 3), ("SR001", 4)]),
+    ("def broken(:\n", "self", [("SR000", 1)]),
+    ("x = 1\n", "self", []),
+], ids=["dirty-workload", "suppressed-workload", "broken-workload",
+        "clean-workload", "dirty-self", "broken-self", "clean-self"])
+def test_lint_source_pinned_findings(source, scope, expected):
+    findings = lint_source(source, "p.py", scope=scope)
+    assert [(f.rule, f.line) for f in findings] == expected
 
 
-def test_lint_matches_legacy_over_bundled_workloads():
-    import repro.workloads
-    package_dir = os.path.dirname(repro.workloads.__file__)
-    checked = 0
-    for name in sorted(os.listdir(package_dir)):
-        if not name.endswith(".py"):
-            continue
-        path = os.path.join(package_dir, name)
-        with open(path, encoding="utf-8") as fh:
-            source = fh.read()
-        assert lint_mod.lint_source(source, path) == \
-            _legacy_lint(source, path)
-        checked += 1
-    assert checked >= 8
-
-
-def test_registry_scopes_hold_expected_rules():
-    assert [r.rule_id for r in module_rules("workload")] == [
-        "VR001", "VR002", "VR003", "VR004", "VR005"]
-    assert [r.rule_id for r in module_rules("self")] == [
-        "SR001", "SR002", "SR003"]
+def test_lint_scopes_hold_expected_rules():
+    assert {scope: entry[0] for scope, entry in SCOPES.items()} == {
+        "workload": "VR000", "self": "SR000"}
     catalog = rules_catalog()
     for rule_id in ("VR000", "VR005", "SR000", "SR003",
                     "RC001", "RC002", "RC003", "RC004"):
         assert rule_id in catalog
 
 
-def test_run_module_scope_parse_error_rule_follows_scope():
-    workload = run_module_scope("workload", "def broken(:\n", "b.py")
-    own = run_module_scope("self", "def broken(:\n", "b.py")
-    assert [f.rule for f in workload] == ["VR000"]
-    assert [f.rule for f in own] == ["SR000"]
+def test_analyze_parses_each_file_once(monkeypatch):
+    parsed = []
+    real_parse = ast.parse
+
+    def counting_parse(source, *args, **kwargs):
+        parsed.append(kwargs.get("filename"))
+        return real_parse(source, *args, **kwargs)
+
+    monkeypatch.setattr(ast, "parse", counting_parse)
+    analyze_paths([CORPUS_DIR])
+    files = [os.path.join(CORPUS_DIR, name)
+             for name in os.listdir(CORPUS_DIR) if name.endswith(".py")]
+    assert sorted(parsed) == sorted(files)
+
+
+def test_analyze_output_does_not_depend_on_hash_seed():
+    # The two sections tie on RC001's majority guard, so the reported
+    # line must not follow set-iteration order.
+    target = os.path.join(CORPUS_DIR, "wl_inconsistent_lockset.py")
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    outputs = []
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "analyze", target,
+             "--format", "json"],
+            env=env, capture_output=True, text=True, check=False)
+        assert proc.returncode == 1, proc.stderr
+        outputs.append(json.loads(proc.stdout))
+    assert outputs[0] == outputs[1]
 
 
 # ---------------------------------------------------------------------------
@@ -551,7 +522,7 @@ def test_vr005_skips_names_rebound_through_sorted():
             for k in keys:
                 print(k)
     """)
-    assert lint_mod.lint_source(source, "w.py") == []
+    assert lint_source(source, "w.py") == []
 
 
 def test_vr005_skips_in_module_ordering_wrappers():
@@ -565,7 +536,7 @@ def test_vr005_skips_in_module_ordering_wrappers():
             for k in keys:
                 print(k)
     """)
-    findings = lint_mod.lint_source(source, "w.py")
+    findings = lint_source(source, "w.py")
     assert [f.rule for f in findings] == []
 
 
@@ -576,7 +547,7 @@ def test_vr005_still_flags_plain_set_iteration():
             for k in keys:
                 print(k)
     """)
-    assert [f.rule for f in lint_mod.lint_source(source, "w.py")] == \
+    assert [f.rule for f in lint_source(source, "w.py")] == \
         ["VR005"]
 
 
@@ -588,7 +559,7 @@ def test_sr003_skips_sorted_in_generators():
             for item in pending:
                 yield item
     """)
-    assert selflint_mod.selflint_source(source, "s.py") == []
+    assert lint_source(source, "s.py", scope="self") == []
 
 
 def test_sr003_still_flags_unsorted_set_in_generators():
@@ -599,4 +570,4 @@ def test_sr003_still_flags_unsorted_set_in_generators():
                 yield item
     """)
     assert [f.rule for f in
-            selflint_mod.selflint_source(source, "s.py")] == ["SR003"]
+            lint_source(source, "s.py", scope="self")] == ["SR003"]
