@@ -40,9 +40,8 @@ from repro.common.errors import (
     WorkloadError,
 )
 from repro.common.stats import ConfidenceInterval, StatsRegistry
-from repro.harness.parallel import SweepExecutionError
-from repro.harness.runner import RunResult, run_perturbed, run_workload
-from repro.harness.sweep import SweepResult, run_sweep
+from repro.harness.runner import RunResult, run_workload
+from repro.harness.sweep import SweepExecutionError, SweepResult, run_sweep
 from repro.harness.system import System
 from repro.signatures.factory import make_rw_pair, make_signature
 
@@ -72,7 +71,6 @@ __all__ = [
     "figure4_variants",
     "make_rw_pair",
     "make_signature",
-    "run_perturbed",
     "run_sweep",
     "run_workload",
     "__version__",

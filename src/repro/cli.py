@@ -45,8 +45,8 @@ from typing import List, Optional
 
 from repro.common.config import SignatureKind, SyncMode, SystemConfig
 from repro.harness import experiments as E
-from repro.harness.parallel import SweepExecutionError, run_parallel_sweep
 from repro.harness.runner import run_workload
+from repro.harness.sweep import SweepExecutionError, run_sweep
 from repro.svc.spec import SWEEP_MODES, SpecError, SweepSpec
 
 
@@ -519,14 +519,11 @@ def _cmd_sweep(args) -> int:
     if not (args.no_cache or args.trace_dir is not None):
         from repro.svc.repository import RunRepository
         cache = RunRepository(_db_path(args))
-    # Always the engine (even jobs=1, no cache): identical results to the
-    # serial path, but the run carries execution metadata to report.
     try:
-        sweep = run_parallel_sweep(variants, factory, seed=args.seed,
-                                   baseline_label=baseline, jobs=args.jobs,
-                                   cache=cache, timeout=args.timeout,
-                                   retries=args.retries,
-                                   trace_dir=args.trace_dir)
+        sweep = run_sweep(variants, factory, seed=args.seed,
+                          baseline_label=baseline, jobs=args.jobs,
+                          cache=cache, timeout=args.timeout,
+                          retries=args.retries, trace_dir=args.trace_dir)
     except SweepExecutionError as exc:
         print(f"sweep failed: {len(exc.failures)} of {len(variants)} "
               f"cell(s), {len(exc.completed)} completed", file=sys.stderr)
@@ -537,13 +534,12 @@ def _cmd_sweep(args) -> int:
         return _emit_json(sweep.to_dict())
     title = f"Sweep: {args.workload} ({args.mode})"
     print(sweep.table(title=title))
-    if sweep.meta is not None:
-        cache_info = sweep.meta["cache"]
-        print(f"jobs={sweep.meta['jobs']}  "
-              f"wall={sweep.meta['wall_time']:.2f}s  "
-              f"cache: {cache_info['hits']} hit(s), "
-              f"{cache_info['misses']} miss(es)"
-              + ("" if cache_info["enabled"] else " (disabled)"))
+    cache_info = sweep.meta["cache"]
+    print(f"jobs={sweep.meta['jobs']}  "
+          f"wall={sweep.meta['wall_time']:.2f}s  "
+          f"cache: {cache_info['hits']} hit(s), "
+          f"{cache_info['misses']} miss(es)"
+          + ("" if cache_info["enabled"] else " (disabled)"))
     if args.trace_dir is not None:
         print(f"trace artifacts: {args.trace_dir}/<variant>.trace.json")
     return 0

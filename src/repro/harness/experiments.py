@@ -20,10 +20,9 @@ from repro.common.config import (CoherenceStyle, SignatureKind, SyncMode,
                                  SystemConfig, figure4_variants)
 from repro.common.rng import DEFAULT_SEED, make_rng, perturbed_seeds
 from repro.common.stats import ConfidenceInterval
-from repro.harness.parallel import RunTask, execute_tasks
 from repro.harness.report import render_series, render_table
-from repro.harness.runner import RunResult, run_perturbed, run_workload
-from repro.harness.sweep import run_sweep
+from repro.harness.runner import run_workload
+from repro.harness.sweep import RunTask, execute_tasks, run_sweep
 from repro.signatures.factory import make_signature
 from repro.common.config import SignatureConfig
 from repro.workloads import (BerkeleyDB, BigFootprint, Cholesky, Mp3d,
@@ -309,35 +308,15 @@ def figure4(scale: ExperimentScale = QUICK, seed: int = DEFAULT_SEED,
             jobs: Optional[int] = 1, cache=None) -> List[Figure4Cell]:
     """Run every (workload x variant) pair; speedup is vs. the Lock bars.
 
-    ``jobs``/``cache`` fan the (workload x variant x perturbed-run) cells
-    out over the parallel sweep engine; the serial path (``jobs=1``, no
-    cache) is unchanged and the parallel one returns identical cells.
+    Each bar is the mean of ``scale.runs`` runs at perturbed seeds, with
+    the paper's 95% confidence interval. Every (workload, variant,
+    perturbed run) is one cell of a single :func:`execute_tasks` batch,
+    so ``jobs``/``cache`` fan the cells out and store them without
+    changing the result.
     """
     base = base_cfg or SystemConfig.default()
     names = list(workloads or WORKLOAD_CLASSES)
     variant_list = list(figure4_variants(base))
-    cells: List[Figure4Cell] = []
-
-    if jobs == 1 and cache is None:
-        for name in names:
-            lock_cycles: Optional[float] = None
-            for label, cfg in variant_list:
-                factory = lambda: make_workload(name, scale, seed)
-                results, ci = run_perturbed(cfg, factory, runs=scale.runs,
-                                            seed=seed, config_label=label)
-                if label == "Lock":
-                    lock_cycles = ci.mean
-                speedup = (lock_cycles / ci.mean) if lock_cycles else 0.0
-                rel_hw = ((ci.half_width / ci.mean) * speedup
-                          if ci.mean else 0.0)
-                cells.append(Figure4Cell(workload=name, variant=label,
-                                         speedup=speedup,
-                                         ci_half_width=rel_hw,
-                                         cycles=ci.mean))
-        return cells
-
-    # Parallel path: every (workload, variant, perturbed run) is one
-    # independent cell. Same seeds run_perturbed would use.
     run_seeds = perturbed_seeds(seed, scale.runs)
     tasks = [RunTask(key=f"{name}/{label}#{i}", label=label, cfg=cfg,
                      make_workload=(
@@ -347,8 +326,9 @@ def figure4(scale: ExperimentScale = QUICK, seed: int = DEFAULT_SEED,
              for label, cfg in variant_list
              for i, run_seed in enumerate(run_seeds)]
     outcomes = execute_tasks(tasks, jobs=jobs, cache=cache)
+    cells: List[Figure4Cell] = []
     for name in names:
-        lock_cycles = None
+        lock_cycles: Optional[float] = None
         for label, _ in variant_list:
             samples = [float(outcomes[f"{name}/{label}#{i}"].result.cycles)
                        for i in range(len(run_seeds))]
@@ -402,8 +382,7 @@ def table3(scale: ExperimentScale = QUICK, seed: int = DEFAULT_SEED,
            jobs: Optional[int] = 1, cache=None) -> List[Table3Row]:
     """One sweep per workload over the Table 3 signature family.
 
-    ``jobs``/``cache`` are forwarded to :func:`repro.harness.run_sweep`
-    (``jobs=1`` without a cache is the serial path).
+    ``jobs``/``cache`` are forwarded to :func:`repro.harness.run_sweep`.
     """
     base = base_cfg or SystemConfig.default()
     rows: List[Table3Row] = []

@@ -4,8 +4,8 @@
 connected to the parent by a duplex pipe. Each worker calls ``run(item)``
 on every item it is sent; ``run`` is handed to the process when it is
 created, so under ``fork`` it is inherited (closures included) and never
-pickled. Both process-pool users drive a fleet: the parallel sweep engine
-(:func:`repro.harness.parallel.execute_tasks`, one fleet per batch,
+pickled. Both process-pool users drive a fleet: the sweep engine
+(:func:`repro.harness.sweep.execute_tasks`, one fleet per batch,
 items are task keys) and the sweep service (:mod:`repro.svc.service`,
 one long-lived fleet, items are cells that know how to ``run()``).
 

@@ -6,9 +6,6 @@ thread's program to completion, and return cycles + statistics. The paper's
 throughput metric is "units of work per unit time"; with a fixed amount of
 work per run, *total cycles* is the inverse metric and speedup is a cycle
 ratio.
-
-``run_perturbed`` repeats a run with pseudo-randomly perturbed seeds to
-produce the 95% confidence intervals of the paper's methodology [2].
 """
 
 from __future__ import annotations
@@ -20,8 +17,8 @@ from typing import Dict, List, Optional
 from repro.obs.events import Event
 
 from repro.common.config import SyncMode, SystemConfig
-from repro.common.rng import DEFAULT_SEED, make_rng, perturbed_seeds
-from repro.common.stats import ConfidenceInterval, Histogram
+from repro.common.rng import DEFAULT_SEED, make_rng
+from repro.common.stats import Histogram
 from repro.cpu.executor import ThreadExecutor
 from repro.harness.system import System
 from repro.workloads.base import Workload
@@ -260,19 +257,3 @@ def _run_cell(cfg: SystemConfig, workload: Workload, seed: int,
         verify_report=report,
     )
 
-
-def run_perturbed(cfg: SystemConfig, make_workload, runs: int = 3,
-                  seed: int = DEFAULT_SEED, config_label: str = "",
-                  cycle_limit: int = DEFAULT_CYCLE_LIMIT):
-    """Run ``runs`` perturbed instances; returns (results, cycles CI).
-
-    ``make_workload`` is a zero-argument factory (workload generators hold
-    RNG-derived layout, so each run rebuilds the workload).
-    """
-    results = []
-    for run_seed in perturbed_seeds(seed, runs):
-        results.append(run_workload(cfg, make_workload(), seed=run_seed,
-                                    config_label=config_label,
-                                    cycle_limit=cycle_limit))
-    ci = ConfidenceInterval.from_samples([float(r.cycles) for r in results])
-    return results, ci

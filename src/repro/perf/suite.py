@@ -31,7 +31,7 @@ from typing import Any, Callable, Dict, List
 from repro.common.config import SignatureKind, SystemConfig, figure4_variants
 from repro.common.rng import DEFAULT_SEED
 from repro.harness import experiments as E
-from repro.harness.sweep import run_sweep
+from repro.harness.sweep import SweepResult, run_sweep
 from repro.sim.engine import Simulator
 from repro.sim.future import Future
 
@@ -57,6 +57,13 @@ def _digest(payload: Any) -> str:
     """Canonical SHA-256 of a JSON-serializable result."""
     blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+
+def _sweep_digest(sweep: SweepResult) -> str:
+    """Digest of a sweep's results; ``meta`` (wall times) is left out."""
+    record = sweep.to_dict()
+    del record["meta"]
+    return _digest(record)
 
 
 # ---------------------------------------------------------------------------
@@ -91,7 +98,7 @@ def _run_fig4_cell(scale: str) -> Dict[str, Any]:
             "units_per_thread": units,
             "variant_cycles": {label: r.cycles
                                for label, r in sweep.results.items()},
-            "result_digest": _digest(sweep.to_dict()),
+            "result_digest": _sweep_digest(sweep),
         },
     }
 
@@ -167,7 +174,7 @@ def _run_table3_conflict(scale: str) -> Dict[str, Any]:
             "units_per_thread": units,
             "variant_aborts": {label: r.aborts
                                for label, r in sweep.results.items()},
-            "result_digest": _digest(sweep.to_dict()),
+            "result_digest": _sweep_digest(sweep),
         },
     }
 

@@ -1,4 +1,4 @@
-"""Sweep service: a persistent job server over the parallel engine.
+"""Sweep service: a persistent job server over the sweep engine.
 
 This package turns the one-shot sweep harness
 (:func:`repro.harness.sweep.run_sweep`) into a long-running service:
@@ -9,7 +9,7 @@ This package turns the one-shot sweep harness
 * :mod:`repro.svc.scheduler` — the durable priority+FIFO
   :class:`JobQueue` and the job state machine;
 * :mod:`repro.svc.repository` — :class:`RunRepository`, the SQLite run
-  store keyed by :func:`~repro.harness.parallel.cell_key` (shared with
+  store keyed by :func:`~repro.harness.sweep.cell_key` (shared with
   ``repro sweep``), so identical cells dedupe to one execution across
   submissions;
 * :mod:`repro.svc.service` — :class:`SweepService`, the orchestrator

@@ -21,12 +21,13 @@ repository hit rate, worker restarts — the ``/metrics`` endpoint).
 
 The :class:`~repro.harness.fleet.WorkerFleet` only runs cells and
 reports crashes and timeouts; the policy is decided here, with the
-parallel engine's semantics: per-cell timeout and retry budgets
+sweep engine's semantics: per-cell timeout and retry budgets
 (``SweepSpec.timeout`` / ``retries``), crashes re-queued, worker
 exceptions terminal (a deterministic model error will not heal on
-retry). Timeouts *are* retried here — unlike the one-shot CLI default —
-because wall-clock deadlines on a shared box are not deterministic (see
-``execute_tasks(retry_timeouts=)``).
+retry). Timeouts *are* retried here, against the same budget — unlike
+:func:`~repro.harness.sweep.execute_tasks`, where a timed-out cell
+fails — because a long-lived server's wall-clock deadlines depend on
+the load of a shared box, not only on the cell.
 """
 
 from __future__ import annotations
@@ -53,7 +54,7 @@ class ServiceError(ReproError):
 
 
 class SweepService:
-    """A persistent sweep job server over the parallel engine."""
+    """A persistent sweep job server over the sweep engine's cells."""
 
     def __init__(self, db_path: object,
                  workers: int = 2,

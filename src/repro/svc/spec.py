@@ -13,24 +13,27 @@ closure.
 The variant grid a spec expands to is *identical* to what ``repro
 sweep`` builds for the same arguments, and the content-address of each
 cell (:meth:`SweepSpec.cache_keys`) is the very same
-:func:`~repro.harness.parallel.cell_key` the CLI path uses — that
+:func:`~repro.harness.sweep.cell_key` the CLI path uses — that
 shared key is what makes service results byte-identical to, and dedupe
 against, direct ``run_sweep`` invocations.
 """
 
 from __future__ import annotations
 
+import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.common.config import (SignatureKind, SystemConfig,
                                  figure4_variants)
-from repro.common.errors import ReproError
+from repro.common.errors import ConfigError, ReproError
 from repro.common.rng import DEFAULT_SEED
-from repro.harness.parallel import cell_key, workload_fingerprint
 from repro.harness.runner import DEFAULT_CYCLE_LIMIT
-from repro.harness.sweep import (Variant, signature_design_variants,
-                                 signature_size_variants)
+from repro.harness.sweep import (RunTask, Variant, cell_key, run_cell,
+                                 signature_design_variants,
+                                 signature_size_variants,
+                                 workload_fingerprint)
 from repro.workloads.base import Workload
 
 #: Variant families a spec can request (mirrors ``repro sweep --mode``).
@@ -95,8 +98,17 @@ class SweepSpec:
                 raise SpecError("sizes mode needs at least one size")
         if self.retries < 0:
             raise SpecError(f"retries must be >= 0, got {self.retries}")
-        if self.timeout is not None and self.timeout <= 0:
-            raise SpecError(f"timeout must be > 0, got {self.timeout}")
+        if self.timeout is not None and not (math.isfinite(self.timeout)
+                                             and self.timeout > 0):
+            raise SpecError(
+                f"timeout must be finite and > 0, got {self.timeout}")
+        try:
+            labels = self.labels()
+        except ConfigError as exc:
+            raise SpecError(f"invalid {self.mode} grid: {exc}") from None
+        duplicates = sorted(x for x, n in Counter(labels).items() if n > 1)
+        if duplicates:
+            raise SpecError(f"duplicate variant label(s): {duplicates}")
 
     # -- expansion ---------------------------------------------------------
 
@@ -164,16 +176,23 @@ class SweepSpec:
         if unknown:
             raise SpecError(f"unknown spec field(s): {unknown}")
         kwargs = dict(data)
+        if "sizes" in kwargs:
+            sizes = kwargs["sizes"]
+            if not (isinstance(sizes, (list, tuple))
+                    and all(type(size) is int for size in sizes)):
+                raise SpecError(
+                    f"'sizes' must be an array of integers, got {sizes!r}")
+            kwargs["sizes"] = tuple(sizes)
+        if not isinstance(kwargs.get("verify", False), bool):
+            raise SpecError(
+                f"'verify' must be a boolean, got {kwargs['verify']!r}")
         try:
-            if "sizes" in kwargs:
-                kwargs["sizes"] = tuple(int(s) for s in kwargs["sizes"])
             for key in ("threads", "units", "seed", "bits", "granularity",
                         "cycle_limit", "retries"):
                 if key in kwargs:
                     kwargs[key] = int(kwargs[key])
             if kwargs.get("timeout") is not None:
                 kwargs["timeout"] = float(kwargs["timeout"])
-            kwargs["verify"] = bool(kwargs.get("verify", False))
             return SweepSpec(**kwargs)
         except (TypeError, ValueError) as exc:
             raise SpecError(f"malformed sweep spec: {exc}")
@@ -195,22 +214,20 @@ class CellTask:
     cache_key: str
 
     def run(self):
-        """Execute this cell; returns the :class:`RunResult`.
+        """Execute this cell in a fleet worker; returns the :class:`RunResult`.
 
-        Runs inside a fleet worker process. Mirrors the single-task path
-        in :mod:`repro.harness.parallel` (including dropping the live
-        ``verify_report`` before the result crosses a process boundary).
+        Builds the :class:`~repro.harness.sweep.RunTask` for its label
+        and runs it with :func:`~repro.harness.sweep.run_cell`, exactly
+        as ``run_sweep`` runs the same cell.
         """
-        from repro.harness.runner import run_workload
         for label, cfg in self.spec.variants():
             if label == self.label:
                 break
         else:
             raise SpecError(f"label {self.label!r} not in spec grid")
-        result = run_workload(cfg, self.spec.make_workload(),
-                              seed=self.spec.seed,
-                              cycle_limit=self.spec.cycle_limit,
-                              config_label=self.label,
-                              verify=self.spec.verify)
-        result.verify_report = None
-        return result
+        spec = self.spec
+        return run_cell(RunTask(key=label, label=label, cfg=cfg,
+                                make_workload=spec.make_workload,
+                                seed=spec.seed,
+                                cycle_limit=spec.cycle_limit,
+                                verify=spec.verify))

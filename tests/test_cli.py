@@ -104,6 +104,18 @@ class TestSweepCommand:
         assert main(["sweep", "Nope"]) == 2
         assert "unknown workload" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("args, reason", [
+        (["--bits", "100"], "power of two"),
+        (["--mode", "sizes", "--sizes", "64", "64"], "duplicate"),
+    ], ids=["bits-100", "duplicate-sizes"])
+    def test_invalid_grid_exits_2_with_one_line(self, args, reason,
+                                                capsys):
+        assert main(["sweep", "Mp3d", "--no-cache"] + args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        [line] = captured.err.splitlines()
+        assert reason in line
+
     def test_repeat_invocation_hits_cache(self, tmp_path, capsys):
         cache_args = self.ARGS + ["--db", str(tmp_path / "sweeps.db")]
         assert main(cache_args) == 0

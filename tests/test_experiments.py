@@ -71,21 +71,24 @@ class TestFigure3:
 
 class TestFigure4:
     def test_single_workload_structure(self):
-        tiny = E.ExperimentScale(threads=4, default_units=1, runs=1,
-                                 asserts_shapes=False)
-        cells = E.figure4(tiny, workloads=["Cholesky"])
-        variants = [c.variant for c in cells]
-        assert variants == ["Lock", "Perfect", "BS_2Kb", "CBS_2Kb",
-                            "DBS_2Kb", "BS_64"]
-        lock = next(c for c in cells if c.variant == "Lock")
-        assert lock.speedup == pytest.approx(1.0)
-        for c in cells:
-            assert c.cycles > 0
-            assert c.speedup > 0
+        for runs in (1, 3):
+            tiny = E.ExperimentScale(threads=4, default_units=1, runs=runs,
+                                     asserts_shapes=False)
+            cells = E.figure4(tiny, workloads=["Cholesky"])
+            variants = [c.variant for c in cells]
+            assert variants == ["Lock", "Perfect", "BS_2Kb", "CBS_2Kb",
+                                "DBS_2Kb", "BS_64"]
+            lock = next(c for c in cells if c.variant == "Lock")
+            assert lock.speedup == pytest.approx(1.0)
+            for c in cells:
+                assert c.cycles > 0
+                assert c.speedup > 0
+                # Perturbed-seed runs differ, so several give a nonzero CI.
+                assert (c.ci_half_width > 0) == (runs > 1), (runs, c)
 
     def test_parallel_cells_identical(self):
-        # The Figure 4 grid through the parallel engine (incl. perturbed
-        # runs) must reproduce the serial cells exactly.
+        # The Figure 4 grid on worker processes (incl. perturbed runs)
+        # must reproduce the in-process cells exactly.
         tiny = E.ExperimentScale(threads=4, default_units=1, runs=2,
                                  asserts_shapes=False)
         serial = E.figure4(tiny, workloads=["Cholesky"])

@@ -315,7 +315,7 @@ class TestSelfLint:
         """The sweep harness timing wall-clock is legitimate: only
         scheduler-driven generators are held to simulated time."""
         findings = self.lint_self("""
-            def run_parallel_sweep(variants):
+            def run_sweep(variants):
                 t0 = time.perf_counter()
                 return time.perf_counter() - t0
         """)

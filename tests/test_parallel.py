@@ -1,4 +1,4 @@
-"""Tests for the parallel sweep engine and its result store."""
+"""Tests for the sweep engine (serial and parallel) and its result store."""
 
 import json
 import os
@@ -8,13 +8,13 @@ import time
 import pytest
 
 from repro.common.config import SignatureKind, SystemConfig
-from repro.harness import parallel as parallel_mod
-from repro.harness.parallel import (RunTask, SweepExecutionError, cell_key,
-                                    code_version, execute_tasks,
-                                    workload_fingerprint)
+from repro.harness import sweep as sweep_mod
 from repro.harness.runner import run_workload
-from repro.harness.sweep import SweepResult, run_sweep
+from repro.harness.sweep import (RunTask, SweepExecutionError, SweepResult,
+                                 cell_key, code_version, execute_tasks,
+                                 run_sweep, workload_fingerprint)
 from repro.svc.repository import RunRepository
+from repro.svc.spec import CellTask, SweepSpec
 from repro.workloads import SharedCounter
 
 
@@ -41,12 +41,13 @@ class TestDeterminism:
         # Full-depth check, independent of dataclass __eq__ details.
         assert parallel.to_dict()["results"] == serial.to_dict()["results"]
 
-    def test_meta_only_on_parallel_path(self):
-        assert run_sweep(variants(), factory).meta is None
-        meta = run_sweep(variants(), factory, jobs=2).meta
-        assert meta["jobs"] == 2
-        assert meta["cache"] == {"hits": 0, "misses": 2, "enabled": False}
-        assert set(meta["variants"]) == {"a", "b"}
+    def test_meta_on_every_path(self):
+        for jobs in (1, 2):
+            meta = run_sweep(variants(), factory, jobs=jobs).meta
+            assert meta["jobs"] == jobs
+            assert meta["cache"] == {"hits": 0, "misses": 2,
+                                     "enabled": False}
+            assert set(meta["variants"]) == {"a", "b"}
 
     def test_jobs_auto(self):
         sweep = run_sweep(variants(), factory, jobs=0)
@@ -80,7 +81,7 @@ class TestResultCache:
         def exploding(*args, **kwargs):
             raise AssertionError("run_workload must not execute on a hit")
 
-        monkeypatch.setattr(parallel_mod, "run_workload", exploding)
+        monkeypatch.setattr(sweep_mod, "run_workload", exploding)
         warm = run_sweep(variants(), factory, cache=cache)
         assert warm.meta["cache"]["hits"] == 2
         assert all(v["attempts"] == 0
@@ -118,7 +119,7 @@ class TestFailureHandling:
             hook(kwargs.get("config_label", ""))
             return real(cfg, workload, **kwargs)
 
-        monkeypatch.setattr(parallel_mod, "run_workload", wrapper)
+        monkeypatch.setattr(sweep_mod, "run_workload", wrapper)
 
     def test_crash_retries_then_surfaces_error(self, monkeypatch):
         self._patch(monkeypatch,
@@ -141,8 +142,8 @@ class TestFailureHandling:
                 flag.write_text("x")
                 os._exit(13)
 
-        self._patch(monkeypatch, crash_first_time)
         serial = run_sweep(variants(), factory)
+        self._patch(monkeypatch, crash_first_time)
         sweep = run_sweep(variants(), factory, jobs=2, retries=1)
         assert sweep == serial
         assert sweep.meta["variants"]["b"]["attempts"] == 2
@@ -167,16 +168,54 @@ class TestFailureHandling:
         assert "timed out" in info.value.failures["b"]
 
     def test_inline_failure_keeps_siblings(self, monkeypatch, tmp_path):
-        # jobs=1 without timeout runs in-process; failures behave the same.
+        # jobs=1 without timeout runs in-process; failures behave the same,
+        # with or without a store.
         def raise_on_b(label):
             if label == "b":
                 raise ValueError("inline failure")
 
         self._patch(monkeypatch, raise_on_b)
-        with pytest.raises(SweepExecutionError) as info:
-            run_sweep(variants(), factory, jobs=1,
-                      cache=RunRepository(tmp_path / "sweeps.db"))
-        assert set(info.value.completed) == {"a"}
+        for cache in (None, RunRepository(tmp_path / "sweeps.db")):
+            with pytest.raises(SweepExecutionError) as info:
+                run_sweep(variants(), factory, jobs=1, cache=cache)
+            assert set(info.value.completed) == {"a"}
+
+
+class TestOneEngine:
+    """Every path validates first and runs its cells through ``run_cell``,
+    which calls this module's ``run_workload``."""
+
+    def _count(self, monkeypatch):
+        calls = []
+        real = run_workload
+
+        def wrapper(cfg, workload, **kwargs):
+            calls.append(kwargs.get("config_label", ""))
+            return real(cfg, workload, **kwargs)
+
+        monkeypatch.setattr(sweep_mod, "run_workload", wrapper)
+        return calls
+
+    def test_serial_validation_precedes_every_cell(self, monkeypatch):
+        calls = self._count(monkeypatch)
+        with pytest.raises(ValueError, match="baseline"):
+            run_sweep(variants(), factory, jobs=1, baseline_label="nope")
+        with pytest.raises(ValueError, match="duplicate"):
+            run_sweep([("x", small()), ("x", small())], factory, jobs=1)
+        assert calls == []
+
+    def test_sweep_and_cell_task_run_each_cell_once(self, monkeypatch):
+        calls = self._count(monkeypatch)
+        run_sweep(variants(), factory, jobs=1)
+        assert calls == ["a", "b"]
+        spec = SweepSpec(workload="Mp3d", mode="sizes", sizes=(64, 256),
+                         threads=2, units=1)
+        calls.clear()
+        keys = spec.cache_keys()
+        for label in spec.labels():
+            CellTask(job_id="j1", label=label, spec=spec,
+                     cache_key=keys[label]).run()
+        assert calls == spec.labels()
 
 
 class TestExecuteTasks:
@@ -276,7 +315,7 @@ class TestCacheEviction:
 
 
 class TestRetryAndTimeoutMeta:
-    """SweepResult meta surfaces per-variant retry and timeout counts."""
+    """SweepResult meta surfaces per-variant retry counts; timeouts fail."""
 
     def _patch(self, monkeypatch, hook):
         real = run_workload
@@ -285,15 +324,13 @@ class TestRetryAndTimeoutMeta:
             hook(kwargs.get("config_label", ""))
             return real(cfg, workload, **kwargs)
 
-        monkeypatch.setattr(parallel_mod, "run_workload", wrapper)
+        monkeypatch.setattr(sweep_mod, "run_workload", wrapper)
 
     def test_clean_run_reports_zero_counts(self):
         meta = run_sweep(variants(), factory, jobs=2).meta
         assert meta["retries"] == 0
-        assert meta["timeouts"] == 0
         for per in meta["variants"].values():
             assert per["retries"] == 0
-            assert per["timeouts"] == 0
 
     def test_crash_retry_is_counted(self, monkeypatch, tmp_path):
         flag = tmp_path / "crashed-once"
@@ -308,26 +345,6 @@ class TestRetryAndTimeoutMeta:
         assert meta["variants"]["b"]["retries"] == 1
         assert meta["variants"]["a"]["retries"] == 0
         assert meta["retries"] == 1
-        assert meta["timeouts"] == 0
-
-    def test_timeout_retry_recovers_when_enabled(self, monkeypatch,
-                                                 tmp_path):
-        flag = tmp_path / "slow-once"
-
-        def slow_first_time(label):
-            if label == "b" and not flag.exists():
-                flag.write_text("x")
-                time.sleep(30)
-
-        self._patch(monkeypatch, slow_first_time)
-        serial = run_sweep(variants(), factory)
-        sweep = run_sweep(variants(), factory, jobs=2, timeout=2.0,
-                          retries=1, retry_timeouts=True)
-        assert sweep == serial
-        per = sweep.meta["variants"]["b"]
-        assert per["timeouts"] == 1
-        assert per["retries"] == 1
-        assert sweep.meta["timeouts"] == 1
 
     def test_timeout_not_retried_by_default(self, monkeypatch):
         self._patch(monkeypatch,
@@ -336,11 +353,3 @@ class TestRetryAndTimeoutMeta:
             run_sweep(variants(), factory, jobs=2, timeout=1.0, retries=3)
         assert "timed out" in info.value.failures["b"]
         assert "1 attempt(s)" in info.value.failures["b"]
-
-    def test_timeout_retry_budget_exhausts(self, monkeypatch):
-        self._patch(monkeypatch,
-                    lambda label: time.sleep(30) if label == "b" else None)
-        with pytest.raises(SweepExecutionError) as info:
-            run_sweep(variants(), factory, jobs=2, timeout=1.0, retries=1,
-                      retry_timeouts=True)
-        assert "2 attempt(s)" in info.value.failures["b"]

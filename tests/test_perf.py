@@ -167,6 +167,12 @@ class TestRunSuite:
         assert a == b
         assert a["events"] > 0 and a["cycles"] > 0
 
+    def test_sweep_case_digest_is_deterministic(self):
+        """A sweep case's digest covers its results, not its wall times."""
+        run = CASES["fig4_cell"].run
+        digests = {run("quick")["extra"]["result_digest"] for _ in range(2)}
+        assert len(digests) == 1
+
     def test_run_suite_writes_tracks_and_gates(self, tmp_path):
         out = str(tmp_path)
         first = run_suite(names=["engine_stress"], scale="quick",

@@ -8,7 +8,7 @@ import pytest
 import repro.harness.runner as runner_mod
 from repro.common.config import SignatureKind, SyncMode, SystemConfig
 from repro.common.errors import ConfigError
-from repro.harness.runner import RunResult, run_perturbed, run_workload
+from repro.harness.runner import RunResult, run_workload
 from repro.workloads import SharedCounter
 
 
@@ -142,21 +142,3 @@ class TestRunResultDerived:
         assert result.system is not None
         assert "system" not in result.to_dict()
 
-
-class TestRunPerturbed:
-    def test_returns_ci_over_runs(self):
-        results, ci = run_perturbed(
-            small_cfg(),
-            lambda: SharedCounter(num_threads=4, units_per_thread=2),
-            runs=3, seed=9)
-        assert len(results) == 3
-        assert ci.mean > 0
-        assert len(ci.samples) == 3
-
-    def test_perturbed_runs_differ(self):
-        results, _ = run_perturbed(
-            small_cfg(),
-            lambda: SharedCounter(num_threads=4, units_per_thread=2),
-            runs=3, seed=9)
-        cycles = [r.cycles for r in results]
-        assert len(set(cycles)) > 1

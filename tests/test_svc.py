@@ -17,9 +17,8 @@ import time
 
 import pytest
 
-from repro.harness.parallel import cell_key, workload_fingerprint
 from repro.harness.runner import run_workload
-from repro.harness.sweep import run_sweep
+from repro.harness.sweep import cell_key, run_sweep, workload_fingerprint
 from repro.svc.repository import RunRepository, result_digest
 from repro.svc.scheduler import JobQueue, StateError, check_transition
 from repro.svc.spec import CellTask, SpecError, SweepSpec
@@ -69,6 +68,18 @@ class TestSweepSpec:
             SweepSpec(workload="Mp3d", retries=-1)
         with pytest.raises(SpecError):
             SweepSpec(workload="Mp3d", timeout=0.0)
+        with pytest.raises(SpecError, match="timeout"):
+            SweepSpec(workload="Mp3d", timeout=float("nan"))
+        # The grid is expanded once: a config the config layer refuses,
+        # and duplicate labels, are spec errors before anything runs.
+        with pytest.raises(SpecError, match="power of two"):
+            SweepSpec(workload="Mp3d", bits=100)
+        with pytest.raises(SpecError, match="power of two"):
+            SweepSpec(workload="Mp3d", mode="sizes", sizes=(100,))
+        with pytest.raises(SpecError, match="power of two"):
+            SweepSpec(workload="Mp3d", mode="sizes", granularity=3)
+        with pytest.raises(SpecError, match="duplicate"):
+            SweepSpec(workload="Mp3d", mode="sizes", sizes=(64, 64))
 
     def test_from_dict_rejects_junk(self):
         with pytest.raises(SpecError):
@@ -79,6 +90,19 @@ class TestSweepSpec:
             SweepSpec.from_dict({"workload": "Mp3d", "wat": 1})
         with pytest.raises(SpecError):
             SweepSpec.from_dict({"workload": "Mp3d", "threads": "lots"})
+        with pytest.raises(SpecError, match="power of two"):
+            SweepSpec.from_dict({"workload": "Mp3d", "bits": 100})
+        for sizes in ("2048", ["64"], [64.0], [True], 64, [64, 64]):
+            with pytest.raises(SpecError, match="sizes|duplicate"):
+                SweepSpec.from_dict({"workload": "Mp3d", "mode": "sizes",
+                                     "sizes": sizes})
+        for verify in ("false", "true", 0, 1, None):
+            with pytest.raises(SpecError, match="verify"):
+                SweepSpec.from_dict({"workload": "Mp3d", "verify": verify})
+        for text in ('{"workload": "Mp3d", "timeout": NaN}',
+                     '{"workload": "Mp3d", "timeout": Infinity}'):
+            with pytest.raises(SpecError, match="timeout"):
+                SweepSpec.from_dict(json.loads(text))
 
     def test_cache_keys_match_cli_path(self):
         """The service content-address IS the CLI cache's address."""

@@ -19,6 +19,7 @@ from urllib.parse import urlparse
 import pytest
 
 import repro.harness.runner as runner_mod
+from repro.harness import sweep as sweep_mod
 from repro.harness.fleet import WorkerFleet
 from repro.harness.sweep import run_sweep
 from repro.svc.api import serve
@@ -159,8 +160,9 @@ class TestServiceEndToEnd:
     def test_bench_digest_parity(self, service):
         """The committed BENCH_fig4_cell digest, reproduced via workers.
 
-        The benchmark record pins ``_digest(sweep.to_dict())`` for the
-        full-scale serial Mp3d figure4 sweep. Rebuilding that payload
+        The benchmark record pins the digest of ``sweep.to_dict()``
+        without ``meta`` for the full-scale serial Mp3d figure4 sweep
+        (``repro.perf.suite._sweep_digest``). Rebuilding that payload
         from the service's stored per-cell records must give the same
         bytes — the service changes *where* cells run, never what they
         produce.
@@ -258,7 +260,7 @@ class TestShutdownAndRecovery:
 class TestWorkerFaults:
     def _patch_crash(self, monkeypatch, crash_flag, label_to_kill,
                      exit_code=17, once=True):
-        real = runner_mod.run_workload
+        real = sweep_mod.run_workload
 
         def wrapper(cfg, workload, **kwargs):
             if kwargs.get("config_label") == label_to_kill:
@@ -268,7 +270,7 @@ class TestWorkerFaults:
                     os._exit(exit_code)
             return real(cfg, workload, **kwargs)
 
-        monkeypatch.setattr(runner_mod, "run_workload", wrapper)
+        monkeypatch.setattr(sweep_mod, "run_workload", wrapper)
 
     def test_crash_mid_cell_requeued_and_job_completes(self, tmp_path,
                                                        monkeypatch):
@@ -337,7 +339,7 @@ class TestWorkerFaults:
             svc.shutdown(drain=False)
 
     def _patch_slow_once(self, monkeypatch, flag):
-        real = runner_mod.run_workload
+        real = sweep_mod.run_workload
 
         def wrapper(cfg, workload, **kwargs):
             if not os.path.exists(flag):
@@ -346,7 +348,7 @@ class TestWorkerFaults:
                 time.sleep(30)
             return real(cfg, workload, **kwargs)
 
-        monkeypatch.setattr(runner_mod, "run_workload", wrapper)
+        monkeypatch.setattr(sweep_mod, "run_workload", wrapper)
 
     def test_timeout_requeued_and_reported_by_service(self, tmp_path,
                                                       monkeypatch):
@@ -530,6 +532,13 @@ class TestHTTPApi:
         with pytest.raises(ClientError) as info:
             endpoint.submit({})
         assert info.value.status == 400
+        # A spec whose grid cannot be built is a 400 too, and the server
+        # keeps answering afterwards.
+        with pytest.raises(ClientError) as info:
+            endpoint.submit({"workload": "Mp3d", "bits": 100})
+        assert info.value.status == 400
+        assert "power of two" in str(info.value)
+        assert endpoint.healthz()["status"] == "ok"
         job = endpoint.submit(tiny_spec().to_dict())
         endpoint.wait(job["id"], timeout=120)
         with pytest.raises(ClientError) as info:
