@@ -530,6 +530,9 @@ def _cmd_sweep(args) -> int:
         for label, reason in exc.failures.items():
             print(f"  {label}: {reason}", file=sys.stderr)
         return 1
+    finally:
+        if cache is not None:
+            cache.close()
     if args.json:
         return _emit_json(sweep.to_dict())
     title = f"Sweep: {args.workload} ({args.mode})"
@@ -676,27 +679,36 @@ def _cmd_cache(args) -> int:
 
     db = _db_path(args)
     store = RunRepository(db)
-    if args.action == "stats":
-        payload = {"db": db, "entries": store.run_count(),
-                   "bytes": os.path.getsize(db)}
+    try:
+        if args.action == "stats":
+            # Commits not yet checkpointed into the database file live in
+            # its write-ahead log, which stays while a connection is open.
+            wal = db + "-wal"
+            size = os.path.getsize(db) + (os.path.getsize(wal)
+                                          if os.path.exists(wal) else 0)
+            payload = {"db": db, "entries": store.run_count(),
+                       "bytes": size}
+            if args.json:
+                return _emit_json(payload)
+            print(f"db      : {payload['db']}")
+            print(f"entries : {payload['entries']}")
+            print(f"size    : {payload['bytes']:,} bytes")
+            return 0
+        # prune
+        if args.max_entries is None:
+            print("cache prune requires --max-entries N", file=sys.stderr)
+            return 2
+        before = store.run_count()
+        removed = store.prune(args.max_entries)
         if args.json:
-            return _emit_json(payload)
-        print(f"db      : {payload['db']}")
-        print(f"entries : {payload['entries']}")
-        print(f"size    : {payload['bytes']:,} bytes")
+            return _emit_json({"db": db, "before": before,
+                               "removed": removed,
+                               "entries": store.run_count()})
+        print(f"pruned {removed} of {before} entries "
+              f"(cap {args.max_entries}, db {db})")
         return 0
-    # prune
-    if args.max_entries is None:
-        print("cache prune requires --max-entries N", file=sys.stderr)
-        return 2
-    before = store.run_count()
-    removed = store.prune(args.max_entries)
-    if args.json:
-        return _emit_json({"db": db, "before": before, "removed": removed,
-                           "entries": store.run_count()})
-    print(f"pruned {removed} of {before} entries "
-          f"(cap {args.max_entries}, db {db})")
-    return 0
+    finally:
+        store.close()
 
 
 #: Workloads runnable by ``repro trace``: the Table 2 benchmarks plus the

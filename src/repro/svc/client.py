@@ -22,6 +22,11 @@ from typing import Any, Dict, Iterator, List, Optional
 
 from repro.common.errors import ReproError
 
+#: :meth:`ServiceClient.wait`'s first pause between polls; it doubles
+#: after each poll up to :data:`MAX_POLL_SECONDS`.
+FIRST_POLL_SECONDS = 0.005
+MAX_POLL_SECONDS = 0.25
+
 
 class ClientError(ReproError):
     """An HTTP request to the sweep service failed."""
@@ -130,10 +135,15 @@ class ServiceClient:
 
     # -- conveniences ------------------------------------------------------
 
-    def wait(self, job_id: str, timeout: float = 600.0,
-             poll: float = 0.25) -> dict:
-        """Poll until the job is terminal; returns the final record."""
+    def wait(self, job_id: str, timeout: float = 600.0) -> dict:
+        """Poll until the job is terminal; returns the final record.
+
+        The pause between polls starts at 5 ms and doubles up to 250 ms,
+        so a job that finishes in milliseconds is seen in milliseconds
+        and a long one costs the server four polls a second.
+        """
         deadline = time.monotonic() + timeout
+        pause = FIRST_POLL_SECONDS
         while True:
             job = self.job(job_id)
             if job["state"] in ("done", "failed", "cancelled"):
@@ -142,4 +152,5 @@ class ServiceClient:
                 raise ClientError(
                     0, f"job {job_id} still {job['state']!r} after "
                        f"{timeout:g}s")
-            time.sleep(poll)
+            time.sleep(pause)
+            pause = min(pause * 2, MAX_POLL_SECONDS)

@@ -21,9 +21,17 @@ Two responsibilities, one database file:
   restart: :meth:`RunRepository.recover` re-queues anything left
   ``queued`` or ``running`` by a previous process.
 
-SQLite is accessed through short-lived connections (WAL mode, busy
-timeout), so API handler threads, the scheduler thread, and external
-inspection tools can all touch the file concurrently.
+A repository keeps one SQLite connection, opened when it is built and
+shared by every thread under a lock: API handler threads and the
+scheduler thread take turns, one transaction per call. The database
+runs in WAL mode with ``synchronous=FULL``, so every commit fsyncs the
+log before it returns, and a killed server or a power loss keeps every
+committed state change. Other processes (a ``repro sweep`` into the
+service's store, inspection tools) read and write the same file
+concurrently. :meth:`RunRepository.close` ends the connection; the last
+connection to close checkpoints the log into the database file and
+deletes it. A child forked while a repository is open (a worker-fleet
+process) must not use it; see the comment at the connection.
 """
 
 from __future__ import annotations
@@ -32,6 +40,7 @@ import hashlib
 import json
 import os
 import sqlite3
+import threading
 import time
 from contextlib import contextmanager
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
@@ -109,6 +118,20 @@ class RunRepository:
         self.path = str(path)
         parent = os.path.dirname(os.path.abspath(self.path))
         os.makedirs(parent, exist_ok=True)
+        # One connection for the repository's life. A process that forks
+        # while holding it (the service's WorkerFleet, `repro sweep
+        # --jobs N` with a store) must not touch it in the child: SQLite
+        # forbids using a connection opened before fork() there, and
+        # fleet workers only run cells.
+        self._conn = sqlite3.connect(self.path, timeout=30.0,
+                                     check_same_thread=False)
+        self._conn.row_factory = sqlite3.Row
+        self._conn.execute("PRAGMA journal_mode=WAL")
+        # FULL fsyncs the log at every commit: a kept connection
+        # checkpoints only every 1,000 log pages, so NORMAL could lose
+        # recent commits to a power loss.
+        self._conn.execute("PRAGMA synchronous=FULL")
+        self._lock = threading.Lock()
         with self._connect() as conn:
             conn.executescript(_SCHEMA)
             columns = {row["name"] for row
@@ -122,16 +145,19 @@ class RunRepository:
 
     @contextmanager
     def _connect(self) -> Iterator[sqlite3.Connection]:
-        """Short-lived connection: commit (or roll back) and close."""
-        conn = sqlite3.connect(self.path, timeout=30.0)
-        try:
-            conn.row_factory = sqlite3.Row
-            conn.execute("PRAGMA journal_mode=WAL")
-            conn.execute("PRAGMA synchronous=NORMAL")
-            with conn:
-                yield conn
-        finally:
-            conn.close()
+        """Run one transaction on the kept connection, under the lock.
+
+        The transaction commits when the block ends, or rolls back if
+        it raises. The lock is not reentrant: no block calls a method
+        that takes it.
+        """
+        with self._lock, self._conn:
+            yield self._conn
+
+    def close(self) -> None:
+        """Close the connection; later calls raise ``ProgrammingError``."""
+        with self._lock:
+            self._conn.close()
 
     # -- runs (content-addressed results) ----------------------------------
 

@@ -123,7 +123,8 @@ class SweepService:
         Queued jobs stay queued in the repository, and the interrupted
         job (if any) is normalized back to ``queued`` with its finished
         cells kept — a restarted service resumes exactly where this one
-        stopped.
+        stopped. The repository is closed last, so the service answers
+        no call after this one returns.
         """
         timeout = self.drain_timeout if timeout is None else timeout
         self._emit("svc.drain", busy=self.fleet.busy_count())
@@ -138,6 +139,7 @@ class SweepService:
         else:
             self.fleet.stop()
         self.repository.recover()  # normalize interrupted state to queued
+        self.repository.close()
 
     def _store_late_result(self, task: CellTask, result) -> None:
         """Persist a result that arrived while draining."""

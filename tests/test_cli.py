@@ -1,11 +1,13 @@
 """Tests for the command-line interface."""
 
 import json
+import os
 
 import pytest
 
 from repro.cli import build_parser, main
 from repro.harness.sweep import SweepResult
+from repro.svc.repository import RunRepository
 
 
 class TestParser:
@@ -334,6 +336,21 @@ class TestCacheCommand:
         stats = json.loads(capsys.readouterr().out)
         assert stats["entries"] == 2
         assert stats["bytes"] > 0
+
+    def test_stats_counts_the_write_ahead_log(self, tmp_path, capsys):
+        """While a server holds the store, recent commits are in -wal."""
+        db = tmp_path / "sweeps.db"
+        held = RunRepository(db)  # a running server's connection
+        try:
+            assert self._warm(db, [64, 256]) == 0
+            capsys.readouterr()
+            assert main(["--json", "cache", "stats", "--db", str(db)]) == 0
+            stats = json.loads(capsys.readouterr().out)
+            wal = os.path.getsize(f"{db}-wal")
+            assert wal > 0
+            assert stats["bytes"] == os.path.getsize(db) + wal
+        finally:
+            held.close()
 
     def test_prune_to_cap(self, tmp_path, capsys):
         db = tmp_path / "sweeps.db"

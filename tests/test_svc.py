@@ -12,6 +12,7 @@ import json
 import multiprocessing
 import os
 import sqlite3
+import sys
 import threading
 import time
 
@@ -19,6 +20,7 @@ import pytest
 
 from repro.harness.runner import run_workload
 from repro.harness.sweep import cell_key, run_sweep, workload_fingerprint
+from repro.svc import repository as repository_mod
 from repro.svc.repository import RunRepository, result_digest
 from repro.svc.scheduler import JobQueue, StateError, check_transition
 from repro.svc.spec import CellTask, SpecError, SweepSpec
@@ -370,6 +372,119 @@ class TestRunRepository:
             t.join(timeout=60)
         assert not errors
         assert len(repo.list_jobs(limit=100)) == 20
+
+    def test_calls_share_one_connection(self, tmp_path, monkeypatch):
+        """The repository opens SQLite once, not once per call."""
+        real_connect = sqlite3.connect
+        opened = []
+
+        def counting_connect(*args, **kwargs):
+            opened.append(args)
+            return real_connect(*args, **kwargs)
+
+        monkeypatch.setattr(repository_mod.sqlite3, "connect",
+                            counting_connect)
+        repo = RunRepository(tmp_path / "svc.db")
+        spec = tiny_spec()
+        keys = spec.cache_keys()
+        [(label, key)] = keys.items()
+        result = self._result()
+        try:
+            job = repo.create_job(spec, cache_keys=keys)
+            repo.set_job_state(job["id"], "running")
+            repo.update_cell(job["id"], label, state="running",
+                             attempts=1)
+            assert not repo.touch_run(key)
+            repo.store_run(key, result)
+            repo.update_cell(job["id"], label, state="done",
+                             source="executed")
+            assert repo.touch_run(key)
+            assert repo.load_run(key) is not None
+            assert repo.run_digest(key) == result_digest(result.to_dict())
+            assert repo.run_count() == 1
+            assert repo.cells_in_state(job["id"], "done") == [label]
+            assert repo.results_for_job(job["id"])[label]["digest"]
+            repo.set_job_state(job["id"], "done")
+            assert repo.get_job(job["id"])["state"] == "done"
+            assert len(repo.list_jobs()) == 1
+            assert repo.recover() == []
+            assert repo.prune(max_entries=10) == 0
+        finally:
+            repo.close()
+        assert len(opened) == 1
+
+    def test_threads_share_the_connection_safely(self, tmp_path):
+        """More threads than cores, switching often: no update is lost.
+
+        Each call's transaction holds the connection alone; without the
+        lock, one thread's BEGIN, ``lastrowid`` or rollback lands inside
+        another thread's transaction.
+        """
+        repo = RunRepository(tmp_path / "svc.db")
+        result = self._result()
+        digest = result_digest(result.to_dict())
+        spec = SweepSpec(workload="Mp3d", mode="figure4", threads=2,
+                         units=1)
+        labels = spec.labels()
+        threads_n, jobs_per_thread = 8, 4
+        job_ids = {}
+        errors = []
+
+        def work(n):
+            try:
+                ids = []
+                for i in range(jobs_per_thread):
+                    # Threads n and n + 4 store the same keys.
+                    keys = {label: f"k{n % 4}-{i}-{label}"
+                            for label in labels}
+                    job = repo.create_job(spec, cache_keys=keys)
+                    ids.append(job["id"])
+                    for label in labels:
+                        repo.update_cell(job["id"], label, state="running",
+                                         attempts=1)
+                        repo.store_run(keys[label], result)
+                        repo.update_cell(job["id"], label, state="done",
+                                         source="executed", wall_time=n)
+                        assert repo.touch_run(keys[label])
+                    assert repo.get_job(job["id"])["cell_counts"] \
+                        == {"done": len(labels)}
+                job_ids[n] = ids
+            except Exception as exc:  # reported by the assert below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(n,))
+                       for n in range(threads_n)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+                assert not t.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+            repo.close()
+
+        assert errors == []
+        # A fresh connection sees only what was committed.
+        repo = RunRepository(tmp_path / "svc.db")
+        try:
+            for n, ids in job_ids.items():
+                assert len(ids) == jobs_per_thread
+                for job_id in ids:
+                    cells = repo.get_job(job_id)["cells"]
+                    assert [(c["state"], c["source"], c["attempts"],
+                             c["wall_time"]) for c in cells] \
+                        == [("done", "executed", 1, n)] * len(labels)
+            assert len(repo.list_jobs(limit=1000)) \
+                == threads_n * jobs_per_thread
+            stored = {f"k{m}-{i}-{label}" for m in range(4)
+                      for i in range(jobs_per_thread) for label in labels}
+            assert repo.run_count() == len(stored)
+            assert {repo.run_digest(key) for key in stored} == {digest}
+        finally:
+            repo.close()
 
 
 def _store_same_key(db_path, key, barrier, payload_path):

@@ -7,11 +7,17 @@ which replays the committed ``BENCH_fig4_cell.json`` full-scale cell
 through the service and demands a byte-identical result digest.
 """
 
+import contextlib
 import http.client
 import json
 import multiprocessing
 import os
+import re
+import signal
+import sqlite3
 import statistics
+import subprocess
+import sys
 import threading
 import time
 from urllib.parse import urlparse
@@ -19,6 +25,7 @@ from urllib.parse import urlparse
 import pytest
 
 import repro.harness.runner as runner_mod
+import repro.svc.client as client_mod
 from repro.harness import sweep as sweep_mod
 from repro.harness.fleet import WorkerFleet
 from repro.harness.sweep import run_sweep
@@ -32,6 +39,9 @@ HAVE_FORK = "fork" in multiprocessing.get_all_start_methods()
 
 needs_fork = pytest.mark.skipif(
     not HAVE_FORK, reason="fault injection needs fork-inherited patches")
+
+SRC_DIR = os.path.join(os.path.dirname(os.path.dirname(
+    os.path.abspath(__file__))), "src")
 
 
 def tiny_spec(**overrides):
@@ -62,6 +72,30 @@ def wait_terminal(service, job_id, timeout=120.0):
         time.sleep(0.05)
     raise AssertionError(f"job {job_id} not terminal after {timeout}s: "
                          f"{service.job(job_id)}")
+
+
+def start_server(db, log_path, timeout=60.0):
+    """``repro serve`` in its own session; returns (process, client)."""
+    env = dict(os.environ, PYTHONPATH=SRC_DIR)
+    with open(log_path, "wb") as log:
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro", "serve", "--port", "0",
+             "--workers", "1", "--db", str(db)],
+            env=env, stdout=log, stderr=subprocess.STDOUT,
+            start_new_session=True)
+    deadline = time.monotonic() + timeout
+    while True:
+        with open(log_path) as log:
+            match = re.search(r"listening on (http://\S+)", log.read())
+        if match:
+            return proc, ServiceClient(match.group(1))
+        if proc.poll() is not None or time.monotonic() > deadline:
+            with contextlib.suppress(ProcessLookupError):
+                os.killpg(proc.pid, signal.SIGKILL)
+            proc.wait()
+            raise AssertionError(f"repro serve did not start; "
+                                 f"see {log_path}")
+        time.sleep(0.01)
 
 
 @pytest.fixture
@@ -234,7 +268,11 @@ class TestShutdownAndRecovery:
         job = first.submit(fig4_spec().to_dict())
         first.shutdown(drain=True)  # likely mid-job
 
-        after = first.repository.get_job(job["id"])
+        ledger = RunRepository(tmp_path / "svc.db")
+        try:
+            after = ledger.get_job(job["id"])
+        finally:
+            ledger.close()
         assert after["state"] in ("queued", "done")
         for cell in after["cells"]:
             assert cell["state"] in ("pending", "done")
@@ -248,6 +286,76 @@ class TestShutdownAndRecovery:
             assert second.repository.run_count() == 6
         finally:
             second.shutdown(drain=False)
+
+    def test_clean_shutdown_checkpoints_and_removes_the_log(self,
+                                                             tmp_path):
+        """Closing the last connection folds the WAL into the database."""
+        db = tmp_path / "svc.db"
+        svc = SweepService(db, workers=1)
+        svc.start()
+        try:
+            job = svc.submit(tiny_spec().to_dict())
+            wait_terminal(svc, job["id"])
+            assert os.path.exists(f"{db}-wal")  # the service holds it open
+        finally:
+            svc.shutdown(drain=True)
+        assert not os.path.exists(f"{db}-wal")
+
+    @pytest.mark.skipif(not hasattr(os, "killpg"),
+                        reason="needs POSIX process groups")
+    def test_sigkill_mid_job_loses_and_duplicates_nothing(self, tmp_path):
+        """A server killed mid-job restarts from its committed state."""
+        db = tmp_path / "svc.db"
+        spec = SweepSpec(workload="Mp3d", mode="figure4", threads=8,
+                         units=3)
+        servers = []
+        try:
+            proc, client = start_server(db, tmp_path / "serve-1.log")
+            servers.append(proc)
+            job_id = client.submit(spec.to_dict())["id"]
+            deadline = time.monotonic() + 60
+            while True:
+                job = client.job(job_id)
+                done_before = job["cell_counts"].get("done", 0)
+                if done_before or time.monotonic() > deadline:
+                    break
+                time.sleep(0.002)
+            os.killpg(proc.pid, signal.SIGKILL)  # server and its worker
+            proc.wait(timeout=30)
+            assert job["state"] == "running"
+            assert 1 <= done_before < 6
+
+            proc, client = start_server(db, tmp_path / "serve-2.log")
+            servers.append(proc)
+            final = client.wait(job_id, timeout=60)
+            executed = client.metrics().get("svc.cells.executed", 0)
+            proc.send_signal(signal.SIGTERM)
+            assert proc.wait(timeout=60) == 0
+        finally:
+            for server in servers:
+                with contextlib.suppress(ProcessLookupError):
+                    os.killpg(server.pid, signal.SIGKILL)
+                server.wait()
+
+        # Work was left at the kill, and none of it ran twice.
+        assert 1 <= executed <= 6 - done_before
+        assert final["state"] == "done"
+        assert final["cell_counts"] == {"done": 6}
+        assert not os.path.exists(f"{db}-wal")  # clean second shutdown
+        conn = sqlite3.connect(db)
+        try:
+            stored = conn.execute(
+                "SELECT cache_key, digest FROM runs").fetchall()
+        finally:
+            conn.close()
+        keys = {c["label"]: c["cache_key"] for c in final["cells"]}
+        assert sorted(key for key, _ in stored) == sorted(keys.values())
+        direct = run_sweep(spec.variants(), spec.workload_factory(),
+                           seed=spec.seed,
+                           baseline_label=spec.baseline_label)
+        assert dict(stored) == {
+            keys[label]: result_digest(run.to_dict())
+            for label, run in direct.results.items()}
 
     def test_drain_event_emitted(self, tmp_path):
         svc = SweepService(tmp_path / "svc.db", workers=1)
@@ -571,3 +679,44 @@ class TestHTTPApi:
         with pytest.raises(ClientError) as info:
             client.healthz()
         assert info.value.status == 0
+
+
+class _FakeClock:
+    """``time.monotonic`` and ``time.sleep`` for ``repro.svc.client``."""
+
+    def __init__(self):
+        self.now = 0.0
+        self.sleeps = []
+
+    def monotonic(self):
+        return self.now
+
+    def sleep(self, seconds):
+        self.sleeps.append(seconds)
+        self.now += seconds
+
+
+class TestClientWait:
+    def _client(self, monkeypatch, states):
+        clock = _FakeClock()
+        monkeypatch.setattr(client_mod, "time", clock)
+        client = ServiceClient("http://127.0.0.1:9")
+        monkeypatch.setattr(
+            client, "job",
+            lambda job_id: {"id": job_id, "state": next(states)})
+        return client, clock
+
+    def test_poll_pause_doubles_from_5ms_to_250ms(self, monkeypatch):
+        states = iter(["queued"] + ["running"] * 8 + ["done"])
+        client, clock = self._client(monkeypatch, states)
+        assert client.wait("j1")["state"] == "done"
+        assert clock.sleeps == pytest.approx(
+            [0.005, 0.01, 0.02, 0.04, 0.08, 0.16, 0.25, 0.25, 0.25])
+
+    def test_deadline_still_raises(self, monkeypatch):
+        client, clock = self._client(monkeypatch, iter(
+            lambda: "running", None))
+        with pytest.raises(ClientError) as info:
+            client.wait("j1", timeout=2.0)
+        assert "still 'running' after 2s" in str(info.value)
+        assert 2.0 <= clock.now < 2.0 + 0.25
