@@ -1,19 +1,17 @@
-"""Command-line interface: ``python -m repro <experiment> [options]``.
+"""Command-line interface: ``python -m repro <command> [options]``.
 
-Regenerates any of the paper's tables/figures from a shell, without writing
-a script::
+Regenerates the paper's tables, figures, ablations and extensions from a
+shell, checking each against the paper's claims, without writing a
+script::
 
-    python -m repro table1
-    python -m repro table2 --scale quick
-    python -m repro fig3
-    python -m repro fig4 --scale quick --workloads Cholesky Mp3d
-    python -m repro table3 --scale quick --jobs 4
-    python -m repro victimization --scale quick
-    python -m repro table4
+    python -m repro paper
+    python -m repro paper --only table1 table4 fig3
+    python -m repro paper --scale full --jobs 0
     python -m repro run BerkeleyDB --threads 16 --units 2 --signature bs \\
         --bits 2048
     python -m repro run SharedCounter --threads 8 --verify
     python -m repro sweep Mp3d --mode sizes --sizes 64 2048 --jobs 4
+    python -m repro sweep Mp3d --mode figure4 --threads 8 --units 2
     python -m repro bench --check
     python -m repro bench --suite fig4_cell --label after-tuning
     python -m repro trace SharedCounter --threads 4 --out counter.trace.json
@@ -22,6 +20,12 @@ a script::
     python -m repro mc --fabric directory --state-cap 5000
     python -m repro mc --fabric snooping --mutate eager-e-grant \\
         --dump counterexample.json
+
+``paper`` prints each experiment's table(s) and then one status line:
+``PASS``, ``FAIL <name>: <claim>`` per broken claim, ``ERROR <name>:
+<Type>: <message>`` when the experiment raised, or ``UNCHECKED`` when its
+shape claims need ``--scale full``. It exits 1 if any experiment failed
+or raised, after running all of them.
 
 The global ``--json`` flag switches every command from rendered tables to
 structured JSON records (``RunResult``/``SweepResult`` serializations or
@@ -41,6 +45,7 @@ import dataclasses
 import json
 import os
 import sys
+import traceback
 from typing import List, Optional
 
 from repro.common.config import SignatureKind, SyncMode, SystemConfig
@@ -48,16 +53,6 @@ from repro.harness import experiments as E
 from repro.harness.runner import run_workload
 from repro.harness.sweep import SweepExecutionError, run_sweep
 from repro.svc.spec import SWEEP_MODES, SpecError, SweepSpec
-
-
-def _scale(name: str) -> E.ExperimentScale:
-    return E.QUICK if name == "quick" else E.FULL
-
-
-def _add_scale(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--scale", choices=["quick", "full"],
-                        default="quick",
-                        help="experiment size (default: quick)")
 
 
 def _nonneg_int(text: str) -> int:
@@ -96,63 +91,42 @@ def _emit_json(payload) -> int:
     return 0
 
 
-def _cmd_table1(args) -> int:
+def _cmd_paper(args) -> int:
+    """Run, print and check the paper's experiments; exit 1 if any failed
+    a claim or raised, after running all of them."""
+    scale = E.QUICK if args.scale == "quick" else E.FULL
+    payload = {}
+    failed = False
+    for name in args.only or list(E.EXPERIMENTS):
+        run, render, check = E.EXPERIMENTS[name]
+        try:
+            rows = run(scale, args.seed, args.jobs)
+            failures = check(rows, scale)
+        except Exception as exc:  # report it; the next experiment still runs
+            traceback.print_exc()
+            error = f"{type(exc).__name__}: {exc}"
+            payload[name] = {"rows": None, "failures": None, "error": error}
+            failed = True
+            if not args.json:
+                print(f"ERROR {name}: {error}\n", flush=True)
+            continue
+        payload[name] = {"rows": rows, "failures": failures}
+        failed = failed or bool(failures)
+        if args.json:
+            continue
+        print(render(rows))
+        if failures is None:
+            print(f"UNCHECKED {name}: shape claims are not checked at "
+                  "quick scale")
+        elif failures:
+            for claim in failures:
+                print(f"FAIL {name}: {claim}")
+        else:
+            print(f"PASS {name}")
+        print(flush=True)
     if args.json:
-        return _emit_json([{"parameter": k, "setting": v}
-                           for k, v in E.table1_rows()])
-    print(E.render_table1())
-    return 0
-
-
-def _cmd_table2(args) -> int:
-    rows = E.table2(_scale(args.scale), seed=args.seed)
-    if args.json:
-        return _emit_json(rows)
-    print(E.render_table2(rows))
-    return 0
-
-
-def _cmd_fig3(args) -> int:
-    points = E.figure3(seed=args.seed)
-    attribution = E.figure3_attribution(seed=args.seed)
-    if args.json:
-        return _emit_json({"points": points, "attribution": attribution})
-    print(E.render_figure3(points))
-    print()
-    print(E.render_figure3_attribution(attribution))
-    return 0
-
-
-def _cmd_fig4(args) -> int:
-    cells = E.figure4(_scale(args.scale), seed=args.seed,
-                      workloads=args.workloads, jobs=args.jobs)
-    if args.json:
-        return _emit_json(cells)
-    print(E.render_figure4(cells))
-    return 0
-
-
-def _cmd_table3(args) -> int:
-    rows = E.table3(_scale(args.scale), seed=args.seed, jobs=args.jobs)
-    if args.json:
-        return _emit_json(rows)
-    print(E.render_table3(rows))
-    return 0
-
-
-def _cmd_victimization(args) -> int:
-    rows = E.victimization(_scale(args.scale), seed=args.seed)
-    if args.json:
-        return _emit_json(rows)
-    print(E.render_victimization(rows))
-    return 0
-
-
-def _cmd_table4(args) -> int:
-    if args.json:
-        return _emit_json(E.TABLE4_MATRIX)
-    print(E.render_table4())
-    return 0
+        _emit_json(payload)
+    return 1 if failed else 0
 
 
 def _cmd_run(args) -> int:
@@ -780,28 +754,19 @@ def build_parser() -> argparse.ArgumentParser:
                              "rendered tables")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    sub.add_parser("table1", help="Table 1: system parameters"
-                   ).set_defaults(fn=_cmd_table1)
-    p = sub.add_parser("table2", help="Table 2: benchmark characteristics")
-    _add_scale(p)
-    p.set_defaults(fn=_cmd_table2)
-    sub.add_parser("fig3", help="Figure 3: signature designs"
-                   ).set_defaults(fn=_cmd_fig3)
-    p = sub.add_parser("fig4", help="Figure 4: speedup vs locks")
-    _add_scale(p)
+    p = sub.add_parser(
+        "paper",
+        help="run, print and check the paper's tables, figures, ablations "
+             "and extensions")
+    p.add_argument("--only", nargs="+", metavar="NAME",
+                   choices=list(E.EXPERIMENTS),
+                   help="experiments to run, in the order given (default: "
+                        "all, in paper order): " + ", ".join(E.EXPERIMENTS))
+    p.add_argument("--scale", choices=["quick", "full"], default="quick",
+                   help="experiment size; shape claims are checked only at "
+                        "full (default: quick)")
     _add_jobs(p)
-    p.add_argument("--workloads", nargs="+", default=None,
-                   choices=sorted(E.WORKLOAD_CLASSES))
-    p.set_defaults(fn=_cmd_fig4)
-    p = sub.add_parser("table3", help="Table 3: signature size impact")
-    _add_scale(p)
-    _add_jobs(p)
-    p.set_defaults(fn=_cmd_table3)
-    p = sub.add_parser("victimization", help="Result 4: victimization")
-    _add_scale(p)
-    p.set_defaults(fn=_cmd_victimization)
-    sub.add_parser("table4", help="Table 4: virtualization comparison"
-                   ).set_defaults(fn=_cmd_table4)
+    p.set_defaults(fn=_cmd_paper)
 
     p = sub.add_parser("run", help="run one workload on the Table 1 CMP")
     p.add_argument("workload", help="workload name (e.g. BerkeleyDB)")

@@ -1,12 +1,13 @@
-"""Plain-text table/series rendering for the experiment harness.
+"""Plain-text table rendering for the experiment harness.
 
-The benchmarks print the same rows the paper reports; this module keeps the
-formatting in one place so benchmark output stays uniform and testable.
+``repro paper`` prints the same rows the paper reports; this module keeps
+the formatting in one place so experiment output stays uniform and
+testable.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Sequence, Union
+from typing import Iterable, List, Sequence, Union
 
 Cell = Union[str, int, float]
 
@@ -38,19 +39,3 @@ def render_table(headers: Sequence[str], rows: Iterable[Sequence[Cell]],
     for row in str_rows:
         lines.append(" | ".join(c.rjust(w) for c, w in zip(row, widths)))
     return "\n".join(lines)
-
-
-def render_series(name: str, points: Dict[str, float],
-                  unit: str = "") -> str:
-    """Render one named series (a figure's data points) as text."""
-    lines = [f"{name}" + (f" [{unit}]" if unit else "")]
-    width = max((len(k) for k in points), default=0)
-    for key, value in points.items():
-        lines.append(f"  {key.ljust(width)} : {value:.3f}")
-    return "\n".join(lines)
-
-
-def render_bar(value: float, scale: float = 1.0, width: int = 40) -> str:
-    """Tiny ASCII bar for speedup charts."""
-    filled = max(0, min(width, int(round(value / scale * width))))
-    return "#" * filled

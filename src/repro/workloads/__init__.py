@@ -13,6 +13,7 @@ from repro.workloads.datastructs import BankTransfer, HashTable, LinkedListSet
 from repro.workloads.cholesky import Cholesky
 from repro.workloads.microbench import (
     BigFootprint,
+    FalseSharing,
     NestedUpdate,
     RepeatStores,
     SharedCounter,
@@ -29,6 +30,7 @@ __all__ = [
     "BerkeleyDB",
     "BigFootprint",
     "Cholesky",
+    "FalseSharing",
     "HashTable",
     "LinkedListSet",
     "Mp3d",

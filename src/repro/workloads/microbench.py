@@ -2,8 +2,9 @@
 
 These are not from the paper's Table 2; they isolate single mechanisms —
 shared-counter contention (atomicity under conflicts), nesting (open and
-closed), large footprints (cache victimization / sticky states), and the
-log filter (redundant-store suppression).
+closed), large footprints (cache victimization / sticky states), the log
+filter (redundant-store suppression), and false sharing (block-granularity
+conflicts between logically disjoint words).
 """
 
 from __future__ import annotations
@@ -143,3 +144,35 @@ class RepeatStores(Workload):
             ops = [Op.store(word, i) for i in range(self.stores_per_burst)]
             yield Section(ops=ops, lock=self.locks[thread_index], unit=True,
                           label=f"burst[{thread_index}.{unit}]")
+
+
+class FalseSharing(Workload):
+    """Each thread transactionally increments its own private word.
+
+    ``packed=True`` lays the words out adjacently (all in one 64-byte
+    block): logically disjoint, physically conflicting. ``packed=False``
+    gives each word its own block.
+    """
+
+    name = "FalseSharing"
+    input_desc = "per-thread counters"
+    unit_name = "1 increment"
+
+    def __init__(self, num_threads: int, units_per_thread: int = 20,
+                 packed: bool = True, seed: int = 0) -> None:
+        super().__init__(num_threads, units_per_thread, seed)
+        alloc = VirtualAllocator()
+        if packed:
+            self.words = alloc.words(num_threads)     # one shared block
+        else:
+            self.words = [alloc.isolated_word()        # one block each
+                          for _ in range(num_threads)]
+        self.locks = [alloc.isolated_word() for _ in range(num_threads)]
+
+    def program(self, thread_index: int,
+                rng: random.Random) -> Iterator[Section]:
+        word = self.words[thread_index]
+        for unit in range(self.units_per_thread):
+            yield Section(ops=[Op.incr(word), Op.compute(30)],
+                          lock=self.locks[thread_index], unit=True,
+                          label=f"fs[{thread_index}.{unit}]")

@@ -6,6 +6,8 @@ import os
 import pytest
 
 from repro.cli import build_parser, main
+from repro.common.errors import SimulationError
+from repro.harness import experiments as E
 from repro.harness.sweep import SweepResult
 from repro.svc.repository import RunRepository
 
@@ -13,12 +15,14 @@ from repro.svc.repository import RunRepository
 class TestParser:
     def test_all_subcommands_exist(self):
         parser = build_parser()
-        for cmd in ("table1", "table2", "fig3", "fig4", "table3",
-                    "victimization", "table4"):
-            args = parser.parse_args([cmd] if cmd in ("table1", "fig3",
-                                                      "table4")
-                                     else [cmd, "--scale", "quick"])
+        for name in ("table1", "table2", "fig3", "fig4", "table3",
+                     "victimization", "table4"):
+            args = parser.parse_args(["paper", "--only", name])
+            assert args.only == [name]
             assert callable(args.fn)
+            # Each artifact is an experiment of `paper`, not a subcommand.
+            with pytest.raises(SystemExit):
+                parser.parse_args([name])
 
     def test_run_arguments(self):
         args = build_parser().parse_args(
@@ -39,8 +43,11 @@ class TestParser:
         assert args.no_cache
 
     def test_jobs_on_grid_commands(self):
-        assert build_parser().parse_args(["table3", "--jobs", "2"]).jobs == 2
-        assert build_parser().parse_args(["fig4", "--jobs", "2"]).jobs == 2
+        assert build_parser().parse_args(["paper", "--jobs", "2"]).jobs == 2
+        assert build_parser().parse_args(
+            ["sweep", "Mp3d", "--jobs", "2"]).jobs == 2
+        args = build_parser().parse_args(["paper"])
+        assert (args.only, args.scale, args.jobs) == (None, "quick", 1)
 
     def test_missing_command_errors(self):
         with pytest.raises(SystemExit):
@@ -49,14 +56,17 @@ class TestParser:
 
 class TestMain:
     def test_table1(self, capsys):
-        assert main(["table1"]) == 0
+        assert main(["paper", "--only", "table1"]) == 0
         out = capsys.readouterr().out
         assert "Table 1" in out
         assert "500-cycle latency" in out
+        assert "PASS table1" in out
 
     def test_table4(self, capsys):
-        assert main(["table4"]) == 0
-        assert "LogTM-SE" in capsys.readouterr().out
+        assert main(["paper", "--only", "table4"]) == 0
+        out = capsys.readouterr().out
+        assert "LogTM-SE" in out
+        assert "PASS table4" in out
 
     def test_run_small(self, capsys):
         assert main(["run", "Mp3d", "--threads", "4", "--units", "1"]) == 0
@@ -74,11 +84,13 @@ class TestMain:
         assert "unknown workload" in capsys.readouterr().err
 
     def test_fig4_single_workload_quick(self, capsys):
-        assert main(["fig4", "--scale", "quick",
-                     "--workloads", "Mp3d"]) == 0
+        assert main(["sweep", "Mp3d", "--mode", "figure4", "--threads", "4",
+                     "--units", "1", "--no-cache"]) == 0
         out = capsys.readouterr().out
-        assert "Figure 4" in out
-        assert "Mp3d" in out
+        assert "Mp3d (figure4)" in out
+        for variant in ("Lock", "Perfect", "BS_2Kb", "CBS_2Kb", "DBS_2Kb",
+                        "BS_64"):
+            assert variant in out
 
     def test_run_json_is_uniform_across_sync_modes(self, capsys):
         base = ["run", "Mp3d", "--threads", "4", "--units", "1"]
@@ -90,6 +102,86 @@ class TestMain:
         assert locks["config_label"] == "locks"
         assert set(tm) == set(locks)  # same record shape in both modes
         assert locks["cycles"] > 0
+
+
+class TestPaperCommand:
+    CHEAP = ["table1", "table4", "fig3", "ablation-log-filter"]
+
+    def test_cheap_experiments_pass(self, capsys):
+        assert main(["paper", "--only"] + self.CHEAP) == 0
+        out = capsys.readouterr().out
+        for title in ("Table 1: System Model Parameters",
+                      "Table 4: HTM Virtualization Techniques",
+                      "LogTM-SE row demonstrated live",
+                      "Figure 3: signature designs",
+                      "Figure 3 companion: abort attribution",
+                      "Ablation: log filter"):
+            assert title in out
+        assert "500-cycle latency" in out
+        for name in self.CHEAP:
+            assert f"PASS {name}" in out
+        assert "FAIL" not in out and "ERROR" not in out
+
+    def _replace_run(self, monkeypatch, name, run):
+        _, render, check = E.EXPERIMENTS[name]
+        monkeypatch.setitem(E.EXPERIMENTS, name, (run, render, check))
+
+    def test_failed_claim_does_not_stop_the_next(self, monkeypatch, capsys):
+        rows = E.table1_rows()
+        rows[3] = E.Table1Row("Memory", "2 GB, 500-cycle latency")
+        self._replace_run(monkeypatch, "table1",
+                          lambda scale, seed, jobs: rows)
+        assert main(["paper", "--only", "table1", "table4"]) == 1
+        out = capsys.readouterr().out
+        assert "FAIL table1: Memory setting contains '4 GB'" in out
+        assert "PASS table1" not in out
+        assert "PASS table4" in out
+
+    def test_error_does_not_stop_the_next(self, monkeypatch, capsys):
+        def livelock(scale, seed, jobs):
+            raise SimulationError("thread 5 livelocked on 0x100064c0")
+        self._replace_run(monkeypatch, "table1", livelock)
+        assert main(["paper", "--only", "table1", "table4"]) == 1
+        captured = capsys.readouterr()
+        assert ("ERROR table1: SimulationError: thread 5 livelocked on "
+                "0x100064c0") in captured.out
+        assert "PASS table4" in captured.out
+        assert "Traceback" in captured.err
+        assert main(["--json", "paper", "--only", "table1"]) == 1
+        assert json.loads(capsys.readouterr().out)["table1"] == {
+            "rows": None, "failures": None,
+            "error": "SimulationError: thread 5 livelocked on 0x100064c0"}
+
+    def test_unchecked_shapes_never_pass(self, monkeypatch, capsys):
+        run, render, _ = E.EXPERIMENTS["table1"]
+        monkeypatch.setitem(E.EXPERIMENTS, "table1",
+                            (run, render, lambda rows, scale: None))
+        assert main(["paper", "--only", "table1"]) == 0
+        out = capsys.readouterr().out
+        assert "UNCHECKED table1: shape claims are not checked" in out
+        assert "PASS" not in out
+
+    def test_unknown_name_exits_two(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["paper", "--only", "nosuch"])
+        assert exc.value.code == 2
+        assert "nosuch" in capsys.readouterr().err
+
+    def test_json_carries_rows_and_failures(self, capsys):
+        assert main(["--json", "paper", "--only", "table1", "table4"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert list(payload) == ["table1", "table4"]
+        assert payload["table1"] == {
+            "rows": [{"parameter": p.parameter, "setting": p.setting}
+                     for p in E.table1_rows()],
+            "failures": []}
+        assert payload["table1"]["rows"][0] == {
+            "parameter": "Processor Cores",
+            "setting": "16 cores, 2-way SMT (32 thread contexts)"}
+        table4 = payload["table4"]
+        assert table4["failures"] == []
+        assert table4["rows"]["matrix"] == E.TABLE4_MATRIX
+        assert table4["rows"]["evidence"]["value_restored"] == 7
 
 
 class TestSweepCommand:

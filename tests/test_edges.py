@@ -111,10 +111,16 @@ class TestNetworkAccountingMultichip:
 class TestCliExtra:
     def test_victimization_quick(self, capsys):
         from repro.cli import main
-        assert main(["victimization", "--scale", "quick"]) == 0
-        assert "Result 4" in capsys.readouterr().out
+        assert main(["paper", "--only", "victimization"]) == 0
+        out = capsys.readouterr().out
+        assert "Result 4" in out
+        assert "UNCHECKED victimization" in out
 
     def test_fig3(self, capsys):
+        import json
         from repro.cli import main
-        assert main(["fig3"]) == 0
-        assert "Figure 3" in capsys.readouterr().out
+        assert main(["--json", "paper", "--only", "fig3"]) == 0
+        fig3 = json.loads(capsys.readouterr().out)["fig3"]
+        assert fig3["failures"] == []
+        assert set(fig3["rows"]) == {"points", "attribution"}
+        assert fig3["rows"]["points"][0]["kind"] == "BS"

@@ -23,13 +23,13 @@ class TestScales:
 
 class TestTable1:
     def test_rows_cover_table(self):
-        rows = dict(E.table1_rows())
+        rows = {r.parameter: r.setting for r in E.table1_rows()}
         assert set(rows) == {"Processor Cores", "L1 Cache", "L2 Cache",
                              "Memory", "L2-Directory",
                              "Interconnection Network"}
 
     def test_render(self):
-        out = E.render_table1()
+        out = E.render_table1(E.table1_rows())
         assert "Table 1" in out
         assert "500-cycle latency" in out
 
@@ -130,4 +130,49 @@ class TestTable4:
         assert m["UnrestrictedTM"]["eviction"] == "A"
         assert m["VTM"]["switch"] == "SWV"
         assert m["UTM"]["abort"] == "HC"
-        assert "Table 4" in E.render_table4()
+        assert "Table 4" in E.render_table4({"matrix": m, "evidence": {}})
+
+
+class TestRegistry:
+    def test_paper_order(self):
+        assert list(E.EXPERIMENTS) == [
+            "table1", "table2", "fig3", "fig4", "table3", "victimization",
+            "table4", "snooping", "ablation-log-filter", "ablation-sticky",
+            "ablation-sigsize", "ablation-locks", "scaling-threads",
+            "false-sharing", "ext-contention", "ext-classic",
+            "ext-multichip", "ext-hashed", "ext-lazy"]
+
+    @pytest.mark.parametrize("name", ["table2", "fig4", "table3",
+                                      "victimization", "snooping",
+                                      "scaling-threads"])
+    def test_shape_claims_are_gated_on_scale(self, name):
+        # Gated before any row is read, so empty rows suffice.
+        _, _, check = E.EXPERIMENTS[name]
+        assert check([], E.QUICK) is None
+
+
+class TestClaims:
+    """Checks report every broken claim, on rows built to break them."""
+
+    def test_contention_aggressive_must_stall_less_than_polite(self):
+        rows = [("timestamp", 900, 3, 40, 0), ("polite", 1000, 5, 49, 0),
+                ("aggressive", 800, 9, 49, 0)]
+        assert E.check_policies(rows, E.QUICK) == [
+            "aggressive stalls < polite stalls"]
+        rows[2] = ("aggressive", 800, 9, 48, 0)
+        assert E.check_policies(rows, E.QUICK) == []
+
+    def test_lazy_squashes_only_in_lazy_mode(self):
+        good = [("eager", 900, 96, 4, 0, 200), ("lazy", 950, 96, 6, 55, 0)]
+        assert E.check_lazy(good, E.QUICK) == []
+        bad = [("eager", 900, 96, 4, 1, 200), ("lazy", 950, 96, 6, 0, 0)]
+        assert E.check_lazy(bad, E.QUICK) == [
+            "lazy mode squashes conflicting readers",
+            "eager mode never squashes"]
+
+    def test_lazy_oracle_violation_raises(self, monkeypatch):
+        from repro.common.errors import VerificationError
+        from repro.workloads import HashTable
+        monkeypatch.setattr(HashTable, "expected_counts", lambda self: {})
+        with pytest.raises(VerificationError, match="eager: oracle"):
+            E.eager_vs_lazy()

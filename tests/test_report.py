@@ -2,8 +2,7 @@
 
 import pytest
 
-from repro.harness.report import (format_cell, render_bar, render_series,
-                                  render_table)
+from repro.harness.report import format_cell, render_table
 
 
 class TestRenderTable:
@@ -31,27 +30,6 @@ class TestRenderTable:
     def test_empty_rows(self):
         out = render_table(["a"], [])
         assert "a" in out
-
-
-class TestRenderSeries:
-    def test_points_and_unit(self):
-        out = render_series("speedup", {"Lock": 1.0, "Perfect": 1.4},
-                            unit="x")
-        assert "speedup [x]" in out
-        assert "Lock" in out and "1.400" in out
-
-    def test_empty(self):
-        assert render_series("empty", {}) == "empty"
-
-
-class TestRenderBar:
-    def test_proportional(self):
-        assert len(render_bar(1.0, scale=2.0, width=40)) == 20
-        assert len(render_bar(2.0, scale=2.0, width=40)) == 40
-
-    def test_clamped(self):
-        assert len(render_bar(10.0, scale=1.0, width=10)) == 10
-        assert render_bar(-1.0, scale=1.0) == ""
 
 
 class TestFormatCell:
