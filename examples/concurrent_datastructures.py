@@ -23,7 +23,9 @@ from dataclasses import replace
 from repro import SignatureKind, SystemConfig
 from repro.common.rng import make_rng
 from repro.cpu.executor import ThreadExecutor
+from repro.harness.report import render_table
 from repro.harness.system import System
+from repro.obs.analysis import reconstruct
 from repro.workloads import BankTransfer, LinkedListSet
 
 THREADS = 8
@@ -42,6 +44,23 @@ def run_traced(cfg, workload, seed=21):
         procs.append(system.sim.spawn(executor.run(), name=f"t{i}"))
     system.sim.run_until_done(procs, limit=500_000_000)
     return system, log
+
+
+def summary_table(events, threads):
+    """Per-thread attempts, outcomes, stalls and mean attempt length."""
+    rows = []
+    for tid in threads:
+        attempts = reconstruct(events, thread=tid)
+        durations = [a.duration for a in attempts if a.duration is not None]
+        rows.append((tid, len(attempts),
+                     sum(a.outcome == "commit" for a in attempts),
+                     sum(a.outcome == "abort" for a in attempts),
+                     sum(a.stalls for a in attempts),
+                     sum(durations) / len(durations) if durations else 0.0))
+    return render_table(
+        ["Thread", "Attempts", "Commits", "Aborts", "Stalls",
+         "Mean cycles"],
+        rows, title="Per-thread transaction summary")
 
 
 def main() -> None:
@@ -65,7 +84,7 @@ def main() -> None:
     if total != 0:
         raise SystemExit(1)
     print()
-    print(log.summary_table(range(THREADS)))
+    print(summary_table(log.events(), range(THREADS)))
 
     print()
     print("=== sorted linked-list set: inserts + deletes, "

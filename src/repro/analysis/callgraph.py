@@ -212,7 +212,7 @@ class Project:
             return None
         if attr in cls.methods:
             return cls.methods[attr]
-        # ``self.bus.subscribe(self.metrics)``: the registered object is
+        # ``self.bus.subscribe(self.log)``: the registered object is
         # invoked through ``__call__``.
         type_name = cls.attr_types.get(attr)
         if type_name is not None:

@@ -129,10 +129,22 @@ def _cmd_paper(args) -> int:
     return 1 if failed else 0
 
 
+def _workloads():
+    """Workloads ``run`` and ``trace`` accept: the Table 2 benchmarks plus
+    the microbenchmarks (small enough to make readable traces)."""
+    from repro.workloads import (BigFootprint, NestedUpdate, RepeatStores,
+                                 SharedCounter)
+    catalog = dict(E.WORKLOAD_CLASSES)
+    for cls in (SharedCounter, NestedUpdate, BigFootprint, RepeatStores):
+        catalog[cls.name] = cls
+    return catalog
+
+
 def _cmd_run(args) -> int:
-    if args.workload not in E.WORKLOAD_CLASSES:
+    catalog = _workloads()
+    if args.workload not in catalog:
         print(f"unknown workload {args.workload!r}; choose from "
-              f"{sorted(E.WORKLOAD_CLASSES)}", file=sys.stderr)
+              f"{sorted(catalog)}", file=sys.stderr)
         return 2
     cfg = SystemConfig.default()
     if args.locks:
@@ -140,7 +152,7 @@ def _cmd_run(args) -> int:
     else:
         cfg = cfg.with_signature(SignatureKind(args.signature),
                                  bits=args.bits)
-    workload = E.WORKLOAD_CLASSES[args.workload](
+    workload = catalog[args.workload](
         num_threads=args.threads, units_per_thread=args.units,
         seed=args.seed)
     # run_workload labels the run itself ("locks" for the lock baseline,
@@ -685,22 +697,11 @@ def _cmd_cache(args) -> int:
         store.close()
 
 
-#: Workloads runnable by ``repro trace``: the Table 2 benchmarks plus the
-#: microbenchmarks (small enough to make readable traces).
-def _trace_workloads():
-    from repro.workloads import (BigFootprint, NestedUpdate, RepeatStores,
-                                 SharedCounter)
-    catalog = dict(E.WORKLOAD_CLASSES)
-    for cls in (SharedCounter, NestedUpdate, BigFootprint, RepeatStores):
-        catalog[cls.name] = cls
-    return catalog
-
-
 def _cmd_trace(args) -> int:
     from repro.obs.analysis import attribute_aborts, render_attribution
     from repro.obs.export import export_chrome_trace, export_jsonl
 
-    catalog = _trace_workloads()
+    catalog = _workloads()
     if args.workload not in catalog:
         print(f"unknown workload {args.workload!r}; choose from "
               f"{sorted(catalog)}", file=sys.stderr)
@@ -769,7 +770,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_paper)
 
     p = sub.add_parser("run", help="run one workload on the Table 1 CMP")
-    p.add_argument("workload", help="workload name (e.g. BerkeleyDB)")
+    p.add_argument("workload",
+                   help="workload name (benchmark or microbench, e.g. "
+                        "BerkeleyDB or SharedCounter)")
     p.add_argument("--threads", type=int, default=32)
     p.add_argument("--units", type=int, default=2)
     p.add_argument("--signature", default="perfect",

@@ -93,10 +93,6 @@ class SignatureConfig:
     kind: SignatureKind = SignatureKind.PERFECT
     bits: int = 2048           # total filter bits (ignored for PERFECT)
     granularity: int = 64      # bytes summarized per inserted address
-    # DBS: how the bits are split between the two decoded fields. The paper's
-    # DBS decodes two equal fields (10+10 bits for a 2Kb signature => two
-    # 1024-bit halves).
-    dbs_fields: int = 2
     # HASHED: number of independent H3 hash functions.
     hashes: int = 4
 
@@ -109,11 +105,8 @@ class SignatureConfig:
         if self.granularity <= 0 or self.granularity & (self.granularity - 1):
             raise ConfigError(
                 f"granularity must be a power of two, got {self.granularity}")
-        if self.kind is SignatureKind.DOUBLE_BIT_SELECT:
-            if self.dbs_fields != 2:
-                raise ConfigError("DBS uses exactly two decoded fields")
-            if self.bits < 4:
-                raise ConfigError("DBS needs at least 4 bits (two 2-bit halves)")
+        if self.kind is SignatureKind.DOUBLE_BIT_SELECT and self.bits < 4:
+            raise ConfigError("DBS needs at least 4 bits (two 2-bit halves)")
         if self.kind is SignatureKind.HASHED and self.hashes < 1:
             raise ConfigError("hashed signatures need at least one hash")
 
@@ -158,7 +151,6 @@ class TMConfig:
     # Lazy-mode costs.
     commit_token_broadcast_cycles: int = 30  # write-signature broadcast
     writeback_cycles_per_block: int = 4      # applying one buffered block
-    use_summary_signature: bool = True
     use_sticky_states: bool = True
     #: Section 2's address-space-identifier filter on coherence requests:
     #: signatures never NACK another process. Disabling it (ablation)

@@ -1,6 +1,6 @@
 """LogTM-SE core: transaction contexts, undo log, conflicts, TM manager."""
 
-from repro.core.conflict import BackoffPolicy, Resolution, resolve_nack
+from repro.core.conflict import BackoffPolicy
 from repro.core.logfilter import LogFilter
 from repro.core.policies import (AggressivePolicy, ContentionPolicy,
                                  Decision, PolitePolicy, TimestampPolicy,
@@ -11,5 +11,5 @@ from repro.core.undolog import LogFrame, UndoLog, UndoRecord
 
 __all__ = ["AggressivePolicy", "BackoffPolicy", "ContentionPolicy",
            "Decision", "LogFilter", "LogFrame", "PolitePolicy",
-           "Resolution", "TMManager", "TimestampPolicy", "TxContext",
-           "UndoLog", "UndoRecord", "make_policy", "resolve_nack"]
+           "TMManager", "TimestampPolicy", "TxContext", "UndoLog",
+           "UndoRecord", "make_policy"]

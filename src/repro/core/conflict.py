@@ -1,43 +1,17 @@
-"""Conflict resolution (LogTM's stall/abort policy, adopted by LogTM-SE).
+"""Stall and restart backoff for LogTM's conflict resolution.
 
 A requester whose coherence request is NACKed *stalls* and retries; it
-aborts only when a possible deadlock cycle exists. LogTM detects possible
-cycles with transaction timestamps: a transaction sets ``possible_cycle``
-when it NACKs an *older* requester, and a requester aborts when it receives
-a NACK from an *older* transaction while its own ``possible_cycle`` flag is
-set. (More sophisticated versions could trap to a contention manager —
-Section 2; this module is the single place such a manager would plug in.)
+aborts only when a possible deadlock cycle exists (LogTM's timestamp
+rule). That stall-or-abort decision belongs to the contention managers
+in :mod:`repro.core.policies`, which ``Core._resolve_or_stall``
+consults; this module spaces the retries and restarts that follow.
 """
 
 from __future__ import annotations
 
-import enum
 import random
-from typing import List
 
 from repro.common.config import TMConfig
-from repro.coherence.msgs import Blocker
-from repro.core.txcontext import TxContext
-
-
-class Resolution(enum.Enum):
-    STALL = "stall"    # back off and retry the request
-    ABORT = "abort"    # unroll the log, release isolation, restart
-
-
-def resolve_nack(ctx: TxContext, blockers: List[Blocker]) -> Resolution:
-    """Decide what a NACKed requester does.
-
-    Non-transactional requesters always stall: they hold no isolation, so
-    they cannot be part of a deadlock cycle and the blocking transaction
-    will eventually commit or abort.
-    """
-    if not ctx.transactional or ctx.timestamp is None:
-        return Resolution.STALL
-    nacked_by_older = any(b.older_than(ctx.timestamp) for b in blockers)
-    if nacked_by_older and ctx.possible_cycle:
-        return Resolution.ABORT
-    return Resolution.STALL
 
 
 class BackoffPolicy:

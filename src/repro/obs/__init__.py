@@ -1,11 +1,11 @@
-"""Cross-layer observability: events, bus, metrics, analyzers, exporters.
+"""Cross-layer observability: events, bus, analyzers, exporters.
 
 The subsystem in one paragraph: model components emit typed, namespaced
 :class:`Event` records through the :class:`EventBus` (attached via
 ``System.attach_bus()``; emission is one attribute check when nothing is
 attached). Sinks subscribe to the bus — a :class:`RingBufferLog` buffers
-them, a :class:`MetricsRegistry` counts them, a
-:class:`~repro.obs.export.JsonlWriter` streams them to disk. After a run,
+and counts them, a :class:`~repro.obs.export.JsonlWriter` streams them
+to disk; any callable taking an :class:`Event` is a sink. After a run,
 the analyzers in :mod:`repro.obs.analysis` reconstruct transaction
 lifecycles, build conflict graphs, and attribute aborts to their mechanism
 (true conflict / signature false positive / sticky / capacity / summary),
@@ -24,19 +24,15 @@ from repro.obs.events import (NAMESPACES, TAXONOMY, Event, event_from_dict,
 from repro.obs.export import (JsonlWriter, chrome_trace, export_chrome_trace,
                               export_jsonl, load_jsonl,
                               validate_chrome_trace)
-from repro.obs.metrics import CycleTimer, Gauge, MetricsRegistry
 
 __all__ = [
     "AbortAttribution",
     "CATEGORIES",
     "ConflictEdge",
     "ConflictGraph",
-    "CycleTimer",
     "Event",
     "EventBus",
-    "Gauge",
     "JsonlWriter",
-    "MetricsRegistry",
     "NAMESPACES",
     "RingBufferLog",
     "TAXONOMY",

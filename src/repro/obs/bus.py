@@ -2,21 +2,21 @@
 
 :class:`EventBus` is the fan-out point between emitters (every model
 component that calls ``stats.emit(...)``) and consumers (ring-buffer logs,
-metrics, streaming exporters). It is attached to a system through
-:meth:`repro.harness.system.System.attach_bus`; the registry's ``emit`` is
-one attribute check when nothing is attached, so instrumentation is
-zero-cost in ordinary (untraced) runs.
+the sweep service's event counts, streaming exporters). It is attached to
+a system through :meth:`repro.harness.system.System.attach_bus`; the
+registry's ``emit`` is one attribute check when nothing is attached, so
+instrumentation is zero-cost in ordinary (untraced) runs.
 
 :class:`RingBufferLog` is the standard sink: a bounded deque of events with
-query helpers.
+query helpers. Transaction lifecycles are rebuilt from its events by
+:func:`repro.obs.analysis.reconstruct`.
 """
 
 from __future__ import annotations
 
 from collections import Counter as _Counter
 from collections import deque
-from typing import (Any, Callable, Deque, Dict, Iterable, List, Optional,
-                    Set)
+from typing import Any, Callable, Deque, Dict, Iterable, List, Optional, Set
 
 from repro.obs.events import Event, namespace_of, validate_kind
 
@@ -120,9 +120,9 @@ class RingBufferLog:
         if not self._wanted(event.kind):
             return
         if len(self._events) == self._events.maxlen:
-            # Advisory counter, baselined in ANALYSIS_BASELINE.json: the
-            # deque append itself is GIL-atomic; an under-count of drops
-            # under concurrent appends is acceptable for a debug stat.
+            # Advisory counter: the deque append itself is GIL-atomic; an
+            # under-count of drops under concurrent appends is acceptable
+            # for a debug stat.
             self.dropped += 1
         self._events.append(event)
 
@@ -145,58 +145,7 @@ class RingBufferLog:
     def counts(self) -> Dict[str, int]:
         return dict(_Counter(e.kind for e in self._events))
 
-    def transactions(self, thread: int) -> List[Dict[str, Any]]:
-        """Reconstruct one thread's outer transaction attempts.
-
-        Returns one record per outer begin: start/end time and outcome
-        ("commit" / "abort" / "open" if the trace ends mid-transaction).
-        Only an *outer* abort closes the attempt: a partial (inner) abort
-        carries ``outer=False`` and leaves the attempt open, exactly like
-        an inner commit does. Events without an ``outer`` field (legacy
-        recordings) are treated as outer aborts.
-        """
-        records: List[Dict[str, Any]] = []
-        current: Optional[Dict[str, Any]] = None
-        for event in self._events:
-            if event.fields.get("thread") != thread:
-                continue
-            if event.kind == "tm.begin" and event.fields.get("depth") == 1:
-                current = {"start": event.time, "end": None,
-                           "outcome": "open", "stalls": 0}
-                records.append(current)
-            elif current is not None:
-                if event.kind == "tm.stall":
-                    current["stalls"] += 1
-                elif event.kind == "tm.commit" and \
-                        event.fields.get("outer"):
-                    current.update(end=event.time, outcome="commit")
-                    current = None
-                elif event.kind == "tm.abort" and \
-                        event.fields.get("outer", True):
-                    current.update(end=event.time, outcome="abort")
-                    current = None
-        return records
-
     def render(self, limit: int = 50) -> str:
         """Human-readable tail of the log."""
         tail = list(self._events)[-limit:]
         return "\n".join(str(e) for e in tail)
-
-    def summary_table(self, threads: Iterable[int]) -> str:
-        from repro.harness.report import render_table
-        rows = []
-        for tid in threads:
-            attempts = self.transactions(tid)
-            commits = sum(1 for a in attempts if a["outcome"] == "commit")
-            aborts = sum(1 for a in attempts if a["outcome"] == "abort")
-            stalls = sum(a["stalls"] for a in attempts)
-            durations = [a["end"] - a["start"] for a in attempts
-                         if a["end"] is not None]
-            mean_dur = sum(durations) / len(durations) if durations else 0.0
-            rows.append((tid, len(attempts), commits, aborts, stalls,
-                         mean_dur))
-        return render_table(
-            ["Thread", "Attempts", "Commits", "Aborts", "Stalls",
-             "Mean cycles"],
-            rows, title="Per-thread transaction summary")
-

@@ -6,15 +6,16 @@ This package turns the one-shot sweep harness
 * :mod:`repro.svc.spec` — :class:`SweepSpec`, the JSON-serializable
   description of a variant grid, and :class:`CellTask`, one executable
   (spec, label) cell;
-* :mod:`repro.svc.scheduler` — the durable priority+FIFO
-  :class:`JobQueue` and the job state machine;
 * :mod:`repro.svc.repository` — :class:`RunRepository`, the SQLite run
   store keyed by :func:`~repro.harness.sweep.cell_key` (shared with
   ``repro sweep``), so identical cells dedupe to one execution across
-  submissions;
+  submissions; its ``jobs`` table is the durable priority+FIFO queue,
+  and its ``transition`` is the job state machine (:data:`TRANSITIONS`,
+  :class:`StateError`);
 * :mod:`repro.svc.service` — :class:`SweepService`, the orchestrator
   tying the above to the :class:`~repro.harness.fleet.WorkerFleet` and
-  publishing ``svc.*`` events/metrics through :mod:`repro.obs`;
+  publishing ``svc.*`` events through :mod:`repro.obs`, whose counts
+  are its ``/metrics``;
 * :mod:`repro.svc.api` — the stdlib HTTP layer (``repro serve``);
 * :mod:`repro.svc.client` — :class:`ServiceClient` for ``repro
   submit`` / ``repro jobs`` and tests.
@@ -24,20 +25,19 @@ processes are created until :meth:`SweepService.start` /
 :func:`repro.svc.api.serve` are called explicitly.
 """
 
-from repro.svc.repository import RunRepository, result_digest
-from repro.svc.scheduler import JobQueue, StateError, check_transition
+from repro.svc.repository import (TRANSITIONS, RunRepository, StateError,
+                                  result_digest)
 from repro.svc.service import ServiceError, SweepService
 from repro.svc.spec import CellTask, SpecError, SweepSpec
 
 __all__ = [
     "CellTask",
-    "JobQueue",
     "RunRepository",
     "ServiceError",
     "SpecError",
     "StateError",
     "SweepService",
     "SweepSpec",
-    "check_transition",
+    "TRANSITIONS",
     "result_digest",
 ]

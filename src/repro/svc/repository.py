@@ -17,9 +17,12 @@ Two responsibilities, one database file:
 
 * **Job store** — every submitted job (spec, priority, state-machine
   timestamps) and its per-cell execution ledger (state, source,
-  attempts/retries/timeouts, wall time). Jobs survive a service
-  restart: :meth:`RunRepository.recover` re-queues anything left
-  ``queued`` or ``running`` by a previous process.
+  attempts/retries/timeouts, wall time). The ``jobs`` table is the
+  service's queue: :meth:`RunRepository.claim_next_job` takes the next
+  ``queued`` job, and every other state change is a compare-and-set
+  (:meth:`RunRepository.transition`) against :data:`TRANSITIONS`. Jobs
+  survive a service restart: :meth:`RunRepository.recover` re-queues
+  anything left ``running`` by a previous process.
 
 A repository keeps one SQLite connection, opened when it is built and
 shared by every thread under a lock: API handler threads and the
@@ -45,14 +48,29 @@ import time
 from contextlib import contextmanager
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple
 
+from repro.common.errors import ReproError
 from repro.harness.runner import RunResult
 from repro.svc.spec import SweepSpec
 
 #: Environment variable naming the directory of the default store.
 CACHE_DIR_ENV = "REPRO_CACHE_DIR"
 
-#: Job lifecycle states (the scheduler enforces the transitions).
-JOB_STATES = ("queued", "running", "done", "failed", "cancelled")
+#: The job state machine: state -> states it may move to::
+#:
+#:     queued ──> running ──> done
+#:        │         │ │ └───> failed
+#:        │         │ └─────> cancelled     (DELETE mid-run)
+#:        │         └───────> queued        (restart recovery)
+#:        └─────────────────> cancelled     (DELETE while queued)
+#:
+#: Terminal states (``done`` / ``failed`` / ``cancelled``) admit none.
+TRANSITIONS: Dict[str, Tuple[str, ...]] = {
+    "queued": ("running", "cancelled"),
+    "running": ("done", "failed", "cancelled", "queued"),
+    "done": (),
+    "failed": (),
+    "cancelled": (),
+}
 #: Cell lifecycle states.
 CELL_STATES = ("pending", "running", "done", "failed", "cancelled")
 
@@ -109,6 +127,10 @@ def result_digest(record: Dict[str, Any]) -> str:
     """
     blob = json.dumps(record, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
+
+
+class StateError(ReproError):
+    """An illegal job state transition was attempted."""
 
 
 class RunRepository:
@@ -262,31 +284,68 @@ class RunRepository:
                 [(job_id, label, key) for label, key in keys.items()])
         return self.get_job(job_id)
 
-    def set_job_state(self, job_id: str, state: str,
-                      error: Optional[str] = None) -> None:
-        assert state in JOB_STATES, state
-        stamp = ("started_at" if state == "running" else
-                 "finished_at" if state in ("done", "failed", "cancelled")
-                 else None)
+    def transition(self, job_id: str, old: str, new: str,
+                   error: Optional[str] = None) -> bool:
+        """Move a job from ``old`` to ``new``; False if it was not in ``old``.
+
+        One compare-and-set ``UPDATE``, so of two threads moving the same
+        job (the scheduler claiming it, an API thread cancelling it) only
+        one wins. An edge missing from :data:`TRANSITIONS` raises
+        :class:`StateError` and changes nothing.
+        """
+        if new not in TRANSITIONS.get(old, ()):
+            raise StateError(f"illegal transition {old!r} -> {new!r}")
         with self._connect() as conn:
-            if stamp:
-                conn.execute(
-                    f"UPDATE jobs SET state = ?, error = ?, {stamp} = ? "
-                    "WHERE id = ?", (state, error, time.time(), job_id))
-            else:
-                conn.execute(
-                    "UPDATE jobs SET state = ?, error = ? WHERE id = ?",
-                    (state, error, job_id))
+            return self._transition(conn, job_id, old, new, error)
+
+    @staticmethod
+    def _transition(conn: sqlite3.Connection, job_id: str, old: str,
+                    new: str, error: Optional[str] = None) -> bool:
+        if new == "running":
+            stamp, when = "started_at", time.time()
+        elif new == "queued":
+            stamp, when = "started_at", None  # as recover() leaves it
+        else:
+            stamp, when = "finished_at", time.time()
+        cur = conn.execute(
+            f"UPDATE jobs SET state = ?, error = ?, {stamp} = ? "
+            "WHERE id = ? AND state = ?", (new, error, when, job_id, old))
+        return cur.rowcount > 0
+
+    def claim_next_job(self) -> Optional[Dict[str, Any]]:
+        """Move the next queued job to ``running``; return it, or None.
+
+        Highest priority first, then submission order. The move is a
+        compare-and-set made under the same lock as the pick, so a job
+        cancelled while queued is never claimed.
+        """
+        with self._connect() as conn:
+            row = conn.execute(
+                "SELECT id FROM jobs WHERE state = 'queued' "
+                "ORDER BY priority DESC, seq LIMIT 1").fetchone()
+            if row is None or not self._transition(conn, row["id"],
+                                                   "queued", "running"):
+                return None
+            return self._load_job(conn, row["id"])
+
+    def queued_count(self) -> int:
+        with self._connect() as conn:
+            return conn.execute("SELECT COUNT(*) FROM jobs "
+                                "WHERE state = 'queued'").fetchone()[0]
 
     def get_job(self, job_id: str) -> Optional[Dict[str, Any]]:
         with self._connect() as conn:
-            row = conn.execute("SELECT * FROM jobs WHERE id = ?",
-                               (job_id,)).fetchone()
-            if row is None:
-                return None
-            cells = conn.execute(
-                "SELECT * FROM cells WHERE job_id = ? ORDER BY rowid",
-                (job_id,)).fetchall()
+            return self._load_job(conn, job_id)
+
+    def _load_job(self, conn: sqlite3.Connection,
+                  job_id: str) -> Optional[Dict[str, Any]]:
+        row = conn.execute("SELECT * FROM jobs WHERE id = ?",
+                           (job_id,)).fetchone()
+        if row is None:
+            return None
+        cells = conn.execute(
+            "SELECT * FROM cells WHERE job_id = ? ORDER BY rowid",
+            (job_id,)).fetchall()
         return self._job_dict(row, cells)
 
     def list_jobs(self, state: Optional[str] = None,
@@ -345,7 +404,8 @@ class RunRepository:
         allowed = {"state", "source", "attempts", "retries", "timeouts",
                    "wall_time", "error"}
         unknown = set(fields) - allowed
-        assert not unknown, unknown
+        if unknown:
+            raise ValueError(f"unknown cell fields: {sorted(unknown)}")
         sets = ", ".join(f"{name} = ?" for name in fields)
         with self._connect() as conn:
             conn.execute(
@@ -396,13 +456,13 @@ class RunRepository:
 
     # -- restart recovery --------------------------------------------------
 
-    def recover(self) -> List[Dict[str, Any]]:
+    def recover(self) -> None:
         """Re-queue jobs a previous process left unfinished.
 
         ``running`` jobs go back to ``queued`` and their ``running``
         cells back to ``pending`` (results already persisted keep their
         cells ``done``, so recovered jobs only re-run what was actually
-        in flight). Returns the jobs now queued, oldest first.
+        in flight).
         """
         with self._connect() as conn:
             conn.execute(
@@ -412,7 +472,3 @@ class RunRepository:
             conn.execute(
                 "UPDATE jobs SET state = 'queued', started_at = NULL "
                 "WHERE state = 'running'")
-            rows = conn.execute(
-                "SELECT * FROM jobs WHERE state = 'queued' "
-                "ORDER BY seq").fetchall()
-        return [self._job_dict(row, None) for row in rows]

@@ -1,23 +1,31 @@
-"""The sweep service: queue + fleet + repository, orchestrated.
+"""The sweep service: job table + fleet + repository, orchestrated.
 
 :class:`SweepService` is the hub every other ``repro.svc`` module plugs
 into. A submission flows through it as::
 
     POST /sweeps ──> SweepSpec ──> RunRepository.create_job (queued)
                                         │
-                 JobQueue (priority+FIFO, durable via the repository)
+                 jobs table (the queue: priority, then FIFO)
                                         │
-                scheduler thread: for each cell of the job
+                scheduler thread: claim_next_job (queued ──> running)
+                    for each cell of the job
                     repository hit? ──────────────> cell done (repo)
                     else ─> WorkerFleet.dispatch ─> run ─> store+done
                                         │
                     crash/timeout ─> re-queue (retry budget) or failed
 
+The repository's ``jobs`` table is the only queue and the only place a
+job's state changes: the scheduler claims the next job in one
+compare-and-set, and cancellation, completion and failure are
+:meth:`~repro.svc.repository.RunRepository.transition` calls, so an API
+thread and the scheduler never both move one job.
+
 Progress is published on a :class:`repro.obs.bus.EventBus` (``svc.*``
-events, wall-clock milliseconds since service start) feeding a global
-ring buffer, per-job event logs (the ``/events`` NDJSON endpoint), and
-a :class:`repro.obs.metrics.MetricsRegistry` (queue depth, cells/sec,
-repository hit rate, worker restarts — the ``/metrics`` endpoint).
+events, wall-clock milliseconds since service start) with one
+subscriber: it keeps each job's events (the ``/events`` NDJSON
+endpoint) and counts every event by kind. ``/metrics`` is computed from
+those counts (:data:`EVENT_COUNTERS`), the job table (queue depth) and
+the fleet (workers alive, restarts).
 
 The :class:`~repro.harness.fleet.WorkerFleet` only runs cells and
 reports crashes and timeouts; the policy is decided here, with the
@@ -34,19 +42,32 @@ from __future__ import annotations
 
 import threading
 import time
-from typing import Any, Dict, Iterable, List, Optional
+from collections import Counter
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.common.errors import ReproError
 from repro.harness.fleet import WorkerFleet
-from repro.obs.bus import EventBus, RingBufferLog
+from repro.obs.bus import EventBus
 from repro.obs.events import Event
-from repro.obs.metrics import MetricsRegistry
 from repro.svc.repository import RunRepository
-from repro.svc.scheduler import JobQueue, check_transition
 from repro.svc.spec import CellTask, SweepSpec
 
 #: Events kept per job for the ``/events`` endpoint.
 MAX_JOB_EVENTS = 10_000
+
+#: ``/metrics`` counter -> the event kind it counts, and the ``source``
+#: field the event must carry (None: any).
+EVENT_COUNTERS: Dict[str, Tuple[str, Optional[str]]] = {
+    "svc.jobs.submitted": ("svc.job.submitted", None),
+    "svc.jobs.done": ("svc.job.done", None),
+    "svc.jobs.failed": ("svc.job.failed", None),
+    "svc.jobs.cancelled": ("svc.job.cancelled", None),
+    "svc.cells.executed": ("svc.cell.done", "executed"),
+    "svc.cells.repo_hits": ("svc.cell.done", "repository"),
+    "svc.cells.failed": ("svc.cell.failed", None),
+    "svc.cells.requeued": ("svc.cell.requeued", None),
+    "svc.worker.timeouts": ("svc.worker.timeout", None),
+}
 
 
 class ServiceError(ReproError):
@@ -60,21 +81,21 @@ class SweepService:
                  workers: int = 2,
                  drain_timeout: float = 10.0) -> None:
         self.repository = RunRepository(db_path)
-        self.queue = JobQueue()
         self.drain_timeout = drain_timeout
         self._t0 = time.monotonic()
         self.bus = EventBus(clock=self._clock, strict=True)
-        self.metrics = MetricsRegistry()
-        self.log = RingBufferLog(max_events=100_000)
-        self.bus.subscribe(self.log)
-        self.bus.subscribe(self.metrics)
-        self.bus.subscribe(self._job_event_sink)
+        self.bus.subscribe(self._record_event)
         self.fleet = WorkerFleet(workers, emit=self._emit)
-        self._job_events: Dict[str, List[Event]] = {}
+        # Guards both: written by the bus's one subscriber, read by API
+        # threads.
         self._events_lock = threading.Lock()
+        self._job_events: Dict[str, List[Event]] = {}
+        self._event_counts: Counter = Counter()  # (kind, source) -> n
         self._cancel_requested: set = set()
         self._cancel_lock = threading.Lock()
         self._stop = threading.Event()
+        # Set when a job may be waiting: a submission, or shutdown.
+        self._wake = threading.Event()
         self._scheduler: Optional[threading.Thread] = None
         # Guards _current_job: written by the scheduler thread, read by
         # health() on API threads.
@@ -90,11 +111,13 @@ class SweepService:
         fields.setdefault("ts", round(time.time(), 3))
         self.bus.record(kind, **fields)
 
-    def _job_event_sink(self, event: Event) -> None:
+    def _record_event(self, event: Event) -> None:
+        """The bus's subscriber: count every event, keep each job's."""
         job_id = event.fields.get("job")
-        if job_id is None:
-            return
         with self._events_lock:
+            self._event_counts[event.kind, event.fields.get("source")] += 1
+            if job_id is None:
+                return
             events = self._job_events.setdefault(job_id, [])
             if len(events) < MAX_JOB_EVENTS:
                 events.append(event)
@@ -108,9 +131,7 @@ class SweepService:
 
     def start(self) -> None:
         """Recover unfinished jobs, start the fleet and scheduler."""
-        recovered = self.repository.recover()
-        self.queue.restore(recovered)
-        self.metrics.gauge("svc.queue.depth").set(self.queue.depth())
+        self.repository.recover()
         self.fleet.start()
         self._scheduler = threading.Thread(
             target=self._scheduler_loop, name="svc-scheduler", daemon=True)
@@ -129,7 +150,7 @@ class SweepService:
         timeout = self.drain_timeout if timeout is None else timeout
         self._emit("svc.drain", busy=self.fleet.busy_count())
         self._stop.set()
-        self.queue.close()
+        self._wake.set()
         if self._scheduler is not None:
             self._scheduler.join(timeout=timeout + 5.0)
         if drain:
@@ -156,11 +177,11 @@ class SweepService:
                 else SweepSpec.from_dict(spec_data))
         job = self.repository.create_job(spec, priority=priority,
                                          cache_keys=spec.cache_keys())
-        self.queue.push(job["id"], priority=priority)
-        self.metrics.counter("svc.jobs.submitted").add()
-        self.metrics.gauge("svc.queue.depth").set(self.queue.depth())
+        # Emitted before the scheduler is woken, so a job's event stream
+        # starts with it.
         self._emit("svc.job.submitted", job=job["id"],
                    cells=len(job["cells"]), priority=priority)
+        self._wake.set()
         return job
 
     def job(self, job_id: str) -> Dict[str, Any]:
@@ -187,20 +208,21 @@ class SweepService:
                 f"job {job_id} is already {job['state']}")
         with self._cancel_lock:
             self._cancel_requested.add(job_id)
-        if self.queue.remove(job_id):
-            # Still queued: finalize here; the scheduler never sees it.
-            check_transition("queued", "cancelled")
-            self._finalize_cancel(job_id)
-        self.metrics.gauge("svc.queue.depth").set(self.queue.depth())
+        if self.repository.transition(job_id, "queued", "cancelled"):
+            # It was still queued, so the scheduler can no longer claim
+            # it; a running job is stopped by the scheduler instead.
+            self._finalize_cancel(job_id, claimed=False)
         return self.job(job_id)
 
-    def _finalize_cancel(self, job_id: str) -> None:
+    def _finalize_cancel(self, job_id: str, claimed: bool) -> None:
+        """Cancel a job's unfinished cells, then a ``claimed`` (running)
+        job itself; a queued job was already moved by :meth:`cancel`."""
         for label in self.repository.cells_in_state(job_id, "pending"):
             self.repository.update_cell(job_id, label, state="cancelled")
         for label in self.repository.cells_in_state(job_id, "running"):
             self.repository.update_cell(job_id, label, state="cancelled")
-        self.repository.set_job_state(job_id, "cancelled")
-        self.metrics.counter("svc.jobs.cancelled").add()
+        if claimed:
+            self.repository.transition(job_id, "running", "cancelled")
         self._emit("svc.job.cancelled", job=job_id)
         with self._cancel_lock:
             self._cancel_requested.discard(job_id)
@@ -218,16 +240,28 @@ class SweepService:
             "status": "ok",
             "uptime_seconds": round(time.monotonic() - self._t0, 3),
             "workers_alive": self.fleet.alive_count(),
-            "queue_depth": self.queue.depth(),
+            "queue_depth": self.repository.queued_count(),
             "current_job": current,
             "runs_stored": self.repository.run_count(),
         }
 
     def metrics_snapshot(self) -> Dict[str, Any]:
-        snapshot = self.metrics.snapshot()
+        """``events.<kind>`` and :data:`EVENT_COUNTERS` from the counted
+        events, plus the queue depth, fleet state and derived rates."""
+        with self._events_lock:
+            counts = list(self._event_counts.items())
+        snapshot: Dict[str, Any] = {}
+        for (kind, _source), n in counts:
+            key = f"events.{kind}"
+            snapshot[key] = snapshot.get(key, 0) + n
+        for name, (kind, source) in EVENT_COUNTERS.items():
+            snapshot[name] = sum(n for (k, s), n in counts
+                                 if k == kind and source in (None, s))
+        snapshot["svc.queue.depth"] = self.repository.queued_count()
+        snapshot = dict(sorted(snapshot.items()))
         uptime = max(time.monotonic() - self._t0, 1e-9)
-        executed = snapshot.get("svc.cells.executed", 0)
-        repo_hits = snapshot.get("svc.cells.repo_hits", 0)
+        executed = snapshot["svc.cells.executed"]
+        repo_hits = snapshot["svc.cells.repo_hits"]
         resolved = executed + repo_hits
         snapshot["svc.uptime_seconds"] = round(uptime, 3)
         snapshot["svc.cells.per_second"] = round(resolved / uptime, 6)
@@ -235,39 +269,35 @@ class SweepService:
             round(repo_hits / resolved, 6) if resolved else 0.0)
         snapshot["svc.workers.alive"] = self.fleet.alive_count()
         snapshot["svc.workers.restarts"] = self.fleet.restart_count()
-        snapshot["svc.queue.depth"] = self.queue.depth()
         return snapshot
 
     # -- the scheduler loop ------------------------------------------------
 
     def _scheduler_loop(self) -> None:
         while not self._stop.is_set():
-            job_id = self.queue.pop(timeout=0.2)
-            self.metrics.gauge("svc.queue.depth").set(self.queue.depth())
-            if job_id is None:
+            # Cleared before the claim: a submission landing between an
+            # empty claim and the wait still wakes it.
+            self._wake.clear()
+            job = self.repository.claim_next_job()
+            if job is None:
+                self._wake.wait(timeout=0.2)
                 continue
-            if self._cancelled(job_id):
-                self._finalize_cancel(job_id)
-                continue
+            job_id = job["id"]
             with self._state_lock:
                 self._current_job = job_id
             try:
-                self._run_job(job_id)
+                self._run_job(job)
             except Exception as exc:  # defensive: keep the loop alive
-                self.repository.set_job_state(job_id, "failed",
-                                              error=repr(exc))
-                self.metrics.counter("svc.jobs.failed").add()
-                self._emit("svc.job.failed", job=job_id, failed=-1)
+                if self.repository.transition(job_id, "running", "failed",
+                                              error=repr(exc)):
+                    self._emit("svc.job.failed", job=job_id, failed=-1)
             finally:
                 with self._state_lock:
                     self._current_job = None
 
-    def _run_job(self, job_id: str) -> None:
-        job = self.repository.get_job(job_id)
-        if job is None or job["state"] != "queued":
-            return
-        check_transition("queued", "running")
-        self.repository.set_job_state(job_id, "running")
+    def _run_job(self, job: Dict[str, Any]) -> None:
+        """Resolve every cell of a job this scheduler claimed."""
+        job_id = job["id"]
         self._emit("svc.job.started", job=job_id)
         spec = SweepSpec.from_dict(job["spec"])
         keys = {cell["label"]: cell["cache_key"] for cell in job["cells"]}
@@ -292,7 +322,7 @@ class SweepService:
         while pending or inflight:
             if self._cancelled(job_id):
                 self.fleet.terminate(inflight.values())
-                self._finalize_cancel(job_id)
+                self._finalize_cancel(job_id, claimed=True)
                 return
             if self._stop.is_set():
                 interrupted = True
@@ -333,13 +363,11 @@ class SweepService:
                 elif message.kind in ("crashed", "timeout"):
                     if message.kind == "timeout":
                         timeouts[label] = timeouts.get(label, 0) + 1
-                        self.metrics.counter("svc.worker.timeouts").add()
                         self._emit("svc.worker.timeout",
                                    worker=message.worker_id, job=job_id,
                                    label=label)
                     if attempts.get(label, 0) <= spec.retries:
                         pending.append(label)
-                        self.metrics.counter("svc.cells.requeued").add()
                         self._emit("svc.cell.requeued", job=job_id,
                                    label=label, cause=message.kind,
                                    attempts=attempts.get(label, 0))
@@ -356,15 +384,11 @@ class SweepService:
         ledger = self.repository.get_job(job_id)
         failed = ledger["cell_counts"].get("failed", 0)
         if failed:
-            check_transition("running", "failed")
-            self.repository.set_job_state(
-                job_id, "failed", error=f"{failed} cell(s) failed")
-            self.metrics.counter("svc.jobs.failed").add()
+            self.repository.transition(job_id, "running", "failed",
+                                       error=f"{failed} cell(s) failed")
             self._emit("svc.job.failed", job=job_id, failed=failed)
         else:
-            check_transition("running", "done")
-            self.repository.set_job_state(job_id, "done")
-            self.metrics.counter("svc.jobs.done").add()
+            self.repository.transition(job_id, "running", "done")
             self._emit(
                 "svc.job.done", job=job_id,
                 executed=sum(1 for c in ledger["cells"]
@@ -381,7 +405,6 @@ class SweepService:
             return False
         self.repository.update_cell(job_id, label, state="done",
                                     source="repository")
-        self.metrics.counter("svc.cells.repo_hits").add()
         self._emit("svc.cell.done", job=job_id, label=label,
                    source="repository", wall_time=0.0, attempts=0)
         return True
@@ -394,7 +417,6 @@ class SweepService:
             task.job_id, task.label, state="done", source=source,
             attempts=attempts, retries=max(attempts - 1, 0),
             timeouts=timeouts, wall_time=wall_time)
-        self.metrics.counter("svc.cells.executed").add()
         self._emit("svc.cell.done", job=task.job_id, label=task.label,
                    source=source, wall_time=round(wall_time, 6),
                    attempts=attempts)
@@ -404,6 +426,5 @@ class SweepService:
         reason = reason or "unknown failure"
         self.repository.update_cell(job_id, label, state="failed",
                                     error=reason)
-        self.metrics.counter("svc.cells.failed").add()
         self._emit("svc.cell.failed", job=job_id, label=label,
                    reason=reason.strip().splitlines()[-1])

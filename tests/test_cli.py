@@ -83,6 +83,15 @@ class TestMain:
         assert main(["run", "NotAWorkload"]) == 2
         assert "unknown workload" in capsys.readouterr().err
 
+    def test_run_microbenchmark_from_the_docstring(self, capsys):
+        # The module docstring's example, at one unit per thread; `run`
+        # and `trace` accept the same workloads.
+        assert main(["run", "SharedCounter", "--threads", "8", "--verify",
+                     "--units", "1"]) == 0
+        out = capsys.readouterr().out
+        assert "SharedCounter(threads=8" in out
+        assert "verify     : 4 checker(s), 0 violation(s)" in out
+
     def test_fig4_single_workload_quick(self, capsys):
         assert main(["sweep", "Mp3d", "--mode", "figure4", "--threads", "4",
                      "--units", "1", "--no-cache"]) == 0

@@ -93,7 +93,6 @@ class TestTMConfig:
     def test_defaults(self):
         tm = TMConfig()
         assert tm.use_sticky_states
-        assert tm.use_summary_signature
         assert tm.log_filter_entries == 32
 
     def test_rejects_bad_backoff(self):

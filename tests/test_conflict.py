@@ -5,10 +5,12 @@ import random
 import pytest
 
 from repro.coherence.msgs import Blocker
-from repro.common.config import TMConfig
+from repro.common.config import SystemConfig, TMConfig
 from repro.common.stats import StatsRegistry
-from repro.core.conflict import BackoffPolicy, Resolution, resolve_nack
+from repro.core.conflict import BackoffPolicy
+from repro.core.policies import Decision, TimestampPolicy
 from repro.core.txcontext import TxContext
+from repro.harness.system import System
 from repro.signatures.perfect import PerfectSignature
 from repro.signatures.rwpair import ReadWriteSignature
 
@@ -29,42 +31,76 @@ def blocker(core=1, tid=9, ts=(50, 9), fp=False):
                    false_positive=fp)
 
 
+class _NeverAsked:
+    """A contention manager that fails the test if it is consulted."""
+
+    name = "never-asked"
+
+    def decide(self, ctx, blockers, retries):
+        raise AssertionError("contention manager consulted")
+
+
+def resolve_on_core(setup):
+    """``Core._resolve_or_stall`` for one NACK by an older transaction.
+
+    ``setup(ctx)`` puts the requester's context in the state under test.
+    Returns the yielded delays and the system's stats.
+    """
+    system = System(SystemConfig.small(num_cores=1, threads_per_core=1),
+                    seed=1)
+    [thread] = system.place_threads(1)
+    core = system.cores[0]
+    core.policy = _NeverAsked()
+    setup(thread.ctx)
+    delays = list(core._resolve_or_stall(thread.ctx, [blocker(ts=(50, 9))],
+                                         retries=10_000))
+    return delays, system.stats
+
+
 class TestResolveNack:
-    def test_non_transactional_always_stalls(self):
-        ctx = make_ctx()
-        assert resolve_nack(ctx, [blocker()]) is Resolution.STALL
+    """How a NACKed requester is resolved.
 
-    def test_stall_when_no_cycle_flag(self):
-        ctx = make_ctx(begin=100)  # blocker at ts 50 is older
-        assert not ctx.possible_cycle
-        assert resolve_nack(ctx, [blocker(ts=(50, 9))]) is Resolution.STALL
+    A transactional requester asks its contention manager, whose LogTM
+    rule is ``TimestampPolicy.decide`` (its basic cases are in
+    ``test_policies.py``). Any other requester stalls without asking:
+    ``Core._resolve_or_stall`` checks ``ctx.transactional`` first.
+    """
 
-    def test_abort_on_older_blocker_with_cycle_flag(self):
-        ctx = make_ctx(begin=100)
-        ctx.possible_cycle = True
-        assert resolve_nack(ctx, [blocker(ts=(50, 9))]) is Resolution.ABORT
-
-    def test_stall_on_younger_blocker_even_with_flag(self):
-        ctx = make_ctx(begin=100)
-        ctx.possible_cycle = True
-        assert resolve_nack(ctx, [blocker(ts=(200, 9))]) is Resolution.STALL
+    #: The timestamp rule alone, without the starvation retry budget.
+    policy = TimestampPolicy(TMConfig(max_retries_before_abort=0))
 
     def test_any_older_blocker_suffices(self):
         ctx = make_ctx(begin=100)
         ctx.possible_cycle = True
         blockers = [blocker(ts=(200, 9)), blocker(ts=(10, 2))]
-        assert resolve_nack(ctx, blockers) is Resolution.ABORT
+        assert self.policy.decide(ctx, blockers, 0) is Decision.ABORT_SELF
 
     def test_nontx_blocker_is_never_older(self):
         ctx = make_ctx(begin=100)
         ctx.possible_cycle = True
-        assert resolve_nack(ctx, [blocker(ts=None)]) is Resolution.STALL
+        assert (self.policy.decide(ctx, [blocker(ts=None)], 0)
+                is Decision.STALL)
+
+    def test_non_transactional_always_stalls(self):
+        delays, stats = resolve_on_core(lambda ctx: None)
+        assert len(delays) == 1 and delays[0] > 0
+        assert stats.value("mem.nontx_stalls") == 1
+        assert stats.value("tm.stalls") == 0
 
     def test_escape_action_stalls(self):
-        ctx = make_ctx(begin=100)
-        ctx.possible_cycle = True
-        ctx.begin_escape()
-        assert resolve_nack(ctx, [blocker(ts=(50, 9))]) is Resolution.STALL
+        """Today's rule: an escaped access stalls, even when an older
+        transaction NACKs it while the possible-cycle flag is set. Two
+        escape actions NACKing each other therefore wait for good (the
+        escape-action wait cycle in ROADMAP.md)."""
+        def in_escape(ctx):
+            ctx.begin(now=100)
+            ctx.possible_cycle = True
+            ctx.begin_escape()
+
+        delays, stats = resolve_on_core(in_escape)
+        assert len(delays) == 1 and delays[0] > 0
+        assert stats.value("mem.nontx_stalls") == 1
+        assert stats.value("tm.stalls") == 0
 
 
 class TestBlockerOrdering:

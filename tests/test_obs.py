@@ -1,8 +1,7 @@
 """Tests for the observability subsystem (:mod:`repro.obs`).
 
-Covers the typed event taxonomy, the bus and its sinks, the metrics
-registry, the analyzers (lifecycle reconstruction, conflict graph, abort
-attribution), the exporters (JSONL, Chrome Trace Event), the log's query
+Covers the typed event taxonomy, the bus and its sinks, the analyzers
+(lifecycle reconstruction, conflict graph, abort attribution), the exporters (JSONL, Chrome Trace Event), the log's query
 surface, and cross-layer event emission from the real machine (coherence
 directory/snooping, OS model, undo log, interconnect).
 """
@@ -18,9 +17,8 @@ from repro.common.rng import make_rng
 from repro.cpu.executor import ThreadExecutor
 from repro.harness.runner import run_workload
 from repro.harness.system import System
-from repro.obs import (CATEGORIES, AbortAttribution, ConflictGraph,
-                       CycleTimer, Event, EventBus, Gauge, JsonlWriter,
-                       MetricsRegistry, RingBufferLog, attribute_aborts,
+from repro.obs import (CATEGORIES, AbortAttribution, ConflictGraph, Event,
+                       EventBus, JsonlWriter, RingBufferLog, attribute_aborts,
                        attribute_stalls, chrome_trace, classify_abort,
                        dominant_via, event_from_dict, export_chrome_trace,
                        export_jsonl, load_jsonl, namespace_of, reconstruct,
@@ -114,85 +112,6 @@ class TestRingBufferLog:
             log.append(Event(0, kind))
         assert sorted(log.counts()) == ["coh.nack", "tm.begin", "tm.commit"]
 
-    def test_inner_abort_keeps_outer_attempt_open(self):
-        # Regression for the legacy bug: a partial (inner) abort used to
-        # close the whole outer record as "abort".
-        log = RingBufferLog()
-        log.append(Event(10, "tm.begin", {"thread": 0, "depth": 1}))
-        log.append(Event(20, "tm.begin", {"thread": 0, "depth": 2}))
-        log.append(Event(30, "tm.abort",
-                         {"thread": 0, "outer": False, "full": False}))
-        log.append(Event(50, "tm.commit", {"thread": 0, "outer": True}))
-        attempts = log.transactions(0)
-        assert len(attempts) == 1
-        assert attempts[0]["outcome"] == "commit"
-        assert attempts[0]["end"] == 50
-
-    def test_legacy_abort_without_outer_field_closes(self):
-        # Pre-obs recordings carry no "outer" field: treated as outer.
-        log = RingBufferLog()
-        log.append(Event(10, "tm.begin", {"thread": 0, "depth": 1}))
-        log.append(Event(30, "tm.abort", {"thread": 0, "undone": 2}))
-        assert log.transactions(0)[0]["outcome"] == "abort"
-
-
-class TestMetricsRegistry:
-    def test_gauge(self):
-        g = Gauge("outstanding")
-        g.set(5)
-        g.add(-2)
-        assert g.value == 3
-        g.reset()
-        assert g.value == 0
-
-    def test_cycle_timer_overlapping_intervals(self):
-        clock = {"now": 0}
-        timer = CycleTimer("stall", clock=lambda: clock["now"])
-        timer.start(token=1)
-        clock["now"] = 10
-        timer.start(token=2)
-        clock["now"] = 25
-        assert timer.stop(token=1) == 25
-        assert timer.stop(token=2) == 15
-        assert timer.stop(token=3) == 0  # never started
-        assert timer.total == 40 and timer.intervals == 2
-        assert timer.mean == 20.0
-
-    def test_counts_events_from_bus(self):
-        bus = EventBus(clock=lambda: 0)
-        metrics = MetricsRegistry()
-        bus.subscribe(metrics)
-        bus.record("tm.commit", thread=0)
-        bus.record("tm.commit", thread=1)
-        bus.record("coh.nack", block=3)
-        assert metrics.value("events.tm.commit") == 2
-        assert metrics.value("events.coh.nack") == 1
-        assert metrics.value("events.never") == 0
-
-    def test_ingest_stats_accumulates(self):
-        from repro.common.stats import StatsRegistry
-        stats = StatsRegistry()
-        stats.counter("tm.commits").add(3)
-        stats.histogram("tm.read_set_blocks").record(4)
-        metrics = MetricsRegistry.from_stats(stats)
-        metrics.ingest_stats(stats)  # second phase: values sum
-        assert metrics.value("tm.commits") == 6
-        assert metrics.histograms()["tm.read_set_blocks"].mean == 4
-
-    def test_snapshot_includes_timers(self):
-        clock = {"now": 0}
-        metrics = MetricsRegistry(clock=lambda: clock["now"])
-        metrics.counter("c").add(2)
-        metrics.gauge("g").set(7)
-        metrics.timer("t").start()
-        clock["now"] = 5
-        metrics.timer("t").stop()
-        snap = metrics.snapshot()
-        assert snap == {"c": 2, "g": 7, "t.cycles": 5, "t.intervals": 1}
-        metrics.reset()
-        assert metrics.snapshot() == {"c": 0, "g": 0, "t.cycles": 0,
-                                      "t.intervals": 0}
-
 
 class TestClassification:
     def test_non_conflict_causes_are_other(self):
@@ -248,6 +167,29 @@ class TestReconstruct:
     def test_thread_filter(self):
         attempts = reconstruct(self._stream(), thread=1)
         assert [a.thread for a in attempts] == [1]
+
+    def test_inner_abort_keeps_outer_attempt_open(self):
+        # Regression for the legacy bug: a partial (inner) abort used to
+        # close the whole outer record as "abort".
+        attempts = reconstruct([
+            Event(10, "tm.begin", {"thread": 0, "depth": 1}),
+            Event(20, "tm.begin", {"thread": 0, "depth": 2}),
+            Event(30, "tm.abort", {"thread": 0, "outer": False,
+                                   "full": False}),
+            Event(50, "tm.commit", {"thread": 0, "outer": True}),
+        ])
+        assert len(attempts) == 1
+        assert attempts[0].outcome == "commit"
+        assert attempts[0].end == 50
+        assert attempts[0].inner_aborts == 1
+
+    def test_legacy_abort_without_outer_field_closes(self):
+        # Pre-obs recordings carry no "outer" field: treated as outer.
+        attempts = reconstruct([
+            Event(10, "tm.begin", {"thread": 0, "depth": 1}),
+            Event(30, "tm.abort", {"thread": 0, "undone": 2}),
+        ])
+        assert [(a.outcome, a.end) for a in attempts] == [("abort", 30)]
 
     def test_conflict_graph(self):
         graph = ConflictGraph.from_events(self._stream())
@@ -373,7 +315,8 @@ class TestExport:
 class TestLegacyShim:
     def test_legacy_api_surface(self):
         # The surface the pre-obs tests and downstream scripts relied on,
-        # now on the log that attach_bus() returns.
+        # now on the log that attach_bus() returns; transactions are
+        # rebuilt from its events by reconstruct().
         system = System(SystemConfig.small(num_cores=1, threads_per_core=1),
                         seed=1)
         bus, log = system.attach_bus(max_events=10)
@@ -384,9 +327,10 @@ class TestLegacyShim:
         assert log.dropped == 0
         assert log.counts() == {"tm.begin": 1, "tm.commit": 1}
         assert log.events(kind="tm.begin", thread=0)
-        assert log.transactions(0)[0]["outcome"] == "commit"
+        [attempt] = reconstruct(log.events(), thread=0)
+        assert (attempt.start, attempt.end, attempt.outcome) \
+            == (5, 5, "commit")
         assert "tm.begin" in log.render()
-        assert "Per-thread transaction summary" in log.summary_table([0])
         event = log.events()[0]
         assert event.time == 5 and event.fields["thread"] == 0
 

@@ -1,10 +1,9 @@
 """Tests for the sweep-service building blocks (no live fleet).
 
-Covers :mod:`repro.svc.spec` (submission contract),
-:mod:`repro.svc.scheduler` (queue + state machine), and
+Covers :mod:`repro.svc.spec` (submission contract) and
 :mod:`repro.svc.repository` (SQLite persistence + dedupe + recovery,
-LRU pruning, and the concurrent-access guarantees the sweep CLI and the
-service rely on). The live end-to-end paths (worker fleet, HTTP) are
+LRU pruning, the job table as queue and state machine, and the
+concurrent-access guarantees the sweep CLI and the service rely on). The live end-to-end paths (worker fleet, HTTP) are
 in ``test_svc_service.py``.
 """
 
@@ -21,8 +20,7 @@ import pytest
 from repro.harness.runner import run_workload
 from repro.harness.sweep import cell_key, run_sweep, workload_fingerprint
 from repro.svc import repository as repository_mod
-from repro.svc.repository import RunRepository, result_digest
-from repro.svc.scheduler import JobQueue, StateError, check_transition
+from repro.svc.repository import RunRepository, StateError, result_digest
 from repro.svc.spec import CellTask, SpecError, SweepSpec
 
 
@@ -133,73 +131,149 @@ class TestSweepSpec:
                      cache_key="x").run()
 
 
-class TestStateMachine:
-    def test_legal_paths(self):
-        check_transition("queued", "running")
-        check_transition("running", "done")
-        check_transition("running", "failed")
-        check_transition("running", "cancelled")
-        check_transition("queued", "cancelled")
+def queued_jobs(repo, priorities):
+    """One queued tiny job per priority, in submission order; their ids."""
+    spec = tiny_spec()
+    keys = spec.cache_keys()
+    return [repo.create_job(spec, priority=p, cache_keys=keys)["id"]
+            for p in priorities]
 
-    def test_illegal_paths(self):
+
+class TestStateMachine:
+    """``RunRepository.transition``: a compare-and-set per edge."""
+
+    def test_legal_paths(self, tmp_path):
+        repo = RunRepository(tmp_path / "svc.db")
+        paths = [("running", "done"), ("running", "failed"),
+                 ("running", "cancelled"), ("cancelled",),
+                 ("running", "queued", "running", "done")]
+        for path, job_id in zip(paths, queued_jobs(repo, [0] * 5)):
+            old = "queued"
+            for new in path:
+                assert repo.transition(job_id, old, new), (old, new)
+                old = new
+            job = repo.get_job(job_id)
+            assert job["state"] == path[-1]
+            assert (job["started_at"] is not None) == ("running" in path)
+            assert job["finished_at"] is not None
+        # Restart recovery clears the start stamp, as recover() does.
+        [job_id] = queued_jobs(repo, [0])
+        repo.transition(job_id, "queued", "running")
+        assert repo.transition(job_id, "running", "queued")
+        back = repo.get_job(job_id)
+        assert (back["state"], back["started_at"]) == ("queued", None)
+
+    def test_illegal_paths(self, tmp_path):
+        repo = RunRepository(tmp_path / "svc.db")
+        [job_id] = queued_jobs(repo, [0])
+        before = repo.get_job(job_id)
         for old, new in [("done", "running"), ("queued", "done"),
-                         ("failed", "queued"), ("cancelled", "running")]:
+                         ("failed", "queued"), ("cancelled", "running"),
+                         ("queued", "queued"), ("bogus", "done"),
+                         ("queued", "bogus")]:
             with pytest.raises(StateError):
-                check_transition(old, new)
-        with pytest.raises(StateError):
-            check_transition("bogus", "done")
-        with pytest.raises(StateError):
-            check_transition("queued", "bogus")
+                repo.transition(job_id, old, new)
+        # A legal edge from a state the job is not in moves nothing.
+        assert not repo.transition(job_id, "running", "done")
+        assert not repo.transition("ghost", "queued", "running")
+        assert repo.get_job(job_id) == before
 
 
 class TestJobQueue:
-    def test_fifo_within_priority(self):
-        q = JobQueue()
-        for jid in ("a", "b", "c"):
-            q.push(jid)
-        assert [q.pop(0), q.pop(0), q.pop(0)] == ["a", "b", "c"]
+    """The ``jobs`` table is the job queue: claims, cancels, recovery."""
 
-    def test_priority_orders_first(self):
-        q = JobQueue()
-        q.push("low", priority=0)
-        q.push("high", priority=5)
-        q.push("mid", priority=3)
-        assert [q.pop(0), q.pop(0), q.pop(0)] == ["high", "mid", "low"]
+    def test_fifo_within_priority(self, tmp_path):
+        repo = RunRepository(tmp_path / "svc.db")
+        ids = queued_jobs(repo, [0, 0, 0])
+        claimed = [repo.claim_next_job() for _ in ids]
+        assert [job["id"] for job in claimed] == ids
+        for job in claimed:
+            assert job["state"] == "running"
+            assert job["started_at"] is not None
+            assert [c["state"] for c in job["cells"]] == ["pending"]
+        assert repo.claim_next_job() is None
+        assert repo.queued_count() == 0
 
-    def test_pop_timeout(self):
-        q = JobQueue()
+    def test_claim_from_empty_queue_returns_none(self, tmp_path):
+        repo = RunRepository(tmp_path / "svc.db")
         t0 = time.monotonic()
-        assert q.pop(timeout=0.05) is None
+        assert repo.claim_next_job() is None  # returns, never waits
         assert time.monotonic() - t0 < 2.0
+        assert repo.queued_count() == 0
+        [job_id] = queued_jobs(repo, [0])
+        assert repo.claim_next_job()["id"] == job_id
+        assert repo.claim_next_job() is None
+        assert repo.get_job(job_id)["state"] == "running"
 
-    def test_remove_cancels_queued(self):
-        q = JobQueue()
-        q.push("a")
-        q.push("b")
-        assert q.remove("a") is True
-        assert q.remove("a") is False  # already removed
-        assert q.remove("ghost") is False
-        assert q.depth() == 1
-        assert q.pop(0) == "b"
-        assert q.pop(0) is None
+    def test_priority_orders_first(self, tmp_path):
+        repo = RunRepository(tmp_path / "svc.db")
+        low, high, mid, high2 = queued_jobs(repo, [0, 5, 3, 5])
+        assert repo.queued_count() == 4
+        assert [repo.claim_next_job()["id"] for _ in range(4)] \
+            == [high, high2, mid, low]
 
-    def test_close_wakes_waiters(self):
-        q = JobQueue()
-        got = []
-        thread = threading.Thread(target=lambda: got.append(q.pop(5.0)))
-        thread.start()
-        q.close()
-        thread.join(timeout=5.0)
-        assert got == [None]
-        with pytest.raises(StateError):
-            q.push("late")
+    def test_cancelled_job_is_never_claimed(self, tmp_path):
+        repo = RunRepository(tmp_path / "svc.db")
+        a, b = queued_jobs(repo, [0, 0])
+        assert repo.transition(a, "queued", "cancelled")
+        assert not repo.transition(a, "queued", "cancelled")
+        assert repo.queued_count() == 1
+        assert repo.claim_next_job()["id"] == b
+        assert repo.claim_next_job() is None
+        assert repo.get_job(a)["state"] == "cancelled"
 
-    def test_restore(self):
-        q = JobQueue()
-        n = q.restore([{"id": "a", "priority": 0},
-                       {"id": "b", "priority": 9}])
-        assert n == 2
-        assert q.pop(0) == "b"
+    def test_recovered_job_is_claimed_again(self, tmp_path):
+        repo = RunRepository(tmp_path / "svc.db")
+        low, high = queued_jobs(repo, [0, 9])
+        assert repo.claim_next_job()["id"] == high
+        repo.recover()  # a restart: the running job is queued again
+        assert repo.queued_count() == 2
+        assert [repo.claim_next_job()["id"] for _ in range(2)] \
+            == [high, low]
+
+    def test_claim_racing_cancel_has_one_winner(self, tmp_path):
+        """Each job is claimed or cancelled, never both.
+
+        Two schedulers claim in queue order while two API threads cancel
+        the same jobs, from each end of the queue.
+        """
+        repo = RunRepository(tmp_path / "svc.db")
+        ids = queued_jobs(repo, [0] * 100)
+        claimed, cancelled = [], []
+        start = threading.Barrier(4)
+
+        def claim():
+            start.wait()
+            for _ in ids:
+                job = repo.claim_next_job()
+                if job is not None:
+                    claimed.append(job["id"])
+
+        def cancel(order):
+            start.wait()
+            for job_id in order:
+                if repo.transition(job_id, "queued", "cancelled"):
+                    cancelled.append(job_id)
+
+        threads = [threading.Thread(target=claim),
+                   threading.Thread(target=claim),
+                   threading.Thread(target=cancel, args=(ids,)),
+                   threading.Thread(target=cancel, args=(ids[::-1],))]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+                assert not t.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(claimed + cancelled) == sorted(ids)  # no job twice
+        states = {job["id"]: job["state"]
+                  for job in repo.list_jobs(limit=len(ids))}
+        assert {states[job_id] for job_id in claimed} <= {"running"}
+        assert {states[job_id] for job_id in cancelled} <= {"cancelled"}
 
 
 class TestRunRepository:
@@ -258,11 +332,13 @@ class TestRunRepository:
         assert [c["state"] for c in job["cells"]] == ["pending"]
         assert SweepSpec.from_dict(job["spec"]) == spec
 
-        repo.set_job_state(job["id"], "running")
+        assert repo.claim_next_job()["id"] == job["id"]
         label = job["cells"][0]["label"]
         repo.update_cell(job["id"], label, state="done", source="executed",
                          attempts=1, wall_time=0.5)
-        repo.set_job_state(job["id"], "done")
+        with pytest.raises(ValueError, match="unknown cell fields"):
+            repo.update_cell(job["id"], label, colour="red")
+        assert repo.transition(job["id"], "running", "done")
         final = repo.get_job(job["id"])
         assert final["state"] == "done"
         assert final["started_at"] is not None
@@ -279,7 +355,7 @@ class TestRunRepository:
         listed = repo.list_jobs()
         assert [j["id"] for j in listed] == [b["id"], a["id"]]  # newest first
         assert all(j["cell_counts"] == {"pending": 1} for j in listed)
-        repo.set_job_state(a["id"], "running")
+        assert repo.transition(a["id"], "queued", "running")
         assert [j["id"] for j in repo.list_jobs(state="running")] \
             == [a["id"]]
 
@@ -319,14 +395,16 @@ class TestRunRepository:
         spec = tiny_spec()
         job = repo.create_job(spec, cache_keys=spec.cache_keys())
         label = job["cells"][0]["label"]
-        repo.set_job_state(job["id"], "running")
+        assert repo.claim_next_job()["id"] == job["id"]
         repo.update_cell(job["id"], label, state="running")
         done_job = repo.create_job(spec, cache_keys=spec.cache_keys())
-        repo.set_job_state(done_job["id"], "running")
-        repo.set_job_state(done_job["id"], "done")
+        assert repo.claim_next_job()["id"] == done_job["id"]
+        assert repo.transition(done_job["id"], "running", "done")
 
-        recovered = repo.recover()
-        assert [j["id"] for j in recovered] == [job["id"]]
+        repo.recover()
+        assert repo.queued_count() == 1
+        assert repo.claim_next_job()["id"] == job["id"]
+        repo.recover()
         after = repo.get_job(job["id"])
         assert after["state"] == "queued"
         assert after["cells"][0]["state"] == "pending"
@@ -337,7 +415,7 @@ class TestRunRepository:
         spec = SweepSpec(workload="Mp3d", mode="figure4", threads=2,
                          units=1)
         job = repo.create_job(spec, cache_keys=spec.cache_keys())
-        repo.set_job_state(job["id"], "running")
+        assert repo.claim_next_job()["id"] == job["id"]
         repo.update_cell(job["id"], "Lock", state="done",
                          source="executed")
         repo.update_cell(job["id"], "Perfect", state="running")
@@ -358,10 +436,10 @@ class TestRunRepository:
                 for _ in range(5):
                     job = repo.create_job(spec,
                                           cache_keys=spec.cache_keys())
-                    repo.set_job_state(job["id"], "running")
+                    assert repo.transition(job["id"], "queued", "running")
                     repo.get_job(job["id"])
                     repo.list_jobs()
-                    repo.set_job_state(job["id"], "done")
+                    assert repo.transition(job["id"], "running", "done")
             except Exception as exc:  # pragma: no cover - failure path
                 errors.append(exc)
 
@@ -391,7 +469,7 @@ class TestRunRepository:
         result = self._result()
         try:
             job = repo.create_job(spec, cache_keys=keys)
-            repo.set_job_state(job["id"], "running")
+            assert repo.claim_next_job()["id"] == job["id"]
             repo.update_cell(job["id"], label, state="running",
                              attempts=1)
             assert not repo.touch_run(key)
@@ -404,10 +482,12 @@ class TestRunRepository:
             assert repo.run_count() == 1
             assert repo.cells_in_state(job["id"], "done") == [label]
             assert repo.results_for_job(job["id"])[label]["digest"]
-            repo.set_job_state(job["id"], "done")
+            assert repo.transition(job["id"], "running", "done")
             assert repo.get_job(job["id"])["state"] == "done"
             assert len(repo.list_jobs()) == 1
-            assert repo.recover() == []
+            assert repo.queued_count() == 0
+            repo.recover()
+            assert repo.claim_next_job() is None
             assert repo.prune(max_entries=10) == 0
         finally:
             repo.close()

@@ -32,7 +32,7 @@ from repro.harness.sweep import run_sweep
 from repro.svc.api import serve
 from repro.svc.client import ClientError, ServiceClient
 from repro.svc.repository import RunRepository, result_digest
-from repro.svc.service import ServiceError, SweepService
+from repro.svc.service import EVENT_COUNTERS, ServiceError, SweepService
 from repro.svc.spec import CellTask, SweepSpec
 
 HAVE_FORK = "fork" in multiprocessing.get_all_start_methods()
@@ -72,6 +72,30 @@ def wait_terminal(service, job_id, timeout=120.0):
         time.sleep(0.05)
     raise AssertionError(f"job {job_id} not terminal after {timeout}s: "
                          f"{service.job(job_id)}")
+
+
+def assert_metrics_count_events(service, job_ids):
+    """Every ``/metrics`` counter equals the count of its job events.
+
+    The counters are computed from the service's own ``svc.*`` events;
+    this checks them against the jobs' ``/events`` streams, each of which
+    must open with ``svc.job.submitted``.
+    """
+    events = []
+    for job_id in job_ids:
+        stream = service.job_events(job_id)
+        assert stream[0].kind == "svc.job.submitted", job_id
+        events += stream
+    snapshot = service.metrics_snapshot()
+    for name, (kind, source) in EVENT_COUNTERS.items():
+        assert snapshot[name] == sum(
+            1 for e in events
+            if e.kind == kind and source in (None, e.fields.get("source"))
+        ), name
+    for kind in {e.kind for e in events}:
+        assert snapshot[f"events.{kind}"] == sum(
+            1 for e in events if e.kind == kind), kind
+    return snapshot
 
 
 def start_server(db, log_path, timeout=60.0):
@@ -225,8 +249,9 @@ class TestServiceEndToEnd:
         svc = SweepService(tmp_path / "svc.db", workers=1)
         low = svc.submit(tiny_spec().to_dict(), priority=0)
         high = svc.submit(tiny_spec(units=2).to_dict(), priority=5)
-        assert svc.queue.pop(0) == high["id"]
-        assert svc.queue.pop(0) == low["id"]
+        assert svc.health()["queue_depth"] == 2
+        assert svc.repository.claim_next_job()["id"] == high["id"]
+        assert svc.repository.claim_next_job()["id"] == low["id"]
 
     def test_health_and_metrics_shape(self, service):
         health = service.health()
@@ -239,6 +264,36 @@ class TestServiceEndToEnd:
                     "svc.workers.restarts", "svc.queue.depth"):
             assert key in snapshot, key
 
+    def test_metrics_count_the_events(self, tmp_path):
+        """A cancelled queued job, a job and its resubmission."""
+        svc = SweepService(tmp_path / "svc.db", workers=1)
+        try:
+            cancelled = svc.submit(tiny_spec(sizes=(128,)).to_dict())
+            svc.cancel(cancelled["id"])
+            svc.start()
+            spec = tiny_spec(sizes=(64, 256))
+            first = svc.submit(spec.to_dict())
+            assert wait_terminal(svc, first["id"])["state"] == "done"
+            second = svc.submit(spec.to_dict())
+            assert wait_terminal(svc, second["id"])["state"] == "done"
+            # The cancelled job was never claimed: it started nothing.
+            assert [e.kind for e in svc.job_events(cancelled["id"])] \
+                == ["svc.job.submitted", "svc.job.cancelled"]
+            snapshot = assert_metrics_count_events(
+                svc, [cancelled["id"], first["id"], second["id"]])
+        finally:
+            svc.shutdown(drain=False)
+        assert {name: snapshot[name] for name in EVENT_COUNTERS} == {
+            "svc.jobs.submitted": 3, "svc.jobs.done": 2,
+            "svc.jobs.failed": 0, "svc.jobs.cancelled": 1,
+            "svc.cells.executed": 2, "svc.cells.repo_hits": 2,
+            "svc.cells.failed": 0, "svc.cells.requeued": 0,
+            "svc.worker.timeouts": 0}
+        assert snapshot["events.svc.job.started"] == 2
+        assert snapshot["events.svc.cell.dispatch"] == 2
+        assert snapshot["svc.queue.depth"] == 0
+        assert snapshot["svc.cache.hit_rate"] == 0.5
+
 
 class TestCancellation:
     def test_cancel_queued_job(self, tmp_path):
@@ -247,7 +302,8 @@ class TestCancellation:
         cancelled = svc.cancel(job["id"])
         assert cancelled["state"] == "cancelled"
         assert cancelled["cell_counts"] == {"cancelled": 1}
-        assert svc.queue.depth() == 0
+        assert svc.health()["queue_depth"] == 0
+        assert svc.repository.claim_next_job() is None
 
     def test_cancel_terminal_job_is_an_error(self, service):
         job = service.submit(tiny_spec().to_dict())
@@ -359,9 +415,11 @@ class TestShutdownAndRecovery:
 
     def test_drain_event_emitted(self, tmp_path):
         svc = SweepService(tmp_path / "svc.db", workers=1)
+        drains = []
+        svc.bus.subscribe(drains.append, kinds=["svc.drain"])
         svc.start()
         svc.shutdown(drain=True)
-        assert svc.log.events(kind="svc.drain")
+        assert [e.kind for e in drains] == ["svc.drain"]
 
 
 @needs_fork
@@ -398,6 +456,7 @@ class TestWorkerFaults:
             kinds = [e.kind for e in svc.job_events(job["id"])]
             assert "svc.cell.requeued" in kinds
             assert svc.metrics_snapshot()["svc.cells.requeued"] == 1
+            assert_metrics_count_events(svc, [job["id"]])
             # The eventual result is still the correct deterministic one.
             direct = run_sweep(spec.variants(), spec.workload_factory(),
                                seed=spec.seed)

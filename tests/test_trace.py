@@ -5,6 +5,7 @@ import pytest
 from repro.common.config import SystemConfig
 from repro.harness.runner import run_workload
 from repro.harness.system import System
+from repro.obs.analysis import reconstruct
 from repro.workloads import SharedCounter
 
 
@@ -61,12 +62,12 @@ class TestTraceRecorder:
         bus.record("tm.begin", thread=0, depth=1)
         sim.now = 55
         bus.record("tm.commit", thread=0, outer=True)
-        attempts = log.transactions(0)
+        attempts = reconstruct(log.events(), thread=0)
         assert len(attempts) == 2
-        assert attempts[0]["outcome"] == "abort"
-        assert attempts[0]["stalls"] == 1
-        assert attempts[1] == {"start": 40, "end": 55,
-                               "outcome": "commit", "stalls": 0}
+        assert attempts[0].outcome == "abort"
+        assert attempts[0].stalls == 1
+        assert [(a.start, a.end, a.outcome, a.stalls)
+                for a in attempts[1:]] == [(40, 55, "commit", 0)]
 
     def test_nested_begin_not_new_attempt(self):
         bus, log, _ = self._recorder()
@@ -74,7 +75,7 @@ class TestTraceRecorder:
         bus.record("tm.begin", thread=0, depth=2)
         bus.record("tm.commit", thread=0, outer=False)
         bus.record("tm.commit", thread=0, outer=True)
-        assert len(log.transactions(0)) == 1
+        assert len(reconstruct(log.events(), thread=0)) == 1
 
     def test_render_and_counts(self):
         bus, log, _ = self._recorder()
@@ -124,11 +125,10 @@ class TestSystemWiring:
         commits = log.events(kind="tm.commit")
         assert len(commits) == 12
         for tid in range(4):
-            attempts = log.transactions(tid)
-            outcomes = [a["outcome"] for a in attempts]
+            attempts = reconstruct(log.events(), thread=tid)
+            outcomes = [a.outcome for a in attempts]
             assert outcomes.count("commit") == 3
-        table = log.summary_table(range(4))
-        assert "Per-thread transaction summary" in table
+            assert all(a.duration > 0 for a in attempts)
 
     def test_no_recorder_is_free(self):
         cfg = SystemConfig.small(num_cores=1, threads_per_core=1)
