@@ -425,7 +425,7 @@ def _cmd_mc(args) -> int:
             print(f"\ncounterexample written to {args.dump}")
     if not result.clean and args.mutate:
         print(f"(mutation {args.mutate!r}: "
-              f"{MUTATIONS[args.mutate]})")
+              f"{MUTATIONS[args.mutate].description})")
     return 0 if result.clean else 1
 
 

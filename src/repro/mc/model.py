@@ -663,7 +663,9 @@ class ProtocolModel:
         lines: List[Optional[Tuple]] = [None] * mcfg.total_cores
         ctxs: List[Optional[Tuple]] = [None] * mcfg.total_cores
         for core in self.cores:
-            row: List[Optional[Tuple[str, int]]] = [None] * mcfg.blocks
+            # An absent line is ``()``, which sorts below every present
+            # ``(state, tenancy)``: plain tuple order is total.
+            row: List[Tuple] = [()] * mcfg.blocks
             for b, addr in enumerate(self.block_addrs):
                 block = core.l1.peek(addr)
                 if block is not None:
@@ -724,7 +726,7 @@ class ProtocolModel:
             for b, addr in enumerate(self.block_addrs):
                 e = fabric.chip_entry_view(chip, addr)
                 rows[bm[b]] = (
-                    e.rights,
+                    e.rights or "",
                     -1 if e.owner is None else cm[e.owner],
                     tuple(sorted(cm[c] for c in e.sharers)),
                     tuple(sorted(cm[c] for c in e.sticky)))
@@ -754,7 +756,7 @@ class ProtocolModel:
             core.l1.clear()
             row = lines[core.core_id]
             for b, cell in enumerate(row):
-                if cell is not None:
+                if cell:
                     state_char, tenancy = cell
                     core.l1.install(self.block_addrs[b], MESI(state_char),
                                     tenancy)
@@ -832,7 +834,7 @@ class ProtocolModel:
                 for b, addr in enumerate(self.block_addrs):
                     rights, owner, sharers, sticky = rows[b]
                     e = fabric.chip_entry_view(chip, addr)
-                    e.rights = rights
+                    e.rights = rights or None
                     e.owner = None if owner < 0 else owner
                     e.sharers = set(sharers)
                     e.sticky = set(sticky)

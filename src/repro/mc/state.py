@@ -74,33 +74,8 @@ def _product(options: List[Tuple[int, ...]], repeat: int
 def canonical_key(model: ProtocolModel, maps: List[SymmetryMap]) -> Tuple:
     """Minimum encoding of the model's current state over the group.
 
-    The encoded tuples contain only ints, bools, strings, nested tuples
-    and None in structurally identical positions, so Python's tuple
-    comparison gives a well-defined total order... except where ``None``
-    (an absent L1 line or directory entry) meets a present tuple. To keep
-    ``min`` total we compare via a sort key that replaces the values with
-    their ``repr``-free orderable form: the encodings are canonicalized
-    through :func:`_orderable` first.
+    Every position of an encoding holds one leaf type (an absent L1
+    line is ``()``, a chip without rights ``""``), so plain tuple
+    comparison is a total order.
     """
-    return min((model.encode(cm, bm, xm) for cm, bm, xm in maps),
-               key=_orderable)
-
-
-def _orderable(value):
-    """Map an encoded state to a same-shape structure with a total order.
-
-    Leaves become ``(type_rank, value)`` pairs so mixed leaf types (None
-    vs. tuple vs. int vs. str) in the same position never raise
-    TypeError in comparisons.
-    """
-    if isinstance(value, tuple):
-        return (3, tuple(_orderable(v) for v in value))
-    if value is None:
-        return (0, 0)
-    if isinstance(value, bool):
-        return (1, int(value))
-    if isinstance(value, int):
-        return (1, value)
-    if isinstance(value, str):
-        return (2, value)
-    raise TypeError(f"unencodable leaf in model state: {value!r}")
+    return min(model.encode(cm, bm, xm) for cm, bm, xm in maps)

@@ -23,8 +23,6 @@ behaviour: entries at the same scale must carry the same digest.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List
 
@@ -34,6 +32,7 @@ from repro.harness import experiments as E
 from repro.harness.sweep import SweepResult, run_sweep
 from repro.sim.engine import Simulator
 from repro.sim.future import Future
+from repro.svc.repository import result_digest
 
 #: Scales a case can run at. ``full`` is the tracked configuration (the
 #: committed trajectory); ``quick`` is a smoke-sized variant for tests/CI
@@ -53,17 +52,11 @@ class BenchCase:
     run: Callable[[str], Dict[str, Any]] = field(compare=False)
 
 
-def _digest(payload: Any) -> str:
-    """Canonical SHA-256 of a JSON-serializable result."""
-    blob = json.dumps(payload, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(blob.encode("utf-8")).hexdigest()
-
-
 def _sweep_digest(sweep: SweepResult) -> str:
     """Digest of a sweep's results; ``meta`` (wall times) is left out."""
     record = sweep.to_dict()
     del record["meta"]
-    return _digest(record)
+    return result_digest(record)
 
 
 # ---------------------------------------------------------------------------
@@ -131,7 +124,7 @@ def _run_fig3_signatures(scale: str) -> Dict[str, Any]:
             "scale": scale,
             "membership_ops": ops,
             "probes_per_point": params["probes"],
-            "result_digest": _digest(payload),
+            "result_digest": result_digest(payload),
         },
     }
 
@@ -245,7 +238,7 @@ def _run_engine_stress(scale: str) -> Dict[str, Any]:
             "scale": scale,
             "stages": stages,
             "rounds": rounds,
-            "result_digest": _digest(totals),
+            "result_digest": result_digest(totals),
         },
     }
 

@@ -118,12 +118,12 @@ def default_db_path() -> str:
     return os.path.join(root, "sweeps.db")
 
 
-def result_digest(record: Dict[str, Any]) -> str:
+def result_digest(record: Any) -> str:
     """Canonical SHA-256 of a JSON-safe result record.
 
-    Same canonicalization as the benchmark suite's ``result_digest``
-    (sorted keys, compact separators), so digests are comparable across
-    the service, ``repro bench``, and ad-hoc tooling.
+    Sorted keys, compact separators. The one result digest: the run
+    store, the service and ``repro bench`` (every ``BENCH_*.json``
+    ``result_digest``) all call it, so their digests are comparable.
     """
     blob = json.dumps(record, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()

@@ -12,22 +12,31 @@ provides the seeded bugs, at two levels:
   and serializability checkers can demonstrate the actual data
   corruption the dropped NACK causes.
 
-* :func:`apply_protocol_mutation` re-introduces, behind a flag, each of
-  the three real protocol bugs that the dynamic-analysis suite exposed
-  and that were then fixed (``sticky-discharge``, ``eager-e-grant``,
-  ``no-scrub``). The mutants are verbatim resurrections of the
-  pre-fix logic, installed by monkeypatching a live fabric instance.
-  They exist to validate the model checker (:mod:`repro.mc`): a checker
-  that convicts all three known-real defects with counterexamples has
-  demonstrated it can see the class of bug it was built for.
+* :data:`MUTATIONS` records, once each, the three real protocol bugs
+  that the dynamic-analysis suite exposed and that were then fixed
+  (``sticky-discharge``, ``eager-e-grant``, ``no-scrub``): the paper
+  mechanism each breaks, and per fabric class the method it replaces
+  with a verbatim resurrection of the pre-fix logic. Both protocol
+  checkers are tested against the table:
+  :func:`apply_protocol_mutation` monkeypatches a live fabric instance
+  for the model checker (:mod:`repro.mc`), and :func:`spliced_source`
+  splices the pre-fix function into the fabric's source for the static
+  protocol analyzer (:mod:`repro.analysis.protocol`). A checker that
+  convicts all three known-real defects has demonstrated it can see
+  the class of bug it was built for.
 
 Test-only: nothing in the simulator proper imports this module.
 """
 
 from __future__ import annotations
 
+import ast
+import inspect
+import sys
+from dataclasses import dataclass
 from types import MethodType
-from typing import Dict, FrozenSet, Iterable
+from typing import (Any, Callable, Dict, FrozenSet, Iterable, Mapping,
+                    Tuple)
 
 from repro.cache.block import MESI
 from repro.coherence.directory import DirectoryEntry, DirectoryFabric
@@ -138,21 +147,6 @@ def make_lossy(pair: ReadWriteSignature,
 # ---------------------------------------------------------------------------
 # Protocol mutations: the three pre-fix bugs, resurrected behind flags
 # ---------------------------------------------------------------------------
-
-#: Mutation name -> one-line description (shown by ``repro mc --help``
-#: consumers and used to validate ``--mutate`` arguments).
-MUTATIONS: Dict[str, str] = {
-    "sticky-discharge": (
-        "a successful request discharges every sticky obligation on its "
-        "block, including cores whose signatures still cover it"),
-    "eager-e-grant": (
-        "GETS grants EXCLUSIVE whenever no cache holds the block, "
-        "ignoring standing sticky obligations / uncached signatures"),
-    "no-scrub": (
-        "freeing or reusing a physical frame does not invalidate cached "
-        "copies of its previous tenant"),
-}
-
 
 def _mutant_dir_sticky_discharge(
         self: DirectoryFabric, requester_core: int, block_addr: int,
@@ -289,6 +283,65 @@ def _mutant_no_scrub(self: CoherenceFabric, block_addr: int) -> None:
     every directory."""
 
 
+@dataclass(frozen=True)
+class Mutation:
+    """One known protocol bug, written once.
+
+    ``mutants`` maps each fabric class the bug applies to onto the
+    method it replaces and the pre-fix function that replaces it.
+    """
+
+    description: str
+    #: The paper mechanism the bug breaks (docs/verification.md's matrix).
+    mechanism: str
+    mutants: Mapping[type, Tuple[str, Callable[..., Any]]]
+
+
+#: Mutation name -> the bug. Validates ``repro mc --mutate``; both
+#: :func:`apply_protocol_mutation` (the model checker) and
+#: :func:`spliced_source` (the static protocol analyzer) read it.
+MUTATIONS: Dict[str, Mutation] = {
+    "sticky-discharge": Mutation(
+        "a successful request discharges every sticky obligation on its "
+        "block, including cores whose signatures still cover it",
+        "victimization and sticky state (§3.1)",
+        {DirectoryFabric: ("_apply_grant", _mutant_dir_sticky_discharge),
+         MultiChipFabric: ("_apply_chip_grant",
+                           _mutant_chip_sticky_discharge)}),
+    "eager-e-grant": Mutation(
+        "GETS grants EXCLUSIVE whenever no cache holds the block, "
+        "ignoring standing sticky obligations / uncached signatures",
+        "victimization and sticky state (§3.1)",
+        {DirectoryFabric: ("_apply_grant", _mutant_dir_eager_e_grant),
+         SnoopingFabric: ("_apply_grant", _mutant_snoop_eager_e_grant),
+         MultiChipFabric: ("_apply_chip_grant",
+                           _mutant_chip_eager_e_grant)}),
+    "no-scrub": Mutation(
+        "freeing or reusing a physical frame does not invalidate cached "
+        "copies of its previous tenant",
+        "paging: frame scrub before reuse (§4.2)",
+        {DirectoryFabric: ("scrub_block", _mutant_no_scrub),
+         SnoopingFabric: ("scrub_block", _mutant_no_scrub),
+         MultiChipFabric: ("scrub_block", _mutant_no_scrub)}),
+}
+
+
+def _lookup(name: str, fabric_cls: type) -> Tuple[str, Callable[..., Any]]:
+    """(replaced method, pre-fix function) of mutation ``name`` on
+    ``fabric_cls``; :class:`ConfigError` if the table has no such pair."""
+    mutation = MUTATIONS.get(name)
+    if mutation is None:
+        raise ConfigError(
+            f"unknown mutation {name!r}; choose from "
+            f"{sorted(MUTATIONS)}")
+    if fabric_cls not in mutation.mutants:
+        raise ConfigError(
+            f"mutation {name!r} does not apply to {fabric_cls.__name__}; "
+            f"it applies to "
+            f"{', '.join(sorted(c.__name__ for c in mutation.mutants))}")
+    return mutation.mutants[fabric_cls]
+
+
 def apply_protocol_mutation(fabric: CoherenceFabric, name: str) -> None:
     """Install one named pre-fix bug on a live fabric instance.
 
@@ -297,33 +350,27 @@ def apply_protocol_mutation(fabric: CoherenceFabric, name: str) -> None:
     snooping). Instance-level monkeypatching keeps the sabotage scoped
     to the one fabric under test.
     """
-    if name not in MUTATIONS:
-        raise ConfigError(
-            f"unknown mutation {name!r}; choose from "
-            f"{sorted(MUTATIONS)}")
-    if name == "no-scrub":
-        setattr(fabric, "scrub_block", MethodType(_mutant_no_scrub, fabric))
-        return
-    if name == "sticky-discharge":
-        if isinstance(fabric, DirectoryFabric):
-            setattr(fabric, "_apply_grant",
-                    MethodType(_mutant_dir_sticky_discharge, fabric))
-        elif isinstance(fabric, MultiChipFabric):
-            setattr(fabric, "_apply_chip_grant",
-                    MethodType(_mutant_chip_sticky_discharge, fabric))
-        else:
-            raise ConfigError(
-                "sticky-discharge does not apply to snooping fabrics "
-                "(they have no sticky states)")
-        return
-    # eager-e-grant
-    if isinstance(fabric, DirectoryFabric):
-        setattr(fabric, "_apply_grant",
-                MethodType(_mutant_dir_eager_e_grant, fabric))
-    elif isinstance(fabric, SnoopingFabric):
-        setattr(fabric, "_apply_grant",
-                MethodType(_mutant_snoop_eager_e_grant, fabric))
-    else:
-        assert isinstance(fabric, MultiChipFabric)
-        setattr(fabric, "_apply_chip_grant",
-                MethodType(_mutant_chip_eager_e_grant, fabric))
+    method, mutant = _lookup(name, type(fabric))
+    setattr(fabric, method, MethodType(mutant, fabric))
+
+
+def spliced_source(name: str, fabric_cls: type) -> str:
+    """``fabric_cls``'s module source with mutation ``name`` spliced in.
+
+    The pre-fix function replaces the method's definition in the class
+    body, renamed to the method, so the static protocol analyzer reads
+    the real fabric with only the bug changed. Raises
+    :class:`ConfigError` like :func:`apply_protocol_mutation`.
+    """
+    method, mutant = _lookup(name, fabric_cls)
+    tree = ast.parse(inspect.getsource(sys.modules[fabric_cls.__module__]))
+    mutant_def = ast.parse(inspect.getsource(mutant)).body[0]
+    assert isinstance(mutant_def, ast.FunctionDef)
+    mutant_def.name = method
+    cls_def = next(node for node in tree.body
+                   if isinstance(node, ast.ClassDef)
+                   and node.name == fabric_cls.__name__)
+    cls_def.body = [mutant_def if isinstance(node, ast.FunctionDef)
+                    and node.name == method else node
+                    for node in cls_def.body]
+    return ast.unparse(tree)

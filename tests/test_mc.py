@@ -7,11 +7,10 @@ Three layers:
 * clean exploration — each fabric explores to a bounded cap with zero
   invariant violations (the directory config is known clean to 100k+
   states; these caps are sized for test runtime);
-* mutation convictions — each resurrected PR-3 protocol bug is
-  convicted with a shortest counterexample that replays
-  deterministically. The conviction depths (no-scrub: 2, sticky
-  over-discharge: 4, eager E grants: 7) and invariants are pinned:
-  a change here means conflict-detection coverage moved.
+* counterexamples — a conviction's shortest counterexample replays
+  deterministically, carries its steps' events and dumps to JSON.
+  Which invariant convicts each (mutation, fabric) pair, and at what
+  depth, is pinned by ``tests/test_mutation_matrix.py``.
 """
 
 import json
@@ -178,36 +177,8 @@ def convict(fabric, mutation, state_cap):
 
 
 class TestMutationConvictions:
-    """Each resurrected bug must be convicted within a bounded search,
-    and its counterexample must replay to the claimed violation."""
-
-    def test_no_scrub_convicted_everywhere(self):
-        for fabric in ("directory", "snooping", "multichip"):
-            result = convict(fabric, "no-scrub", state_cap=500)
-            assert result.violation[0] == "frame-tenancy"
-            assert len(result.counterexample.steps) == 2
-
-    def test_sticky_discharge_convicted_on_directory(self):
-        result = convict("directory", "sticky-discharge", state_cap=1000)
-        assert result.violation[0] == "read-coverage"
-        assert len(result.counterexample.steps) == 4
-
-    def test_sticky_discharge_convicted_on_multichip(self):
-        result = convict("multichip", "sticky-discharge", state_cap=1000)
-        assert result.violation[0] == "read-coverage"
-        assert len(result.counterexample.steps) == 4
-
-    def test_eager_e_grant_convicted_on_snooping(self):
-        result = convict("snooping", "eager-e-grant", state_cap=5000)
-        assert result.violation[0] == "tm-isolation"
-        assert len(result.counterexample.steps) == 7
-
-    def test_eager_e_grant_convicted_on_directory(self):
-        # The deepest conviction: E granted off a broadcast rebuild that
-        # left a sticky reader, then a silent E->M write (7 steps).
-        result = convict("directory", "eager-e-grant", state_cap=6000)
-        assert result.violation[0] == "tm-isolation"
-        assert len(result.counterexample.steps) == 7
+    """A conviction's counterexample must replay to the claimed
+    violation."""
 
     def test_counterexample_replays_deterministically(self):
         result = convict("directory", "sticky-discharge", state_cap=1000)

@@ -173,6 +173,26 @@ class TestRunSuite:
         digests = {run("quick")["extra"]["result_digest"] for _ in range(2)}
         assert len(digests) == 1
 
+    #: Quick-scale result digests; identical on Python 3.9, 3.11, 3.12
+    #: and 3.13. A change that moves one changed a simulated result.
+    PINNED_QUICK_DIGESTS = {
+        "fig4_cell":
+            "ea1581df8e20a74e0b8b48a83d06a3f25a3d73d721ac3a32dd30b9d2866a45ba",
+        "table3_conflict":
+            "a31891e74b66c54ab7bbf676dcebfcb9f9a41020282f98710a616140012a567b",
+        "fig3_signatures":
+            "88e15c67de343be00acaa300de216e5fbecbf7cf004d81d8bdef8ee257f31c2f",
+        "engine_stress":
+            "614d66b4c465e50ca25e27218301da8f381d6cee17268449707631aeaa773987",
+    }
+
+    def test_quick_digests_are_pinned(self):
+        assert set(self.PINNED_QUICK_DIGESTS) == set(CASES)
+        for name, case in CASES.items():
+            digest = case.run("quick")["extra"]["result_digest"]
+            assert digest == self.PINNED_QUICK_DIGESTS[name], \
+                f"{name}: a simulated result moved"
+
     def test_run_suite_writes_tracks_and_gates(self, tmp_path):
         out = str(tmp_path)
         first = run_suite(names=["engine_stress"], scale="quick",

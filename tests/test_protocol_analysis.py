@@ -151,27 +151,12 @@ def _corpus_rules(name):
     return sorted({f.rule for f in analyze_paths([path])})
 
 
-def test_corpus_missing_scrub_is_pc001_only():
-    assert _corpus_rules("proto_toy_missing_scrub.py") == ["PC001"]
-
-
 def test_corpus_dead_arm_is_pc002_only():
     assert _corpus_rules("proto_toy_dead_arm.py") == ["PC002"]
 
 
-def test_corpus_discharge_mutants_are_pc003_only():
-    assert _corpus_rules("proto_toy_blind_discharge.py") == ["PC003"]
-    assert _corpus_rules("proto_toy_eager_exclusive.py") == ["PC003"]
-
-
 def test_corpus_obligation_drop_is_pc004_only():
     assert _corpus_rules("proto_toy_obligation_drop.py") == ["PC004"]
-
-
-def test_eager_exclusive_conviction_names_the_e_guard():
-    findings = [f for f in analyze_paths(
-        [os.path.join(CORPUS_DIR, "proto_toy_eager_exclusive.py")])]
-    assert all("E_STICKY_GUARDED" in f.message for f in findings)
 
 
 # -- committed tables ---------------------------------------------------
@@ -252,9 +237,11 @@ def test_cli_protocol_json_payload(capsys):
 
 
 def test_cli_protocol_corpus_convicts(capsys):
+    # PC001 and PC003 are convicted on the real fabrics, with the known
+    # bugs spliced in (tests/test_mutation_matrix.py).
     assert main(["analyze", "--protocol", CORPUS_DIR]) == 1
     out = capsys.readouterr().out
-    for rule in ("PC001", "PC002", "PC003", "PC004"):
+    for rule in ("PC002", "PC004"):
         assert rule in out
 
 
