@@ -37,7 +37,6 @@ committed per-fabric tables live under ``docs/protocol_tables/``.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
 
@@ -220,10 +219,6 @@ class TransitionTable:
             "transitions": [t.to_dict()
                             for t in self.sorted_transitions()],
         }
-
-    def to_json(self, canonical_path: Optional[str] = None) -> str:
-        return json.dumps(self.to_json_dict(canonical_path),
-                          indent=2, sort_keys=True) + "\n"
 
 
 def render_tables(tables: Sequence[TransitionTable]) -> str:

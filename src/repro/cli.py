@@ -104,6 +104,9 @@ def _cmd_paper(args) -> int:
             failures = check(rows, scale)
         except Exception as exc:  # report it; the next experiment still runs
             traceback.print_exc()
+            if isinstance(exc, SweepExecutionError):  # cell tracebacks
+                for key, reason in exc.failures.items():
+                    print(f"  {key}: {reason}", file=sys.stderr)
             error = f"{type(exc).__name__}: {exc}"
             payload[name] = {"rows": None, "failures": None, "error": error}
             failed = True

@@ -23,10 +23,6 @@ class DeadlockError(SimulationError):
     """The simulation made no progress: every runnable process is blocked."""
 
 
-class ProtocolError(ReproError):
-    """The coherence protocol reached an illegal state transition."""
-
-
 class InvariantViolation(ReproError, AssertionError):
     """A whole-system state audit (``coherence.invariants``) failed.
 

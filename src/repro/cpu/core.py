@@ -170,12 +170,6 @@ class Core(ConflictPort):
     # The access path (simulation sub-generators)
     # ------------------------------------------------------------------
 
-    def _lazy_tx(self, slot: HardwareSlot) -> bool:
-        """Is this access a transactional access under lazy versioning?"""
-        thread = slot.thread
-        return (self._lazy and thread is not None
-                and thread.ctx.transactional)
-
     def _check_doomed(self, slot: HardwareSlot) -> None:
         """Surface an asynchronous squash *before* the next operation.
 

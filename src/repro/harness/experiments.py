@@ -27,8 +27,9 @@ from repro.common.rng import DEFAULT_SEED, make_rng, perturbed_seeds
 from repro.common.stats import ConfidenceInterval
 from repro.cpu.executor import ThreadExecutor
 from repro.harness.report import render_table
-from repro.harness.runner import run_workload
-from repro.harness.sweep import RunTask, execute_tasks, run_sweep
+from repro.harness.runner import RunResult, default_config_label
+from repro.harness.sweep import (RunTask, Variant, execute_tasks, run_sweep,
+                                 signature_size_variants)
 from repro.harness.system import System
 from repro.signatures.factory import make_signature
 from repro.workloads import (BankTransfer, BerkeleyDB, BigFootprint,
@@ -91,6 +92,17 @@ def make_workload(name: str, scale: ExperimentScale,
 def _failed(claims: Iterable[Tuple[bool, str]]) -> List[str]:
     """The texts of the ``(holds, text)`` claims that do not hold."""
     return [text for holds, text in claims if not holds]
+
+
+def _run_cells(cells: Iterable[tuple], jobs: Optional[int],
+               seed: int = DEFAULT_SEED, cache=None) -> Dict[str, RunResult]:
+    """Run ``(key, config, make_workload)`` cells as one batch; results by
+    key, in cell order, labelled as ``run_workload`` labels a config."""
+    tasks = [RunTask(key=key, label=default_config_label(cfg), cfg=cfg,
+                     make_workload=factory, seed=seed)
+             for key, cfg, factory in cells]
+    outcomes = execute_tasks(tasks, jobs=jobs, cache=cache)
+    return {key: outcome.result for key, outcome in outcomes.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -173,20 +185,22 @@ class Table2Row:
 
 
 def table2(scale: ExperimentScale = QUICK, seed: int = DEFAULT_SEED,
-           cfg: Optional[SystemConfig] = None) -> List[Table2Row]:
+           cfg: Optional[SystemConfig] = None,
+           jobs: Optional[int] = 1) -> List[Table2Row]:
     """Run every workload with perfect signatures; measure footprints."""
     cfg = cfg or SystemConfig.default()
     cfg = cfg.with_signature(SignatureKind.PERFECT)
+    results = _run_cells(
+        ((name, cfg, lambda name=name: make_workload(name, scale, seed))
+         for name in WORKLOAD_CLASSES), jobs, seed)
     rows = []
-    for name in WORKLOAD_CLASSES:
-        workload = make_workload(name, scale, seed)
-        result = run_workload(cfg, workload, seed=seed)
+    for name, result in results.items():
         reads = result.histograms.get("tm.read_set_blocks")
         writes = result.histograms.get("tm.write_set_blocks")
         rows.append(Table2Row(
             name=name,
-            input_desc=workload.input_desc,
-            unit_name=workload.unit_name,
+            input_desc=WORKLOAD_CLASSES[name].input_desc,
+            unit_name=WORKLOAD_CLASSES[name].unit_name,
             units=result.units,
             transactions=result.commits,
             read_avg=reads.mean if reads else 0.0,
@@ -322,7 +336,8 @@ def figure3_attribution(seed: int = DEFAULT_SEED,
                         base_cfg: Optional[SystemConfig] = None,
                         num_threads: int = 4, units: int = 2,
                         blocks_per_sweep: int = 96,
-                        bit_sizes: Sequence[int] = (64, 2048)
+                        bit_sizes: Sequence[int] = (64, 2048),
+                        jobs: Optional[int] = 1
                         ) -> List[Figure3AttributionRow]:
     """In-simulation companion to :func:`figure3`: *where aborts come from*.
 
@@ -342,13 +357,13 @@ def figure3_attribution(seed: int = DEFAULT_SEED,
         variants.append((f"BS_{bits}",
                          base.with_signature(SignatureKind.BIT_SELECT,
                                              bits=bits)))
+    sweep = run_sweep(
+        variants,
+        lambda: BigFootprint(num_threads=num_threads, units_per_thread=units,
+                             blocks_per_sweep=blocks_per_sweep, seed=seed),
+        seed=seed, jobs=jobs)
     rows: List[Figure3AttributionRow] = []
-    for label, cfg in variants:
-        workload = BigFootprint(num_threads=num_threads,
-                                units_per_thread=units,
-                                blocks_per_sweep=blocks_per_sweep,
-                                seed=seed)
-        result = run_workload(cfg, workload, seed=seed, config_label=label)
+    for label, result in sweep.results.items():
         rows.append(Figure3AttributionRow(
             signature=label,
             commits=result.commits,
@@ -369,10 +384,11 @@ def render_figure3_attribution(rows: Sequence[Figure3AttributionRow]) -> str:
         title="Figure 3 companion: abort attribution (BigFootprint)")
 
 
-def figure3_with_attribution(seed: int = DEFAULT_SEED) -> Dict[str, list]:
+def figure3_with_attribution(seed: int = DEFAULT_SEED,
+                             jobs: Optional[int] = 1) -> Dict[str, list]:
     """Figure 3's aliasing points beside their abort attribution."""
     return {"points": figure3(seed=seed),
-            "attribution": figure3_attribution(seed=seed)}
+            "attribution": figure3_attribution(seed=seed, jobs=jobs)}
 
 
 def render_figure3_with_attribution(rows: Dict[str, list]) -> str:
@@ -535,30 +551,32 @@ TABLE3_SIGNATURES: List[Tuple[str, SignatureKind, int, int]] = [
 ]
 
 
+def table3_variants(base: SystemConfig) -> List[Variant]:
+    """The :data:`TABLE3_SIGNATURES` family on ``base``, as
+    ``(label, config)`` pairs."""
+    return [(label, base.with_signature(kind) if kind is SignatureKind.PERFECT
+             else base.with_signature(kind, bits=bits,
+                                      granularity=granularity))
+            for label, kind, bits, granularity in TABLE3_SIGNATURES]
+
+
 def table3(scale: ExperimentScale = QUICK, seed: int = DEFAULT_SEED,
            workloads: Sequence[str] = ("BerkeleyDB", "Raytrace"),
            base_cfg: Optional[SystemConfig] = None,
            jobs: Optional[int] = 1, cache=None) -> List[Table3Row]:
-    """One sweep per workload over the Table 3 signature family.
-
-    ``jobs``/``cache`` are forwarded to :func:`repro.harness.run_sweep`.
-    """
-    base = base_cfg or SystemConfig.default()
+    """Every workload under the Table 3 signature family: one batch of
+    cells keyed ``workload/label``, which ``jobs``/``cache`` fan out and
+    store."""
+    variants = table3_variants(base_cfg or SystemConfig.default())
+    results = _run_cells(
+        ((f"{name}/{label}", cfg,
+          lambda name=name: make_workload(name, scale, seed))
+         for name in workloads for label, cfg in variants),
+        jobs, seed, cache)
     rows: List[Table3Row] = []
     for name in workloads:
-        variants = []
-        for label, kind, bits, granularity in TABLE3_SIGNATURES:
-            if kind is SignatureKind.PERFECT:
-                cfg = base.with_signature(kind)
-            else:
-                cfg = base.with_signature(kind, bits=bits,
-                                          granularity=granularity)
-            variants.append((label, cfg))
-        sweep = run_sweep(variants,
-                          lambda name=name: make_workload(name, scale, seed),
-                          seed=seed, jobs=jobs, cache=cache)
-        for label, _ in variants:
-            result = sweep.results[label]
+        for label, _cfg in variants:
+            result = results[f"{name}/{label}"]
             rows.append(Table3Row(
                 workload=name, signature=label,
                 transactions=result.commits, aborts=result.aborts,
@@ -627,8 +645,8 @@ class VictimizationRow:
 
 
 def victimization(scale: ExperimentScale = QUICK, seed: int = DEFAULT_SEED,
-                  base_cfg: Optional[SystemConfig] = None
-                  ) -> List[VictimizationRow]:
+                  base_cfg: Optional[SystemConfig] = None,
+                  jobs: Optional[int] = 1) -> List[VictimizationRow]:
     cfg = (base_cfg or SystemConfig.default()).with_signature(
         SignatureKind.PERFECT)
     # Victimization is a tail event (the paper observed 481 in 48K
@@ -638,10 +656,11 @@ def victimization(scale: ExperimentScale = QUICK, seed: int = DEFAULT_SEED,
     units["Raytrace"] = max(units.get("Raytrace", scale.default_units) * 5,
                             scale.default_units * 5)
     boosted = replace(scale, units=units)
+    results = _run_cells(
+        ((name, cfg, lambda name=name: make_workload(name, boosted, seed))
+         for name in WORKLOAD_CLASSES), jobs, seed)
     rows = []
-    for name in WORKLOAD_CLASSES:
-        result = run_workload(cfg, make_workload(name, boosted, seed),
-                              seed=seed)
+    for name, result in results.items():
         rows.append(VictimizationRow(
             workload=name,
             transactions=result.commits,
@@ -831,20 +850,19 @@ def check_table4(rows: Dict[str, dict],
 # broadcast, wired-OR NACK line, no sticky states) and compares against the
 # directory baseline.
 
-def compare_fabrics(scale):
-    rows = []
-    for name in ("Cholesky", "Mp3d"):
-        results = {}
-        for style in (CoherenceStyle.DIRECTORY, CoherenceStyle.SNOOPING):
-            cfg = replace(SystemConfig.default(), coherence=style)
-            results[style] = run_workload(cfg, make_workload(name, scale))
-        d, s = (results[CoherenceStyle.DIRECTORY],
-                results[CoherenceStyle.SNOOPING])
-        rows.append((name, d.cycles, s.cycles,
-                     d.counters.get("coherence.forwards", 0),
-                     s.counters.get("coherence.snoops", 0),
-                     d.units, s.units))
-    return rows
+def compare_fabrics(scale, jobs: Optional[int] = 1):
+    results = list(_run_cells(
+        ((f"{name}/{style.value}",
+          replace(SystemConfig.default(), coherence=style),
+          lambda name=name: make_workload(name, scale))
+         for name in ("Cholesky", "Mp3d")
+         for style in (CoherenceStyle.DIRECTORY, CoherenceStyle.SNOOPING)),
+        jobs).values())
+    # Cells alternate directory, snooping for each workload.
+    return [(d.workload, d.cycles, s.cycles,
+             d.counters.get("coherence.forwards", 0),
+             s.counters.get("coherence.snoops", 0), d.units, s.units)
+            for d, s in zip(results[0::2], results[1::2])]
 
 
 def render_snooping(rows) -> str:
@@ -893,18 +911,18 @@ def check_snooping(rows, scale: ExperimentScale) -> Optional[List[str]]:
 #    test-and-test-and-set spinlock running through the memory system —
 #    quantifying how much lock implementation, not locking itself, costs.
 
-def ablate_log_filter():
-    rows = []
-    for entries in (0, 4, 32):
-        cfg = SystemConfig.small(num_cores=2)
-        cfg = replace(cfg, tm=replace(cfg.tm, log_filter_entries=entries))
-        wl = RepeatStores(num_threads=2, units_per_thread=6,
-                          stores_per_burst=48)
-        result = run_workload(cfg, wl)
-        rows.append((entries, result.counters["tm.log_appends"],
-                     result.counters.get("tm.log_filtered", 0),
-                     result.cycles))
-    return rows
+def ablate_log_filter(jobs: Optional[int] = 1):
+    base = SystemConfig.small(num_cores=2)
+    sizes = (0, 4, 32)
+    sweep = run_sweep(
+        [(f"{entries} entries",
+          replace(base, tm=replace(base.tm, log_filter_entries=entries)))
+         for entries in sizes],
+        lambda: RepeatStores(num_threads=2, units_per_thread=6,
+                             stores_per_burst=48), jobs=jobs)
+    return [(entries, result.counters["tm.log_appends"],
+             result.counters.get("tm.log_filtered", 0), result.cycles)
+            for entries, result in zip(sizes, sweep.results.values())]
 
 
 def render_log_filter(rows) -> str:
@@ -926,19 +944,17 @@ def check_log_filter(rows, scale: ExperimentScale) -> List[str]:
     ])
 
 
-def ablate_sticky_states():
-    rows = []
-    for sticky in (True, False):
-        cfg = SystemConfig.small(num_cores=2)
-        cfg = replace(cfg, tm=replace(cfg.tm, use_sticky_states=sticky))
-        wl = BigFootprint(num_threads=2, units_per_thread=3,
-                          blocks_per_sweep=96)
-        result = run_workload(cfg, wl)
-        rows.append(("on" if sticky else "off",
-                     result.counters.get("victimization.l1_tx", 0),
-                     result.counters.get("coherence.sticky_created", 0),
-                     result.units))
-    return rows
+def ablate_sticky_states(jobs: Optional[int] = 1):
+    base = SystemConfig.small(num_cores=2)
+    sweep = run_sweep(
+        [("on" if sticky else "off",
+          replace(base, tm=replace(base.tm, use_sticky_states=sticky)))
+         for sticky in (True, False)],
+        lambda: BigFootprint(num_threads=2, units_per_thread=3,
+                             blocks_per_sweep=96), jobs=jobs)
+    return [(mode, result.counters.get("victimization.l1_tx", 0),
+             result.counters.get("coherence.sticky_created", 0), result.units)
+            for mode, result in sweep.results.items()]
 
 
 def render_sticky_states(rows) -> str:
@@ -961,15 +977,15 @@ def check_sticky_states(rows, scale: ExperimentScale) -> List[str]:
     ])
 
 
-def sweep_signature_sizes(scale):
-    rows = []
-    for bits in (4096, 1024, 256, 64, 32):
-        cfg = SystemConfig.default().with_signature(
-            SignatureKind.BIT_SELECT, bits=bits)
-        result = run_workload(cfg, make_workload("BerkeleyDB", scale))
-        rows.append((bits, result.cycles, result.aborts, result.stalls,
-                     round(result.false_positive_pct, 1)))
-    return rows
+def sweep_signature_sizes(scale, jobs: Optional[int] = 1):
+    sizes = (4096, 1024, 256, 64, 32)
+    sweep = run_sweep(
+        signature_size_variants(SignatureKind.BIT_SELECT, sizes,
+                                granularity=64),
+        lambda: make_workload("BerkeleyDB", scale), jobs=jobs)
+    return [(bits, result.cycles, result.aborts, result.stalls,
+             round(result.false_positive_pct, 1))
+            for bits, result in zip(sizes, sweep.results.values())]
 
 
 def render_signature_sizes(rows) -> str:
@@ -989,16 +1005,15 @@ def check_signature_sizes(rows, scale: ExperimentScale) -> List[str]:
     ])
 
 
-def compare_lock_impls(scale):
-    rows = []
-    for impl in (LockImpl.MUTEX, LockImpl.SPIN):
-        cfg = replace(SystemConfig.default().with_sync(SyncMode.LOCKS),
-                      lock_impl=impl)
-        result = run_workload(cfg, make_workload("Mp3d", scale))
-        rows.append((impl.value, result.cycles,
-                     result.counters.get("locks.acquires", 0),
-                     result.counters.get("locks.spins", 0)))
-    return rows
+def compare_lock_impls(scale, jobs: Optional[int] = 1):
+    base = SystemConfig.default().with_sync(SyncMode.LOCKS)
+    sweep = run_sweep(
+        [(impl.value, replace(base, lock_impl=impl))
+         for impl in (LockImpl.MUTEX, LockImpl.SPIN)],
+        lambda: make_workload("Mp3d", scale), jobs=jobs)
+    return [(impl, result.cycles, result.counters.get("locks.acquires", 0),
+             result.counters.get("locks.spins", 0))
+            for impl, result in sweep.results.items()]
 
 
 def render_lock_impls(rows) -> str:
@@ -1032,16 +1047,19 @@ def check_lock_impls(rows, scale: ExperimentScale) -> List[str]:
 #    writing *adjacent words* conflict exactly as if they shared data,
 #    while block-separated words do not.
 
-def thread_scaling():
-    rows = []
-    for label, cfg, threads in scaling_series(max_threads=32):
-        wl_factory = lambda: BerkeleyDB(num_threads=threads,
-                                        units_per_thread=3)
-        lock = run_workload(cfg.with_sync(SyncMode.LOCKS), wl_factory())
-        tm = run_workload(cfg, wl_factory())
-        rows.append((label, lock.cycles, tm.cycles,
-                     round(lock.cycles / tm.cycles, 2)))
-    return rows
+def thread_scaling(jobs: Optional[int] = 1):
+    series = list(scaling_series(max_threads=32))
+    results = _run_cells(
+        ((f"{label}/{sync.value}", cfg.with_sync(sync),
+          lambda threads=threads: BerkeleyDB(num_threads=threads,
+                                             units_per_thread=3))
+         for label, cfg, threads in series
+         for sync in (SyncMode.LOCKS, SyncMode.TRANSACTIONS)), jobs)
+    # Cells alternate locks, transactions for each machine.
+    cycles = [result.cycles for result in results.values()]
+    return [(label, lock, tm, round(lock / tm, 2))
+            for (label, _cfg, _threads), lock, tm
+            in zip(series, cycles[0::2], cycles[1::2])]
 
 
 def render_thread_scaling(rows) -> str:
@@ -1064,15 +1082,14 @@ def check_thread_scaling(rows,
     ])
 
 
-def false_sharing_cost():
-    rows = []
-    for packed in (False, True):
-        cfg = cmp_preset(num_cores=8, threads_per_core=1)
-        wl = FalseSharing(num_threads=8, packed=packed)
-        result = run_workload(cfg, wl, start_skew=0)
-        rows.append(("packed" if packed else "separated",
-                     result.cycles, result.stalls, result.aborts))
-    return rows
+def false_sharing_cost(jobs: Optional[int] = 1):
+    cfg = cmp_preset(num_cores=8, threads_per_core=1)
+    results = _run_cells(
+        (("packed" if packed else "separated", cfg,
+          lambda packed=packed: FalseSharing(num_threads=8, packed=packed))
+         for packed in (False, True)), jobs)
+    return [(layout, result.cycles, result.stalls, result.aborts)
+            for layout, result in results.items()]
 
 
 def render_false_sharing(rows) -> str:
@@ -1112,18 +1129,18 @@ def check_false_sharing(rows, scale: ExperimentScale) -> List[str]:
 #    bit-select at equal size, plus the analytic model's accuracy.
 # 5. Eager (LogTM-SE) vs lazy (Bulk-style) version management.
 
-def compare_policies():
-    rows = []
-    for policy in ("timestamp", "polite", "aggressive"):
-        cfg = SystemConfig.small(num_cores=4, threads_per_core=2)
-        cfg = replace(cfg, tm=replace(cfg.tm, contention_policy=policy))
-        wl = BankTransfer(num_threads=8, units_per_thread=20,
-                          num_accounts=16, compute_between=50)
-        result = run_workload(cfg, wl, keep_system=True)
-        total = wl.total_balance(result.system, result.system.page_table(0))
-        rows.append((policy, result.cycles, result.aborts, result.stalls,
-                     total))
-    return rows
+def compare_policies(jobs: Optional[int] = 1):
+    base = SystemConfig.small(num_cores=4, threads_per_core=2)
+    sweep = run_sweep(
+        [(policy, replace(base, tm=replace(base.tm,
+                                           contention_policy=policy)))
+         for policy in ("timestamp", "polite", "aggressive")],
+        lambda: BankTransfer(num_threads=8, units_per_thread=20,
+                             num_accounts=16, compute_between=50),
+        jobs=jobs)
+    return [(policy, result.cycles, result.aborts, result.stalls,
+             result.counters["final.balance"])
+            for policy, result in sweep.results.items()]
 
 
 def render_policies(rows) -> str:
@@ -1208,23 +1225,19 @@ def check_classic(results, scale: ExperimentScale) -> List[str]:
     ])
 
 
-def multichip_locality():
-    rows = []
-    for chips, cores in ((1, 8), (2, 4), (4, 2)):
-        if chips == 1:
-            cfg = SystemConfig.small(num_cores=8, threads_per_core=1)
-        else:
-            cfg = SystemConfig.multichip(num_chips=chips,
-                                         cores_per_chip=cores)
-        wl = BankTransfer(num_threads=8, units_per_thread=10,
-                          num_accounts=32, compute_between=200)
-        result = run_workload(cfg, wl, keep_system=True)
-        balance = wl.total_balance(result.system,
-                                   result.system.page_table(0))
-        rows.append((f"{chips}x{cores}", result.cycles,
-                     result.counters.get("coherence.interchip_requests", 0),
-                     balance))
-    return rows
+def multichip_locality(jobs: Optional[int] = 1):
+    sweep = run_sweep(
+        [(f"{chips}x{cores}",
+          SystemConfig.small(num_cores=8, threads_per_core=1) if chips == 1
+          else SystemConfig.multichip(num_chips=chips, cores_per_chip=cores))
+         for chips, cores in ((1, 8), (2, 4), (4, 2))],
+        lambda: BankTransfer(num_threads=8, units_per_thread=10,
+                             num_accounts=32, compute_between=200),
+        jobs=jobs)
+    return [(label, result.cycles,
+             result.counters.get("coherence.interchip_requests", 0),
+             result.counters["final.balance"])
+            for label, result in sweep.results.items()]
 
 
 def render_multichip(rows) -> str:
@@ -1295,17 +1308,18 @@ def check_hashed(rows, scale: ExperimentScale) -> List[str]:
     return _failed(claims)
 
 
-def eager_vs_lazy():
+def eager_vs_lazy(jobs: Optional[int] = 1):
     from repro.workloads import HashTable
+    base = SystemConfig.small(num_cores=4, threads_per_core=2)
+    sweep = run_sweep(
+        [(mode, replace(base, tm=replace(base.tm, version_management=mode)))
+         for mode in ("eager", "lazy")],
+        lambda: HashTable(num_threads=8, units_per_thread=12, num_buckets=4,
+                          key_space=16, seed=15, compute_between=40),
+        jobs=jobs)
     rows = []
-    for mode in ("eager", "lazy"):
-        cfg = SystemConfig.small(num_cores=4, threads_per_core=2)
-        cfg = replace(cfg, tm=replace(cfg.tm, version_management=mode))
-        wl = HashTable(num_threads=8, units_per_thread=12, num_buckets=4,
-                       key_space=16, seed=15, compute_between=40)
-        result = run_workload(cfg, wl, keep_system=True)
-        table = wl.read_table(result.system, result.system.page_table(0))
-        if table != wl.expected_counts():
+    for mode, result in sweep.results.items():
+        if not result.counters["final.table_matches_oracle"]:
             raise VerificationError(f"{mode}: oracle violated")
         rows.append((mode, result.cycles, result.commits, result.aborts,
                      result.counters.get("tm.lazy_squashes", 0),
@@ -1344,46 +1358,48 @@ def check_lazy(rows, scale: ExperimentScale) -> List[str]:
 #: ``run(scale, seed, jobs)`` returns rows; ``render(rows)`` returns the
 #: printed text; ``check(rows, scale)`` returns the claims the rows break,
 #: or ``None`` when they are shape claims that ``scale`` does not check.
-#: Only the experiments that take a seed or fan out cells use ``seed`` and
-#: ``jobs``; the others keep their fixed seeds.
+#: Each experiment's simulations are one cell batch that ``jobs`` fans
+#: out; the experiments without a ``seed`` argument keep fixed seeds.
 EXPERIMENTS: Dict[str, Tuple[Callable, Callable, Callable]] = {
     "table1": (lambda scale, seed, jobs: table1_rows(),
                render_table1, check_table1),
-    "table2": (lambda scale, seed, jobs: table2(scale, seed),
+    "table2": (lambda scale, seed, jobs: table2(scale, seed, jobs=jobs),
                render_table2, check_table2),
-    "fig3": (lambda scale, seed, jobs: figure3_with_attribution(seed),
+    "fig3": (lambda scale, seed, jobs: figure3_with_attribution(seed, jobs),
              render_figure3_with_attribution, check_figure3),
     "fig4": (lambda scale, seed, jobs: figure4(scale, seed, jobs=jobs),
              render_figure4, check_figure4),
     "table3": (lambda scale, seed, jobs: table3(scale, seed, jobs=jobs),
                render_table3, check_table3),
-    "victimization": (lambda scale, seed, jobs: victimization(scale, seed),
-                      render_victimization, check_victimization),
+    "victimization": (
+        lambda scale, seed, jobs: victimization(scale, seed, jobs=jobs),
+        render_victimization, check_victimization),
     "table4": (lambda scale, seed, jobs: table4(),
                render_table4, check_table4),
-    "snooping": (lambda scale, seed, jobs: compare_fabrics(scale),
+    "snooping": (lambda scale, seed, jobs: compare_fabrics(scale, jobs),
                  render_snooping, check_snooping),
-    "ablation-log-filter": (lambda scale, seed, jobs: ablate_log_filter(),
+    "ablation-log-filter": (lambda scale, seed, jobs: ablate_log_filter(jobs),
                             render_log_filter, check_log_filter),
-    "ablation-sticky": (lambda scale, seed, jobs: ablate_sticky_states(),
+    "ablation-sticky": (lambda scale, seed, jobs: ablate_sticky_states(jobs),
                         render_sticky_states, check_sticky_states),
     "ablation-sigsize": (
-        lambda scale, seed, jobs: sweep_signature_sizes(scale),
+        lambda scale, seed, jobs: sweep_signature_sizes(scale, jobs),
         render_signature_sizes, check_signature_sizes),
-    "ablation-locks": (lambda scale, seed, jobs: compare_lock_impls(scale),
-                       render_lock_impls, check_lock_impls),
-    "scaling-threads": (lambda scale, seed, jobs: thread_scaling(),
+    "ablation-locks": (
+        lambda scale, seed, jobs: compare_lock_impls(scale, jobs),
+        render_lock_impls, check_lock_impls),
+    "scaling-threads": (lambda scale, seed, jobs: thread_scaling(jobs),
                         render_thread_scaling, check_thread_scaling),
-    "false-sharing": (lambda scale, seed, jobs: false_sharing_cost(),
+    "false-sharing": (lambda scale, seed, jobs: false_sharing_cost(jobs),
                       render_false_sharing, check_false_sharing),
-    "ext-contention": (lambda scale, seed, jobs: compare_policies(),
+    "ext-contention": (lambda scale, seed, jobs: compare_policies(jobs),
                        render_policies, check_policies),
     "ext-classic": (lambda scale, seed, jobs: compare_classic(),
                     render_classic, check_classic),
-    "ext-multichip": (lambda scale, seed, jobs: multichip_locality(),
+    "ext-multichip": (lambda scale, seed, jobs: multichip_locality(jobs),
                       render_multichip, check_multichip),
     "ext-hashed": (lambda scale, seed, jobs: hashed_vs_bitselect(),
                    render_hashed, check_hashed),
-    "ext-lazy": (lambda scale, seed, jobs: eager_vs_lazy(),
+    "ext-lazy": (lambda scale, seed, jobs: eager_vs_lazy(jobs),
                  render_lazy, check_lazy),
 }

@@ -148,7 +148,6 @@ def run_workload(cfg: SystemConfig, workload: Workload,
                  seed: int = DEFAULT_SEED,
                  cycle_limit: int = DEFAULT_CYCLE_LIMIT,
                  config_label: str = "",
-                 start_skew: int = 1000,
                  keep_system: bool = False,
                  trace: bool = False,
                  trace_max_events: int = 1_000_000,
@@ -156,10 +155,9 @@ def run_workload(cfg: SystemConfig, workload: Workload,
                  verify=False) -> RunResult:
     """Execute one workload to completion on a freshly built system.
 
-    ``start_skew`` staggers thread start times uniformly over that many
-    cycles, modeling thread-creation skew (real programs never release all
-    threads in the same cycle; a perfectly symmetric start is a simulation
-    artifact that manufactures worst-case conflicts).
+    Threads start staggered over ``workload.start_skew`` cycles, and each
+    entry of ``workload.final_state(system)`` becomes a ``final.<name>``
+    counter.
 
     ``trace=True`` attaches an event bus + ring-buffer log for the run and
     returns the captured events on ``RunResult.events`` (``trace_kinds``
@@ -189,8 +187,8 @@ def run_workload(cfg: SystemConfig, workload: Workload,
     gc.disable()
     try:
         return _run_cell(cfg, workload, seed, cycle_limit, config_label,
-                         start_skew, keep_system, trace, trace_max_events,
-                         trace_kinds, verify)
+                         keep_system, trace, trace_max_events, trace_kinds,
+                         verify)
     finally:
         if gc_was_enabled:
             gc.collect(0)
@@ -198,7 +196,7 @@ def run_workload(cfg: SystemConfig, workload: Workload,
 
 
 def _run_cell(cfg: SystemConfig, workload: Workload, seed: int,
-              cycle_limit: int, config_label: str, start_skew: int,
+              cycle_limit: int, config_label: str,
               keep_system: bool, trace: bool, trace_max_events: int,
               trace_kinds: Optional[List[str]], verify) -> RunResult:
     """Body of :func:`run_workload`, which owns the GC policy around it."""
@@ -230,7 +228,8 @@ def _run_cell(cfg: SystemConfig, workload: Workload, seed: int,
         executor = ThreadExecutor(cfg, thread, system.manager,
                                   sections, rng, system.stats)
         executors.append(executor)
-        delay = rng.randrange(start_skew) if start_skew else 0
+        skew = workload.start_skew
+        delay = rng.randrange(skew) if skew else 0
         # A zero delay makes the wrapper a pure pass-through; spawning the
         # executor directly keeps one frame out of every resume chain.
         gen = staggered(executor, delay) if delay else executor.run()
@@ -238,6 +237,8 @@ def _run_cell(cfg: SystemConfig, workload: Workload, seed: int,
                                       name=f"{workload.name}.t{index}"))
     system.sim.run_until_done(procs, limit=cycle_limit)
     units = sum(e.units_done for e in executors)
+    for name, value in workload.final_state(system).items():
+        system.stats.counter(f"final.{name}").add(value)
     report = suite.finish() if suite is not None else None
     if report is not None and verify == "strict" and not report.ok:
         from repro.common.errors import VerificationError

@@ -164,15 +164,14 @@ def code_version() -> str:
 
 
 def workload_fingerprint(workload: Workload) -> str:
-    """Cell-key component identifying a workload instance.
-
-    ``describe()`` covers the thread/unit geometry; class identity and the
-    construction seed cover the generated layout (workload generators are
-    deterministic functions of their constructor arguments).
-    """
+    """Cell-key component identifying a workload instance: class,
+    ``describe()``, seed, and a hash of every instance attribute, where
+    each constructor argument (or the layout built from it) lands."""
     cls = type(workload)
+    state = hashlib.sha256(
+        repr(sorted(vars(workload).items())).encode("utf-8")).hexdigest()
     return (f"{cls.__module__}.{cls.__qualname__}"
-            f"|{workload.describe()}|seed={workload.seed}")
+            f"|{workload.describe()}|seed={workload.seed}|{state}")
 
 
 def cell_key(cfg: SystemConfig, fingerprint: str, seed: int, label: str,

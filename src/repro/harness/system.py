@@ -8,7 +8,7 @@ Figure 2 plus the LogTM-SE additions of Figure 1.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.common.config import CoherenceStyle, SystemConfig
 from repro.common.errors import ConfigError
@@ -155,8 +155,3 @@ class System:
         self.stats.recorder = bus
         self.sim.tracer = bus
         return bus, log
-
-    def slot_of(self, thread: SoftwareThread) -> HardwareSlot:
-        if thread.slot is None:
-            raise ConfigError(f"thread {thread.tid} is not scheduled")
-        return thread.slot

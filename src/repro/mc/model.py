@@ -160,10 +160,6 @@ class ModelConfig:
     def total_cores(self) -> int:
         return self.cores * (self.chips if self.fabric == "multichip" else 1)
 
-    @property
-    def total_contexts(self) -> int:
-        return self.total_cores * self.contexts_per_core
-
     def describe(self) -> str:
         chips = f"{self.chips}x" if self.fabric == "multichip" else ""
         mut = f" +{self.mutation}" if self.mutation else ""

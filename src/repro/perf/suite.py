@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List
 
-from repro.common.config import SignatureKind, SystemConfig, figure4_variants
+from repro.common.config import SystemConfig, figure4_variants
 from repro.common.rng import DEFAULT_SEED
 from repro.harness import experiments as E
 from repro.harness.sweep import SweepResult, run_sweep
@@ -138,22 +138,13 @@ _TABLE3_SCALE = {"quick": (8, 2), "full": (32, 4)}
 
 def _run_table3_conflict(scale: str) -> Dict[str, Any]:
     threads, units = _TABLE3_SCALE[scale]
-    base = SystemConfig.default()
-    variants = []
-    for label, kind, bits, granularity in E.TABLE3_SIGNATURES:
-        if kind is SignatureKind.PERFECT:
-            cfg = base.with_signature(kind)
-        else:
-            cfg = base.with_signature(kind, bits=bits,
-                                      granularity=granularity)
-        variants.append((label, cfg))
 
     def factory():
         return E.WORKLOAD_CLASSES["BerkeleyDB"](
             num_threads=threads, units_per_thread=units, seed=DEFAULT_SEED)
 
-    sweep = run_sweep(variants, factory, seed=DEFAULT_SEED,
-                      baseline_label="Perfect")
+    sweep = run_sweep(E.table3_variants(SystemConfig.default()), factory,
+                      seed=DEFAULT_SEED, baseline_label="Perfect")
     results = list(sweep.results.values())
     return {
         "cycles": sum(r.cycles for r in results),

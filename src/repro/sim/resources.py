@@ -8,7 +8,7 @@ those are simulated through memory operations in :mod:`repro.core.locks`.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, Optional
+from typing import Deque
 
 from repro.common.errors import SimulationError
 from repro.sim.future import Future
@@ -55,7 +55,3 @@ class SimLock:
             self._waiters.popleft().resolve(None)
         else:
             self._held = False
-
-    @property
-    def queue_length(self) -> int:
-        return len(self._waiters)

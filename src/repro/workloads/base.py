@@ -18,8 +18,8 @@ from __future__ import annotations
 import abc
 import enum
 import random
-from dataclasses import dataclass, field
-from typing import Callable, Iterator, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Callable, Dict, Iterator, List, Optional, Sequence
 
 from repro.common.errors import WorkloadError
 
@@ -161,6 +161,10 @@ class Workload(abc.ABC):
     input_desc: str = ""
     #: What one unit of work is (Table 2 "Unit of Work" column).
     unit_name: str = ""
+    #: Thread starts are staggered uniformly over this many cycles: real
+    #: programs never release every thread in the same cycle, and a
+    #: symmetric start manufactures worst-case conflicts.
+    start_skew: int = 1000
 
     def __init__(self, num_threads: int, units_per_thread: int,
                  seed: int = 0) -> None:
@@ -184,6 +188,11 @@ class Workload(abc.ABC):
     def describe(self) -> str:
         return (f"{self.name}(threads={self.num_threads}, "
                 f"units/thread={self.units_per_thread})")
+
+    def final_state(self, system) -> Dict[str, int]:
+        """Oracle values read off the finished machine, which
+        ``run_workload`` records as ``final.<name>`` counters."""
+        return {}
 
 
 def validate_sections(sections: Sequence[Section]) -> None:

@@ -23,7 +23,7 @@ node, so no free-list is needed.
 from __future__ import annotations
 
 import random
-from typing import Iterator, List, Sequence
+from typing import Dict, Iterator, List, Sequence
 
 from repro.workloads.base import Op, Section, VirtualAllocator, Workload
 
@@ -71,6 +71,9 @@ class BankTransfer(Workload):
     def total_balance(self, system, page_table) -> int:
         return sum(system.memory.load(page_table.translate(a))
                    for a in self.accounts)
+
+    def final_state(self, system) -> Dict[str, int]:
+        return {"balance": self.total_balance(system, system.page_table(0))}
 
 
 class LinkedListSet(Workload):
@@ -296,6 +299,11 @@ class HashTable(Workload):
             for key in keys:
                 counts[key] = counts.get(key, 0) + 1
         return counts
+
+    def final_state(self, system) -> Dict[str, int]:
+        expected = self.expected_counts()
+        table = self.read_table(system, system.page_table(0))
+        return {"table_matches_oracle": int(table == expected)}
 
     def read_table(self, system, page_table) -> dict:
         """Read the final table: key -> count."""

@@ -157,6 +157,7 @@ class FalseSharing(Workload):
     name = "FalseSharing"
     input_desc = "per-thread counters"
     unit_name = "1 increment"
+    start_skew = 0  # the packed words collide from the first cycle
 
     def __init__(self, num_threads: int, units_per_thread: int = 20,
                  packed: bool = True, seed: int = 0) -> None:

@@ -8,6 +8,7 @@ import pytest
 from repro.cli import build_parser, main
 from repro.common.errors import SimulationError
 from repro.harness import experiments as E
+from repro.harness import sweep as sweep_mod
 from repro.harness.sweep import SweepResult
 from repro.svc.repository import RunRepository
 
@@ -160,6 +161,26 @@ class TestPaperCommand:
         assert json.loads(capsys.readouterr().out)["table1"] == {
             "rows": None, "failures": None,
             "error": "SimulationError: thread 5 livelocked on 0x100064c0"}
+
+    def test_failed_cell_keeps_its_traceback(self, monkeypatch, capsys):
+        real = sweep_mod.run_workload
+
+        def livelocking_cell(cfg, workload, **kwargs):
+            if kwargs["config_label"] == "4 entries":
+                raise SimulationError("thread 5 livelocked on 0x100064c0")
+            return real(cfg, workload, **kwargs)
+
+        monkeypatch.setattr(sweep_mod, "run_workload", livelocking_cell)
+        assert main(["paper", "--only", "ablation-log-filter"]) == 1
+        captured = capsys.readouterr()
+        assert ("ERROR ablation-log-filter: SweepExecutionError: 1 of 3 "
+                "sweep cell(s) failed (2 completed): 4 entries: "
+                "repro.common.errors.SimulationError: thread 5 livelocked"
+                ) in captured.out
+        # The cell's key and the frame that raised inside it, not only
+        # the batch's wrapper error.
+        assert "\n  4 entries: Traceback" in captured.err
+        assert "in livelocking_cell" in captured.err
 
     def test_unchecked_shapes_never_pass(self, monkeypatch, capsys):
         run, render, _ = E.EXPERIMENTS["table1"]

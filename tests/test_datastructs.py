@@ -87,7 +87,8 @@ class TestLinkedListSet:
         cfg = SystemConfig.small(num_cores=4, threads_per_core=2)
         wl = LinkedListSet(num_threads=8, units_per_thread=8,
                            delete_fraction=0.3, seed=11, compute_between=10)
-        result = run_workload(cfg, wl, keep_system=True, start_skew=0)
+        wl.start_skew = 0
+        result = run_workload(cfg, wl, keep_system=True)
         check_list(result, wl)
         assert result.aborts + result.stalls > 0, "contention expected"
 
@@ -169,7 +170,8 @@ class TestHashTable:
         cfg = SystemConfig.small(num_cores=4, threads_per_core=2)
         wl = HashTable(num_threads=8, units_per_thread=10, num_buckets=2,
                        key_space=6, seed=8, compute_between=10)
-        result = run_workload(cfg, wl, keep_system=True, start_skew=0)
+        wl.start_skew = 0
+        result = run_workload(cfg, wl, keep_system=True)
         self._check(result, wl)
         assert result.aborts + result.stalls > 0
 

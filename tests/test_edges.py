@@ -77,7 +77,8 @@ class TestLazySmt:
         cfg = replace(cfg, tm=replace(cfg.tm, version_management="lazy"))
         wl = SharedCounter(num_threads=8, units_per_thread=5,
                            compute_between=15)
-        result = run_workload(cfg, wl, keep_system=True, start_skew=0)
+        wl.start_skew = 0
+        result = run_workload(cfg, wl, keep_system=True)
         value = result.system.memory.load(
             result.system.page_table(0).translate(wl.counter))
         assert value == 40

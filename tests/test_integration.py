@@ -65,7 +65,8 @@ class TestAtomicityAcrossSignatures:
         cfg = SystemConfig.small(num_cores=1, threads_per_core=4)
         wl = SharedCounter(num_threads=4, units_per_thread=10,
                            compute_between=5, inner_compute=60)
-        result = run_workload(cfg, wl, keep_system=True, start_skew=0)
+        wl.start_skew = 0
+        result = run_workload(cfg, wl, keep_system=True)
         assert counter_value(result, wl) == 40
         assert result.counters.get("tm.sibling_conflicts", 0) > 0
 

@@ -7,6 +7,7 @@ import time
 
 import pytest
 
+from repro import workloads
 from repro.common.config import SignatureKind, SystemConfig
 from repro.harness import sweep as sweep_mod
 from repro.harness.runner import run_workload
@@ -15,7 +16,12 @@ from repro.harness.sweep import (RunTask, SweepExecutionError, SweepResult,
                                  run_sweep, workload_fingerprint)
 from repro.svc.repository import RunRepository
 from repro.svc.spec import CellTask, SweepSpec
-from repro.workloads import SharedCounter
+from repro.workloads import BigFootprint, SharedCounter, Workload
+
+#: Every workload the package exports.
+CATALOG = [cls for cls in vars(workloads).values()
+           if isinstance(cls, type) and issubclass(cls, Workload)
+           and cls is not Workload]
 
 
 def small():
@@ -105,6 +111,33 @@ class TestResultCache:
         other_wl = workload_fingerprint(
             SharedCounter(num_threads=2, units_per_thread=4))
         assert base != cell_key(small(), other_wl, seed=1, label="x")
+
+    def test_constructor_arguments_reach_the_key(self, tmp_path):
+        # blocks_per_sweep is not in describe(): before the fingerprint
+        # hashed the instance, the 96-block sweep returned the stored
+        # 32-block result.
+        cache = RunRepository(tmp_path / "sweeps.db")
+        perfect = [("Perfect", small())]
+
+        def footprint(blocks):
+            return lambda: BigFootprint(num_threads=2, units_per_thread=2,
+                                        blocks_per_sweep=blocks)
+
+        small_sweep = run_sweep(perfect, footprint(32), cache=cache)
+        big_sweep = run_sweep(perfect, footprint(96), cache=cache)
+        assert big_sweep.meta["cache"]["hits"] == 0
+        assert big_sweep == run_sweep(perfect, footprint(96))
+        assert big_sweep.cycles("Perfect") != small_sweep.cycles("Perfect")
+        again = run_sweep(perfect, footprint(96), cache=cache)
+        assert again.meta["cache"]["hits"] == 1
+        assert again == big_sweep
+
+    @pytest.mark.parametrize("cls", CATALOG, ids=lambda cls: cls.name)
+    def test_fresh_instances_fingerprint_equally(self, cls):
+        def make():
+            return cls(num_threads=4, units_per_thread=2)
+
+        assert workload_fingerprint(make()) == workload_fingerprint(make())
 
     def test_code_version_stable_and_short(self):
         assert code_version() == code_version()

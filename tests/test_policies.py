@@ -117,7 +117,8 @@ class TestEndToEnd:
                                       contention_policy="aggressive"))
         wl = SharedCounter(num_threads=4, units_per_thread=8,
                            compute_between=10, inner_compute=80)
-        result = run_workload(cfg, wl, start_skew=0)
+        wl.start_skew = 0
+        result = run_workload(cfg, wl)
         assert result.counters.get("tm.remote_abort_requests", 0) > 0
         assert result.aborts > 0
 

@@ -9,7 +9,7 @@ import repro.harness.runner as runner_mod
 from repro.common.config import SignatureKind, SyncMode, SystemConfig
 from repro.common.errors import ConfigError
 from repro.harness.runner import RunResult, run_workload
-from repro.workloads import SharedCounter
+from repro.workloads import BankTransfer, SharedCounter
 
 
 def small_cfg():
@@ -58,10 +58,20 @@ class TestRunWorkload:
                          SharedCounter(num_threads=64, units_per_thread=1))
 
     def test_zero_skew_supported(self):
-        result = run_workload(small_cfg(),
-                              SharedCounter(num_threads=2, units_per_thread=2),
-                              start_skew=0)
+        wl = SharedCounter(num_threads=2, units_per_thread=2)
+        wl.start_skew = 0
+        result = run_workload(small_cfg(), wl)
         assert result.units == 4
+
+    def test_final_state_is_recorded_as_counters(self):
+        wl = BankTransfer(num_threads=4, units_per_thread=3, num_accounts=4)
+        result = run_workload(small_cfg(), wl, keep_system=True)
+        assert result.counters["final.balance"] == wl.total_balance(
+            result.system, result.system.page_table(0)) == 0
+        plain = run_workload(small_cfg(),
+                             SharedCounter(num_threads=2, units_per_thread=1))
+        assert not [name for name in plain.counters
+                    if name.startswith("final.")]
 
     def test_system_dropped_unless_requested(self):
         result = run_workload(small_cfg(),
