@@ -1,8 +1,9 @@
 """Cache block state.
 
-The baseline protocol is MESI (Section 5). Blocks carry optional R/W bits so
-the *original LogTM* baseline (which keeps read/write-set bits in the L1,
-Section 8) can be modeled as an ablation; LogTM-SE itself never sets them.
+The baseline protocol is MESI (Section 5). A block carries no read/write-set
+bits: LogTM-SE keeps those sets in signatures. The classic-LogTM mode
+(``TMConfig.classic_logtm``) models only original LogTM's preemption aborts
+and detects conflicts through signatures too.
 """
 
 from __future__ import annotations
@@ -34,15 +35,12 @@ class MESI(enum.Enum):
 class CacheBlock:
     """One resident cache line's metadata (tags only; data is functional)."""
 
-    __slots__ = ("addr", "state", "last_use", "r_bit", "w_bit")
+    __slots__ = ("addr", "state", "last_use")
 
     def __init__(self, addr: int, state: MESI) -> None:
         self.addr = addr
         self.state = state
         self.last_use = 0
-        # LogTM-classic read/write-set bits (unused by LogTM-SE).
-        self.r_bit = False
-        self.w_bit = False
 
     @property
     def dirty(self) -> bool:

@@ -199,7 +199,7 @@ class TMManager:
                     octx = other.ctx
                     if not octx.in_tx:
                         continue
-                    hit = any(octx.signature.conflicts_with_write(block)
+                    hit = any(octx.signature.conflicts(True, block)
                               for block in write_sig.exact_set())
                     if hit:
                         octx.abort_all(self.memory, other.translate)

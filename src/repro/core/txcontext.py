@@ -1,15 +1,17 @@
 """Per-thread-context transactional state (Figure 1's circled additions).
 
-Each hardware thread context carries: a read/write signature pair, a summary
-signature, a log pointer + frames (the undo log), a log filter, the nesting
-depth, and a register checkpoint — plus LogTM's conflict-resolution
-timestamp and ``possible_cycle`` flag. This class is pure state with
-zero-latency transitions; all cycle accounting lives in the CPU model.
+Each hardware thread context carries: a read/write signature pair, a log
+pointer + frames (the undo log), a log filter, the nesting depth, and a
+register checkpoint — plus LogTM's conflict-resolution timestamp and
+``possible_cycle`` flag. The summary signature register belongs to the
+hardware slot (:class:`~repro.cpu.thread.HardwareSlot`), not to the thread.
+This class is pure state with zero-latency transitions; all cycle
+accounting lives in the CPU model.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Tuple
+from typing import Callable, Optional
 
 from repro.common.errors import TransactionError
 from repro.common.stats import StatsRegistry
@@ -23,22 +25,17 @@ from repro.signatures.rwpair import ReadWriteSignature
 class TxContext:
     """Transactional state of one SMT thread context."""
 
-    __slots__ = ("thread_id", "asid", "signature", "summary", "log",
+    __slots__ = ("thread_id", "signature", "log",
                  "log_filter", "stats", "timestamp", "possible_cycle",
                  "pending_abort", "pending_abort_fp", "aborted_by_os",
                  "write_buffer", "escape_depth", "needs_summary_recompute",
                  "_commits", "_aborts", "_read_hist", "_write_hist")
 
     def __init__(self, thread_id: int, signature: ReadWriteSignature,
-                 summary: ReadWriteSignature, stats: StatsRegistry,
-                 asid: int = 0, block_bytes: int = 64,
+                 stats: StatsRegistry, block_bytes: int = 64,
                  log_filter_entries: int = 32) -> None:
         self.thread_id = thread_id
-        self.asid = asid
         self.signature = signature
-        #: Union of descheduled same-process transactions' signatures,
-        #: installed by the OS (Section 4.1). Checked on *every* reference.
-        self.summary = summary
         self.log = UndoLog(block_bytes=block_bytes, stats=stats,
                            thread_id=thread_id)
         self.log_filter = LogFilter(entries=log_filter_entries)

@@ -201,22 +201,9 @@ class ThreadExecutor:
                     continue
 
     def _dispatch(self, op: Op):
+        """The rare op kinds; ``_run_ops`` runs the four hot ones inline."""
         kind = op.kind
-        # Resolve the hardware slot once per op (the ``slot``/``core``
-        # properties re-derive it on every use).
-        if kind is OpKind.LOAD:
-            slot = self.slot
-            yield from slot.core.load(slot, op.vaddr)
-        elif kind is OpKind.STORE:
-            slot = self.slot
-            yield from slot.core.store(slot, op.vaddr, op.value)
-        elif kind is OpKind.INCR:
-            slot = self.slot
-            yield from slot.core.fetch_add(slot, op.vaddr, op.value)
-        elif kind is OpKind.COMPUTE:
-            if op.cycles:
-                yield op.cycles
-        elif kind is OpKind.NEST_BEGIN:
+        if kind is OpKind.NEST_BEGIN:
             if self.cfg.sync is SyncMode.TRANSACTIONS:
                 yield from self.manager.begin(self.slot, is_open=op.open_nest)
             # Under locks nesting flattens into the enclosing section.

@@ -14,7 +14,7 @@ from typing import TYPE_CHECKING, Optional
 
 from repro.core.txcontext import TxContext
 from repro.mem.vm import PageTable
-from repro.sim.future import Future, Signal
+from repro.sim.future import Signal
 from repro.signatures.rwpair import PairSnapshot, ReadWriteSignature
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -72,7 +72,9 @@ class HardwareSlot:
                  summary: ReadWriteSignature) -> None:
         self.core = core
         self.slot_index = slot_index
-        #: Per-context summary signature register (Section 4.1).
+        #: Per-context summary signature register: the union of the
+        #: descheduled same-process transactions' signatures, installed by
+        #: the OS (Section 4.1) and checked on *every* reference.
         self.summary = summary
         self.thread: Optional[SoftwareThread] = None
 
@@ -95,8 +97,6 @@ class HardwareSlot:
             raise RuntimeError(f"slot {self.global_id} already occupied")
         self.thread = thread
         thread.slot = self
-        # The thread's accesses now check this slot's summary register.
-        thread.ctx.summary = self.summary
 
     def unbind(self) -> SoftwareThread:
         if self.thread is None:

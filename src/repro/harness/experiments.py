@@ -353,10 +353,8 @@ def figure3_attribution(seed: int = DEFAULT_SEED,
     base = base_cfg or replace(
         SystemConfig.small(), coherence=CoherenceStyle.SNOOPING)
     variants = [("Perfect", base.with_signature(SignatureKind.PERFECT))]
-    for bits in bit_sizes:
-        variants.append((f"BS_{bits}",
-                         base.with_signature(SignatureKind.BIT_SELECT,
-                                             bits=bits)))
+    variants += signature_size_variants(SignatureKind.BIT_SELECT, bit_sizes,
+                                        base=base, granularity=64)
     sweep = run_sweep(
         variants,
         lambda: BigFootprint(num_threads=num_threads, units_per_thread=units,

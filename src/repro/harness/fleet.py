@@ -10,9 +10,10 @@ items are task keys) and the sweep service (:mod:`repro.svc.service`,
 one long-lived fleet, items are cells that know how to ``run()``).
 
 * **dispatch** — the parent assigns an item to an idle worker;
-* **heartbeat** — an idle worker pings every
-  :data:`HEARTBEAT_INTERVAL` seconds; a busy worker is monitored by
-  process liveness and its deadline;
+* **liveness** — the parent watches each worker's process liveness and
+  item deadline; each worker watches its parent's process sentinel and
+  exits when the parent dies (a busy worker once its item finishes), so
+  a killed parent leaves no orphans;
 * **reap** — a worker that dies mid-item is detected (``is_alive`` +
   broken pipe), its item reported back as *crashed* so the caller can
   re-queue it, and a replacement worker is spawned to keep the fleet at
@@ -37,9 +38,6 @@ from dataclasses import dataclass
 from multiprocessing import connection as mp_connection
 from typing import Any, Callable, Dict, Iterable, List, Optional
 
-#: Seconds between idle-worker heartbeats.
-HEARTBEAT_INTERVAL = 1.0
-
 
 def _run_item(item: Any) -> Any:
     """The default ``run``: items know how to run themselves."""
@@ -48,11 +46,17 @@ def _run_item(item: Any) -> Any:
 
 def _fleet_worker(worker_id: int, conn,
                   run: Callable[[Any], Any]) -> None:  # pragma: no cover
-    """Worker main loop: heartbeat while idle, run items, exit on None."""
+    """Worker main loop: run items; exit on None or when the parent dies.
+
+    The pipe alone cannot tell that the parent died: a forked worker
+    inherits the parent's end of its own pipe, so it never reads EOF.
+    The parent's process sentinel becomes ready when the parent exits.
+    """
+    parent = multiprocessing.parent_process().sentinel
     try:
         while True:
-            while not conn.poll(HEARTBEAT_INTERVAL):
-                conn.send(("hb", worker_id))
+            if parent in mp_connection.wait([conn, parent]):
+                return  # parent went away; nothing useful left to do
             item = conn.recv()
             if item is None:
                 conn.send(("bye", worker_id))
@@ -101,7 +105,7 @@ class _Worker:
     """Parent-side record of one fleet worker process."""
 
     __slots__ = ("worker_id", "proc", "conn", "item", "started",
-                 "deadline", "last_seen", "draining")
+                 "deadline", "draining")
 
     def __init__(self, worker_id: int, proc, conn) -> None:
         self.worker_id = worker_id
@@ -110,12 +114,11 @@ class _Worker:
         self.item: Optional[Any] = None
         self.started = 0.0
         self.deadline: Optional[float] = None
-        self.last_seen = time.monotonic()
         self.draining = False
 
 
 class WorkerFleet:
-    """Spawn/heartbeat/reap a pool of worker processes running ``run``."""
+    """Spawn/monitor/reap a pool of worker processes running ``run``."""
 
     def __init__(self, size: int,
                  emit: Optional[Callable[..., None]] = None,
@@ -258,16 +261,13 @@ class WorkerFleet:
             except (EOFError, OSError):
                 break  # died mid-send; the liveness check below handles it
             kind = payload[0]
-            if kind == "hb":
-                worker.last_seen = time.monotonic()
-            elif kind == "bye":
+            if kind == "bye":
                 worker.draining = True
             elif kind in ("done", "error"):
                 _kind, _wid, item, tail = payload
                 wall = time.monotonic() - worker.started
                 worker.item = None
                 worker.deadline = None
-                worker.last_seen = time.monotonic()
                 if kind == "done":
                     messages.append(FleetMessage(
                         "done", item, worker.worker_id, result=tail,

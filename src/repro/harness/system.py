@@ -98,9 +98,7 @@ class System:
         ctx = TxContext(
             thread_id=tid,
             signature=self._make_pair(),
-            summary=self._make_pair(),
             stats=self.stats,
-            asid=asid,
             block_bytes=self.cfg.block_bytes,
             log_filter_entries=self.cfg.tm.log_filter_entries)
         thread = SoftwareThread(tid, self.page_table(asid), ctx)

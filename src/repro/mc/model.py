@@ -344,8 +344,6 @@ class ProtocolModel:
                     thread_id=tid,
                     signature=make_rw_pair(self.cfg.tm.signature,
                                            self.cfg.block_bytes),
-                    summary=make_rw_pair(self.cfg.tm.signature,
-                                         self.cfg.block_bytes),
                     stats=self.stats,
                     block_bytes=self.cfg.block_bytes,
                     log_filter_entries=self.cfg.tm.log_filter_entries)

@@ -8,6 +8,12 @@ addresses. The contract mirrors the paper's operations:
   positives, never false negatives)
 * ``CLEAR(O)``      → :meth:`Signature.clear`
 
+Every design is one N-bit register (Figure 3), held here as one Python
+integer mask, ``_mask``. A design is only its *decode*: which register
+bits an address sets and tests. The register operations themselves —
+clear, snapshot, restore, union, popcount — are the same for every design
+and live once, in this base class.
+
 Beyond the paper's hardware interface, signatures here are *software
 accessible* — they can be snapshotted, restored, and unioned — because that
 accessibility is exactly the property LogTM-SE exploits for virtualization
@@ -16,27 +22,39 @@ accessibility is exactly the property LogTM-SE exploits for virtualization
 Every implementation also maintains an exact shadow set. The shadow is a
 simulator-observability feature (it is how the harness counts *false
 positive* conflicts for Table 3); the modeled hardware never consults it for
-conflict decisions.
+conflict decisions — except in the perfect signature, whose filter *is* the
+exact set.
 """
 
 from __future__ import annotations
 
 import abc
-from typing import Any, FrozenSet, Iterable, Set, Tuple
+from typing import FrozenSet, Set, Tuple
 
-from repro.common.errors import TransactionError
+from repro.common.errors import ConfigError, TransactionError
 
-#: Opaque snapshot of a signature's state: (filter-state, exact-shadow).
-Snapshot = Tuple[Any, FrozenSet[int]]
+#: Snapshot of a signature's state: (register mask, exact shadow).
+Snapshot = Tuple[int, FrozenSet[int]]
+
+
+def check_power_of_two(what: str, value: int) -> None:
+    """Reject a register width or granularity that is not a power of two."""
+    if value <= 0 or value & (value - 1):
+        raise ConfigError(f"{what} must be a power of two: {value}")
 
 
 class Signature(abc.ABC):
     """One conservative address-set summary (a read-set OR a write-set)."""
 
-    __slots__ = ("_exact",)
+    __slots__ = ("_mask", "_exact", "geometry")
 
-    def __init__(self) -> None:
+    def __init__(self, geometry: Tuple = ()) -> None:
+        #: The N-bit register, bit ``i`` of the integer being filter bit i.
+        self._mask = 0
         self._exact: Set[int] = set()
+        #: The parameters that fix the decode. Two signatures' registers
+        #: mean the same addresses only when their geometries are equal.
+        self.geometry = geometry
 
     # -- hardware interface -------------------------------------------------
 
@@ -51,7 +69,7 @@ class Signature(abc.ABC):
 
     def clear(self) -> None:
         """CLEAR: empty the set (a local, single-cycle operation)."""
-        self._clear_filter()
+        self._mask = 0
         self._exact.clear()
 
     @property
@@ -59,35 +77,45 @@ class Signature(abc.ABC):
         """Whether nothing was inserted since the last clear."""
         return not self._exact
 
+    @property
+    def popcount(self) -> int:
+        """Number of set register bits (occupancy; drives false positives)."""
+        return bin(self._mask).count("1")
+
     # -- software accessibility (virtualization) ----------------------------
 
     def snapshot(self) -> Snapshot:
         """Copy the state out (e.g. into a log frame's signature-save area)."""
-        return (self._filter_state(), frozenset(self._exact))
+        return (self._mask, frozenset(self._exact))
 
     def restore(self, snap: Snapshot) -> None:
         """Overwrite this signature with a previously saved snapshot."""
-        filter_state, exact = snap
-        self._load_filter_state(filter_state)
+        self._mask, exact = snap
         self._exact = set(exact)
 
     def union_update(self, other: "Signature") -> None:
-        """OR another signature of the same type into this one.
+        """OR another signature of the same design into this one.
 
         Used by the OS to build summary signatures (Section 4.1).
         """
+        # Explicit raises (not ``assert``): these guard a correctness path
+        # and must survive ``python -O``.
         if type(other) is not type(self):
             raise TransactionError(
                 f"cannot union {type(other).__name__} into "
                 f"{type(self).__name__}")
-        self._union_filter(other)
+        if other.geometry != self.geometry:
+            raise ConfigError(
+                f"cannot union {type(self).__name__} geometry "
+                f"{other.geometry} into {self.geometry}")
+        self._mask |= other._mask
         self._exact |= other._exact
 
     def union_snapshot(self, snap: Snapshot) -> None:
-        """OR a saved snapshot into this signature."""
-        scratch = self.spawn_empty()
-        scratch.restore(snap)
-        self.union_update(scratch)
+        """OR a snapshot saved from this signature's design into it."""
+        mask, exact = snap
+        self._mask |= mask
+        self._exact |= exact
 
     # -- observability (harness only; not modeled hardware) -----------------
 
@@ -106,7 +134,15 @@ class Signature(abc.ABC):
         """Whether a CONFLICT hit on this address would be spurious."""
         return self.contains(block_addr) and not self.contains_exact(block_addr)
 
-    # -- implementation hooks ------------------------------------------------
+    def __repr__(self) -> str:
+        return (f"{type(self).__name__}(geometry={self.geometry}, "
+                f"set={self.popcount}, exact={len(self._exact)})")
+
+    # -- the decode (one per design) -----------------------------------------
+    #
+    # Designs override ``insert``/``contains`` with flattened versions of
+    # these for the hot path; the hooks stay as the reference the
+    # flattened code is tested against.
 
     @abc.abstractmethod
     def spawn_empty(self) -> "Signature":
@@ -117,19 +153,3 @@ class Signature(abc.ABC):
 
     @abc.abstractmethod
     def _test_filter(self, block_addr: int) -> bool: ...
-
-    @abc.abstractmethod
-    def _clear_filter(self) -> None: ...
-
-    @abc.abstractmethod
-    def _filter_state(self) -> Any: ...
-
-    @abc.abstractmethod
-    def _load_filter_state(self, state: Any) -> None: ...
-
-    @abc.abstractmethod
-    def _union_filter(self, other: "Signature") -> None: ...
-
-    def insert_many(self, block_addrs: Iterable[int]) -> None:
-        for addr in block_addrs:
-            self.insert(addr)

@@ -1,88 +1,57 @@
-"""Bit-select (BS) signature — Figure 3(a).
+"""Bit-select (BS) and coarse-bit-select (CBS) signatures — Figure 3(a), (c).
 
-INSERT decodes the ``n`` least-significant bits of the *block* address (the
-address divided by the block size) and ORs the decoded one-hot value into an
-``N = 2**n`` bit register. CONFLICT tests the corresponding bit; CLEAR zeros
-the register. The filter state is kept as a Python integer bit mask, which
-makes union (bitwise OR) and snapshot (the integer itself) trivial.
+INSERT decodes the ``n`` least-significant bits of the address divided by
+the *granularity* and ORs the decoded one-hot value into an ``N = 2**n``
+bit register. CONFLICT tests the corresponding bit; CLEAR zeros the
+register.
+
+At 64-byte granularity (one cache block) this is bit-select. Coarse
+bit-select is the same decode applied to *macroblocks* — the paper's
+configuration tracks 1 KB macroblocks (sixteen 64-byte blocks). Coarser
+granularity means large read/write sets occupy fewer filter bits (helping
+transactions like Raytrace's 550-block read set), at the price of false
+conflicts between distinct blocks inside one macroblock.
 """
 
 from __future__ import annotations
 
-from typing import Any
-
-from repro.common.errors import ConfigError, TransactionError
-from repro.signatures.base import Signature
+from repro.signatures.base import Signature, check_power_of_two
 
 
 class BitSelectSignature(Signature):
-    """Single-field decode of low block-address bits into an N-bit register."""
+    """Single-field decode of low granule-address bits into N bits."""
 
-    __slots__ = ("bits", "block_bytes", "_mask", "_index_mask", "_block_shift")
+    __slots__ = ("bits", "granularity", "_index_mask", "_shift")
 
-    def __init__(self, bits: int = 2048, block_bytes: int = 64) -> None:
-        super().__init__()
-        if bits <= 0 or bits & (bits - 1):
-            raise ConfigError(f"signature bits must be a power of two: {bits}")
-        if block_bytes <= 0 or block_bytes & (block_bytes - 1):
-            raise ConfigError(
-                f"block size must be a power of two: {block_bytes}")
+    def __init__(self, bits: int = 2048, granularity: int = 64) -> None:
+        check_power_of_two("signature bits", bits)
+        check_power_of_two("signature granularity", granularity)
+        super().__init__((bits, granularity))
         self.bits = bits
-        self.block_bytes = block_bytes
-        self._mask = 0
+        self.granularity = granularity
         self._index_mask = bits - 1
-        self._block_shift = block_bytes.bit_length() - 1
-
-    def _bit_index(self, block_addr: int) -> int:
-        return (block_addr >> self._block_shift) & self._index_mask
+        self._shift = granularity.bit_length() - 1
 
     # Flattened hot-path overrides of the base-class insert/contains: one
     # shift-and-mask on a Python int, no template-method indirection. The
     # exact shadow is still maintained, matching Signature.insert.
     def insert(self, block_addr: int) -> None:
-        self._mask |= 1 << ((block_addr >> self._block_shift)
-                            & self._index_mask)
+        self._mask |= 1 << ((block_addr >> self._shift) & self._index_mask)
         self._exact.add(block_addr)
 
     def contains(self, block_addr: int) -> bool:
         return bool(self._mask
-                    >> ((block_addr >> self._block_shift) & self._index_mask)
+                    >> ((block_addr >> self._shift) & self._index_mask)
                     & 1)
 
     def spawn_empty(self) -> "BitSelectSignature":
-        return BitSelectSignature(self.bits, self.block_bytes)
+        return BitSelectSignature(self.bits, self.granularity)
+
+    def _bit_index(self, block_addr: int) -> int:
+        return (block_addr >> self._shift) & self._index_mask
 
     def _insert_filter(self, block_addr: int) -> None:
         self._mask |= 1 << self._bit_index(block_addr)
 
     def _test_filter(self, block_addr: int) -> bool:
         return bool(self._mask >> self._bit_index(block_addr) & 1)
-
-    def _clear_filter(self) -> None:
-        self._mask = 0
-
-    def _filter_state(self) -> Any:
-        return self._mask
-
-    def _load_filter_state(self, state: Any) -> None:
-        self._mask = int(state)
-
-    def _union_filter(self, other: Signature) -> None:
-        if not isinstance(other, BitSelectSignature):
-            # Explicit raise (not ``assert``): this guards a hot
-            # correctness path and must survive ``python -O``.
-            raise TransactionError(
-                f"cannot union {type(other).__name__} into BitSelectSignature")
-        if other.bits != self.bits:
-            raise ConfigError(
-                f"cannot union {other.bits}-bit into {self.bits}-bit signature")
-        self._mask |= other._mask
-
-    @property
-    def popcount(self) -> int:
-        """Number of set filter bits (occupancy; drives false positives)."""
-        return bin(self._mask).count("1")
-
-    def __repr__(self) -> str:
-        return (f"BitSelectSignature(bits={self.bits}, "
-                f"set={self.popcount}, exact={len(self._exact)})")

@@ -12,15 +12,15 @@ summary to install in hardware is "counter > 0" — so the OS never has to
 re-union every saved signature from scratch on each change, turning the
 summary update from O(saved threads) into O(1) signature operations.
 
-It works over any filter whose state is an integer bit mask (bit-select,
-coarse-bit-select, hashed, DBS via its two halves) and falls back to exact
-multiset counting for perfect signatures.
+Every design's filter is one integer register mask, so the counts are
+kept per mask bit; the perfect signature, whose mask stays empty, is
+counted through the exact multiset that every design carries.
 """
 
 from __future__ import annotations
 
 from collections import Counter as Multiset
-from typing import Dict, Tuple
+from typing import Dict
 
 from repro.common.errors import TransactionError
 from repro.signatures.base import Signature, Snapshot
@@ -37,66 +37,48 @@ def _mask_bits(mask: int):
 
 
 class CountingSignature:
-    """Per-bit reference counts over one signature's filter positions."""
+    """Per-bit reference counts over one signature's register bits."""
 
     def __init__(self, template: Signature) -> None:
-        #: Prototype used to build result signatures and interpret state.
+        #: Prototype used to build result signatures.
         self._template = template.spawn_empty()
-        self._bit_counts: Dict[Tuple[int, int], int] = {}
+        self._bit_counts: Dict[int, int] = {}
         self._exact_counts: Multiset = Multiset()
         self.members = 0
 
-    def _state_masks(self, snap: Snapshot):
-        """Normalize a snapshot's filter state into (field, mask) pairs."""
-        filter_state, _exact = snap
-        if filter_state is None:
-            return []  # perfect signature: exact multiset carries it
-        if isinstance(filter_state, tuple):
-            return list(enumerate(filter_state))  # e.g. DBS halves
-        return [(0, int(filter_state))]
-
     def add(self, snap: Snapshot) -> None:
         """Merge one saved signature into the counts."""
-        for field, mask in self._state_masks(snap):
-            for bit in _mask_bits(mask):
-                key = (field, bit)
-                self._bit_counts[key] = self._bit_counts.get(key, 0) + 1
-        self._exact_counts.update(snap[1])
+        mask, exact = snap
+        for bit in _mask_bits(mask):
+            self._bit_counts[bit] = self._bit_counts.get(bit, 0) + 1
+        self._exact_counts.update(exact)
         self.members += 1
 
     def remove(self, snap: Snapshot) -> None:
         """Remove a previously added signature (its thread committed)."""
         if self.members <= 0:
             raise TransactionError("remove from empty counting signature")
-        for field, mask in self._state_masks(snap):
-            for bit in _mask_bits(mask):
-                key = (field, bit)
-                count = self._bit_counts.get(key, 0)
-                if count <= 0:
-                    raise TransactionError(
-                        f"counting signature underflow at bit {key}")
-                if count == 1:
-                    del self._bit_counts[key]
-                else:
-                    self._bit_counts[key] = count - 1
-        self._exact_counts.subtract(snap[1])
+        mask, exact = snap
+        for bit in _mask_bits(mask):
+            count = self._bit_counts.get(bit, 0)
+            if count <= 0:
+                raise TransactionError(
+                    f"counting signature underflow at bit {bit}")
+            if count == 1:
+                del self._bit_counts[bit]
+            else:
+                self._bit_counts[bit] = count - 1
+        self._exact_counts.subtract(exact)
         self._exact_counts += Multiset()  # drop zero/negative entries
         self.members -= 1
 
     def summary(self) -> Signature:
         """Materialize the current union as a plain signature."""
+        mask = 0
+        for bit in self._bit_counts:
+            mask |= 1 << bit
         result = self._template.spawn_empty()
-        fields: Dict[int, int] = {}
-        for (field, bit), _count in self._bit_counts.items():
-            fields[field] = fields.get(field, 0) | (1 << bit)
-        probe = self._template.snapshot()[0]
-        if probe is None:
-            state = None
-        elif isinstance(probe, tuple):
-            state = tuple(fields.get(i, 0) for i in range(len(probe)))
-        else:
-            state = fields.get(0, 0)
-        result.restore((state, frozenset(self._exact_counts.keys())))
+        result.restore((mask, frozenset(self._exact_counts.keys())))
         return result
 
     @property

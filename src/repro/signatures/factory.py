@@ -6,7 +6,6 @@ from repro.common.config import SignatureConfig, SignatureKind
 from repro.common.errors import ConfigError
 from repro.signatures.base import Signature
 from repro.signatures.bitselect import BitSelectSignature
-from repro.signatures.coarsebitselect import CoarseBitSelectSignature
 from repro.signatures.doublebitselect import DoubleBitSelectSignature
 from repro.signatures.hashed import HashedSignature
 from repro.signatures.perfect import PerfectSignature
@@ -18,12 +17,15 @@ def make_signature(cfg: SignatureConfig, block_bytes: int = 64) -> Signature:
     if cfg.kind is SignatureKind.PERFECT:
         return PerfectSignature()
     if cfg.kind is SignatureKind.BIT_SELECT:
-        return BitSelectSignature(bits=cfg.bits, block_bytes=block_bytes)
+        # Bit-select decodes the block address whatever ``granularity``
+        # says; coarse bit-select is the same decode over macroblocks.
+        return BitSelectSignature(bits=cfg.bits, granularity=block_bytes)
+    if cfg.kind is SignatureKind.COARSE_BIT_SELECT:
+        return BitSelectSignature(bits=cfg.bits,
+                                  granularity=max(cfg.granularity,
+                                                  block_bytes))
     if cfg.kind is SignatureKind.DOUBLE_BIT_SELECT:
         return DoubleBitSelectSignature(bits=cfg.bits, block_bytes=block_bytes)
-    if cfg.kind is SignatureKind.COARSE_BIT_SELECT:
-        macro = max(cfg.granularity, block_bytes)
-        return CoarseBitSelectSignature(bits=cfg.bits, macroblock_bytes=macro)
     if cfg.kind is SignatureKind.HASHED:
         return HashedSignature(bits=cfg.bits, hashes=cfg.hashes,
                                block_bytes=block_bytes)

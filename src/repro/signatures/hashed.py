@@ -17,11 +17,11 @@ parameters are *compatible* (union/snapshot work across them).
 
 from __future__ import annotations
 
-from typing import Any, List, Tuple
+from typing import List, Tuple
 
-from repro.common.errors import ConfigError, TransactionError
+from repro.common.errors import ConfigError
 from repro.common.rng import make_rng
-from repro.signatures.base import Signature
+from repro.signatures.base import Signature, check_power_of_two
 
 #: Width of the address slice hashed (block-index bits).
 _ADDRESS_BITS = 32
@@ -98,26 +98,21 @@ class HashedSignature(Signature):
     """k independent H3 hashes over one N-bit filter."""
 
     __slots__ = ("bits", "hashes", "block_bytes", "seed",
-                 "_mask", "_family", "_index_bits", "_block_shift")
+                 "_family", "_block_shift")
 
     def __init__(self, bits: int = 2048, hashes: int = 4,
                  block_bytes: int = 64, seed: int = 0) -> None:
-        super().__init__()
-        if bits <= 0 or bits & (bits - 1):
-            raise ConfigError(f"signature bits must be a power of two: {bits}")
+        check_power_of_two("signature bits", bits)
         if hashes < 1:
             raise ConfigError(f"need at least one hash function: {hashes}")
-        if block_bytes <= 0 or block_bytes & (block_bytes - 1):
-            raise ConfigError(
-                f"block size must be a power of two: {block_bytes}")
+        check_power_of_two("block size", block_bytes)
+        super().__init__((bits, hashes, block_bytes, seed))
         self.bits = bits
         self.hashes = hashes
         self.block_bytes = block_bytes
         self.seed = seed
-        self._mask = 0
-        self._index_bits = bits.bit_length() - 1
         self._block_shift = block_bytes.bit_length() - 1
-        self._family = _family(seed, hashes, self._index_bits)
+        self._family = _family(seed, hashes, bits.bit_length() - 1)
 
     def _indices(self, block_addr: int) -> List[int]:
         idx = (block_addr >> self._block_shift) & ((1 << _ADDRESS_BITS) - 1)
@@ -152,32 +147,3 @@ class HashedSignature(Signature):
     def _test_filter(self, block_addr: int) -> bool:
         return all(self._mask >> index & 1
                    for index in self._indices(block_addr))
-
-    def _clear_filter(self) -> None:
-        self._mask = 0
-
-    def _filter_state(self) -> Any:
-        return self._mask
-
-    def _load_filter_state(self, state: Any) -> None:
-        self._mask = int(state)
-
-    def _union_filter(self, other: Signature) -> None:
-        if not isinstance(other, HashedSignature):
-            # Explicit raise (not ``assert``): this guards a hot
-            # correctness path and must survive ``python -O``.
-            raise TransactionError(
-                f"cannot union {type(other).__name__} into HashedSignature")
-        if (other.bits, other.hashes, other.seed) != (
-                self.bits, self.hashes, self.seed):
-            raise ConfigError(
-                "cannot union hashed signatures with different parameters")
-        self._mask |= other._mask
-
-    @property
-    def popcount(self) -> int:
-        return bin(self._mask).count("1")
-
-    def __repr__(self) -> str:
-        return (f"HashedSignature(bits={self.bits}, k={self.hashes}, "
-                f"set={self.popcount}, exact={len(self._exact)})")

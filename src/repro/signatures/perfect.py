@@ -8,13 +8,12 @@ A perfect signature never produces false positives.
 
 from __future__ import annotations
 
-from typing import Any, FrozenSet
-
 from repro.signatures.base import Signature
 
 
 class PerfectSignature(Signature):
-    """Exact set membership; the filter *is* the exact shadow set."""
+    """Exact set membership; the register mask stays empty and the filter
+    *is* the exact shadow set."""
 
     __slots__ = ()
 
@@ -34,18 +33,3 @@ class PerfectSignature(Signature):
 
     def _test_filter(self, block_addr: int) -> bool:
         return block_addr in self._exact
-
-    def _clear_filter(self) -> None:
-        pass
-
-    def _filter_state(self) -> Any:
-        return None  # fully captured by the exact shadow
-
-    def _load_filter_state(self, state: Any) -> None:
-        pass
-
-    def _union_filter(self, other: Signature) -> None:
-        pass
-
-    def __repr__(self) -> str:
-        return f"PerfectSignature(n={len(self._exact)})"

@@ -37,17 +37,10 @@ class ReadWriteSignature:
     def insert_write(self, block_addr: int) -> None:
         self.write.insert(block_addr)
 
-    def conflicts_with_read(self, block_addr: int) -> bool:
-        """CONFLICT(read, A): an external read hits our write-set."""
-        return self.write.contains(block_addr)
-
-    def conflicts_with_write(self, block_addr: int) -> bool:
-        """CONFLICT(write, A): an external write hits read- or write-set."""
-        return self.read.contains(block_addr) or self.write.contains(block_addr)
-
     def conflicts(self, is_write: bool, block_addr: int) -> bool:
-        # Inlined (no delegation): this is the per-NACK hot path — every
-        # remote access probes every transactional thread through here.
+        """CONFLICT(write, A) if ``is_write``, else CONFLICT(read, A)."""
+        # This is the per-NACK hot path: every remote access probes every
+        # transactional thread through here.
         if is_write:
             return (self.read.contains(block_addr)
                     or self.write.contains(block_addr))

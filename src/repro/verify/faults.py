@@ -104,9 +104,6 @@ class LossySignature:
     def spawn_empty(self) -> Signature:
         return self.inner.spawn_empty()
 
-    def insert_many(self, block_addrs: Iterable[int]) -> None:
-        self.inner.insert_many(block_addrs)
-
     # -- observability (stays truthful) ------------------------------------
 
     def contains_exact(self, block_addr: int) -> bool:

@@ -19,7 +19,6 @@ def make_ctx(tid=0, begin=None):
     ctx = TxContext(
         thread_id=tid,
         signature=ReadWriteSignature(PerfectSignature(), PerfectSignature()),
-        summary=ReadWriteSignature(PerfectSignature(), PerfectSignature()),
         stats=StatsRegistry())
     if begin is not None:
         ctx.begin(now=begin)

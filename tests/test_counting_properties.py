@@ -8,7 +8,6 @@ Hypothesis drives random add/remove programs over every filter family.
 from hypothesis import assume, given, settings, strategies as st
 
 from repro.signatures.bitselect import BitSelectSignature
-from repro.signatures.coarsebitselect import CoarseBitSelectSignature
 from repro.signatures.counting import CountingPair, CountingSignature
 from repro.signatures.doublebitselect import DoubleBitSelectSignature
 from repro.signatures.hashed import HashedSignature
@@ -19,7 +18,7 @@ builders = st.sampled_from([
     lambda: PerfectSignature(),
     lambda: BitSelectSignature(bits=128),
     lambda: DoubleBitSelectSignature(bits=128),
-    lambda: CoarseBitSelectSignature(bits=64, macroblock_bytes=1024),
+    lambda: BitSelectSignature(bits=64, granularity=1024),
     lambda: HashedSignature(bits=128, hashes=3),
 ])
 

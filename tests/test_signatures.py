@@ -6,7 +6,6 @@ from repro.common.config import SignatureConfig, SignatureKind
 from repro.common.errors import ConfigError, TransactionError
 from repro.signatures.base import Signature
 from repro.signatures.bitselect import BitSelectSignature
-from repro.signatures.coarsebitselect import CoarseBitSelectSignature
 from repro.signatures.doublebitselect import DoubleBitSelectSignature
 from repro.signatures.factory import make_rw_pair, make_signature
 from repro.signatures.perfect import PerfectSignature
@@ -15,7 +14,7 @@ ALL_KINDS = [
     lambda: PerfectSignature(),
     lambda: BitSelectSignature(bits=256),
     lambda: DoubleBitSelectSignature(bits=256),
-    lambda: CoarseBitSelectSignature(bits=256, macroblock_bytes=1024),
+    lambda: BitSelectSignature(bits=256, granularity=1024),
 ]
 
 
@@ -86,14 +85,14 @@ class TestPerfect:
 
 class TestBitSelect:
     def test_aliasing_at_filter_size(self):
-        sig = BitSelectSignature(bits=64, block_bytes=64)
+        sig = BitSelectSignature(bits=64, granularity=64)
         sig.insert(0)
         # Same low bits, 64 blocks apart: must alias.
         assert sig.contains(64 * 64)
         assert sig.false_positive(64 * 64)
 
     def test_distinct_low_bits_do_not_alias(self):
-        sig = BitSelectSignature(bits=64, block_bytes=64)
+        sig = BitSelectSignature(bits=64, granularity=64)
         sig.insert(0)
         assert not sig.contains(64)
 
@@ -106,9 +105,12 @@ class TestBitSelect:
 
     def test_union_size_mismatch_rejected(self):
         a = BitSelectSignature(bits=64)
-        b = BitSelectSignature(bits=128)
-        with pytest.raises(ConfigError):
-            a.union_update(b)
+        # A different width, or the same width at CBS's 1 KB granularity:
+        # the registers decode different addresses, so neither may merge.
+        for b in (BitSelectSignature(bits=128),
+                  BitSelectSignature(bits=64, granularity=1024)):
+            with pytest.raises(ConfigError):
+                a.union_update(b)
 
     def test_rejects_bad_bits(self):
         with pytest.raises(ConfigError):
@@ -154,14 +156,14 @@ class TestDoubleBitSelect:
 
 class TestCoarseBitSelect:
     def test_macroblock_granularity_groups_blocks(self):
-        sig = CoarseBitSelectSignature(bits=256, macroblock_bytes=1024)
+        sig = BitSelectSignature(bits=256, granularity=1024)
         sig.insert(0)
         # Another block in the same 1 KB macroblock reads as present.
         assert sig.contains(512)
         assert sig.false_positive(512)
 
     def test_few_bits_for_contiguous_run(self):
-        sig = CoarseBitSelectSignature(bits=256, macroblock_bytes=1024)
+        sig = BitSelectSignature(bits=256, granularity=1024)
         for i in range(64):  # 64 contiguous blocks = 4 KB = 4 macroblocks
             sig.insert(i * 64)
         assert sig.popcount == 4
@@ -173,7 +175,7 @@ class TestFactory:
             (SignatureKind.PERFECT, PerfectSignature),
             (SignatureKind.BIT_SELECT, BitSelectSignature),
             (SignatureKind.DOUBLE_BIT_SELECT, DoubleBitSelectSignature),
-            (SignatureKind.COARSE_BIT_SELECT, CoarseBitSelectSignature),
+            (SignatureKind.COARSE_BIT_SELECT, BitSelectSignature),
         ]
         for kind, cls in cases:
             cfg = SignatureConfig(kind=kind, bits=256, granularity=1024)
@@ -183,7 +185,7 @@ class TestFactory:
         cfg = SignatureConfig(kind=SignatureKind.COARSE_BIT_SELECT,
                               bits=256, granularity=16)
         sig = make_signature(cfg, block_bytes=64)
-        assert sig.macroblock_bytes == 64
+        assert sig.granularity == 64
 
     def test_rw_pair(self):
         pair = make_rw_pair(SignatureConfig(kind=SignatureKind.BIT_SELECT,

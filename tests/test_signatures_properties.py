@@ -9,7 +9,6 @@ union soundness, clear).
 from hypothesis import given, settings, strategies as st
 
 from repro.signatures.bitselect import BitSelectSignature
-from repro.signatures.coarsebitselect import CoarseBitSelectSignature
 from repro.signatures.doublebitselect import DoubleBitSelectSignature
 from repro.signatures.perfect import PerfectSignature
 from repro.signatures.rwpair import ReadWriteSignature
@@ -24,7 +23,7 @@ sig_builders = st.sampled_from([
     lambda: BitSelectSignature(bits=1024),
     lambda: DoubleBitSelectSignature(bits=64),
     lambda: DoubleBitSelectSignature(bits=2048),
-    lambda: CoarseBitSelectSignature(bits=128, macroblock_bytes=1024),
+    lambda: BitSelectSignature(bits=128, granularity=1024),
 ])
 
 
@@ -108,10 +107,10 @@ def test_rwpair_conflict_semantics_perfect(reads, writes, probe):
         pair.insert_write(a)
     addr = probe * 64
     # CONFLICT(read, A): only the write set matters.
-    assert pair.conflicts_with_read(addr) == (addr in set(writes))
+    assert pair.conflicts(False, addr) == (addr in set(writes))
     # CONFLICT(write, A): read or write set.
     expected = addr in (set(reads) | set(writes))
-    assert pair.conflicts_with_write(addr) == expected
+    assert pair.conflicts(True, addr) == expected
 
 
 @given(reads=block_addrs, writes=block_addrs)

@@ -63,6 +63,28 @@ def _sleep_then_return(seconds):
     return seconds
 
 
+#: Starts a three-worker fleet, hands one worker a 0.3 s item, prints the
+#: worker pids and SIGKILLs itself mid-item.
+_ORPHAN_PROBE = """
+import os, signal, time
+from repro.harness.fleet import WorkerFleet
+fleet = WorkerFleet(3, run=time.sleep)
+fleet.start()
+assert fleet.dispatch(0.3) is not None
+print(*(w.proc.pid for w in fleet._workers.values()), flush=True)
+os.kill(os.getpid(), signal.SIGKILL)
+"""
+
+
+def _running(pid):
+    """Whether ``pid`` is a live process; an unreaped zombie is not."""
+    try:
+        with open(f"/proc/{pid}/stat") as stat:
+            return stat.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
 def wait_terminal(service, job_id, timeout=120.0):
     deadline = time.monotonic() + timeout
     while time.monotonic() < deadline:
@@ -630,6 +652,32 @@ class TestWorkerFleet:
             assert fleet.alive_count() == 1  # replacement spawned
         finally:
             fleet.stop()
+
+    @pytest.mark.skipif(not os.path.isdir("/proc"),
+                        reason="reads process states from /proc")
+    def test_workers_exit_when_parent_is_killed(self):
+        # Orphaned workers would hold the probe's stdout open, so read
+        # the pid line instead of waiting for the pipe to close.
+        probe = subprocess.Popen(
+            [sys.executable, "-c", _ORPHAN_PROBE], stdout=subprocess.PIPE,
+            env=dict(os.environ, PYTHONPATH=SRC_DIR))
+        pids = []
+        try:
+            pids = [int(pid) for pid in probe.stdout.readline().split()]
+            assert len(pids) == 3
+            assert probe.wait(timeout=30) == -signal.SIGKILL
+            deadline = time.monotonic() + 5
+            while any(map(_running, pids)) and time.monotonic() < deadline:
+                time.sleep(0.05)
+            assert [pid for pid in pids if _running(pid)] == []
+        finally:
+            for pid in filter(_running, pids):  # leak nothing on failure
+                with contextlib.suppress(ProcessLookupError):
+                    os.kill(pid, signal.SIGKILL)
+            if probe.poll() is None:
+                probe.kill()
+                probe.wait()
+            probe.stdout.close()
 
 
 class TestHTTPApi:

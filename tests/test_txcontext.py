@@ -17,7 +17,6 @@ def make_ctx(tid=0):
     ctx = TxContext(
         thread_id=tid,
         signature=ReadWriteSignature(PerfectSignature(), PerfectSignature()),
-        summary=ReadWriteSignature(PerfectSignature(), PerfectSignature()),
         stats=stats)
     return ctx, stats, PhysicalMemory(1 << 20)
 

@@ -33,7 +33,6 @@ def make_ctx():
     return TxContext(
         thread_id=0,
         signature=ReadWriteSignature(PerfectSignature(), PerfectSignature()),
-        summary=ReadWriteSignature(PerfectSignature(), PerfectSignature()),
         stats=StatsRegistry())
 
 
