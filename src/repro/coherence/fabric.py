@@ -9,10 +9,11 @@ outcomes; cores own their L1 arrays and signatures.
 from __future__ import annotations
 
 import abc
-from typing import Dict, List, Optional
+from typing import Dict, Iterable, List, Optional
 
 from repro.cache.block import MESI
-from repro.coherence.msgs import CoherenceResult, ConflictPort, Timestamp
+from repro.coherence.msgs import (Blocker, CoherenceResult, ConflictPort,
+                                  Timestamp)
 
 
 class CoherenceFabric(abc.ABC):
@@ -31,6 +32,64 @@ class CoherenceFabric(abc.ABC):
     @property
     def ports(self) -> List[ConflictPort]:
         return [self._ports[cid] for cid in sorted(self._ports)]
+
+    def _check(self, cores: Iterable[int], requester_core: int,
+               requester_thread: int, block_addr: int, is_write: bool,
+               asid: int, requester_ts: Optional[Timestamp],
+               owner: Optional[int] = None,
+               sticky_cores: Iterable[int] = (),
+               broadcast: bool = False) -> List[Blocker]:
+        """Forward the request to each target core.
+
+        The signature check and the coherence action (invalidation for a
+        GETM, downgrade of the owner for a GETS) are applied *atomically
+        per target*, exactly as the forwarded message does in hardware. A
+        deferred invalidation would open a window where a sharer's L1 hit
+        reads a doomed copy after its signature was found clean — a missed
+        conflict (this bug is real: it loses linked-list inserts).
+
+        A target that NACKs keeps its copy; targets already processed may
+        have lost theirs, which is harmless — they simply re-fetch, and
+        the re-fetch serializes behind this entry's lock.
+
+        Each blocker is tagged with how the check reached it —
+        ``sticky_cores`` were forwarded to only because of a sticky state,
+        ``broadcast`` marks the lost-info rebuild path — so abort
+        attribution can separate decoupling artifacts from true conflicts.
+        Both directory fabrics forward through here and count each forward
+        on their ``_c_fwd`` counter. Snooping keeps its own broadcast loop:
+        it counts one snoop per request, not one forward per core.
+        """
+        sticky_set = set(sticky_cores)
+        blockers: List[Blocker] = []
+        ports = self._ports
+        c_fwd = self._c_fwd
+        for core_id in sorted(set(cores)):
+            if core_id == requester_core:
+                # Same-core (SMT sibling) conflicts are detected at access
+                # time by the core itself, before the miss is issued.
+                continue
+            port = ports.get(core_id)
+            if port is None:
+                continue
+            c_fwd.value += 1
+            found = port.check_conflicts(
+                block_addr, is_write, exclude_thread=requester_thread,
+                asid=asid, requester_ts=requester_ts)
+            if found:
+                via = ("broadcast" if broadcast
+                       else "sticky" if core_id in sticky_set
+                       else "targeted")
+                if via != "targeted":
+                    found = [Blocker(b.core_id, b.thread_id,
+                                     b.timestamp, b.false_positive, via)
+                             for b in found]
+                blockers.extend(found)
+            elif is_write:
+                port.invalidate_block(block_addr)
+            elif core_id == owner:
+                port.downgrade_block(block_addr)
+        return blockers
 
     @abc.abstractmethod
     def request(self, requester_core: int, requester_thread: int,

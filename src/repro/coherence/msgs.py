@@ -1,19 +1,19 @@
 """Coherence request/response vocabulary.
 
-The protocol layer talks to cores through the :class:`ConflictPort`
-interface: the directory (or snooping bus) forwards a request to a core,
-which checks the signatures of its thread contexts and answers with zero or
-more :class:`Blocker` records (a non-empty list means NACK). Results carry
+The protocol layer talks to cores through :class:`ConflictPort`: the
+directory (or snooping bus) forwards a request to a core, which checks the
+signatures of its thread contexts and answers with zero or more
+:class:`Blocker` records (a non-empty list means NACK). Results carry
 enough provenance — blocker timestamps, false-positive flags — for LogTM's
 conflict-resolution policy and for Table 3's accounting.
 """
 
 from __future__ import annotations
 
-import abc
 from typing import List, Optional, Tuple
 
 from repro.cache.block import MESI
+from repro.common.config import SystemConfig
 
 #: Transaction timestamp: (begin cycle, global thread id). Lower is older.
 Timestamp = Tuple[int, int]
@@ -77,17 +77,14 @@ class CoherenceResult:
     the second-hottest allocation in the machine after Blocker.
     """
 
-    __slots__ = ("granted", "grant_state", "blockers", "latency")
+    __slots__ = ("granted", "grant_state", "blockers")
 
     def __init__(self, granted: bool, grant_state: MESI = MESI.INVALID,
-                 blockers: Optional[List[Blocker]] = None,
-                 latency: int = 0) -> None:
+                 blockers: Optional[List[Blocker]] = None) -> None:
         self.granted = granted
         #: State the requester may install.
         self.grant_state = grant_state
         self.blockers = [] if blockers is None else blockers
-        #: Cycles charged (informational).
-        self.latency = latency
 
     @property
     def nacked(self) -> bool:
@@ -104,55 +101,79 @@ class CoherenceResult:
             return NotImplemented
         return (self.granted == other.granted
                 and self.grant_state == other.grant_state
-                and self.blockers == other.blockers
-                and self.latency == other.latency)
+                and self.blockers == other.blockers)
 
     def __repr__(self) -> str:
         return (f"CoherenceResult(granted={self.granted}, "
-                f"grant_state={self.grant_state}, blockers={self.blockers}, "
-                f"latency={self.latency})")
+                f"grant_state={self.grant_state}, blockers={self.blockers})")
 
 
-class ConflictPort(abc.ABC):
-    """What the protocol needs from a core: checks and cache-state updates."""
+class ConflictPort:
+    """One core as the protocol sees it: an L1 and its SMT thread contexts.
 
-    @property
-    @abc.abstractmethod
-    def core_id(self) -> int: ...
+    This is the one conflict check in the machine. A fabric forwards a
+    request here and the signatures of the core's scheduled contexts
+    answer; the core runs the same check for its own SMT siblings before
+    it issues a miss (same-core conflicts generate no coherence traffic);
+    and the model checker's cores are plain ports over a tags-only L1.
 
-    @abc.abstractmethod
+    ``l1`` needs ``peek`` and ``invalidate``; each of ``slots`` holds a
+    ``thread`` (or None) with ``tid``, ``asid`` and ``ctx``.
+    """
+
+    def __init__(self, core_id: int, l1, slots: list,
+                 cfg: SystemConfig) -> None:
+        self.core_id = core_id
+        self.l1 = l1
+        self.slots = slots
+        self._lazy = cfg.tm.lazy
+        self._use_asid_filter = cfg.tm.use_asid_filter
+
     def check_conflicts(self, block_addr: int, is_write: bool,
                         exclude_thread: Optional[int], asid: int,
                         requester_ts: Optional[Timestamp]) -> List[Blocker]:
-        """Signature-check an incoming request against local thread contexts.
+        """Signature-check a request against the local thread contexts.
 
         ``exclude_thread`` is the requesting context (never conflicts with
-        itself). Implementations must honor the ASID filter (Section 2) and,
-        per LogTM's policy, set the blocker transaction's ``possible_cycle``
-        flag when NACKing an older requester.
+        itself). A blocker that NACKs an older requester sets its
+        transaction's ``possible_cycle`` flag (LogTM's policy). An empty
+        list means the request may proceed here.
         """
+        if self._lazy:
+            # Lazy (Bulk-style) mode detects conflicts at commit time, not
+            # on coherence requests: execution is never NACKed.
+            return []
+        blockers: List[Blocker] = []
+        for slot in self.slots:
+            thread = slot.thread
+            if thread is None or thread.tid == exclude_thread:
+                continue
+            # ASID filter: signatures never NACK another address space
+            # (prevents cross-process interference, Section 2). The
+            # ablation knob re-creates the interference for measurement.
+            if self._use_asid_filter and thread.asid != asid:
+                continue
+            ctx = thread.ctx
+            if ctx.signature.conflicts(is_write, block_addr):
+                fp = ctx.signature.conflict_is_false_positive(
+                    is_write, block_addr)
+                ctx.note_nacked_older(requester_ts)
+                blockers.append(Blocker(self.core_id, thread.tid,
+                                        ctx.timestamp, fp))
+        return blockers
 
-    @abc.abstractmethod
     def invalidate_block(self, block_addr: int) -> bool:
         """Drop the block from this core's L1; True if it was resident."""
+        return self.l1.invalidate(block_addr) is not None
 
-    @abc.abstractmethod
     def downgrade_block(self, block_addr: int) -> bool:
         """M/E -> S on this core's L1; True if it was resident exclusive."""
-
-    def mark_abort(self, thread_id: int, fp: bool = False) -> bool:
-        """Contention-manager hook: doom a local thread's transaction.
-
-        The transaction aborts at its next transactional instruction
-        boundary (asynchronous aborts are impossible — a transaction
-        mid-escape-action cannot be unrolled). ``fp`` records whether the
-        winning requester's conflict was pure signature aliasing, so the
-        doomed side's abort attributes correctly. Returns True if the
-        thread is here and was in a transaction. Default: not supported.
-        """
+        block = self.l1.peek(block_addr)
+        if block is not None and block.state.is_exclusive:
+            block.state = MESI.SHARED
+            return True
         return False
 
-    @abc.abstractmethod
     def holds_transactional(self, block_addr: int) -> bool:
         """Conservative test: may this block be in a local signature?
 
@@ -160,3 +181,14 @@ class ConflictPort(abc.ABC):
         replacement must leave a *sticky* directory state. It consults the
         (possibly aliasing) signatures, exactly as hardware would.
         """
+        if self._lazy:
+            # No sticky states under lazy detection (Bulk has no need:
+            # commit-time broadcasts reach every signature).
+            return False
+        for slot in self.slots:
+            if slot.thread is None:
+                continue
+            sig = slot.thread.ctx.signature
+            if sig.read.contains(block_addr) or sig.write.contains(block_addr):
+                return True
+        return False

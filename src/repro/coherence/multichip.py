@@ -144,31 +144,6 @@ class MultiChipFabric(CoherenceFabric):
     # Conflict checks
     # ------------------------------------------------------------------
 
-    def _check_cores(self, core_ids, requester_core: int,
-                     requester_thread: int, block_addr: int, is_write: bool,
-                     asid: int, requester_ts: Optional[Timestamp],
-                     owner: Optional[int] = None) -> List[Blocker]:
-        """Per-core check with the coherence action applied atomically
-        (see the single-CMP directory for why deferral is a real bug)."""
-        blockers: List[Blocker] = []
-        for core_id in sorted(set(core_ids)):
-            if core_id == requester_core:
-                continue
-            port = self._ports.get(core_id)
-            if port is None:
-                continue
-            self._c_fwd.add()
-            found = port.check_conflicts(
-                block_addr, is_write, exclude_thread=requester_thread,
-                asid=asid, requester_ts=requester_ts)
-            if found:
-                blockers.extend(found)
-            elif is_write:
-                port.invalidate_block(block_addr)
-            elif core_id == owner:
-                port.downgrade_block(block_addr)
-        return blockers
-
     def _chip_covers(self, chip: int, block_addr: int,
                      exclude: int) -> bool:
         """May any core on this chip still hold the block in a signature?"""
@@ -181,7 +156,7 @@ class MultiChipFabric(CoherenceFabric):
                 return True
         return False
 
-    def _chip_check(self, chip: int, requester_core: int,
+    def _chip_check(self, chip: int, sticky: bool, requester_core: int,
                     requester_thread: int, block_addr: int, is_write: bool,
                     asid: int, requester_ts: Optional[Timestamp]
                     ) -> List[Blocker]:
@@ -189,14 +164,17 @@ class MultiChipFabric(CoherenceFabric):
 
         Inter-chip forwards cannot rely on the remote chip's (possibly
         stale) intra-chip pointers for conflict coverage, so the whole
-        chip answers — this is the chip-level NACK of Section 7.
+        chip answers — this is the chip-level NACK of Section 7. The
+        chip's sticky cores answer as sticky, and so does every core of a
+        chip the memory directory holds ``sticky`` (sticky-M).
         """
         first = chip * self.cfg.num_cores
+        cores = range(first, first + self.cfg.num_cores)
         entry = self._chip_entry(chip, block_addr)
-        return self._check_cores(range(first, first + self.cfg.num_cores),
-                                 requester_core, requester_thread,
-                                 block_addr, is_write, asid, requester_ts,
-                                 owner=entry.owner)
+        return self._check(cores, requester_core, requester_thread,
+                           block_addr, is_write, asid, requester_ts,
+                           owner=entry.owner,
+                           sticky_cores=cores if sticky else entry.sticky)
 
     # ------------------------------------------------------------------
     # Request path
@@ -258,9 +236,9 @@ class MultiChipFabric(CoherenceFabric):
         if targets:
             yield max(net.bank_to_core(bank, self._local_core(t), "fwd")
                       for t in targets)
-        blockers = self._check_cores(targets, requester_core,
-                                     requester_thread, block_addr, is_write,
-                                     asid, requester_ts, owner=entry.owner)
+        blockers = self._check(targets, requester_core, requester_thread,
+                               block_addr, is_write, asid, requester_ts,
+                               owner=entry.owner, sticky_cores=entry.sticky)
         if blockers:
             self._c_nacks.add()
             if self.stats.recorder is not None:
@@ -316,8 +294,8 @@ class MultiChipFabric(CoherenceFabric):
         for remote in sorted(target_chips):
             yield self.cfg.interchip_latency
             blockers.extend(self._chip_check(
-                remote, requester_core, requester_thread, block_addr,
-                is_write, asid, requester_ts))
+                remote, remote in mem_entry.sticky_chips, requester_core,
+                requester_thread, block_addr, is_write, asid, requester_ts))
         # The requester's own chip may still hold intra-chip conflicts
         # (e.g. another local core's signature) even without chip rights.
         local_targets = set(entry.sticky)
@@ -326,9 +304,10 @@ class MultiChipFabric(CoherenceFabric):
         if is_write:
             local_targets |= entry.sharers
         local_targets.discard(requester_core)
-        blockers.extend(self._check_cores(
+        blockers.extend(self._check(
             local_targets, requester_core, requester_thread, block_addr,
-            is_write, asid, requester_ts, owner=entry.owner))
+            is_write, asid, requester_ts, owner=entry.owner,
+            sticky_cores=entry.sticky))
 
         if blockers:
             self._c_nacks.add()
@@ -395,7 +374,7 @@ class MultiChipFabric(CoherenceFabric):
                           block_addr: int, is_write: bool,
                           entry: ChipEntry) -> MESI:
         """Bookkeeping only — port invalidations/downgrades happened
-        atomically with the signature checks in ``_check_cores``."""
+        atomically with the signature checks in ``_check``."""
         if entry.sticky:
             # Only discharge cores whose signatures no longer cover the
             # block; a surviving read-set entry must keep being checked.

@@ -220,6 +220,10 @@ class SystemConfig:
             raise ConfigError("need at least one core")
         if self.num_chips < 1:
             raise ConfigError("need at least one chip")
+        if self.num_chips > 1 and self.coherence is CoherenceStyle.SNOOPING:
+            # The only multiple-CMP fabric is the two-level directory.
+            raise ConfigError("a multiple-CMP system needs directory "
+                              "coherence, not snooping")
         if self.threads_per_core < 1:
             raise ConfigError("need at least one thread context per core")
         if self.l1.block_bytes != self.l2.block_bytes:

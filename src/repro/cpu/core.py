@@ -15,8 +15,9 @@ Every memory reference follows Section 2's flow:
 5. **Transactional bookkeeping** — insert into the read/write signature;
    for stores, consult the log filter and append an undo record on a miss.
 
-The core also implements :class:`ConflictPort`: the directory forwards
-requests here, and the signatures of all *scheduled* thread contexts answer.
+The core is a :class:`ConflictPort`: the fabric forwards requests here and
+the signatures of all *scheduled* thread contexts answer, through the same
+check step 2 runs for SMT siblings.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from typing import Callable, List, Optional
 from repro.cache.array import CacheArray
 from repro.cache.block import MESI
 from repro.coherence.fabric import CoherenceFabric
-from repro.coherence.msgs import Blocker, ConflictPort, Timestamp
+from repro.coherence.msgs import Blocker, ConflictPort
 from repro.common.config import SystemConfig
 from repro.common.errors import (AbortTransaction, PreemptedAccess,
                                  SimulationError)
@@ -56,19 +57,18 @@ class Core(ConflictPort):
                  fabric: CoherenceFabric, memory: PhysicalMemory,
                  stats: StatsRegistry, backoff: BackoffPolicy,
                  summary_factory: Callable[[], ReadWriteSignature]) -> None:
-        self._core_id = core_id
+        super().__init__(core_id, CacheArray(cfg.l1, name=f"L1[{core_id}]"),
+                         [HardwareSlot(self, i, summary_factory())
+                          for i in range(cfg.threads_per_core)], cfg)
         self.cfg = cfg
         self.fabric = fabric
         self.memory = memory
         self.stats = stats
         self.backoff = backoff
         self.threads_per_core = cfg.threads_per_core
-        self.l1 = CacheArray(cfg.l1, name=f"L1[{core_id}]")
         self.amap = AddressMap(block_bytes=cfg.block_bytes,
                                page_bytes=cfg.page_bytes,
                                num_banks=cfg.l2_banks)
-        self.slots = [HardwareSlot(self, i, summary_factory())
-                      for i in range(cfg.threads_per_core)]
         self.policy: ContentionPolicy = make_policy(cfg.tm)
         self.tlb = Tlb(entries=cfg.tlb_entries)
         self._c_loads = stats.counter("mem.loads")
@@ -84,8 +84,6 @@ class Core(ConflictPort):
         self._c_tlb_misses = stats.counter("mem.tlb_misses")
         # Hot-path constants, hoisted out of the per-access loop. All are
         # fixed for the lifetime of the system (SystemConfig is immutable).
-        self._lazy = cfg.tm.lazy
-        self._use_asid_filter = cfg.tm.use_asid_filter
         self._l1_latency = cfg.l1.latency
         self._tlb_walk_latency = cfg.tlb_walk_latency
         self._log_store_cycles = cfg.tm.log_store_cycles
@@ -97,40 +95,19 @@ class Core(ConflictPort):
         fabric.attach(self)
 
     # ------------------------------------------------------------------
-    # ConflictPort (the directory/bus calls in here)
+    # Contention-manager hook (the conflict checks are ConflictPort's)
     # ------------------------------------------------------------------
 
-    @property
-    def core_id(self) -> int:
-        return self._core_id
-
-    def check_conflicts(self, block_addr: int, is_write: bool,
-                        exclude_thread: Optional[int], asid: int,
-                        requester_ts: Optional[Timestamp]) -> List[Blocker]:
-        if self._lazy:
-            # Lazy (Bulk-style) mode detects conflicts at commit time, not
-            # on coherence requests: execution is never NACKed.
-            return []
-        blockers: List[Blocker] = []
-        for slot in self.slots:
-            thread = slot.thread
-            if thread is None or thread.tid == exclude_thread:
-                continue
-            # ASID filter: signatures never NACK another address space
-            # (prevents cross-process interference, Section 2). The
-            # ablation knob re-creates the interference for measurement.
-            if self._use_asid_filter and thread.asid != asid:
-                continue
-            ctx = thread.ctx
-            if ctx.signature.conflicts(is_write, block_addr):
-                fp = ctx.signature.conflict_is_false_positive(
-                    is_write, block_addr)
-                ctx.note_nacked_older(requester_ts)
-                blockers.append(Blocker(self._core_id, thread.tid,
-                                        ctx.timestamp, fp))
-        return blockers
-
     def mark_abort(self, thread_id: int, fp: bool = False) -> bool:
+        """Doom a local thread's transaction.
+
+        The transaction aborts at its next transactional instruction
+        boundary (asynchronous aborts are impossible — a transaction
+        mid-escape-action cannot be unrolled). ``fp`` records whether the
+        winning requester's conflict was pure signature aliasing, so the
+        doomed side's abort attributes correctly. Returns True if the
+        thread is here and was in a transaction.
+        """
         for slot in self.slots:
             thread = slot.thread
             if thread is not None and thread.tid == thread_id:
@@ -140,30 +117,6 @@ class Core(ConflictPort):
                     self.stats.counter("tm.remote_abort_requests").add()
                     return True
                 return False
-        return False
-
-    def invalidate_block(self, block_addr: int) -> bool:
-        return self.l1.invalidate(block_addr) is not None
-
-    def downgrade_block(self, block_addr: int) -> bool:
-        block = self.l1.peek(block_addr)
-        if block is not None and block.state.is_exclusive:
-            block.state = MESI.SHARED
-            return True
-        return False
-
-    def holds_transactional(self, block_addr: int) -> bool:
-        """Conservative signature test used for the sticky decision."""
-        if self._lazy:
-            # No sticky states under lazy detection (Bulk has no need:
-            # commit-time broadcasts reach every signature).
-            return False
-        for slot in self.slots:
-            if slot.thread is None:
-                continue
-            sig = slot.thread.ctx.signature
-            if sig.read.contains(block_addr) or sig.write.contains(block_addr):
-                return True
         return False
 
     # ------------------------------------------------------------------
@@ -328,8 +281,8 @@ class Core(ConflictPort):
             # are invisible until commit; single-context cores have no
             # siblings to scan).
             sibling_blockers = None if (lazy or not self._multi_slot) else \
-                self._sibling_conflicts(
-                    thread.tid, asid, block, is_write, requester_ts)
+                self.check_conflicts(
+                    block, is_write, thread.tid, asid, requester_ts)
             if sibling_blockers:
                 self._c_sibling.add()
                 self._note_conflict(ctx, fp=all(
@@ -367,7 +320,7 @@ class Core(ConflictPort):
 
             # (4) Coherence request.
             result = yield from self.fabric.request(
-                self._core_id, thread.tid, requester_ts, block,
+                self.core_id, thread.tid, requester_ts, block,
                 is_write, asid)
             if result.granted:
                 self._install(block, result.grant_state, is_write)
@@ -457,24 +410,8 @@ class Core(ConflictPort):
         _new, victim = self.l1.insert(block_addr, state)
         if victim is not None:
             transactional = self.holds_transactional(victim.addr)
-            self.fabric.l1_evicted(self._core_id, victim.addr,
+            self.fabric.l1_evicted(self.core_id, victim.addr,
                                    victim.state, transactional)
-
-    def _sibling_conflicts(self, tid: int, asid: int, block: int,
-                           is_write: bool, requester_ts: Optional[Timestamp]
-                           ) -> List[Blocker]:
-        blockers: List[Blocker] = []
-        for slot in self.slots:
-            other = slot.thread
-            if other is None or other.tid == tid or other.asid != asid:
-                continue
-            sig = other.ctx.signature
-            if sig.conflicts(is_write, block):
-                other.ctx.note_nacked_older(requester_ts)
-                blockers.append(Blocker(
-                    self._core_id, other.tid, other.ctx.timestamp,
-                    sig.conflict_is_false_positive(is_write, block)))
-        return blockers
 
     def _resolve_or_stall(self, ctx, blockers: List[Blocker],
                           retries: int = 0):
@@ -529,4 +466,4 @@ class Core(ConflictPort):
                                for b in blockers or ()))
 
     def __repr__(self) -> str:
-        return f"Core({self._core_id}, slots={len(self.slots)})"
+        return f"Core({self.core_id}, slots={len(self.slots)})"

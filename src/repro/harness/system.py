@@ -1,29 +1,25 @@
 """System builder: assembles a full simulated machine from a config.
 
 A :class:`System` wires together the simulation kernel, functional memory,
-frame allocator, interconnect, coherence fabric (directory or snooping),
-cores with their SMT slots, and the TM manager — the complete machine of
-Figure 2 plus the LogTM-SE additions of Figure 1.
+frame allocator, coherence fabric with its interconnect (directory,
+snooping or multichip), cores with their SMT slots, and the TM manager —
+the complete machine of Figure 2 plus the LogTM-SE additions of Figure 1.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List
 
-from repro.common.config import CoherenceStyle, SystemConfig
+from repro.common.config import SystemConfig
 from repro.common.errors import ConfigError
 from repro.common.rng import DEFAULT_SEED, make_rng
 from repro.common.stats import StatsRegistry
-from repro.coherence.directory import DirectoryFabric
-from repro.coherence.multichip import MultiChipFabric
-from repro.coherence.snooping import SnoopingFabric
+from repro.coherence import make_fabric
 from repro.core.conflict import BackoffPolicy
 from repro.core.manager import TMManager
 from repro.core.txcontext import TxContext
 from repro.cpu.core import Core
 from repro.cpu.thread import HardwareSlot, SoftwareThread
-from repro.interconnect.network import Network
-from repro.interconnect.topology import GridTopology
 from repro.mem.address import AddressMap
 from repro.mem.physical import PhysicalMemory
 from repro.mem.vm import FrameAllocator, PageTable
@@ -45,22 +41,7 @@ class System:
                                page_bytes=cfg.page_bytes,
                                num_banks=cfg.l2_banks)
         self.frame_allocator = FrameAllocator(self.amap, cfg.memory_bytes)
-        rows, cols = cfg.mesh_dims
-        self.topology = GridTopology(rows, cols, cfg.num_cores, cfg.l2_banks)
-        self.network = Network(self.topology, cfg.link_latency, self.stats)
-        if cfg.num_chips > 1:
-            # Section 7's multiple-CMP system: one intra-chip network per
-            # chip plus the full-map memory directory fabric.
-            networks = [self.network] + [
-                Network(self.topology, cfg.link_latency, self.stats)
-                for _ in range(cfg.num_chips - 1)]
-            self.fabric = MultiChipFabric(cfg, networks, self.stats)
-        elif cfg.coherence is CoherenceStyle.DIRECTORY:
-            self.fabric = DirectoryFabric(cfg, self.network, self.stats)
-        elif cfg.coherence is CoherenceStyle.SNOOPING:
-            self.fabric = SnoopingFabric(cfg, self.network, self.stats)
-        else:  # pragma: no cover - exhaustive enum
-            raise ConfigError(f"unknown coherence style {cfg.coherence}")
+        self.fabric = make_fabric(cfg, self.stats)
         backoff_rng = make_rng(seed, "backoff")
         self.backoff = BackoffPolicy(cfg.tm, backoff_rng)
         self.cores: List[Core] = [

@@ -42,9 +42,9 @@ from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.cache.block import CacheBlock, MESI
+from repro.coherence import make_fabric
 from repro.coherence.directory import DirectoryFabric
-from repro.coherence.fabric import CoherenceFabric
-from repro.coherence.msgs import Blocker, ConflictPort, Timestamp
+from repro.coherence.msgs import ConflictPort
 from repro.coherence.multichip import MultiChipFabric
 from repro.coherence.snooping import SnoopingFabric
 from repro.common.config import (CoherenceStyle, SignatureKind, SystemConfig)
@@ -52,8 +52,6 @@ from repro.common.errors import ConfigError, SimulationError
 from repro.common.stats import StatsRegistry
 from repro.core.txcontext import TxContext
 from repro.core.undolog import UndoRecord
-from repro.interconnect.network import Network
-from repro.interconnect.topology import GridTopology
 from repro.mem.physical import PhysicalMemory
 from repro.signatures.factory import make_rw_pair
 
@@ -239,59 +237,6 @@ class _ModelSlot:
         self.summary = None  # no descheduling in the model
 
 
-class ModelPort(ConflictPort):
-    """One model core: L1 + thread contexts, answering fabric checks.
-
-    The conflict-check semantics mirror ``Core.check_conflicts`` exactly
-    (eager detection, per-context signature tests, requester exclusion);
-    the access path lives on :class:`ProtocolModel` because it needs the
-    global memory/tenancy state.
-    """
-
-    def __init__(self, core_id: int, slots: List[_ModelSlot]) -> None:
-        self._core_id = core_id
-        self.l1 = ModelL1()
-        self.slots = slots
-
-    @property
-    def core_id(self) -> int:
-        return self._core_id
-
-    def check_conflicts(self, block_addr: int, is_write: bool,
-                        exclude_thread: Optional[int], asid: int,
-                        requester_ts: Optional[Timestamp]) -> List[Blocker]:
-        blockers: List[Blocker] = []
-        for slot in self.slots:
-            thread = slot.thread
-            if thread.tid == exclude_thread:
-                continue
-            ctx = thread.ctx
-            if ctx.signature.conflicts(is_write, block_addr):
-                fp = ctx.signature.conflict_is_false_positive(
-                    is_write, block_addr)
-                blockers.append(Blocker(self._core_id, thread.tid,
-                                        ctx.timestamp, fp))
-        return blockers
-
-    def invalidate_block(self, block_addr: int) -> bool:
-        return self.l1.invalidate(block_addr) is not None
-
-    def downgrade_block(self, block_addr: int) -> bool:
-        block = self.l1.peek(block_addr)
-        if block is not None and block.state.is_exclusive:
-            block.state = MESI.SHARED
-            return True
-        return False
-
-    def holds_transactional(self, block_addr: int) -> bool:
-        for slot in self.slots:
-            sig = slot.thread.ctx.signature
-            if sig.read.contains(block_addr) or \
-                    sig.write.contains(block_addr):
-                return True
-        return False
-
-
 def _drain(gen):
     """Run a coherence-request generator to completion, discarding time.
 
@@ -333,9 +278,9 @@ class ProtocolModel:
         self.memory = PhysicalMemory(capacity_bytes=self.cfg.memory_bytes)
         #: Per-block frame-tenancy generation, bumped by ``reuse``.
         self.tenancy = [0] * mcfg.blocks
-        self.fabric = self._build_fabric()
+        self.fabric = make_fabric(self.cfg, self.stats)
         self.contexts: List[TxContext] = []
-        self.cores: List[ModelPort] = []
+        self.cores: List[ConflictPort] = []
         for core_id in range(mcfg.total_cores):
             slots = []
             for slot_idx in range(mcfg.contexts_per_core):
@@ -349,7 +294,7 @@ class ProtocolModel:
                     log_filter_entries=self.cfg.tm.log_filter_entries)
                 self.contexts.append(ctx)
                 slots.append(_ModelSlot(_ModelThread(tid, ctx)))
-            port = ModelPort(core_id, slots)
+            port = ConflictPort(core_id, ModelL1(), slots, self.cfg)
             self.cores.append(port)
             self.fabric.attach(port)
         if mcfg.mutation is not None:
@@ -375,19 +320,6 @@ class ProtocolModel:
                     base, coherence=CoherenceStyle.SNOOPING)
         return base.with_signature(mcfg.signature,
                                    bits=mcfg.signature_bits)
-
-    def _build_fabric(self) -> CoherenceFabric:
-        cfg = self.cfg
-        topology = GridTopology(*cfg.mesh_dims, cfg.num_cores, cfg.l2_banks)
-        network = Network(topology, cfg.link_latency, self.stats)
-        if self.mcfg.fabric == "multichip":
-            networks = [network] + [
-                Network(topology, cfg.link_latency, self.stats)
-                for _ in range(cfg.num_chips - 1)]
-            return MultiChipFabric(cfg, networks, self.stats)
-        if self.mcfg.fabric == "snooping":
-            return SnoopingFabric(cfg, network, self.stats)
-        return DirectoryFabric(cfg, network, self.stats)
 
     # ------------------------------------------------------------------
     # Action enumeration
@@ -476,7 +408,7 @@ class ProtocolModel:
         else:
             raise ConfigError(f"unknown action {action!r}")
 
-    def _core_of(self, tid: int) -> ModelPort:
+    def _core_of(self, tid: int) -> ConflictPort:
         return self.cores[tid // self.mcfg.contexts_per_core]
 
     def _do_begin(self, tid: int) -> None:
@@ -531,12 +463,10 @@ class ProtocolModel:
         core = self._core_of(tid)
         addr = self.block_addrs[b]
         in_tx = ctx.transactional
+        ts = ctx.timestamp if ctx.in_tx else None
         # (2) SMT sibling signatures.
-        for slot in core.slots:
-            other = slot.thread
-            if other.tid != tid and \
-                    other.ctx.signature.conflicts(is_write, addr):
-                return  # blocked at issue; no state change
+        if core.check_conflicts(addr, is_write, tid, 0, ts):
+            return  # blocked at issue; no state change
         line = core.l1.peek(addr)
         if line is not None and (line.state.can_write if is_write
                                  else line.state.can_read):
@@ -549,7 +479,6 @@ class ProtocolModel:
                 line.state = MESI.MODIFIED
         else:
             # (4) Coherence request, run to completion.
-            ts = ctx.timestamp if ctx.in_tx else None
             result = _drain(self.fabric.request(
                 core.core_id, tid, ts, addr, is_write, asid=0))
             if not result.granted:

@@ -1,5 +1,7 @@
 """Tests for repro.common.config — Table 1 defaults and validation."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.common.config import (CacheConfig, CoherenceStyle, SignatureConfig,
@@ -71,6 +73,14 @@ class TestSystemConfig:
     def test_mesh_must_fit_cores(self):
         with pytest.raises(ConfigError):
             SystemConfig(num_cores=32, mesh_dims=(2, 2))
+
+    def test_multichip_rejects_snooping(self):
+        """Only the directory fabric spans chips: a snooping multichip
+        config would build a directory machine under a snooping name."""
+        multichip = SystemConfig.multichip(num_chips=2, cores_per_chip=2)
+        with pytest.raises(ConfigError, match="snooping"):
+            replace(multichip, coherence=CoherenceStyle.SNOOPING)
+        replace(SystemConfig.small(), coherence=CoherenceStyle.SNOOPING)
 
     def test_with_signature_is_functional_update(self):
         base = SystemConfig.default()

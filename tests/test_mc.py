@@ -158,6 +158,18 @@ class TestCleanExploration:
         assert result.fixed_point
         assert result.states < 5000
 
+    def test_smt_core_reaches_fixed_point(self):
+        """Two contexts on one core: every access first runs the SMT
+        sibling check, the same ConflictPort check a forwarded request
+        runs. The whole space closes clean."""
+        result = check(ModelConfig(fabric="directory", cores=1,
+                                   contexts_per_core=2, blocks=1),
+                       state_cap=5000)
+        assert result.clean, result.summary()
+        assert result.fixed_point
+        assert (result.states, result.transitions, result.depth) == \
+            (436, 3160, 8)
+
     def test_result_serialization(self):
         result = check(ModelConfig(fabric="directory"), state_cap=50)
         data = result.to_dict()

@@ -178,6 +178,63 @@ class TestChipLevelSticky:
         assert done == [0]
 
 
+class TestStickyAttribution:
+    """A NACK that reached its blocker only through a sticky state says so
+    (``via == "sticky"``), on the single-CMP directory and on multichip."""
+
+    X = 0x9000
+
+    def _tx_read(self, system, thread):
+        """``thread`` begins a transaction and loads X; X's block."""
+        thread.ctx.begin(now=0)
+        run(system, thread.slot.core.load(thread.slot, self.X))
+        return system.amap.block_of(thread.translate(self.X))
+
+    def _evict_l1(self, system, core, block):
+        """``Core._install``'s victim path."""
+        state = core.l1.peek(block).state
+        core.l1.invalidate(block)
+        system.fabric.l1_evicted(core.core_id, block, state,
+                                 core.holds_transactional(block))
+
+    def _getm_vias(self, system, thread, block):
+        result = run(system, system.fabric.request(
+            thread.slot.core.core_id, thread.tid, None, block, True, 0))
+        assert not result.granted
+        return [blk.via for blk in result.blockers]
+
+    @pytest.mark.parametrize("cfg", [
+        SystemConfig.small(num_cores=2),
+        SystemConfig.multichip(num_chips=2, cores_per_chip=2)],
+        ids=["directory", "multichip"])
+    def test_l1_victim_sticky_nack(self, cfg):
+        system = System(cfg, seed=1)
+        a, b = system.place_threads(2)  # cores 0 and 1, one chip
+        block = self._tx_read(system, a)
+        self._evict_l1(system, a.slot.core, block)
+        assert self._getm_vias(system, b, block) == ["sticky"]
+
+    @pytest.mark.parametrize("victim", ["l1", "chip-l2"])
+    def test_remote_chip_sticky_nack(self, victim):
+        """Another chip's GETM reaches the obligation through the memory
+        directory: via the owner chip, whose directory holds the core
+        sticky (L1 victim), or via the chip the memory directory holds
+        sticky-M (chip-L2 victim)."""
+        system, threads = build()
+        a, c = threads[0], threads[2]  # core 0 on chip 0, core 2 on chip 1
+        fabric = system.fabric
+        block = self._tx_read(system, a)
+        if victim == "l1":
+            self._evict_l1(system, a.slot.core, block)
+            assert fabric.chip_entry_view(0, block).sticky == {0}
+            assert fabric.mem_entry_view(block).owner_chip == 0
+        else:
+            fabric.l2s[0].invalidate(block)
+            fabric._chip_l2_victimized(0, block)
+            assert fabric.mem_entry_view(block).sticky_chips == {0}
+        assert self._getm_vias(system, c, block) == ["sticky"]
+
+
 class TestWorkloadsOnMultichip:
     def test_shared_counter_exact(self):
         cfg = SystemConfig.multichip(num_chips=4, cores_per_chip=2)

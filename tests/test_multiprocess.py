@@ -19,6 +19,12 @@ from repro.harness.system import System
 from repro.workloads import SharedCounter
 
 
+#: Where A and B run in the interference scenario: on different cores
+#: (B answers a forwarded request) or on one core's two SMT contexts (B
+#: answers A's sibling check).
+PLACEMENTS = ("cross-core", "smt")
+
+
 def run_two_processes(use_asid_filter: bool, bits: int = 8,
                       units: int = 6):
     """Two single-thread processes on two cores, tiny BS signatures."""
@@ -55,18 +61,26 @@ class TestAsidFilter:
         assert system.stats.value("tm.stalls") == 0
         assert system.stats.value("tm.aborts") == 0
 
-    def _interference_scenario(self, use_asid_filter: bool):
+    def _interference_scenario(self, use_asid_filter: bool,
+                               placement: str):
         """The paper's exact construction: process A's block "resides on"
-        a core now running process B, whose aliasing signature answers the
-        forwarded request.
+        a core now running process B, whose aliasing signature answers.
+
+        ``cross-core``:
 
         1. A's thread writes block X on core 0 (directory owner: core 0).
         2. A is descheduled; B's thread takes core 0 and fills a tiny
            write signature (aliases everything).
         3. A, rescheduled on core 1, re-reads X: the directory forwards
            the GETS to core 0, where B's signature answers.
+
+        ``smt``: A and B share one core's two contexts. A writes X, B
+        fills its tiny write signature, and A re-reads X, which is an L1
+        hit — only the SMT sibling check stands between A and X.
         """
-        cfg = SystemConfig.small(num_cores=2, threads_per_core=1)
+        smt = placement == "smt"
+        cfg = (SystemConfig.small(num_cores=1, threads_per_core=2) if smt
+               else SystemConfig.small(num_cores=2, threads_per_core=1))
         cfg = cfg.with_signature(SignatureKind.BIT_SELECT, bits=8)
         cfg = replace(cfg, tm=replace(cfg.tm,
                                       use_asid_filter=use_asid_filter))
@@ -81,12 +95,16 @@ class TestAsidFilter:
             return proc
 
         run(t_a.slot.core.store(t_a.slot, 0x9000, 7))   # owner: core 0
-        run(system.manager.deschedule(t_a.slot))
-        run(system.manager.schedule(t_b, system.cores[0].slots[0]))
+        if smt:
+            run(system.manager.schedule(t_b, system.cores[0].slots[1]))
+        else:
+            run(system.manager.deschedule(t_a.slot))
+            run(system.manager.schedule(t_b, system.cores[0].slots[0]))
         run(system.manager.begin(t_b.slot))
         for i in range(8):  # saturate B's 8-bit write signature
             run(t_b.slot.core.store(t_b.slot, 0x2000_0000 + i * 64, i))
-        run(system.manager.schedule(t_a, system.cores[1].slots[0]))
+        if not smt:
+            run(system.manager.schedule(t_a, system.cores[1].slots[0]))
 
         done = []
 
@@ -99,19 +117,27 @@ class TestAsidFilter:
         return system, t_b, done
 
     def test_filter_blocks_interference(self):
-        system, t_b, done = self._interference_scenario(True)
-        assert done == [7], "A must proceed despite B's aliasing signature"
+        for placement in PLACEMENTS:
+            system, t_b, done = self._interference_scenario(True, placement)
+            assert done == [7], \
+                f"{placement}: A must proceed despite B's aliasing signature"
 
     def test_ablation_recreates_interference(self):
         """Without the ASID filter, B's saturated signature NACKs A's
-        request to A's *own* data — one process stalls another."""
-        system, t_b, done = self._interference_scenario(False)
-        assert not done, "A must be (falsely) blocked by process B"
-        assert system.stats.value("mem.nontx_stalls") > 0
-        # Once B commits, A finally proceeds (interference, not deadlock).
-        proc = system.sim.spawn(system.manager.commit(t_b.slot))
-        system.sim.run()
-        assert done == [7]
+        request to A's *own* data — one process stalls another, whether
+        B answers a forwarded request or sits on A's own core."""
+        for placement in PLACEMENTS:
+            system, t_b, done = self._interference_scenario(False, placement)
+            assert not done, \
+                f"{placement}: A must be (falsely) blocked by process B"
+            assert system.stats.value("mem.nontx_stalls") > 0, placement
+            if placement == "smt":
+                assert system.stats.value("tm.sibling_conflicts") > 0
+            # Once B commits, A finally proceeds (interference, not
+            # deadlock).
+            system.sim.spawn(system.manager.commit(t_b.slot))
+            system.sim.run()
+            assert done == [7], placement
 
     def test_address_spaces_are_disjoint(self):
         """Same virtual addresses in different processes map to different
