@@ -135,6 +135,27 @@ def _recv_state_attr(node: ast.AST) -> Optional[str]:
     return None
 
 
+def _counter_attr(node: ast.AST,
+                  env: Dict[str, ast.AST]) -> Optional[str]:
+    """Counter a receiver denotes: ``self._c_x``, or a local bound to it
+    (``c_fwd = self._c_fwd``), named by its attribute ``_c_x``."""
+    if isinstance(node, ast.Name):
+        node = env.get(node.id)
+    if isinstance(node, ast.Attribute) and node.attr.startswith("_c_"):
+        return node.attr
+    return None
+
+
+def _counter_bump(stmt: ast.AugAssign,
+                  env: Dict[str, ast.AST]) -> Optional[str]:
+    """Counter bumped by ``X.value += n``, X as in :func:`_counter_attr`."""
+    target = stmt.target
+    if isinstance(stmt.op, ast.Add) and isinstance(target, ast.Attribute) \
+            and target.attr == "value":
+        return _counter_attr(target.value, env)
+    return None
+
+
 def _is_falsy_const(node: ast.AST) -> bool:
     return isinstance(node, ast.Constant) and not node.value
 
@@ -532,6 +553,10 @@ class _Extractor:
         elif isinstance(target, ast.Name):
             st.env.pop(target.id, None)
             self._invalidate(st, {target.id})
+        else:
+            counter = _counter_bump(stmt, st.env)
+            if counter is not None:
+                self._add_effect(st, f"ctr:{counter}")
 
     def _expr_effects(self, node: ast.AST, st: _PathState) -> None:
         """Record effects performed anywhere inside an expression (or
@@ -556,10 +581,10 @@ class _Extractor:
         if not isinstance(func, ast.Attribute):
             return
         receiver = func.value
-        # Counter bump: self._c_x.add(...)
-        if func.attr == "add" and isinstance(receiver, ast.Attribute) \
-                and receiver.attr.startswith("_c_"):
-            self._add_effect(st, f"ctr:{receiver.attr}")
+        # Counter bump: self._c_x.add(...), directly or through a local
+        counter = _counter_attr(receiver, st.env)
+        if func.attr == "add" and counter is not None:
+            self._add_effect(st, f"ctr:{counter}")
             return
         if func.attr in PORT_METHODS:
             self._add_effect(st, f"call:{func.attr}")
@@ -640,6 +665,13 @@ class _Extractor:
             return cached
         effects: Set[str] = set()
         visited = visited | {fn.name}
+        # Locals bound to a counter (``c_fwd = self._c_fwd``), so that
+        # bumps through them count as the counter's.
+        counters: Dict[str, ast.AST] = {
+            target.id: node.value for node in ast.walk(fn.node)
+            if isinstance(node, ast.Assign)
+            and _counter_attr(node.value, {}) is not None
+            for target in node.targets if isinstance(target, ast.Name)}
         for node in ast.walk(fn.node):
             if isinstance(node, ast.Call):
                 resolved = self.project.resolve_method_call(node, self.cls)
@@ -652,7 +684,7 @@ class _Extractor:
                         effects |= self._summarize(resolved, visited,
                                                    depth + 1)
                     continue
-                effects |= self._flat_call_effects(node)
+                effects |= self._flat_call_effects(node, counters)
             elif isinstance(node, ast.Assign):
                 for target in node.targets:
                     effects |= self._flat_target_effects(target,
@@ -662,17 +694,22 @@ class _Extractor:
                         node.target.attr in STATE_ATTRS:
                     verb = "sub" if isinstance(node.op, ast.Sub) else "add"
                     effects.add(f"{verb}:{node.target.attr}")
+                else:
+                    counter = _counter_bump(node, counters)
+                    if counter is not None:
+                        effects.add(f"ctr:{counter}")
         self._summary_cache[fn.qualname] = effects
         return effects
 
-    def _flat_call_effects(self, call: ast.Call) -> Set[str]:
+    def _flat_call_effects(self, call: ast.Call,
+                           counters: Dict[str, ast.AST]) -> Set[str]:
         func = call.func
         if not isinstance(func, ast.Attribute):
             return set()
         receiver = func.value
-        if func.attr == "add" and isinstance(receiver, ast.Attribute) \
-                and receiver.attr.startswith("_c_"):
-            return {f"ctr:{receiver.attr}"}
+        counter = _counter_attr(receiver, counters)
+        if func.attr == "add" and counter is not None:
+            return {f"ctr:{counter}"}
         if func.attr in PORT_METHODS:
             return {f"call:{func.attr}"}
         if func.attr in NETWORK_METHODS:

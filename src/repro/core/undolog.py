@@ -7,28 +7,27 @@ header (register checkpoint + signature-save area) and a variable body of
 undo records (Section 3.2).
 
 Undo records capture the *virtual* block address and the block's previous
-contents; abort restores through the current translation, which is what
-makes version management survive paging (Section 4.2). The stored contents
-are the real functional values from :class:`PhysicalMemory`, so an abort is
-observable, not just accounted.
+contents, its words in address order; abort restores through the current
+translation, which is what makes version management survive paging
+(Section 4.2). The stored contents are the real functional values from
+:class:`PhysicalMemory`, so an abort is observable, not just accounted.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Callable, List, NamedTuple, Optional, Tuple
 
 from repro.common.errors import TransactionError
-from repro.mem.physical import WORD_BYTES, PhysicalMemory
+from repro.mem.physical import PhysicalMemory
 from repro.signatures.rwpair import PairSnapshot
 
 
-@dataclass
-class UndoRecord:
+class UndoRecord(NamedTuple):
     """Old contents of one block, keyed by virtual address."""
 
-    vblock: int                 # block-aligned virtual address
-    old_words: Dict[int, int]   # vaddr -> previous value, one per word
+    vblock: int                  # block-aligned virtual address
+    old_words: Tuple[int, ...]   # previous values, in address order
 
 
 @dataclass
@@ -120,15 +119,12 @@ class UndoLog:
     def append(self, vblock: int, memory: PhysicalMemory,
                translate: Callable[[int], int]) -> UndoRecord:
         """Log the current contents of the block containing ``vblock``."""
-        # One translation covers the block: ``AddressMap`` requires
-        # power-of-two block and page sizes with the page a multiple of the
-        # block, so an aligned block never straddles a page.
-        load = memory.load
-        pblock = translate(vblock)
-        old_words: Dict[int, int] = {
-            vblock + offset: load(pblock + offset)
-            for offset in range(0, self.block_bytes, WORD_BYTES)}
-        record = UndoRecord(vblock=vblock, old_words=old_words)
+        # One translation and one block read cover the block:
+        # ``AddressMap`` requires power-of-two block and page sizes with
+        # the page a multiple of the block, so an aligned block never
+        # straddles a page.
+        record = UndoRecord(vblock, memory.load_block(translate(vblock),
+                                                      self.block_bytes))
         self.current.records.append(record)
         self.appended += 1
         if self._stats is not None and self._stats.recorder is not None:
@@ -145,9 +141,8 @@ class UndoLog:
         """
         depth = self.depth
         frame = self.pop_frame()
-        for record in reversed(frame.records):
-            for vaddr, old in record.old_words.items():
-                memory.store(translate(vaddr), old)
+        for vblock, old_words in reversed(frame.records):
+            memory.store_block(translate(vblock), old_words)
         if self._stats is not None and self._stats.recorder is not None:
             self._stats.emit("log.unroll", thread=self._thread_id,
                              records=len(frame.records), depth=depth)

@@ -9,11 +9,13 @@ Every memory reference follows Section 2's flow:
    caught here; this also covers S->M upgrades, which the directory never
    forwards back to the requesting core).
 3. **L1 lookup** — hits with sufficient permission proceed with no signature
-   tests beyond the above (the coherence invariants guarantee safety).
+   tests beyond the above (the coherence invariants guarantee safety); a
+   transactional hit inserts the block into its read or write signature.
 4. **Coherence request** on a miss/upgrade; a NACK invokes LogTM's
-   stall/abort resolution.
-5. **Transactional bookkeeping** — insert into the read/write signature;
-   for stores, consult the log filter and append an undo record on a miss.
+   stall/abort resolution. A grant installs the block and retries, so
+   every access completes through step 3.
+5. **Transactional bookkeeping** — for stores, consult the log filter and
+   append an undo record on a miss.
 
 The core is a :class:`ConflictPort`: the fabric forwards requests here and
 the signatures of all *scheduled* thread contexts answer, through the same
@@ -339,19 +341,17 @@ class Core(ConflictPort):
             raise SimulationError(
                 f"thread {thread.tid} livelocked on {vaddr:#x}")
 
-        # (5) Transactional bookkeeping.
-        if log_frames and ctx.escape_depth == 0:
-            if is_write:
-                ctx.signature.insert_write(block)
-                vblock = vaddr & block_mask
-                if ctx.log_filter.should_log(vblock):
-                    log.append(vblock, self.memory, translate)
-                    self._c_log_appends.value += 1
-                    yield self._log_store_cycles
-                else:
-                    self._c_log_filtered.value += 1
+        # (5) Transactional bookkeeping. The loop is left only through
+        # the L1-hit branch, which already inserted the block into the
+        # signature under the same test; what remains is the undo log.
+        if is_write and log_frames and ctx.escape_depth == 0:
+            vblock = vaddr & block_mask
+            if ctx.log_filter.should_log(vblock):
+                log.append(vblock, self.memory, translate)
+                self._c_log_appends.value += 1
+                yield self._log_store_cycles
             else:
-                ctx.signature.insert_read(block)
+                self._c_log_filtered.value += 1
 
         # -- functional completion (formerly the per-op wrappers) ----------
         if opkind == _OP_LOAD:

@@ -176,19 +176,21 @@ class ThreadExecutor:
                     # The four hot op kinds dispatch inline: ``_dispatch``
                     # would add one generator allocation and one frame to
                     # the resume chain per operation. Rare kinds (nesting,
-                    # escapes, calls) still go through it.
+                    # escapes, calls) still go through it. The test above
+                    # left the thread bound, so they read ``thread.slot``
+                    # without the checking ``slot`` property.
                     kind = op.kind
                     if kind is OpKind.LOAD:
-                        slot = self.slot
+                        slot = thread.slot
                         yield from slot.core.load(slot, op.vaddr)
                     elif kind is OpKind.STORE:
-                        slot = self.slot
+                        slot = thread.slot
                         yield from slot.core.store(slot, op.vaddr, op.value)
                     elif kind is OpKind.COMPUTE:
                         if op.cycles:
                             yield op.cycles
                     elif kind is OpKind.INCR:
-                        slot = self.slot
+                        slot = thread.slot
                         yield from slot.core.fetch_add(slot, op.vaddr,
                                                        op.value)
                     else:

@@ -52,7 +52,7 @@ from repro.common.errors import ConfigError, SimulationError
 from repro.common.stats import StatsRegistry
 from repro.core.txcontext import TxContext
 from repro.core.undolog import UndoRecord
-from repro.mem.physical import PhysicalMemory
+from repro.mem.physical import WORD_BYTES, PhysicalMemory
 from repro.signatures.factory import make_rw_pair
 
 #: Fabric names accepted by :class:`ModelConfig`.
@@ -431,8 +431,7 @@ class ProtocolModel:
             for record in frame.records:
                 # Earliest record per block wins: that is the value the
                 # LIFO unroll must land on.
-                logged.setdefault(record.vblock,
-                                  record.old_words[record.vblock])
+                logged.setdefault(record.vblock, record.old_words[0])
         missing = [f"B{self._block_index[a]}"
                    for a in sorted(ctx.signature.write.exact_set())
                    if a not in logged]
@@ -605,8 +604,7 @@ class ProtocolModel:
                                   for a in ctx.signature.write.exact_set()
                                   if a in self._block_index))
                 log = tuple(
-                    (bm[self._block_index[rec.vblock]],
-                     rec.old_words[rec.vblock])
+                    (bm[self._block_index[rec.vblock]], rec.old_words[0])
                     for frame in ctx.log._frames
                     for rec in frame.records)
                 slot_rows.append((ctx.log.depth, rs, ws, log))
@@ -698,12 +696,11 @@ class ProtocolModel:
         ctx.log_filter.clear()
         if depth:
             ctx.log.push_frame(checkpoint=None)
+            zeros = (0,) * (self.cfg.block_bytes // WORD_BYTES - 1)
             for b, old in log:
                 addr = self.block_addrs[b]
-                old_words = {addr + off: (old if off == 0 else 0)
-                             for off in range(0, self.cfg.block_bytes, 8)}
                 ctx.log.current.records.append(
-                    UndoRecord(vblock=addr, old_words=old_words))
+                    UndoRecord(addr, (old,) + zeros))
                 ctx.log.appended += 1
                 ctx.log_filter.should_log(addr)
             ctx.timestamp = (0, ctx.thread_id)

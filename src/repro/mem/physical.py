@@ -12,7 +12,8 @@ convention, but any integer address maps to its containing word.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, Tuple
+from itertools import repeat
+from typing import Dict, Iterator, Sequence, Tuple
 
 WORD_BYTES = 8
 
@@ -57,22 +58,35 @@ class PhysicalMemory:
             self._words[word] = value
         return old
 
+    def load_block(self, addr: int, nbytes: int) -> Tuple[int, ...]:
+        """Read ``nbytes`` from word-aligned ``addr`` as a tuple of words
+        in address order (missing words read as zero)."""
+        end = addr + nbytes
+        if not 0 <= addr <= end <= self.capacity_bytes:
+            self._check(addr)
+            self._check(end - 1)
+        return tuple(map(self._words.get, range(addr, end, WORD_BYTES),
+                         repeat(0)))
+
+    def store_block(self, addr: int, words: Sequence[int]) -> None:
+        """Write ``words`` from word-aligned ``addr`` on, in address order;
+        zero words are freed, exactly as :meth:`store` frees them."""
+        end = addr + len(words) * WORD_BYTES
+        if not 0 <= addr <= end <= self.capacity_bytes:
+            self._check(addr)
+            self._check(end - 1)
+        mem = self._words
+        for word, value in zip(range(addr, end, WORD_BYTES), words):
+            if value == 0:
+                mem.pop(word, None)
+            else:
+                mem[word] = value
+
     def copy_range(self, src: int, dst: int, nbytes: int) -> None:
         """Copy a byte range (used by the paging model when moving a page)."""
-        self._check(src)
-        self._check(src + nbytes - 1)
-        self._check(dst)
-        self._check(dst + nbytes - 1)
         if nbytes % WORD_BYTES:
             raise ValueError("copy length must be word-aligned")
-        moved: Dict[int, int] = {}
-        for off in range(0, nbytes, WORD_BYTES):
-            moved[dst + off] = self._words.get(src + off, 0)
-        for addr, value in moved.items():
-            if value == 0:
-                self._words.pop(addr, None)
-            else:
-                self._words[addr] = value
+        self.store_block(dst, self.load_block(src, nbytes))
 
     def nonzero_words(self) -> Iterator[Tuple[int, int]]:
         """Iterate ``(word_address, value)`` pairs with nonzero values."""

@@ -19,7 +19,8 @@ import abc
 import enum
 import random
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterator, List, Optional, Sequence
+from typing import (Callable, Dict, Iterator, List, NamedTuple, Optional,
+                    Sequence)
 
 from repro.common.errors import WorkloadError
 
@@ -36,9 +37,9 @@ class OpKind(enum.Enum):
     CALL = "call"              # data-dependent code (pointer chasing etc.)
 
 
-@dataclass(frozen=True)
-class Op:
-    """One primitive operation of a thread program."""
+class Op(NamedTuple):
+    """One primitive operation of a thread program (immutable; a named
+    tuple because programs build and read one per operation)."""
 
     kind: OpKind
     vaddr: int = 0

@@ -7,6 +7,7 @@ from repro.cache.block import MESI
 from repro.common.config import SignatureKind, SystemConfig
 from repro.common.errors import AbortTransaction
 from repro.harness.system import System
+from repro.signatures.rwpair import ReadWriteSignature
 
 
 def build(num_cores=2, threads_per_core=2, signature=SignatureKind.PERFECT):
@@ -103,7 +104,33 @@ class TestTransactionalBookkeeping:
         assert system.stats.value("tm.log_appends") == 1
         assert system.stats.value("tm.log_filtered") == 1
         record = ctx.log.current.records[0]
-        assert record.old_words[0x100] == 5
+        assert record.vblock == 0x100
+        assert record.old_words[0] == 5     # the word at 0x100
+
+    @pytest.mark.parametrize("is_write", [False, True])
+    def test_l1_hit_inserts_into_signature_once(self, monkeypatch,
+                                                is_write):
+        """A transactional L1 hit inserts its block when it issues, and
+        the bookkeeping after the access does not insert it again."""
+        system, threads = build()
+        slot = threads[0].slot
+        ctx = slot.ctx
+        run(system, slot.core.store(slot, 0x100, 5))  # resident, MODIFIED
+        inserts = []
+        name = "insert_write" if is_write else "insert_read"
+        original = getattr(ReadWriteSignature, name)
+
+        def counting(pair, block):
+            inserts.append(block)
+            original(pair, block)
+
+        monkeypatch.setattr(ReadWriteSignature, name, counting)
+        ctx.begin(now=0)
+        access = (slot.core.store(slot, 0x100, 6) if is_write
+                  else slot.core.load(slot, 0x100))
+        run(system, access)
+        block = slot.core.amap.block_of(threads[0].translate(0x100))
+        assert inserts == [block]
 
     def test_abort_restores_memory(self):
         system, threads = build()

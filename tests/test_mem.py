@@ -95,6 +95,38 @@ class TestPhysicalMemory:
         with pytest.raises(ValueError):
             PhysicalMemory(1 << 20).copy_range(0, 64, 12)
 
+    def test_load_block_agrees_with_load(self):
+        mem = PhysicalMemory(1 << 20)
+        mem.store(0x1008, 3)
+        mem.store(0x1030, 9)
+        block = mem.load_block(0x1000, 64)
+        assert block == tuple(mem.load(0x1000 + off)
+                              for off in range(0, 64, WORD_BYTES))
+        assert block == (0, 3, 0, 0, 0, 0, 9, 0)   # missing words read 0
+
+    def test_store_block_agrees_with_store(self):
+        words = (5, 0, 7, 0, 0, 1, 0, 2)
+        by_block, by_word = PhysicalMemory(1 << 20), PhysicalMemory(1 << 20)
+        for mem in (by_block, by_word):
+            for off in range(0, 64, WORD_BYTES):
+                mem.store(0x2000 + off, 100 + off)   # every word nonzero
+        by_block.store_block(0x2000, words)
+        for i, value in enumerate(words):
+            by_word.store(0x2000 + i * WORD_BYTES, value)
+        assert list(by_block.nonzero_words()) == \
+            list(by_word.nonzero_words())
+        assert len(by_block) == len(by_word) == 4   # stored zeros freed
+
+    def test_block_ops_reject_blocks_crossing_capacity(self):
+        mem = PhysicalMemory(1024)
+        mem.load_block(1024 - 64, 64)               # the last block fits
+        with pytest.raises(IndexError):
+            mem.load_block(1024 - 32, 64)
+        with pytest.raises(IndexError):
+            mem.store_block(1024 - 32, (1,) * 8)
+        with pytest.raises(IndexError):
+            mem.load_block(-64, 64)
+
     def test_nonzero_words_sorted(self):
         mem = PhysicalMemory(1 << 20)
         mem.store(0x80, 2)

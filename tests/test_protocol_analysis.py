@@ -103,6 +103,24 @@ def test_multichip_l2_evict_routes_through_chip_helper(extractions):
     assert "_chip_l2_victimized" in transition.handlers
 
 
+def test_value_counter_bumps_are_effects(extractions):
+    """``self._c_x.value += 1`` in a handler, and ``c_fwd.value += 1``
+    through a local bound to ``self._c_fwd`` in a summarized helper
+    (``CoherenceFabric._check``), are ``ctr:`` effects like ``.add()``."""
+    kinds = _by_kind(extractions)
+    for key, transition in kinds["directory"].table.transitions.items():
+        stimulus, _variant, outcome = key
+        if stimulus not in ("GETS", "GETM"):
+            continue
+        effects = transition.effect_union
+        assert {"ctr:_c_requests", "ctr:_c_fwd"} <= effects, key
+        assert ("ctr:_c_nacks" in effects) == (outcome == "nack"), key
+        assert ("ctr:_c_mem" in effects) == (outcome == "grant"), key
+    for key, transition in kinds["multichip"].table.transitions.items():
+        if key[0] in ("GETS", "GETM"):
+            assert "ctr:_c_fwd" in transition.effect_union, key
+
+
 def test_callgraph_resolves_one_level_of_self_delegation():
     project = build_project()
     for module in project.modules:

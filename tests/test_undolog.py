@@ -45,9 +45,10 @@ class TestAppendAndUnroll:
             mem.store(i * WORD_BYTES, 100 + i)
         log.push_frame()
         record = log.append(0, mem, IDENTITY)
+        # The block's words in address order: word i is at byte 8 * i.
         assert len(record.old_words) == 8
         assert record.old_words[0] == 100
-        assert record.old_words[56] == 107
+        assert record.old_words[56 // WORD_BYTES] == 107
 
     def test_unroll_restores_lifo(self):
         log, mem = make_log()
@@ -116,10 +117,30 @@ class TestAppendAndUnroll:
         vblock = 5 * page + page - 64      # last block of its page
         record = log.append(vblock, mem, counting)
         assert calls == [vblock]
-        per_word = {vaddr: mem.load(table.translate(vaddr))
-                    for vaddr in range(vblock, vblock + 64, WORD_BYTES)}
-        assert list(record.old_words.items()) == list(per_word.items())
-        assert record.old_words[vblock] == 1000 + page - 64
+        per_word = tuple(mem.load(table.translate(vaddr))
+                         for vaddr in range(vblock, vblock + 64, WORD_BYTES))
+        assert record.old_words == per_word
+        assert record.old_words[0] == 1000 + page - 64
+
+    def test_unroll_translates_once_per_record(self):
+        """The restore, like the capture, translates each block once."""
+        log, mem = make_log()
+        calls = []
+
+        def counting(vaddr):
+            calls.append(vaddr)
+            return vaddr
+
+        mem.store(0, 1)
+        mem.store(64 + 8, 2)
+        log.push_frame()
+        log.append(0, mem, IDENTITY)
+        log.append(64, mem, IDENTITY)
+        mem.store(0, 10)
+        mem.store(64 + 8, 20)
+        assert log.unroll_frame(mem, counting) == 2
+        assert calls == [64, 0]          # one per record, LIFO
+        assert (mem.load(0), mem.load(64 + 8)) == (1, 2)
 
 
 class TestNestingSemantics:

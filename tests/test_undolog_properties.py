@@ -21,7 +21,7 @@ actions = st.lists(st.one_of(
     st.tuples(st.just("write"),
               st.integers(min_value=0, max_value=7),    # block index
               st.integers(min_value=0, max_value=7),    # word-in-block
-              st.integers(min_value=1, max_value=999)),  # value
+              st.integers(min_value=0, max_value=999)),  # value (0 frees)
     st.tuples(st.just("begin_closed"), st.just(0), st.just(0), st.just(0)),
     st.tuples(st.just("begin_open"), st.just(0), st.just(0), st.just(0)),
     st.tuples(st.just("commit"), st.just(0), st.just(0), st.just(0)),

@@ -39,6 +39,24 @@ class TestVirtualAllocator:
         assert alloc.page() % 8192 == 0
 
 
+class TestOp:
+    def test_value_semantics(self):
+        op = Op.store(0x40, 7)
+        assert op == Op(OpKind.STORE, vaddr=0x40, value=7)
+        assert op != Op.store(0x40, 8)
+        assert hash(op) == hash(Op.store(0x40, 7))
+        assert len({op, Op.store(0x40, 7), Op.load(0x40)}) == 2
+        assert repr(Op.load(8)) == (
+            "Op(kind=<OpKind.LOAD: 'load'>, vaddr=8, value=0, cycles=0, "
+            "open_nest=False, fn=None)")
+
+    def test_immutable(self):
+        op = Op.incr(0x80)
+        with pytest.raises(AttributeError):
+            op.vaddr = 0
+        assert op.vaddr == 0x80
+
+
 class TestSectionValidation:
     def test_balanced_sections_pass(self):
         ops = [Op.nest_begin(), Op.incr(0), Op.nest_end()]
