@@ -114,8 +114,9 @@ class ConflictPort:
     This is the one conflict check in the machine. A fabric forwards a
     request here and the signatures of the core's scheduled contexts
     answer; the core runs the same check for its own SMT siblings before
-    it issues a miss (same-core conflicts generate no coherence traffic);
-    and the model checker's cores are plain ports over a tags-only L1.
+    it issues a miss (same-core conflicts generate no coherence traffic).
+    :class:`~repro.cpu.core.Core` is the one subclass; the model checker
+    runs real cores over a tags-only L1.
 
     ``l1`` needs ``peek`` and ``invalidate``; each of ``slots`` holds a
     ``thread`` (or None) with ``tid``, ``asid`` and ``ctx``.

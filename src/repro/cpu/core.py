@@ -267,15 +267,14 @@ class Core(ConflictPort):
                     and (summary.read._exact or summary.write._exact)
                     and summary.conflicts(is_write, block)):
                 self._c_summary.add()
-                summary_fp = summary.conflict_is_false_positive(
-                    is_write, block)
-                self._note_conflict(ctx, fp=summary_fp, source="summary",
-                                    block=block)
+                source, blockers = "summary", None
+                fp = summary.conflict_is_false_positive(is_write, block)
+                self._note_conflict(ctx, fp=fp, source=source, block=block)
                 if transactional:
                     # Stalling cannot resolve a conflict with a descheduled
                     # transaction; trap and abort (Section 4.1).
                     raise AbortTransaction("summary-signature conflict",
-                                           cause="summary", fp=summary_fp)
+                                           cause="summary", fp=fp)
                 yield self.backoff.stall_delay()
                 continue
 
@@ -287,11 +286,11 @@ class Core(ConflictPort):
                     block, is_write, thread.tid, asid, requester_ts)
             if sibling_blockers:
                 self._c_sibling.add()
-                self._note_conflict(ctx, fp=all(
-                    b.false_positive for b in sibling_blockers),
-                    source="sibling", block=block,
-                    blockers=sibling_blockers)
-                yield from self._resolve_or_stall(ctx, sibling_blockers,
+                source, blockers = "sibling", sibling_blockers
+                fp = all(b.false_positive for b in blockers)
+                self._note_conflict(ctx, fp=fp, source=source, block=block,
+                                    blockers=blockers)
+                yield from self._resolve_or_stall(ctx, blockers,
                                                   retries=_attempt)
                 continue
 
@@ -332,14 +331,15 @@ class Core(ConflictPort):
                 # Looping re-runs the summary/sibling checks against the
                 # now-resident copy before the access commits.
                 continue
-            self._note_conflict(ctx, fp=result.all_false_positive,
-                                source="coherence", block=block,
-                                blockers=result.blockers)
-            yield from self._resolve_or_stall(ctx, result.blockers,
+            source, blockers = "coherence", result.blockers
+            fp = result.all_false_positive
+            self._note_conflict(ctx, fp=fp, source=source, block=block,
+                                blockers=blockers)
+            yield from self._resolve_or_stall(ctx, blockers,
                                               retries=_attempt)
         else:
-            raise SimulationError(
-                f"thread {thread.tid} livelocked on {vaddr:#x}")
+            raise SimulationError(self._livelock_message(
+                thread.tid, vaddr, block, source, blockers, fp))
 
         # (5) Transactional bookkeeping. The loop is left only through
         # the L1-hit branch, which already inserted the block into the
@@ -402,6 +402,22 @@ class Core(ConflictPort):
             block=self.amap.block_of(thread.translate(vaddr)),
             write=is_write, value=value, tx=ctx.transactional,
             in_tx=ctx.in_tx, asid=thread.asid)
+
+    def _livelock_message(self, tid: int, vaddr: int, block: int,
+                          source: str, blockers: Optional[List[Blocker]],
+                          fp: bool) -> str:
+        """Explain an access that exhausted ``MAX_ACCESS_RETRIES``: the
+        thread, the block, where its last NACK was detected and who sent
+        it (a summary conflict has no scheduled blocker)."""
+        if blockers is None:
+            who = f"the summary signature (fp={fp})"
+        else:
+            who = ", ".join(f"t{b.thread_id} (fp={b.false_positive}, "
+                            f"via={b.via})" for b in blockers)
+        return (f"thread {tid} livelocked on {vaddr:#x} (virtual block "
+                f"{vaddr & self._block_mask:#x}, physical block "
+                f"{block:#x}) after {MAX_ACCESS_RETRIES} retries; last "
+                f"NACK at the {source} check, blocked by {who}")
 
     def _install(self, block_addr: int, state: MESI, is_write: bool) -> None:
         """Fill the L1 after a grant; notify the fabric about the victim."""

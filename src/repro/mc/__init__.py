@@ -11,9 +11,9 @@ replayable event trace.
 
 Layout:
 
-* :mod:`repro.mc.model` — the finite transition system: real fabrics +
-  real TM bookkeeping behind minimal core shims, with ``encode`` /
-  ``decode`` state round-tripping;
+* :mod:`repro.mc.model` — the finite transition system: the
+  simulator's fabric, cores and TM manager, driven one atomic action at
+  a time, with ``encode`` / ``decode`` state round-tripping;
 * :mod:`repro.mc.state` — symmetry reduction over core/block (and chip)
   permutations;
 * :mod:`repro.mc.invariants` — TM-level invariants layered on the

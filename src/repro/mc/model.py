@@ -1,17 +1,19 @@
 """Finite protocol model for bounded exhaustive checking (``repro mc``).
 
-The model drives the *real* coherence fabrics — :class:`DirectoryFabric`,
-:class:`SnoopingFabric`, :class:`MultiChipFabric` — composed with real
-signatures, real :class:`TxContext` bookkeeping, and the real
-:class:`UndoLog`, but replaces the CPU/executor/simulator stack with a
-deterministic transition function over a tiny configuration (2-3 cores,
-2-4 blocks, 1-2 contexts per core). Each transition is one *atomic*
-protocol step:
+The model runs the simulator's own machine over a tiny configuration
+(2-3 cores, 2-4 blocks, 1-2 contexts per core): the real coherence
+fabric (:class:`DirectoryFabric`, :class:`SnoopingFabric` or
+:class:`MultiChipFabric`), real :class:`~repro.cpu.core.Core` objects
+over a tags-only L1, real :class:`~repro.cpu.thread.SoftwareThread`
+contexts and a real :class:`~repro.core.manager.TMManager`. Only the
+clock is replaced: a deterministic transition function applies one
+*atomic* protocol step at a time:
 
-* a transactional or plain read/write by one thread context (the mirror
-  of ``Core._access`` steps 3-5: sibling check, L1 hit with silent E->M
-  upgrade, or a coherence request run to completion),
-* begin / commit / abort of a transaction,
+* a transactional or plain read/write by one thread context, through
+  ``Core._mem_op``: summary check, SMT sibling check, L1 hit with silent
+  E->M upgrade or a coherence request run to completion, then the undo
+  log; a NACK goes to the core's contention manager,
+* begin / commit / abort of a transaction, through ``TMManager``,
 * an L1 or L2 victimization (capacity pressure made nondeterministic),
 * a physical-frame scrub + reuse (the paging hazard of Section 4.2).
 
@@ -19,7 +21,10 @@ Because every coherence transaction in this codebase holds its entry lock
 from request to completion (DESIGN.md §5's blocking simplification),
 whole-request granularity explores exactly the serializations the
 simulator can produce; latencies are irrelevant to reachability and are
-discarded while draining the request generator.
+discarded while draining each generator. A stall ends the action: the
+model's backoff raises instead of returning a delay, so a NACKed access
+is a self-loop once the contention manager has decided, and its retry
+is a later action.
 
 The model's state is fully captured by :meth:`ProtocolModel.encode` — a
 canonical, hashable tuple — and any encoded state can be re-installed
@@ -44,16 +49,22 @@ from typing import Dict, Iterator, List, Optional, Tuple
 from repro.cache.block import CacheBlock, MESI
 from repro.coherence import make_fabric
 from repro.coherence.directory import DirectoryFabric
-from repro.coherence.msgs import ConflictPort
 from repro.coherence.multichip import MultiChipFabric
 from repro.coherence.snooping import SnoopingFabric
 from repro.common.config import (CoherenceStyle, SignatureKind, SystemConfig)
-from repro.common.errors import ConfigError, SimulationError
+from repro.common.errors import (AbortTransaction, ConfigError,
+                                 SimulationError)
 from repro.common.stats import StatsRegistry
+from repro.core.manager import TMManager
 from repro.core.txcontext import TxContext
 from repro.core.undolog import UndoRecord
+from repro.cpu.core import Core
+from repro.cpu.thread import HardwareSlot, SoftwareThread
 from repro.mem.physical import WORD_BYTES, PhysicalMemory
+from repro.mem.vm import FrameAllocator, PageTable
+from repro.sim.engine import Simulator
 from repro.signatures.factory import make_rw_pair
+from repro.signatures.rwpair import ReadWriteSignature
 
 #: Fabric names accepted by :class:`ModelConfig`.
 FABRICS = ("directory", "snooping", "multichip")
@@ -174,28 +185,37 @@ class ModelConfig:
 class ModelL1:
     """Tags-only L1 for one model core.
 
-    Duck-types the slice of :class:`repro.cache.array.CacheArray` that the
-    fabrics and :mod:`repro.coherence.invariants` use (``peek``,
-    ``resident_blocks``, ``invalidate``), with no capacity limit —
-    victimization is an explicit model transition instead of an LRU
-    side effect, so the checker can explore an eviction at *any* point.
-    Each line also remembers the frame-tenancy generation it was filled
-    under (see :class:`ProtocolModel`).
+    Duck-types the slice of :class:`repro.cache.array.CacheArray` that
+    ``Core``, the fabrics and :mod:`repro.coherence.invariants` use
+    (``lookup``, ``insert``, ``peek``, ``resident_blocks``,
+    ``invalidate``), with no capacity limit — victimization is an explicit
+    model transition instead of an LRU side effect, so the checker can
+    explore an eviction at *any* point. Each line also remembers the
+    frame-tenancy generation it was filled under, read at fill time from
+    the model's one tenancy table (see :class:`ProtocolModel`).
     """
 
-    def __init__(self) -> None:
+    def __init__(self, tenancy: List[int],
+                 block_index: Dict[int, int]) -> None:
         self._lines: Dict[int, CacheBlock] = {}
         self.line_tenancy: Dict[int, int] = {}
+        self._tenancy = tenancy
+        self._block_index = block_index
 
     def peek(self, block_addr: int) -> Optional[CacheBlock]:
         return self._lines.get(block_addr)
 
-    def lookup(self, block_addr: int) -> Optional[CacheBlock]:
-        return self._lines.get(block_addr)
+    lookup = peek
 
     def resident_blocks(self) -> Iterator[CacheBlock]:
         for addr in sorted(self._lines):
             yield self._lines[addr]
+
+    def insert(self, block_addr: int, state: MESI
+               ) -> Tuple[CacheBlock, None]:
+        """A fill after a grant: never a victim (the L1 has no capacity)."""
+        tenancy = self._tenancy[self._block_index[block_addr]]
+        return self.install(block_addr, state, tenancy), None
 
     def install(self, block_addr: int, state: MESI, tenancy: int
                 ) -> CacheBlock:
@@ -213,34 +233,26 @@ class ModelL1:
         self.line_tenancy.clear()
 
 
-class _ModelThread:
-    """Thread shim: just enough of ``SoftwareThread`` for ports/invariants."""
-
-    __slots__ = ("tid", "asid", "ctx")
-
-    def __init__(self, tid: int, ctx: TxContext) -> None:
-        self.tid = tid
-        self.asid = 0
-        self.ctx = ctx
-
-    def translate(self, vaddr: int) -> int:
-        return vaddr  # flat address space: virtual == physical
+class _Stalled(Exception):
+    """A NACKed access stalls: the action ends before the access
+    completes."""
 
 
-class _ModelSlot:
-    """Slot shim: one always-scheduled hardware context."""
+class _StallEndsAction:
+    """The model's backoff. ``Core`` asks for a retry delay only once it
+    has decided to stall (through its contention manager, for a
+    transactional access); raising instead ends the action as a
+    self-loop, and the retry is a later action."""
 
-    __slots__ = ("thread", "summary")
-
-    def __init__(self, thread: _ModelThread) -> None:
-        self.thread = thread
-        self.summary = None  # no descheduling in the model
+    @staticmethod
+    def stall_delay() -> int:
+        raise _Stalled
 
 
 def _drain(gen):
-    """Run a coherence-request generator to completion, discarding time.
+    """Run a simulation generator to completion, discarding time.
 
-    The model serializes whole requests, so every ``SimLock`` is free and
+    The model serializes whole actions, so every ``SimLock`` is free and
     the generator only ever yields integer latencies; a yielded Future
     would mean a contended lock, which is a model bug worth failing on.
     """
@@ -265,38 +277,46 @@ class TransitionViolation(Exception):
 
 
 class ProtocolModel:
-    """The live model: real fabric + model ports + abstract memory."""
+    """The live model: the simulator's machine without its clock."""
 
     def __init__(self, mcfg: ModelConfig) -> None:
         self.mcfg = mcfg
-        self.cfg = self._system_config(mcfg)
+        cfg = self.cfg = self._system_config(mcfg)
         self.stats = StatsRegistry()
-        self.block_addrs = [i * self.cfg.block_bytes
-                            for i in range(mcfg.blocks)]
+        self.block_addrs = [i * cfg.block_bytes for i in range(mcfg.blocks)]
         self._block_index = {addr: i
                              for i, addr in enumerate(self.block_addrs)}
-        self.memory = PhysicalMemory(capacity_bytes=self.cfg.memory_bytes)
+        self.memory = PhysicalMemory(capacity_bytes=cfg.memory_bytes)
         #: Per-block frame-tenancy generation, bumped by ``reuse``.
         self.tenancy = [0] * mcfg.blocks
-        self.fabric = make_fabric(self.cfg, self.stats)
+        self.fabric = make_fabric(cfg, self.stats)
+
+        def pair() -> ReadWriteSignature:
+            return make_rw_pair(cfg.tm.signature, cfg.block_bytes)
+
+        backoff = _StallEndsAction()
+        self.cores = [Core(core_id, cfg, self.fabric, self.memory,
+                           self.stats, backoff, summary_factory=pair)
+                      for core_id in range(mcfg.total_cores)]
+        # Every model block sits in page 0, which a fresh allocator maps
+        # to frame 0: translation is the identity, in address space 0.
+        amap = self.cores[0].amap
+        page_table = PageTable(amap, FrameAllocator(amap, cfg.memory_bytes))
+        #: Thread id -> its slot and context (tid = core * contexts + slot).
+        self.slots: List[HardwareSlot] = []
         self.contexts: List[TxContext] = []
-        self.cores: List[ConflictPort] = []
-        for core_id in range(mcfg.total_cores):
-            slots = []
-            for slot_idx in range(mcfg.contexts_per_core):
-                tid = core_id * mcfg.contexts_per_core + slot_idx
+        for core in self.cores:
+            core.l1 = ModelL1(self.tenancy, self._block_index)
+            for slot in core.slots:
                 ctx = TxContext(
-                    thread_id=tid,
-                    signature=make_rw_pair(self.cfg.tm.signature,
-                                           self.cfg.block_bytes),
-                    stats=self.stats,
-                    block_bytes=self.cfg.block_bytes,
-                    log_filter_entries=self.cfg.tm.log_filter_entries)
+                    thread_id=len(self.slots), signature=pair(),
+                    stats=self.stats, block_bytes=cfg.block_bytes,
+                    log_filter_entries=cfg.tm.log_filter_entries)
+                slot.bind(SoftwareThread(ctx.thread_id, page_table, ctx))
+                self.slots.append(slot)
                 self.contexts.append(ctx)
-                slots.append(_ModelSlot(_ModelThread(tid, ctx)))
-            port = ConflictPort(core_id, ModelL1(), slots, self.cfg)
-            self.cores.append(port)
-            self.fabric.attach(port)
+        self.manager = TMManager(cfg, Simulator(), self.memory, self.cores,
+                                 self.stats, pair_factory=pair)
         if mcfg.mutation is not None:
             from repro.verify.faults import apply_protocol_mutation
             apply_protocol_mutation(self.fabric, mcfg.mutation)
@@ -392,11 +412,11 @@ class ProtocolModel:
         """
         op = action[0]
         if op == "begin":
-            self._do_begin(action[1])
+            _drain(self.manager.begin(self.slots[action[1]]))
         elif op in ("read", "write"):
             self._do_access(action[1], action[2], is_write=(op == "write"))
         elif op == "commit":
-            self._do_commit(action[1])
+            _drain(self.manager.commit(self.slots[action[1]]))
         elif op == "abort":
             self._do_abort(action[1])
         elif op == "evict":
@@ -408,24 +428,15 @@ class ProtocolModel:
         else:
             raise ConfigError(f"unknown action {action!r}")
 
-    def _core_of(self, tid: int) -> ConflictPort:
-        return self.cores[tid // self.mcfg.contexts_per_core]
-
-    def _do_begin(self, tid: int) -> None:
-        self.contexts[tid].begin(now=0)
-        if self.stats.recorder is not None:
-            self.stats.emit("tm.begin", thread=tid, depth=1)
-
-    def _do_commit(self, tid: int) -> None:
-        self.contexts[tid].commit()
-        if self.stats.recorder is not None:
-            self.stats.emit("tm.commit", thread=tid, outer=True)
-
-    def _do_abort(self, tid: int) -> None:
-        """Abort with an on-the-fly check that the undo log restores the
-        exact pre-transaction memory image (the paper's eager-versioning
-        guarantee: "abort restores through the current translation")."""
-        ctx = self.contexts[tid]
+    def _do_abort(self, tid: int,
+                  cause: Optional[AbortTransaction] = None) -> None:
+        """Abort through ``TMManager``, checking on the fly that the undo
+        log restores the exact pre-transaction memory image (the paper's
+        eager-versioning guarantee: "abort restores through the current
+        translation"). ``cause`` is what an access raised; None for the
+        ``abort`` action."""
+        slot = self.slots[tid]
+        ctx = slot.thread.ctx
         logged: Dict[int, int] = {}
         for frame in ctx.log._frames:
             for record in frame.records:
@@ -441,7 +452,7 @@ class ProtocolModel:
                 f"t{tid} aborts with write-set blocks "
                 f"{', '.join(missing)} never undo-logged — the abort "
                 "cannot restore them")
-        ctx.abort_all(self.memory, lambda v: v)
+        _drain(self.manager.abort(slot, cause=cause))
         for addr, expected in sorted(logged.items()):
             actual = self.memory.load(addr)
             if actual != expected:
@@ -449,73 +460,29 @@ class ProtocolModel:
                     "log-restore",
                     f"t{tid}'s abort left B{self._block_index[addr]} = "
                     f"{actual}, undo log says pre-tx value was {expected}")
-        if self.stats.recorder is not None:
-            self.stats.emit("tm.abort", thread=tid, outer=True,
-                            cause="model")
 
     def _do_access(self, tid: int, b: int, is_write: bool) -> None:
-        """Mirror of ``Core._access`` steps 2-5 at whole-request
-        granularity (no summary signatures: the model never deschedules).
-        A sibling conflict or a NACK leaves the state unchanged — the
-        checker discards the self-loop."""
-        ctx = self.contexts[tid]
-        core = self._core_of(tid)
-        addr = self.block_addrs[b]
-        in_tx = ctx.transactional
-        ts = ctx.timestamp if ctx.in_tx else None
-        # (2) SMT sibling signatures.
-        if core.check_conflicts(addr, is_write, tid, 0, ts):
-            return  # blocked at issue; no state change
-        line = core.l1.peek(addr)
-        if line is not None and (line.state.can_write if is_write
-                                 else line.state.can_read):
-            # (3) L1 hit. Writes to an E line upgrade silently — no
-            # coherence request, no remote signature check; exactly the
-            # path the E-grant rules must keep safe.
-            if in_tx:
-                self._insert_signature(ctx, addr, is_write)
-            if is_write and line.state is MESI.EXCLUSIVE:
-                line.state = MESI.MODIFIED
-        else:
-            # (4) Coherence request, run to completion.
-            result = _drain(self.fabric.request(
-                core.core_id, tid, ts, addr, is_write, asid=0))
-            if not result.granted:
-                return  # NACK: retry is a different interleaving
-            state = result.grant_state
-            if is_write and state is MESI.EXCLUSIVE:
-                state = MESI.MODIFIED
-            core.l1.install(addr, state, self.tenancy[b])
-            if in_tx:
-                self._insert_signature(ctx, addr, is_write)
-        # (5) Version management + the functional access.
-        if is_write:
-            if in_tx and ctx.log_filter.should_log(addr):
-                ctx.log.append(addr, self.memory, lambda v: v)
-            old = self.memory.load(addr)
-            self.memory.store(addr, (old + 1) % self.mcfg.value_mod)
-            value = (old + 1) % self.mcfg.value_mod
-        else:
-            value = self.memory.load(addr)
-        if self.stats.recorder is not None:
-            self.stats.emit("tm.access", thread=tid, vaddr=addr, block=addr,
-                            write=is_write, value=value, tx=in_tx,
-                            in_tx=ctx.in_tx, asid=0)
+        """One load or store through the core's own access path.
 
-    @staticmethod
-    def _insert_signature(ctx: TxContext, addr: int, is_write: bool) -> None:
-        """Idempotent signature insert.
-
-        Guarding on the exact shadow set keeps every filter's internal
-        state a pure function of the exact set (one insert per member),
-        which is what makes signatures reconstructible in ``decode``.
+        A store writes ``(old + 1) % value_mod``; the action is atomic,
+        so ``old``, read before the access, is the value it replaces. A
+        stall ends the action before the access completes (a self-loop
+        unless the request itself moved fabric state); an abort the
+        access raises runs the abort handler.
         """
+        slot = self.slots[tid]
+        addr = self.block_addrs[b]
         if is_write:
-            if not ctx.signature.write.contains_exact(addr):
-                ctx.signature.insert_write(addr)
+            value = (self.memory.load(addr) + 1) % self.mcfg.value_mod
+            access = slot.core.store(slot, addr, value)
         else:
-            if not ctx.signature.read.contains_exact(addr):
-                ctx.signature.insert_read(addr)
+            access = slot.core.load(slot, addr)
+        try:
+            _drain(access)
+        except _Stalled:
+            pass
+        except AbortTransaction as exc:
+            self._do_abort(tid, cause=exc)
 
     def _do_evict(self, core_id: int, b: int) -> None:
         """L1 victimization, mirroring ``Core._install``'s victim path."""
@@ -569,8 +536,11 @@ class ProtocolModel:
         ``core_map``/``block_map``/``chip_map`` relabel identities on the
         way out (``map[old] = new``); the identity maps give the *raw*
         encoding that :meth:`decode` accepts. Observability state
-        (counters, possible_cycle, LRU clocks) is deliberately excluded:
-        it never feeds back into protocol decisions.
+        (counters, TLBs, LRU clocks) is deliberately excluded: it never
+        feeds back into protocol decisions. So is ``possible_cycle``, which
+        :meth:`decode` clears: an access can set it only on *other*
+        contexts, so the timestamp policy never aborts a requester during
+        the search, and every contention-manager decision is a stall.
         """
         mcfg = self.mcfg
         cm = core_map or tuple(range(mcfg.total_cores))
@@ -720,7 +690,6 @@ class ProtocolModel:
             fabric = self.fabric
             assert isinstance(fabric, DirectoryFabric)
             _tag, entries, l2 = fabric_state
-            fabric.l2.flush()
             for b, addr in enumerate(self.block_addrs):
                 owner, sharers, sticky, lost, check_all = entries[b]
                 e = fabric.entry_view(addr)
@@ -729,6 +698,7 @@ class ProtocolModel:
                 e.sticky = set(sticky)
                 e.lost_info = lost
                 e.must_check_all = check_all
+                fabric.l2.invalidate(addr)
                 if l2[b]:
                     _blk, victim = fabric.l2.insert(addr, MESI.SHARED)
                     assert victim is None, "model L2 must not overflow"
@@ -750,7 +720,6 @@ class ProtocolModel:
             _tag, chips, mems = fabric_state
             for chip in range(self.cfg.num_chips):
                 rows, l2 = chips[chip]
-                self.fabric.l2s[chip].flush()
                 for b, addr in enumerate(self.block_addrs):
                     rights, owner, sharers, sticky = rows[b]
                     e = fabric.chip_entry_view(chip, addr)
@@ -758,6 +727,7 @@ class ProtocolModel:
                     e.owner = None if owner < 0 else owner
                     e.sharers = set(sharers)
                     e.sticky = set(sticky)
+                    fabric.l2s[chip].invalidate(addr)
                     if l2[b]:
                         _blk, victim = fabric.l2s[chip].insert(
                             addr, MESI.SHARED)

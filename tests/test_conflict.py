@@ -6,10 +6,12 @@ import pytest
 
 from repro.coherence.msgs import Blocker
 from repro.common.config import SystemConfig, TMConfig
+from repro.common.errors import SimulationError
 from repro.common.stats import StatsRegistry
 from repro.core.conflict import BackoffPolicy
 from repro.core.policies import Decision, TimestampPolicy
 from repro.core.txcontext import TxContext
+from repro.cpu import core as core_module
 from repro.harness.system import System
 from repro.signatures.perfect import PerfectSignature
 from repro.signatures.rwpair import ReadWriteSignature
@@ -100,6 +102,30 @@ class TestResolveNack:
         assert len(delays) == 1 and delays[0] > 0
         assert stats.value("mem.nontx_stalls") == 1
         assert stats.value("tm.stalls") == 0
+
+
+class TestLivelockDiagnostics:
+    def test_exhausted_retries_name_the_blocking_sibling(self, monkeypatch):
+        """A plain load NACKed by its SMT sibling's write set stalls
+        without asking a contention manager; when the retry budget runs
+        out, the error names the thread, both block addresses, the
+        detection point and the blocker with its flags."""
+        monkeypatch.setattr(core_module, "MAX_ACCESS_RETRIES", 3)
+        system = System(SystemConfig.small(num_cores=1, threads_per_core=2),
+                        seed=1)
+        reader, writer = system.place_threads(2)
+        vaddr = 0x1000_0048
+        block = reader.translate(vaddr) & ~(system.cfg.block_bytes - 1)
+        writer.ctx.begin(now=0)
+        writer.ctx.signature.insert_write(block)
+        core = system.cores[0]
+        with pytest.raises(SimulationError) as err:
+            list(core.load(reader.slot, vaddr))
+        assert str(err.value) == (
+            f"thread 0 livelocked on 0x10000048 (virtual block 0x10000040, "
+            f"physical block {block:#x}) after 3 retries; last NACK at the "
+            "sibling check, blocked by t1 (fp=False, via=targeted)")
+        assert system.stats.value("tm.sibling_conflicts") == 3
 
 
 class TestBlockerOrdering:

@@ -17,7 +17,7 @@ import json
 
 import pytest
 
-from repro.common.config import ConfigError
+from repro.common.config import ConfigError, SignatureKind
 from repro.mc import (Counterexample, ModelConfig, ProtocolModel,
                       action_from_dict, action_to_dict, check, replay)
 from repro.mc.state import canonical_key, symmetry_maps
@@ -170,6 +170,26 @@ class TestCleanExploration:
         assert (result.states, result.transitions, result.depth) == \
             (436, 3160, 8)
 
+    def test_smt_false_positive_nacks_reach_the_contention_manager(self):
+        """A 1-bit bit-select register aliases both blocks, so a sibling
+        NACKs accesses it never touched. Each NACK of a transactional
+        access goes to the core's contention manager, which stalls."""
+        fp_stalls = []
+
+        def observer(model, action, events, changed):
+            fp_stalls.extend(fields for kind, fields in events
+                             if kind == "tm.stall" and fields["fp"])
+
+        result = check(ModelConfig(fabric="directory", cores=1,
+                                   contexts_per_core=2, blocks=2,
+                                   signature=SignatureKind.BIT_SELECT,
+                                   signature_bits=1),
+                       state_cap=2000, observer=observer)
+        assert result.clean, result.summary()
+        assert (result.states, result.transitions, result.depth) == \
+            (2000, 7194, 6)
+        assert fp_stalls
+
     def test_result_serialization(self):
         result = check(ModelConfig(fabric="directory"), state_cap=50)
         data = result.to_dict()
@@ -177,6 +197,32 @@ class TestCleanExploration:
         assert data["states"] == 50
         assert data["config"]["fabric"] == "directory"
         json.dumps(data)  # JSON-serializable end to end
+
+
+class TestSummarySignature:
+    """Accesses run the core's step (1): a summary signature (the union
+    of descheduled transactions' sets) traps a transactional access and
+    stalls a plain one."""
+
+    @staticmethod
+    def model_with_summary_on_b0():
+        model = ProtocolModel(ModelConfig(fabric="directory"))
+        model.cores[0].slots[0].summary.write.insert(model.block_addrs[0])
+        return model
+
+    def test_summary_conflict_aborts_the_transaction(self):
+        model = self.model_with_summary_on_b0()
+        model.apply(("begin", 0))
+        model.apply(("read", 0, 0))
+        assert not model.contexts[0].in_tx
+        assert model.stats.value("tm.summary_conflicts") == 1
+
+    def test_summary_conflict_stalls_a_plain_read(self):
+        model = self.model_with_summary_on_b0()
+        before = model.encode()
+        model.apply(("read", 0, 0))
+        assert model.encode() == before
+        assert model.stats.value("tm.summary_conflicts") == 1
 
 
 def convict(fabric, mutation, state_cap):
