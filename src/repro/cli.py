@@ -502,7 +502,7 @@ def _cmd_sweep(args) -> int:
         return 2
     variants = spec.variants()
     baseline = spec.baseline_label
-    factory = spec.workload_factory()
+    factory = spec.make_workload
 
     cache = None
     if not (args.no_cache or args.trace_dir is not None):

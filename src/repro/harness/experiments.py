@@ -28,13 +28,13 @@ from repro.common.stats import ConfidenceInterval
 from repro.cpu.executor import ThreadExecutor
 from repro.harness.report import render_table
 from repro.harness.runner import RunResult, default_config_label
-from repro.harness.sweep import (RunTask, Variant, execute_tasks, run_sweep,
+from repro.harness.sweep import (Cell, Variant, execute_tasks, run_sweep,
                                  signature_size_variants)
 from repro.harness.system import System
 from repro.signatures.factory import make_signature
-from repro.workloads import (BankTransfer, BerkeleyDB, BigFootprint,
-                             Cholesky, FalseSharing, Mp3d, Radiosity,
-                             Raytrace, RepeatStores, SharedCounter, Workload)
+from repro.workloads import (PAPER_SUITE, BankTransfer, BerkeleyDB,
+                             BigFootprint, FalseSharing, RepeatStores,
+                             SharedCounter, Workload)
 
 
 @dataclass(frozen=True)
@@ -73,13 +73,8 @@ PAPER_TABLE2 = {
     "Mp3d": dict(read_avg=2.2, read_max=18, write_avg=1.7, write_max=10),
 }
 
-WORKLOAD_CLASSES: Dict[str, type] = {
-    "BerkeleyDB": BerkeleyDB,
-    "Cholesky": Cholesky,
-    "Radiosity": Radiosity,
-    "Raytrace": Raytrace,
-    "Mp3d": Mp3d,
-}
+#: The paper suite by name, in the paper's order.
+WORKLOAD_CLASSES: Dict[str, type] = {cls.name: cls for cls in PAPER_SUITE}
 
 
 def make_workload(name: str, scale: ExperimentScale,
@@ -94,15 +89,15 @@ def _failed(claims: Iterable[Tuple[bool, str]]) -> List[str]:
     return [text for holds, text in claims if not holds]
 
 
-def _run_cells(cells: Iterable[tuple], jobs: Optional[int],
-               seed: int = DEFAULT_SEED, cache=None) -> Dict[str, RunResult]:
-    """Run ``(key, config, make_workload)`` cells as one batch; results by
-    key, in cell order, labelled as ``run_workload`` labels a config."""
-    tasks = [RunTask(key=key, label=default_config_label(cfg), cfg=cfg,
-                     make_workload=factory, seed=seed)
-             for key, cfg, factory in cells]
-    outcomes = execute_tasks(tasks, jobs=jobs, cache=cache)
-    return {key: outcome.result for key, outcome in outcomes.items()}
+def _run_cells(cells: Iterable[Tuple[str, SystemConfig, Workload]],
+               jobs: Optional[int], seed: int = DEFAULT_SEED,
+               cache=None) -> Dict[str, RunResult]:
+    """Run ``(name, config, workload)`` cells as one batch; results by
+    name, in cell order, labelled as ``run_workload`` labels a config."""
+    outcomes = execute_tasks(
+        ((name, Cell(default_config_label(cfg), cfg, workload, seed=seed))
+         for name, cfg, workload in cells), jobs=jobs, cache=cache)
+    return {name: outcome.result for name, outcome in outcomes.items()}
 
 
 # ---------------------------------------------------------------------------
@@ -190,9 +185,8 @@ def table2(scale: ExperimentScale = QUICK, seed: int = DEFAULT_SEED,
     """Run every workload with perfect signatures; measure footprints."""
     cfg = cfg or SystemConfig.default()
     cfg = cfg.with_signature(SignatureKind.PERFECT)
-    results = _run_cells(
-        ((name, cfg, lambda name=name: make_workload(name, scale, seed))
-         for name in WORKLOAD_CLASSES), jobs, seed)
+    results = _run_cells(((name, cfg, make_workload(name, scale, seed))
+                          for name in WORKLOAD_CLASSES), jobs, seed)
     rows = []
     for name, result in results.items():
         reads = result.histograms.get("tm.read_set_blocks")
@@ -454,14 +448,13 @@ def figure4(scale: ExperimentScale = QUICK, seed: int = DEFAULT_SEED,
     names = list(workloads or WORKLOAD_CLASSES)
     variant_list = list(figure4_variants(base))
     run_seeds = perturbed_seeds(seed, scale.runs)
-    tasks = [RunTask(key=f"{name}/{label}#{i}", label=label, cfg=cfg,
-                     make_workload=(
-                         lambda name=name: make_workload(name, scale, seed)),
-                     seed=run_seed)
-             for name in names
-             for label, cfg in variant_list
-             for i, run_seed in enumerate(run_seeds)]
-    outcomes = execute_tasks(tasks, jobs=jobs, cache=cache)
+    workloads = {name: make_workload(name, scale, seed) for name in names}
+    outcomes = execute_tasks(
+        ((f"{name}/{label}#{i}",
+          Cell(label, cfg, workloads[name], seed=run_seed))
+         for name in names
+         for label, cfg in variant_list
+         for i, run_seed in enumerate(run_seeds)), jobs=jobs, cache=cache)
     cells: List[Figure4Cell] = []
     for name in names:
         lock_cycles: Optional[float] = None
@@ -567,8 +560,7 @@ def table3(scale: ExperimentScale = QUICK, seed: int = DEFAULT_SEED,
     store."""
     variants = table3_variants(base_cfg or SystemConfig.default())
     results = _run_cells(
-        ((f"{name}/{label}", cfg,
-          lambda name=name: make_workload(name, scale, seed))
+        ((f"{name}/{label}", cfg, make_workload(name, scale, seed))
          for name in workloads for label, cfg in variants),
         jobs, seed, cache)
     rows: List[Table3Row] = []
@@ -654,9 +646,8 @@ def victimization(scale: ExperimentScale = QUICK, seed: int = DEFAULT_SEED,
     units["Raytrace"] = max(units.get("Raytrace", scale.default_units) * 5,
                             scale.default_units * 5)
     boosted = replace(scale, units=units)
-    results = _run_cells(
-        ((name, cfg, lambda name=name: make_workload(name, boosted, seed))
-         for name in WORKLOAD_CLASSES), jobs, seed)
+    results = _run_cells(((name, cfg, make_workload(name, boosted, seed))
+                          for name in WORKLOAD_CLASSES), jobs, seed)
     rows = []
     for name, result in results.items():
         rows.append(VictimizationRow(
@@ -852,7 +843,7 @@ def compare_fabrics(scale, jobs: Optional[int] = 1):
     results = list(_run_cells(
         ((f"{name}/{style.value}",
           replace(SystemConfig.default(), coherence=style),
-          lambda name=name: make_workload(name, scale))
+          make_workload(name, scale))
          for name in ("Cholesky", "Mp3d")
          for style in (CoherenceStyle.DIRECTORY, CoherenceStyle.SNOOPING)),
         jobs).values())
@@ -1049,8 +1040,7 @@ def thread_scaling(jobs: Optional[int] = 1):
     series = list(scaling_series(max_threads=32))
     results = _run_cells(
         ((f"{label}/{sync.value}", cfg.with_sync(sync),
-          lambda threads=threads: BerkeleyDB(num_threads=threads,
-                                             units_per_thread=3))
+          BerkeleyDB(num_threads=threads, units_per_thread=3))
          for label, cfg, threads in series
          for sync in (SyncMode.LOCKS, SyncMode.TRANSACTIONS)), jobs)
     # Cells alternate locks, transactions for each machine.
@@ -1084,7 +1074,7 @@ def false_sharing_cost(jobs: Optional[int] = 1):
     cfg = cmp_preset(num_cores=8, threads_per_core=1)
     results = _run_cells(
         (("packed" if packed else "separated", cfg,
-          lambda packed=packed: FalseSharing(num_threads=8, packed=packed))
+          FalseSharing(num_threads=8, packed=packed))
          for packed in (False, True)), jobs)
     return [(layout, result.cycles, result.stalls, result.aborts)
             for layout, result in results.items()]

@@ -1,13 +1,15 @@
 """Worker fleet: the one pool of worker processes.
 
 :class:`WorkerFleet` keeps a fixed pool of worker processes alive, each
-connected to the parent by a duplex pipe. Each worker calls ``run(item)``
-on every item it is sent; ``run`` is handed to the process when it is
-created, so under ``fork`` it is inherited (closures included) and never
-pickled. Both process-pool users drive a fleet: the sweep engine
-(:func:`repro.harness.sweep.execute_tasks`, one fleet per batch,
-items are task keys) and the sweep service (:mod:`repro.svc.service`,
-one long-lived fleet, items are cells that know how to ``run()``).
+connected to the parent by a duplex pipe. A worker is sent items,
+pickled, and calls ``item.run()`` on each; it sends back only the result
+(or the traceback), and the fleet reports the parent's own item with
+it. Both process-pool users drive a fleet with the same items,
+:class:`repro.harness.sweep.Cell` values: the sweep engine
+(:func:`repro.harness.sweep.execute_tasks`, one fleet per batch) and the
+sweep service (:mod:`repro.svc.service`, one long-lived fleet). An item
+carries everything its run needs, so the fleet works the same whether
+workers are forked or spawned.
 
 * **dispatch** — the parent assigns an item to an idle worker;
 * **liveness** — the parent watches each worker's process liveness and
@@ -39,13 +41,7 @@ from multiprocessing import connection as mp_connection
 from typing import Any, Callable, Dict, Iterable, List, Optional
 
 
-def _run_item(item: Any) -> Any:
-    """The default ``run``: items know how to run themselves."""
-    return item.run()
-
-
-def _fleet_worker(worker_id: int, conn,
-                  run: Callable[[Any], Any]) -> None:  # pragma: no cover
+def _fleet_worker(conn) -> None:  # pragma: no cover
     """Worker main loop: run items; exit on None or when the parent dies.
 
     The pipe alone cannot tell that the parent died: a forked worker
@@ -59,15 +55,14 @@ def _fleet_worker(worker_id: int, conn,
                 return  # parent went away; nothing useful left to do
             item = conn.recv()
             if item is None:
-                conn.send(("bye", worker_id))
+                conn.send(("bye", None))
                 return
             try:
-                result = run(item)
+                result = item.run()
             except BaseException:
-                conn.send(("error", worker_id, item,
-                           traceback.format_exc()))
+                conn.send(("error", traceback.format_exc()))
             else:
-                conn.send(("done", worker_id, item, result))
+                conn.send(("done", result))
     except (EOFError, OSError, BrokenPipeError):
         return  # parent went away; nothing useful left to do
     finally:
@@ -89,7 +84,8 @@ class FleetMessage:
 
     kinds: ``done`` (result attached), ``error`` (worker raised;
     traceback in ``error``), ``crashed`` (worker died mid-item),
-    ``timeout`` (worker terminated past its item's deadline).
+    ``timeout`` (worker terminated past its item's deadline). ``item`` is
+    the parent's own dispatched object, not a copy from the worker.
     """
 
     kind: str
@@ -118,16 +114,14 @@ class _Worker:
 
 
 class WorkerFleet:
-    """Spawn/monitor/reap a pool of worker processes running ``run``."""
+    """Spawn/monitor/reap a pool of worker processes running items."""
 
     def __init__(self, size: int,
-                 emit: Optional[Callable[..., None]] = None,
-                 run: Callable[[Any], Any] = _run_item) -> None:
+                 emit: Optional[Callable[..., None]] = None) -> None:
         if size < 1:
             raise ValueError(f"fleet size must be >= 1, got {size}")
         self.size = size
         self._emit = emit or (lambda kind, **fields: None)
-        self._run = run
         self._ctx = _mp_context()
         # Guards _workers / _next_id / restarts / _started: the API
         # methods run on the caller's thread while the scheduler thread
@@ -159,7 +153,7 @@ class WorkerFleet:
             self._next_id += 1
         parent_conn, child_conn = self._ctx.Pipe(duplex=True)
         proc = self._ctx.Process(target=_fleet_worker,
-                                 args=(worker_id, child_conn, self._run),
+                                 args=(child_conn,),
                                  name=f"fleet-worker-{worker_id}")
         proc.daemon = True
         proc.start()
@@ -257,25 +251,19 @@ class WorkerFleet:
             try:
                 if not worker.conn.poll():
                     break
-                payload = worker.conn.recv()
+                kind, tail = worker.conn.recv()
             except (EOFError, OSError):
                 break  # died mid-send; the liveness check below handles it
-            kind = payload[0]
             if kind == "bye":
                 worker.draining = True
-            elif kind in ("done", "error"):
-                _kind, _wid, item, tail = payload
-                wall = time.monotonic() - worker.started
-                worker.item = None
-                worker.deadline = None
-                if kind == "done":
-                    messages.append(FleetMessage(
-                        "done", item, worker.worker_id, result=tail,
-                        wall_time=wall))
-                else:
-                    messages.append(FleetMessage(
-                        "error", item, worker.worker_id, error=tail,
-                        wall_time=wall))
+                continue
+            messages.append(FleetMessage(
+                kind, worker.item, worker.worker_id,
+                result=tail if kind == "done" else None,
+                error=tail if kind == "error" else None,
+                wall_time=time.monotonic() - worker.started))
+            worker.item = None
+            worker.deadline = None
         if not worker.proc.is_alive():
             exitcode = worker.proc.exitcode
             item = worker.item

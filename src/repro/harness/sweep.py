@@ -7,32 +7,27 @@ perturbed run) — and every cell is a deterministic function of
 implementation, used by the experiments, the CLI, ``repro bench``, the
 sweep service and downstream users sizing their own design points:
 
+* :class:`Cell` is one cell as a plain value: a label, a config, a
+  workload instance and the run knobs. :meth:`Cell.run` runs it wherever
+  it is sent, and :attr:`Cell.key` is its content address, over ``(code
+  version, config, workload, seed, label, cycle limit, verify mode)``.
+* :func:`execute_tasks` runs a batch of named cells, in-process
+  (``jobs=1``, no ``timeout``) or on a
+  :class:`~repro.harness.fleet.WorkerFleet`, with a per-cell wall-clock
+  ``timeout`` and retry-on-worker-crash. A cell that fails is recorded
+  and its siblings keep running; the error raised at the end
+  (:class:`SweepExecutionError`) carries every completed result. Given a
+  result store (``cache=``, a :class:`~repro.svc.repository.RunRepository`),
+  re-running a batch — or resuming one that was interrupted — only
+  executes the missing cells. Any change to the ``repro`` sources
+  invalidates every stored result (the key embeds a hash of the package).
 * :func:`run_sweep` runs one workload across a family of configurations
   and returns a :class:`SweepResult`: results in variant order, plus
   execution metadata in ``meta``.
-* :func:`execute_tasks` runs a batch of :class:`RunTask` cells, in-process
-  (``jobs=1``, no ``timeout``) or on a
-  :class:`~repro.harness.fleet.WorkerFleet`, with a per-task wall-clock
-  ``timeout`` and retry-on-worker-crash. A task that fails is recorded
-  and its siblings keep running; the error raised at the end
-  (:class:`SweepExecutionError`) carries every completed result.
-* :func:`run_cell` runs one cell, wherever the batch puts it; the
-  service's :class:`~repro.svc.spec.CellTask` calls it too.
-* :func:`cell_key` is a cell's content address, over ``(code version,
-  config, workload, seed, label, cycle limit, verify mode)``. Given a
-  result store (``cache=``, a :class:`~repro.svc.repository.RunRepository`),
-  re-running a sweep — or resuming one that was interrupted — only
-  executes the missing cells. Any change to the ``repro`` sources
-  invalidates every stored result (the key embeds a hash of the package).
-
-Worker processes are started with the ``fork`` method where available
-(Linux/macOS-with-fork), so workload factories may be arbitrary closures.
-On spawn-only platforms the factory must be picklable.
 """
 
 from __future__ import annotations
 
-import functools
 import hashlib
 import os
 import time
@@ -61,8 +56,8 @@ Variant = Tuple[str, SystemConfig]
 class SweepExecutionError(ReproError):
     """One or more sweep cells failed; sibling results are preserved.
 
-    ``completed`` maps task key -> :class:`RunResult` for every cell that
-    did finish; ``failures`` maps task key -> human-readable reason.
+    ``completed`` maps cell name -> :class:`RunResult` for every cell that
+    did finish; ``failures`` maps cell name -> human-readable reason.
     """
 
     def __init__(self, message: str,
@@ -138,7 +133,7 @@ class SweepResult:
 
 
 # ---------------------------------------------------------------------------
-# Cell keys
+# Cells
 # ---------------------------------------------------------------------------
 
 _CODE_VERSION: Optional[str] = None
@@ -174,98 +169,85 @@ def workload_fingerprint(workload: Workload) -> str:
             f"|{workload.describe()}|seed={workload.seed}|{state}")
 
 
-def cell_key(cfg: SystemConfig, fingerprint: str, seed: int, label: str,
-             cycle_limit: int = DEFAULT_CYCLE_LIMIT,
-             verify: object = False) -> str:
-    """Content address of one sweep cell: the result store's key.
+@dataclass(frozen=True)
+class Cell:
+    """One independent sweep cell: run ``workload`` under ``config``.
 
-    The SHA-256 of the canonical ``(code version, config repr, workload
-    fingerprint, seed, label, cycle limit, verify mode)`` tuple, so the
-    CLI sweep and the service agree on it (see
-    :meth:`repro.svc.spec.SweepSpec.cache_keys`).
-    """
-    payload = "\n".join([code_version(), repr(cfg), fingerprint,
-                         str(seed), label, str(cycle_limit),
-                         f"verify={verify!r}"])
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
-
-
-# ---------------------------------------------------------------------------
-# Cells
-# ---------------------------------------------------------------------------
-
-@dataclass
-class RunTask:
-    """One independent sweep cell: run ``make_workload()`` under ``cfg``.
-
-    With ``trace_dir`` set, the cell runs traced and writes its trace
-    artifacts (``<key>.trace.json`` Chrome trace + ``<key>.jsonl`` raw
-    events) into that directory where it runs — events never travel
-    through the result pipe or the store.
+    A plain value that pickles, so a fleet worker is sent the cell itself.
+    Running a workload never changes it, so one instance may back many
+    cells. With ``trace_dir`` set, the cell runs traced and writes its
+    trace artifacts (``<label>.trace.json`` Chrome trace +
+    ``<label>.jsonl`` raw events) into that directory where it runs —
+    events never travel through the result pipe or the store, and
+    ``trace_dir`` is not part of :attr:`key`.
     """
 
-    key: str                                  # unique id within the batch
     label: str                                # RunResult.config_label
-    cfg: SystemConfig
-    make_workload: Callable[[], Workload]
+    config: SystemConfig
+    workload: Workload
     seed: int = DEFAULT_SEED
     cycle_limit: int = DEFAULT_CYCLE_LIMIT
-    trace_dir: Optional[str] = None
     #: ``run_workload``'s ``verify`` argument (False / True / "strict").
     verify: object = False
+    trace_dir: Optional[str] = None
 
+    @property
+    def key(self) -> str:
+        """Content address of this cell: the result store's key.
 
-def _artifact_stem(key: str) -> str:
-    """Filesystem-safe artifact name for a task key."""
-    return "".join(c if c.isalnum() or c in "-_." else "_" for c in key)
+        The SHA-256 of the canonical ``(code version, config repr,
+        workload fingerprint, seed, label, cycle limit, verify mode)``
+        tuple, so the CLI sweep and the service agree on it.
+        """
+        payload = "\n".join([code_version(), repr(self.config),
+                             workload_fingerprint(self.workload),
+                             str(self.seed), self.label,
+                             str(self.cycle_limit),
+                             f"verify={self.verify!r}"])
+        return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
+    def run(self) -> RunResult:
+        """Run this cell and return a result that is safe to pickle.
+
+        The in-process loop and every fleet worker, the service's
+        included, run their cells here.
+        """
+        # perfbench/tracer.py::install_coarse wraps this global to time cells.
+        result = run_workload(self.config, self.workload, seed=self.seed,
+                              cycle_limit=self.cycle_limit,
+                              config_label=self.label,
+                              trace=self.trace_dir is not None,
+                              verify=self.verify)
+        # The report object holds live references into the simulated
+        # system; the JSON-safe fields (checks_run, violations) already
+        # carry the findings, so drop it before pickling into a pipe.
+        result.verify_report = None
+        if self.trace_dir is not None and result.events is not None:
+            from repro.obs.export import export_chrome_trace, export_jsonl
+            out = Path(self.trace_dir)
+            out.mkdir(parents=True, exist_ok=True)
+            stem = "".join(c if c.isalnum() or c in "-_." else "_"
+                           for c in self.label)
+            export_chrome_trace(result.events,
+                                str(out / f"{stem}.trace.json"),
+                                label=f"{result.workload} [{self.label}]")
+            export_jsonl(result.events, str(out / f"{stem}.jsonl"))
+            # Events stay on disk; shipping them through the result pipe
+            # would cost far more than the run.
+            result.events = None
+        return result
 
 
 @dataclass
 class TaskOutcome:
-    """How one task finished: its result plus execution metadata."""
+    """How one cell finished: its result plus execution metadata."""
 
-    key: str
+    key: str                   # the cell's name in its batch
     result: RunResult
     wall_time: float = 0.0     # seconds spent executing (0.0 for store hits)
     cached: bool = False
     attempts: int = 1          # worker dispatches consumed (0 for store hits)
     retries: int = 0           # relaunches after a worker crash (attempts-1)
-
-
-def run_cell(task: RunTask) -> RunResult:
-    """Run one cell and return a result that is safe to pickle.
-
-    The in-process loop, the fleet workers and the service's
-    :meth:`~repro.svc.spec.CellTask.run` all run their cells here.
-    """
-    # perfbench/tracer.py::install_coarse wraps this global to time cells.
-    result = run_workload(task.cfg, task.make_workload(), seed=task.seed,
-                          cycle_limit=task.cycle_limit,
-                          config_label=task.label,
-                          trace=task.trace_dir is not None,
-                          verify=task.verify)
-    # The report object holds live references into the simulated system;
-    # the JSON-safe fields (checks_run, violations) already carry the
-    # findings, so drop it before pickling into a pipe.
-    result.verify_report = None
-    if task.trace_dir is not None and result.events is not None:
-        from repro.obs.export import export_chrome_trace, export_jsonl
-        out = Path(task.trace_dir)
-        out.mkdir(parents=True, exist_ok=True)
-        stem = _artifact_stem(task.key)
-        label = f"{result.workload} [{task.label}]"
-        export_chrome_trace(result.events, str(out / f"{stem}.trace.json"),
-                            label=label)
-        export_jsonl(result.events, str(out / f"{stem}.jsonl"))
-        # Events stay on disk; shipping them through the result pipe
-        # would cost far more than the run.
-        result.events = None
-    return result
-
-
-def _run_keyed(tasks: Dict[str, RunTask], key: str) -> RunResult:
-    """Fleet ``run``: workers are sent task keys and look the task up."""
-    return run_cell(tasks[key])
 
 
 # ---------------------------------------------------------------------------
@@ -281,53 +263,50 @@ def resolve_jobs(jobs: Optional[int]) -> int:
     return jobs
 
 
-def execute_tasks(tasks: Iterable[RunTask],
+def execute_tasks(cells: Iterable[Tuple[str, Cell]],
                   jobs: Optional[int] = 1,
                   timeout: Optional[float] = None,
                   retries: int = 1,
                   cache: Optional[RunRepository] = None
                   ) -> Dict[str, TaskOutcome]:
-    """Execute every task; return outcomes keyed by task key, in task order.
+    """Run every ``(name, cell)``; return outcomes by name, in batch order.
 
     * ``cache`` is the result store, used through ``load_run`` and
-      ``store_run``. Store hits never reach a worker; when every task is
-      a hit, no worker process starts.
-    * With ``jobs=1`` and no ``timeout`` the tasks run in-process, one
+      ``store_run`` under each :attr:`Cell.key`. Store hits never reach a
+      worker; when every cell is a hit, no worker process starts.
+    * With ``jobs=1`` and no ``timeout`` the cells run in-process, one
       after another. Otherwise one :class:`WorkerFleet` of
       ``min(jobs, pending)`` workers runs the batch and is stopped when
       it ends.
     * A worker that dies without reporting (crash, OOM-kill) is replaced
-      and its task re-dispatched up to ``retries`` extra times. A task
+      and its cell re-dispatched up to ``retries`` extra times. A cell
       exceeding ``timeout`` seconds is terminated and fails: a
       deterministic simulation that timed out once will time out again.
-    * Failures do not abort the batch: remaining tasks still run, then one
+    * Failures do not abort the batch: remaining cells still run, then one
       :class:`SweepExecutionError` summarises every failure and carries the
       completed sibling results.
     """
-    tasks = list(tasks)
-    if len({t.key for t in tasks}) != len(tasks):
-        raise ValueError("duplicate task keys in batch")
+    cells = list(cells)
+    names = [name for name, _cell in cells]
+    if len(set(names)) != len(names):
+        raise ValueError("duplicate cell names in batch")
     jobs = resolve_jobs(jobs)
     if retries < 0:
         raise ValueError(f"retries must be >= 0, got {retries}")
 
     outcomes: Dict[str, TaskOutcome] = {}
     failures: Dict[str, str] = {}
-    pending: List[Tuple[RunTask, Optional[str]]] = []
-    for task in tasks:
-        cache_key = None
+    pending: List[Tuple[str, Cell, Optional[str]]] = []  # name, cell, key
+    for name, cell in cells:
+        store_key = None
         if cache is not None:
-            cache_key = cell_key(task.cfg,
-                                 workload_fingerprint(task.make_workload()),
-                                 task.seed, task.label, task.cycle_limit,
-                                 verify=task.verify)
-            result = cache.load_run(cache_key)
+            store_key = cell.key
+            result = cache.load_run(store_key)
             if result is not None:
-                outcomes[task.key] = TaskOutcome(task.key, result,
-                                                 wall_time=0.0, cached=True,
-                                                 attempts=0)
+                outcomes[name] = TaskOutcome(name, result, wall_time=0.0,
+                                             cached=True, attempts=0)
                 continue
-        pending.append((task, cache_key))
+        pending.append((name, cell, store_key))
 
     if pending:
         if jobs == 1 and timeout is None:
@@ -337,78 +316,76 @@ def execute_tasks(tasks: Iterable[RunTask],
                               outcomes, failures)
 
     if failures:
-        done = {key: out.result for key, out in outcomes.items()}
-        detail = "; ".join(f"{key}: {reason.strip().splitlines()[-1]}"
-                           for key, reason in failures.items())
+        done = {name: out.result for name, out in outcomes.items()}
+        detail = "; ".join(f"{name}: {reason.strip().splitlines()[-1]}"
+                           for name, reason in failures.items())
         raise SweepExecutionError(
-            f"{len(failures)} of {len(tasks)} sweep cell(s) failed "
+            f"{len(failures)} of {len(cells)} sweep cell(s) failed "
             f"({len(done)} completed): {detail}",
             completed=done, failures=failures)
-    return {task.key: outcomes[task.key] for task in tasks}
+    return {name: outcomes[name] for name in names}
 
 
 def _execute_inline(pending, cache, outcomes, failures) -> None:
     """jobs=1 with no timeout: run in-process (no worker overhead)."""
-    for task, cache_key in pending:
+    for name, cell, store_key in pending:
         start = time.perf_counter()
         try:
-            result = run_cell(task)
+            result = cell.run()
         except Exception:
-            failures[task.key] = traceback.format_exc()
+            failures[name] = traceback.format_exc()
             continue
         wall = time.perf_counter() - start
-        outcomes[task.key] = TaskOutcome(task.key, result, wall_time=wall)
-        if cache_key is not None:
-            cache.store_run(cache_key, result)
+        outcomes[name] = TaskOutcome(name, result, wall_time=wall)
+        if store_key is not None:
+            cache.store_run(store_key, result)
 
 
 def _execute_on_fleet(pending, jobs, timeout, retries, cache,
                       outcomes, failures) -> None:
     """Run the batch on its own fleet; retries and timeouts are decided here.
 
-    Workers are forked after ``tasks`` is built, so they inherit it (and
-    every workload closure in it); only task keys cross the pipes.
+    Workers are sent the cells themselves, and each report is mapped back
+    to its cell through the worker that ran it.
     """
-    tasks = {task.key: task for task, _cache_key in pending}
-    store_keys = {task.key: cache_key for task, cache_key in pending}
-    queue: List[str] = list(tasks)
+    queue = list(pending)
+    running: Dict[int, tuple] = {}        # worker id -> its pending entry
     attempts: Dict[str, int] = {}
-    inflight = 0
-    fleet = WorkerFleet(min(jobs, len(tasks)),
-                        run=functools.partial(_run_keyed, tasks))
+    fleet = WorkerFleet(min(jobs, len(queue)))
     fleet.start()
     try:
-        while queue or inflight:
-            while queue and fleet.dispatch(queue[0],
-                                           timeout=timeout) is not None:
-                key = queue.pop(0)
-                attempts[key] = attempts.get(key, 0) + 1
-                inflight += 1
+        while queue or running:
+            while queue:
+                worker_id = fleet.dispatch(queue[0][1], timeout=timeout)
+                if worker_id is None:
+                    break
+                entry = running[worker_id] = queue.pop(0)
+                attempts[entry[0]] = attempts.get(entry[0], 0) + 1
             for message in fleet.poll(wait=0.05):
-                key = message.item
-                label = tasks[key].label
-                inflight -= 1
+                entry = running.pop(message.worker_id)
+                name, cell, store_key = entry
+                tried = attempts[name]
                 if message.kind == "done":
-                    outcomes[key] = TaskOutcome(
-                        key, message.result, wall_time=message.wall_time,
-                        attempts=attempts[key], retries=attempts[key] - 1)
-                    if store_keys[key] is not None:
-                        cache.store_run(store_keys[key], message.result)
+                    outcomes[name] = TaskOutcome(
+                        name, message.result, wall_time=message.wall_time,
+                        attempts=tried, retries=tried - 1)
+                    if store_key is not None:
+                        cache.store_run(store_key, message.result)
                 elif message.kind == "error":
-                    failures[key] = (f"variant {label!r} raised in "
-                                     f"worker:\n{message.error}")
+                    failures[name] = (f"variant {cell.label!r} raised in "
+                                      f"worker:\n{message.error}")
                 elif message.kind == "crashed":
-                    if attempts[key] <= retries:
-                        queue.append(key)
+                    if tried <= retries:
+                        queue.append(entry)
                     else:
-                        failures[key] = (
-                            f"variant {label!r}: worker crashed with "
+                        failures[name] = (
+                            f"variant {cell.label!r}: worker crashed with "
                             f"exit code {message.exitcode} "
-                            f"({attempts[key]} attempt(s))")
+                            f"({tried} attempt(s))")
                 else:  # timeout
-                    failures[key] = (
-                        f"variant {label!r}: timed out after "
-                        f"{timeout:g}s ({attempts[key]} attempt(s))")
+                    failures[name] = (
+                        f"variant {cell.label!r}: timed out after "
+                        f"{timeout:g}s ({tried} attempt(s))")
     finally:
         fleet.stop()
 
@@ -431,7 +408,8 @@ def run_sweep(variants: Iterable[Variant],
 
     Duplicate labels and an unknown ``baseline_label`` raise
     ``ValueError`` before any cell runs. Each variant is one
-    :class:`RunTask` of one :func:`execute_tasks` batch, so ``jobs``
+    :class:`Cell`, with its own ``workload_factory()`` instance, of one
+    :func:`execute_tasks` batch, so ``jobs``
     (``None``/``0``: one worker per CPU), ``timeout``, ``retries`` and
     ``cache`` (the result store, a
     :class:`repro.svc.repository.RunRepository`) mean what they mean
@@ -457,12 +435,11 @@ def run_sweep(variants: Iterable[Variant],
     if trace_dir is not None:
         cache = None
 
-    tasks = [RunTask(key=label, label=label, cfg=cfg,
-                     make_workload=workload_factory, seed=seed,
-                     trace_dir=trace_dir, verify=verify)
-             for label, cfg in variants]
     started = time.perf_counter()
-    outcomes = execute_tasks(tasks, jobs=jobs, timeout=timeout,
+    cells = [(label, Cell(label, cfg, workload_factory(), seed=seed,
+                          verify=verify, trace_dir=trace_dir))
+             for label, cfg in variants]
+    outcomes = execute_tasks(cells, jobs=jobs, timeout=timeout,
                              retries=retries, cache=cache)
     wall = time.perf_counter() - started
 

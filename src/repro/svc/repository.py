@@ -5,8 +5,8 @@ Two responsibilities, one database file:
 * **Run repository** — the one result store. Every
   :class:`~repro.harness.runner.RunResult` the service or a ``repro
   sweep`` has produced, keyed by its cell's content address
-  (:func:`~repro.harness.sweep.cell_key`). That shared key is the
-  dedupe mechanism: when a new submission or sweep contains a cell
+  (:attr:`~repro.harness.sweep.Cell.key`). That shared key is the dedupe
+  mechanism: when a new submission or sweep contains a cell
   whose key is already present, the stored result is served and no
   worker runs. Results are stored as their canonical JSON record plus a
   SHA-256 ``digest`` of it, so clients can compare runs across

@@ -8,9 +8,9 @@ into. A submission flows through it as::
                  jobs table (the queue: priority, then FIFO)
                                         │
                 scheduler thread: claim_next_job (queued ──> running)
-                    for each cell of the job
+                    for each cell of SweepSpec.cells()
                     repository hit? ──────────────> cell done (repo)
-                    else ─> WorkerFleet.dispatch ─> run ─> store+done
+                    else ─> WorkerFleet.dispatch(cell) ─> run ─> store+done
                                         │
                     crash/timeout ─> re-queue (retry budget) or failed
 
@@ -28,8 +28,11 @@ those counts (:data:`EVENT_COUNTERS`), the job table (queue depth) and
 the fleet (workers alive, restarts).
 
 The :class:`~repro.harness.fleet.WorkerFleet` only runs cells and
-reports crashes and timeouts; the policy is decided here, with the
-sweep engine's semantics: per-cell timeout and retry budgets
+reports crashes and timeouts. A cell is the same
+:class:`~repro.harness.sweep.Cell` the sweep engine runs and carries no
+job id: the service maps each report back through its own in-flight
+table, by the worker that ran the cell. The policy is decided here,
+with the sweep engine's semantics: per-cell timeout and retry budgets
 (``SweepSpec.timeout`` / ``retries``), crashes re-queued, worker
 exceptions terminal (a deterministic model error will not heal on
 retry). Timeouts *are* retried here, against the same budget — unlike
@@ -50,7 +53,7 @@ from repro.harness.fleet import WorkerFleet
 from repro.obs.bus import EventBus
 from repro.obs.events import Event
 from repro.svc.repository import RunRepository
-from repro.svc.spec import CellTask, SweepSpec
+from repro.svc.spec import SweepSpec
 
 #: Events kept per job for the ``/events`` endpoint.
 MAX_JOB_EVENTS = 10_000
@@ -156,17 +159,25 @@ class SweepService:
         if drain:
             for message in self.fleet.drain(timeout=timeout):
                 if message.kind == "done":
-                    self._store_late_result(message.item, message.result)
+                    self._store_late_result(message.item.label,
+                                            message.result)
         else:
             self.fleet.stop()
         self.repository.recover()  # normalize interrupted state to queued
         self.repository.close()
 
-    def _store_late_result(self, task: CellTask, result) -> None:
-        """Persist a result that arrived while draining."""
-        self.repository.store_run(task.cache_key, result)
-        self.repository.update_cell(task.job_id, task.label,
-                                    state="done", source="executed")
+    def _store_late_result(self, label: str, result) -> None:
+        """Persist a result that arrived while draining: a cell of the job
+        the scheduler is still running, stored under that job's key."""
+        with self._state_lock:
+            job_id = self._current_job
+        if job_id is None:
+            return
+        for cell in self.repository.get_job(job_id)["cells"]:
+            if cell["label"] == label:
+                self.repository.store_run(cell["cache_key"], result)
+                self.repository.update_cell(job_id, label, state="done",
+                                            source="executed")
 
     # -- client surface ----------------------------------------------------
 
@@ -313,15 +324,20 @@ class SweepService:
             if not self._resolve_from_repository(job_id, label,
                                                  keys[label]):
                 pending.append(label)
+        # Built only when something must run: a job served wholly from
+        # the repository needs no workload.
+        cells = {cell.label: cell for cell in spec.cells()} if pending else {}
 
         attempts: Dict[str, int] = {}
         timeouts: Dict[str, int] = {}
-        inflight: Dict[str, CellTask] = {}
+        # The in-flight table: worker id -> label of the cell it runs.
+        inflight: Dict[int, str] = {}
         interrupted = False
 
         while pending or inflight:
             if self._cancelled(job_id):
-                self.fleet.terminate(inflight.values())
+                self.fleet.terminate([cells[label]
+                                      for label in inflight.values()])
                 self._finalize_cancel(job_id, claimed=True)
                 return
             if self._stop.is_set():
@@ -331,15 +347,13 @@ class SweepService:
             else:
                 while pending and self.fleet.idle_count() > 0:
                     label = pending.pop(0)
-                    task = CellTask(job_id=job_id, label=label,
-                                    spec=spec, cache_key=keys[label])
-                    worker_id = self.fleet.dispatch(task,
+                    worker_id = self.fleet.dispatch(cells[label],
                                                     timeout=spec.timeout)
                     if worker_id is None:
                         pending.insert(0, label)
                         break
                     attempts[label] = attempts.get(label, 0) + 1
-                    inflight[label] = task
+                    inflight[worker_id] = label
                     self.repository.update_cell(
                         job_id, label, state="running",
                         attempts=attempts[label],
@@ -348,12 +362,12 @@ class SweepService:
                     self._emit("svc.cell.dispatch", job=job_id,
                                label=label, worker=worker_id)
             for message in self.fleet.poll(wait=0.05):
-                label = message.item.label
-                if message.item.job_id != job_id:
-                    continue  # a cancelled predecessor's stray result
-                inflight.pop(label, None)
+                # A cancelled job's workers were terminated with their
+                # cells, so every report is for a cell of this job.
+                label = inflight.pop(message.worker_id)
                 if message.kind == "done":
-                    self._record_done(message.item, message.result,
+                    self._record_done(job_id, label, keys[label],
+                                      message.result,
                                       source="executed",
                                       wall_time=message.wall_time,
                                       attempts=attempts.get(label, 1),
@@ -409,15 +423,15 @@ class SweepService:
                    source="repository", wall_time=0.0, attempts=0)
         return True
 
-    def _record_done(self, task: CellTask, result, source: str,
-                     wall_time: float, attempts: int,
+    def _record_done(self, job_id: str, label: str, key: str, result,
+                     source: str, wall_time: float, attempts: int,
                      timeouts: int) -> None:
-        self.repository.store_run(task.cache_key, result)
+        self.repository.store_run(key, result)
         self.repository.update_cell(
-            task.job_id, task.label, state="done", source=source,
+            job_id, label, state="done", source=source,
             attempts=attempts, retries=max(attempts - 1, 0),
             timeouts=timeouts, wall_time=wall_time)
-        self._emit("svc.cell.done", job=task.job_id, label=task.label,
+        self._emit("svc.cell.done", job=job_id, label=label,
                    source=source, wall_time=round(wall_time, 6),
                    attempts=attempts)
 

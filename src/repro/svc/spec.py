@@ -5,16 +5,15 @@ sweep`` CLI does — a workload, a variant family (``designs`` /
 ``sizes`` / ``figure4``), and the knobs that family takes — but as a
 value object that round-trips through JSON. It is the contract shared
 by every layer of the service: the HTTP API validates one per ``POST
-/sweeps``, the repository persists it with the job, and fleet workers
-rebuild the exact cell to run from ``(spec, label)`` alone, so a cell
-travels between processes as two small strings rather than a pickled
-closure.
+/sweeps``, the repository persists it with the job, and the scheduler
+expands it into :class:`~repro.harness.sweep.Cell` values
+(:meth:`SweepSpec.cells`) that fleet workers run as they are sent.
 
-The variant grid a spec expands to is *identical* to what ``repro
-sweep`` builds for the same arguments, and the content-address of each
-cell (:meth:`SweepSpec.cache_keys`) is the very same
-:func:`~repro.harness.sweep.cell_key` the CLI path uses — that
-shared key is what makes service results byte-identical to, and dedupe
+The cells a spec expands to are *identical* to what ``repro sweep``
+builds for the same arguments, and the content-address of each cell
+(:meth:`SweepSpec.cache_keys`) is its
+:attr:`~repro.harness.sweep.Cell.key`, as on the CLI path — that shared
+key is what makes service results byte-identical to, and dedupe
 against, direct ``run_sweep`` invocations.
 """
 
@@ -30,10 +29,9 @@ from repro.common.config import (SignatureKind, SystemConfig,
 from repro.common.errors import ConfigError, ReproError
 from repro.common.rng import DEFAULT_SEED
 from repro.harness.runner import DEFAULT_CYCLE_LIMIT
-from repro.harness.sweep import (RunTask, Variant, cell_key, run_cell,
-                                 signature_design_variants,
-                                 signature_size_variants,
-                                 workload_fingerprint)
+from repro.harness.sweep import (Cell, Variant, signature_design_variants,
+                                 signature_size_variants)
+from repro.workloads import PAPER_SUITE
 from repro.workloads.base import Workload
 
 #: Variant families a spec can request (mirrors ``repro sweep --mode``).
@@ -48,9 +46,12 @@ class SpecError(ReproError):
     """A submitted sweep specification is invalid (HTTP 400)."""
 
 
-def _workload_classes() -> Dict[str, type]:
-    from repro.harness import experiments as E
-    return E.WORKLOAD_CLASSES
+#: Workloads a spec can name: the paper suite, by name.
+_SUITE: Dict[str, type] = {cls.name: cls for cls in PAPER_SUITE}
+
+#: Fields a spec takes only as integers (a JSON ``true`` is not one).
+_INT_FIELDS = ("threads", "units", "seed", "bits", "granularity",
+               "cycle_limit", "retries")
 
 
 @dataclass(frozen=True)
@@ -78,15 +79,26 @@ class SweepSpec:
     retries: int = 1
 
     def __post_init__(self) -> None:
-        if self.workload not in _workload_classes():
-            raise SpecError(
-                f"unknown workload {self.workload!r}; choose from "
-                f"{sorted(_workload_classes())}")
+        if self.workload not in _SUITE:
+            raise SpecError(f"unknown workload {self.workload!r}; choose "
+                            f"from {sorted(_SUITE)}")
         if self.mode not in SWEEP_MODES:
             raise SpecError(f"unknown mode {self.mode!r}; choose from "
                             f"{list(SWEEP_MODES)}")
+        for name in _INT_FIELDS:
+            value = getattr(self, name)
+            if type(value) is not int:
+                raise SpecError(f"{name!r} must be an integer, got "
+                                f"{value!r}")
+        if type(self.verify) is not bool:
+            raise SpecError(
+                f"'verify' must be a boolean, got {self.verify!r}")
         if self.threads < 1 or self.units < 1:
             raise SpecError("threads and units must be >= 1")
+        contexts = SystemConfig.default().total_threads
+        if self.threads > contexts:
+            raise SpecError(f"{self.threads} threads exceed the default "
+                            f"machine's {contexts} contexts")
         if self.mode == "sizes":
             try:
                 kind = SignatureKind(self.kind)
@@ -98,10 +110,11 @@ class SweepSpec:
                 raise SpecError("sizes mode needs at least one size")
         if self.retries < 0:
             raise SpecError(f"retries must be >= 0, got {self.retries}")
-        if self.timeout is not None and not (math.isfinite(self.timeout)
-                                             and self.timeout > 0):
-            raise SpecError(
-                f"timeout must be finite and > 0, got {self.timeout}")
+        if self.timeout is not None and not (
+                type(self.timeout) in (int, float)
+                and math.isfinite(self.timeout) and self.timeout > 0):
+            raise SpecError(f"timeout must be a finite number > 0, got "
+                            f"{self.timeout!r}")
         try:
             labels = self.labels()
         except ConfigError as exc:
@@ -131,24 +144,30 @@ class SweepSpec:
         return [label for label, _cfg in self.variants()]
 
     def make_workload(self) -> Workload:
-        cls = _workload_classes()[self.workload]
+        cls = _SUITE[self.workload]
         return cls(num_threads=self.threads, units_per_thread=self.units,
                    seed=self.seed)
 
     def workload_factory(self) -> Callable[[], Workload]:
         return self.make_workload
 
-    def cache_keys(self) -> Dict[str, str]:
-        """label -> content-address, exactly as the CLI sweep computes it.
+    def cells(self) -> List[Cell]:
+        """The grid as cells, in variant order: what the service runs.
 
-        The key binds the code version, config, workload fingerprint,
-        seed, label, cycle limit and verify mode — so a stored run
-        written by either path satisfies the other.
+        One workload instance backs every cell; running never changes it.
         """
-        fingerprint = workload_fingerprint(self.make_workload())
-        return {label: cell_key(cfg, fingerprint, self.seed, label,
-                                self.cycle_limit, verify=self.verify)
-                for label, cfg in self.variants()}
+        workload = self.make_workload()
+        return [Cell(label, cfg, workload, seed=self.seed,
+                     cycle_limit=self.cycle_limit, verify=self.verify)
+                for label, cfg in self.variants()]
+
+    def cache_keys(self) -> Dict[str, str]:
+        """label -> :attr:`Cell.key` of each of :meth:`cells`.
+
+        It is the key the CLI sweep stores the same cell under, so a
+        stored run written by either path satisfies the other.
+        """
+        return {cell.label: cell.key for cell in self.cells()}
 
     # -- serialization -----------------------------------------------------
 
@@ -183,51 +202,7 @@ class SweepSpec:
                 raise SpecError(
                     f"'sizes' must be an array of integers, got {sizes!r}")
             kwargs["sizes"] = tuple(sizes)
-        if not isinstance(kwargs.get("verify", False), bool):
-            raise SpecError(
-                f"'verify' must be a boolean, got {kwargs['verify']!r}")
         try:
-            for key in ("threads", "units", "seed", "bits", "granularity",
-                        "cycle_limit", "retries"):
-                if key in kwargs:
-                    kwargs[key] = int(kwargs[key])
-            if kwargs.get("timeout") is not None:
-                kwargs["timeout"] = float(kwargs["timeout"])
             return SweepSpec(**kwargs)
         except (TypeError, ValueError) as exc:
             raise SpecError(f"malformed sweep spec: {exc}")
-
-
-@dataclass(frozen=True)
-class CellTask:
-    """One cell of one job, as dispatched to a fleet worker.
-
-    Everything a worker needs travels in the task: the spec (to rebuild
-    config + workload deterministically) and the label selecting the
-    cell. ``cache_key`` rides along so the worker's *parent* can store
-    the result without recomputing it.
-    """
-
-    job_id: str
-    label: str
-    spec: SweepSpec
-    cache_key: str
-
-    def run(self):
-        """Execute this cell in a fleet worker; returns the :class:`RunResult`.
-
-        Builds the :class:`~repro.harness.sweep.RunTask` for its label
-        and runs it with :func:`~repro.harness.sweep.run_cell`, exactly
-        as ``run_sweep`` runs the same cell.
-        """
-        for label, cfg in self.spec.variants():
-            if label == self.label:
-                break
-        else:
-            raise SpecError(f"label {self.label!r} not in spec grid")
-        spec = self.spec
-        return run_cell(RunTask(key=label, label=label, cfg=cfg,
-                                make_workload=spec.make_workload,
-                                seed=spec.seed,
-                                cycle_limit=spec.cycle_limit,
-                                verify=spec.verify))

@@ -4,8 +4,9 @@ All experiments run at ``QUICK`` scale with the default seed and
 ``jobs=1``. The committed ``paper_digests.json`` holds:
 
 * ``cells``: the result digest of every simulation cell, by experiment
-  and cell key, captured where every cell runs
-  (:func:`repro.harness.sweep.run_cell`);
+  and cell name, captured where every cell runs
+  (:meth:`repro.harness.sweep.Cell.run`) under the name its batch
+  (:func:`repro.harness.sweep.execute_tasks`) gives it;
 * ``rows``: one digest of each experiment's ``--json`` rows, which also
   covers the experiments that run no cell (``table1``, ``table4``,
   ``ext-classic``, ``ext-hashed``).
@@ -35,17 +36,24 @@ def run_quick_paper():
     """Run ``repro --json paper --scale quick --jobs 1``.
 
     Returns the exit status, the printed payload, every experiment's cell
-    keys in run order, and the digests in the layout of :data:`TABLE`.
+    names in run order, and the digests in the layout of :data:`TABLE`.
     """
     current = []
     keys = {}
     cells = {}
-    run_cell = sweep.run_cell
+    names = {}  # id(cell) -> its name in the running batch
+    run, execute = sweep.Cell.run, sweep.execute_tasks
 
-    def recording_run_cell(task):
-        result = run_cell(task)
-        keys.setdefault(current[-1], []).append(task.key)
-        cells.setdefault(current[-1], {})[task.key] = result_digest(
+    def naming_execute(named_cells, *args, **kwargs):
+        named_cells = list(named_cells)
+        names.update((id(cell), name) for name, cell in named_cells)
+        return execute(named_cells, *args, **kwargs)
+
+    def recording_run(cell):
+        result = run(cell)
+        name = names[id(cell)]
+        keys.setdefault(current[-1], []).append(name)
+        cells.setdefault(current[-1], {})[name] = result_digest(
             result.to_dict())
         return result
 
@@ -58,7 +66,9 @@ def run_quick_paper():
     experiments = {name: (named(name, run), render, check)
                    for name, (run, render, check) in E.EXPERIMENTS.items()}
     out = io.StringIO()
-    with mock.patch.object(sweep, "run_cell", recording_run_cell), \
+    with mock.patch.object(sweep.Cell, "run", recording_run), \
+            mock.patch.object(sweep, "execute_tasks", naming_execute), \
+            mock.patch.object(E, "execute_tasks", naming_execute), \
             mock.patch.dict(E.EXPERIMENTS, experiments), \
             redirect_stdout(out):
         status = main(["--json", "paper", "--scale", "quick", "--jobs", "1"])

@@ -1,6 +1,7 @@
 """Tests for the sweep engine (serial and parallel) and its result store."""
 
 import json
+import multiprocessing
 import os
 import sqlite3
 import time
@@ -9,13 +10,14 @@ import pytest
 
 from repro import workloads
 from repro.common.config import SignatureKind, SystemConfig
+from repro.harness import fleet as fleet_mod
 from repro.harness import sweep as sweep_mod
 from repro.harness.runner import run_workload
-from repro.harness.sweep import (RunTask, SweepExecutionError, SweepResult,
-                                 cell_key, code_version, execute_tasks,
-                                 run_sweep, workload_fingerprint)
+from repro.harness.sweep import (Cell, SweepExecutionError, SweepResult,
+                                 code_version, execute_tasks, run_sweep,
+                                 workload_fingerprint)
 from repro.svc.repository import RunRepository
-from repro.svc.spec import CellTask, SweepSpec
+from repro.svc.spec import SweepSpec
 from repro.workloads import BigFootprint, SharedCounter, Workload
 
 #: Every workload the package exports.
@@ -65,6 +67,16 @@ class TestDeterminism:
         with pytest.raises(ValueError):
             run_sweep(variants(), factory, jobs=2, baseline_label="nope")
 
+    def test_spawned_workers_equal_serial(self, monkeypatch):
+        # Cells are sent to workers as values, so a fleet that spawns its
+        # workers (inheriting nothing) gives the inline results.
+        serial = run_sweep(variants(), factory)
+        monkeypatch.setattr(fleet_mod, "_mp_context",
+                            lambda: multiprocessing.get_context("spawn"))
+        spawned = run_sweep(variants(), factory, jobs=2)
+        assert spawned == serial
+        assert spawned.to_dict()["results"] == serial.to_dict()["results"]
+
 
 class TestResultCache:
     """Sweeps against the result store (a :class:`RunRepository`)."""
@@ -101,16 +113,21 @@ class TestResultCache:
         assert per["a"]["cached"] and not per["b"]["cached"]
 
     def test_key_sensitivity(self):
-        fp = workload_fingerprint(factory())
-        base = cell_key(small(), fp, seed=1, label="x")
-        assert base == cell_key(small(), fp, seed=1, label="x")
-        assert base != cell_key(small(), fp, seed=2, label="x")
-        assert base != cell_key(small(), fp, seed=1, label="y")
+        def key(cfg=None, workload=None, seed=1, label="x"):
+            return Cell(label, cfg or small(), workload or factory(),
+                        seed=seed).key
+
+        base = key()
+        assert base == key()
+        assert base != key(seed=2)
+        assert base != key(label="y")
         other_cfg = small().with_signature(SignatureKind.BIT_SELECT, bits=64)
-        assert base != cell_key(other_cfg, fp, seed=1, label="x")
-        other_wl = workload_fingerprint(
-            SharedCounter(num_threads=2, units_per_thread=4))
-        assert base != cell_key(small(), other_wl, seed=1, label="x")
+        assert base != key(cfg=other_cfg)
+        other_wl = SharedCounter(num_threads=2, units_per_thread=4)
+        assert base != key(workload=other_wl)
+        # The trace directory is where artifacts land, not part of the run.
+        traced = Cell("x", small(), factory(), seed=1, trace_dir="out")
+        assert traced.key == base
 
     def test_constructor_arguments_reach_the_key(self, tmp_path):
         # blocks_per_sweep is not in describe(): before the fingerprint
@@ -138,6 +155,15 @@ class TestResultCache:
             return cls(num_threads=4, units_per_thread=2)
 
         assert workload_fingerprint(make()) == workload_fingerprint(make())
+        # Workloads are values: running one changes neither its result
+        # on a second run nor its fingerprint, so a cell may hold (and
+        # several cells may share) one instance.
+        workload = make()
+        before = workload_fingerprint(workload)
+        cfg = SystemConfig.small()
+        first = run_workload(cfg, workload).to_dict()
+        assert run_workload(cfg, workload).to_dict() == first
+        assert workload_fingerprint(workload) == before
 
     def test_code_version_stable_and_short(self):
         assert code_version() == code_version()
@@ -215,7 +241,7 @@ class TestFailureHandling:
 
 
 class TestOneEngine:
-    """Every path validates first and runs its cells through ``run_cell``,
+    """Every path validates first and runs its cells through ``Cell.run``,
     which calls this module's ``run_workload``."""
 
     def _count(self, monkeypatch):
@@ -237,44 +263,41 @@ class TestOneEngine:
             run_sweep([("x", small()), ("x", small())], factory, jobs=1)
         assert calls == []
 
-    def test_sweep_and_cell_task_run_each_cell_once(self, monkeypatch):
+    def test_sweep_and_spec_cells_run_each_cell_once(self, monkeypatch):
         calls = self._count(monkeypatch)
         run_sweep(variants(), factory, jobs=1)
         assert calls == ["a", "b"]
         spec = SweepSpec(workload="Mp3d", mode="sizes", sizes=(64, 256),
                          threads=2, units=1)
         calls.clear()
-        keys = spec.cache_keys()
-        for label in spec.labels():
-            CellTask(job_id="j1", label=label, spec=spec,
-                     cache_key=keys[label]).run()
+        for cell in spec.cells():
+            cell.run()
         assert calls == spec.labels()
 
 
 class TestExecuteTasks:
-    def _tasks(self):
-        return [RunTask(key=label, label=label, cfg=cfg,
-                        make_workload=factory)
+    def _cells(self):
+        return [(label, Cell(label, cfg, factory()))
                 for label, cfg in variants()]
 
     def test_order_preserved(self):
-        outcomes = execute_tasks(self._tasks(), jobs=2)
+        outcomes = execute_tasks(self._cells(), jobs=2)
         assert list(outcomes) == ["a", "b"]
         assert all(o.attempts == 1 and not o.cached
                    for o in outcomes.values())
         assert all(o.wall_time > 0 for o in outcomes.values())
 
     def test_duplicate_keys_rejected(self):
-        tasks = self._tasks()
-        tasks[1].key = tasks[0].key
+        cells = self._cells()
+        cells[1] = (cells[0][0], cells[1][1])
         with pytest.raises(ValueError):
-            execute_tasks(tasks)
+            execute_tasks(cells)
 
     def test_invalid_knobs_rejected(self):
         with pytest.raises(ValueError):
-            execute_tasks(self._tasks(), jobs=-1)
+            execute_tasks(self._cells(), jobs=-1)
         with pytest.raises(ValueError):
-            execute_tasks(self._tasks(), retries=-1)
+            execute_tasks(self._cells(), retries=-1)
 
 
 class TestJsonRoundTrip:
@@ -300,11 +323,10 @@ class TestCacheEviction:
     """The store's LRU ``prune``."""
 
     def _fill(self, store, n):
-        fp = workload_fingerprint(factory())
         result = run_workload(small(), factory(), config_label="a")
         keys = []
         for i in range(n):
-            key = cell_key(small(), fp, seed=i, label="a")
+            key = Cell("a", small(), factory(), seed=i).key
             store.store_run(key, result)
             keys.append(key)
         return keys

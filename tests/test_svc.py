@@ -11,6 +11,7 @@ import json
 import multiprocessing
 import os
 import sqlite3
+import subprocess
 import sys
 import threading
 import time
@@ -18,10 +19,20 @@ import time
 import pytest
 
 from repro.harness.runner import run_workload
-from repro.harness.sweep import cell_key, run_sweep, workload_fingerprint
+from repro.harness.sweep import Cell, run_sweep
 from repro.svc import repository as repository_mod
 from repro.svc.repository import RunRepository, StateError, result_digest
-from repro.svc.spec import CellTask, SpecError, SweepSpec
+from repro.svc.spec import SpecError, SweepSpec
+
+
+#: Builds and expands a spec in a fresh interpreter, then checks that
+#: ``repro.harness.experiments`` was never imported.
+_LEAN_SPEC_PROBE = """
+import sys
+from repro.svc.spec import SweepSpec
+SweepSpec(workload="Mp3d").cache_keys()
+assert "repro.harness.experiments" not in sys.modules
+"""
 
 
 def tiny_spec(**overrides):
@@ -80,6 +91,19 @@ class TestSweepSpec:
             SweepSpec(workload="Mp3d", mode="sizes", granularity=3)
         with pytest.raises(SpecError, match="duplicate"):
             SweepSpec(workload="Mp3d", mode="sizes", sizes=(64, 64))
+        # Integer fields take integers only, and the default machine's
+        # 32 contexts bound the thread count.
+        for field in ("threads", "units", "seed", "bits", "granularity",
+                      "cycle_limit", "retries"):
+            for value in (8.7, True, "12"):
+                with pytest.raises(SpecError, match=field):
+                    SweepSpec(workload="Mp3d", **{field: value})
+        with pytest.raises(SpecError, match="32 contexts"):
+            SweepSpec(workload="Mp3d", threads=33)
+        assert SweepSpec(workload="Mp3d", threads=32).threads == 32
+        for timeout in (True, "5"):
+            with pytest.raises(SpecError, match="timeout"):
+                SweepSpec(workload="Mp3d", timeout=timeout)
 
     def test_from_dict_rejects_junk(self):
         with pytest.raises(SpecError):
@@ -103,32 +127,45 @@ class TestSweepSpec:
                      '{"workload": "Mp3d", "timeout": Infinity}'):
             with pytest.raises(SpecError, match="timeout"):
                 SweepSpec.from_dict(json.loads(text))
+        # Integers only as JSON integers: no silent truncation of 8.7,
+        # no true-as-1, no numeric strings; timeouts only as numbers.
+        for junk in ({"threads": 8.7}, {"threads": True}, {"seed": "12"},
+                     {"units": 2.0}, {"retries": False}, {"bits": "2048"},
+                     {"threads": 33}, {"timeout": "5"},
+                     {"timeout": True}):
+            with pytest.raises(SpecError):
+                SweepSpec.from_dict({"workload": "Mp3d", **junk})
+        assert SweepSpec.from_dict(
+            {"workload": "Mp3d", "timeout": 5}).timeout == 5
+
+    def test_spec_validates_against_the_suite_alone(self):
+        src = os.path.join(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__))), "src")
+        proc = subprocess.run([sys.executable, "-c", _LEAN_SPEC_PROBE],
+                              env=dict(os.environ, PYTHONPATH=src),
+                              capture_output=True, text=True, check=False)
+        assert proc.returncode == 0, proc.stderr
 
     def test_cache_keys_match_cli_path(self):
         """The service content-address IS the CLI cache's address."""
         spec = tiny_spec()
-        fingerprint = workload_fingerprint(spec.make_workload())
         for label, cfg in spec.variants():
-            expected = cell_key(cfg, fingerprint, spec.seed, label,
-                                spec.cycle_limit, verify=spec.verify)
+            # The cell run_sweep builds for this variant.
+            expected = Cell(label, cfg, spec.make_workload(), seed=spec.seed,
+                            cycle_limit=spec.cycle_limit,
+                            verify=spec.verify).key
             assert spec.cache_keys()[label] == expected
 
-    def test_cell_task_runs_the_exact_cell(self):
+    def test_spec_cell_runs_the_exact_cell(self):
         spec = tiny_spec()
         [(label, cfg)] = spec.variants()
-        task = CellTask(job_id="j1", label=label, spec=spec,
-                        cache_key=spec.cache_keys()[label])
+        [cell] = spec.cells()
+        assert cell.label == label and cell.key == spec.cache_keys()[label]
         direct = run_workload(cfg, spec.make_workload(), seed=spec.seed,
                               config_label=label)
-        via_task = task.run()
-        assert result_digest(via_task.to_dict()) == \
+        via_cell = cell.run()
+        assert result_digest(via_cell.to_dict()) == \
             result_digest(direct.to_dict())
-
-    def test_cell_task_unknown_label(self):
-        spec = tiny_spec()
-        with pytest.raises(SpecError):
-            CellTask(job_id="j1", label="nope", spec=spec,
-                     cache_key="x").run()
 
 
 def queued_jobs(repo, priorities):

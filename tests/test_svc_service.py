@@ -33,7 +33,7 @@ from repro.svc.api import serve
 from repro.svc.client import ClientError, ServiceClient
 from repro.svc.repository import RunRepository, result_digest
 from repro.svc.service import EVENT_COUNTERS, ServiceError, SweepService
-from repro.svc.spec import CellTask, SweepSpec
+from repro.svc.spec import SweepSpec
 
 HAVE_FORK = "fork" in multiprocessing.get_all_start_methods()
 
@@ -57,10 +57,15 @@ def fig4_spec(**overrides):
     return SweepSpec(**fields)
 
 
-def _sleep_then_return(seconds):
-    """A fleet ``run`` that is not ``item.run()``."""
-    time.sleep(seconds)
-    return seconds
+class _Nap:
+    """A fleet item that is not a cell: sleeps, then returns its length."""
+
+    def __init__(self, seconds):
+        self.seconds = seconds
+
+    def run(self):
+        time.sleep(self.seconds)
+        return self.seconds
 
 
 #: Starts a three-worker fleet, hands one worker a 0.3 s item, prints the
@@ -68,9 +73,14 @@ def _sleep_then_return(seconds):
 _ORPHAN_PROBE = """
 import os, signal, time
 from repro.harness.fleet import WorkerFleet
-fleet = WorkerFleet(3, run=time.sleep)
+
+class Nap:
+    def run(self):
+        time.sleep(0.3)
+
+fleet = WorkerFleet(3)
 fleet.start()
-assert fleet.dispatch(0.3) is not None
+assert fleet.dispatch(Nap()) is not None
 print(*(w.proc.pid for w in fleet._workers.values()), flush=True)
 os.kill(os.getpid(), signal.SIGKILL)
 """
@@ -365,6 +375,26 @@ class TestShutdownAndRecovery:
         finally:
             second.shutdown(drain=False)
 
+    def test_late_result_is_stored_under_the_running_jobs_key(self,
+                                                              tmp_path):
+        # A result that reaches shutdown()'s drain instead of the
+        # scheduler belongs to the job the scheduler is still running;
+        # the cell itself carries no job id.
+        svc = SweepService(tmp_path / "svc.db", workers=1)
+        try:
+            job = svc.submit(tiny_spec().to_dict())
+            assert svc.repository.claim_next_job()["id"] == job["id"]
+            [cell] = tiny_spec().cells()
+            result = cell.run()
+            svc._current_job = job["id"]
+            svc._store_late_result(cell.label, result)
+            assert svc.job(job["id"])["cell_counts"] == {"done": 1}
+            [entry] = svc.results(job["id"]).values()
+            assert entry["source"] == "executed"
+            assert entry["digest"] == result_digest(result.to_dict())
+        finally:
+            svc.repository.close()
+
     def test_clean_shutdown_checkpoints_and_removes_the_log(self,
                                                              tmp_path):
         """Closing the last connection folds the WAL into the database."""
@@ -590,16 +620,16 @@ class TestWorkerFleet:
         fleet = WorkerFleet(1)
         fleet.start()
         try:
-            task = CellTask(job_id="j1", label=label, spec=spec,
-                            cache_key=spec.cache_keys()[label])
-            assert fleet.dispatch(task) is not None
-            assert fleet.dispatch(task) is None  # saturated
+            [cell] = spec.cells()
+            assert fleet.dispatch(cell) is not None
+            assert fleet.dispatch(cell) is None  # saturated
             deadline = time.monotonic() + 60
             messages = []
             while not messages and time.monotonic() < deadline:
                 messages = fleet.poll(wait=0.1)
             [message] = messages
             assert message.kind == "done"
+            assert message.item is cell  # the parent's own object
             assert message.item.label == label
             assert message.result.cycles > 0
             assert message.wall_time > 0
@@ -607,18 +637,19 @@ class TestWorkerFleet:
             fleet.stop()
 
     def test_custom_run_and_terminate(self):
-        fleet = WorkerFleet(2, run=_sleep_then_return)
+        fleet = WorkerFleet(2)
         fleet.start()
         try:
-            assert fleet.dispatch(30.0) is not None
-            assert fleet.dispatch(0.0) is not None
-            assert fleet.terminate([30.0]) == [30.0]
+            long_nap, short_nap = _Nap(30.0), _Nap(0.0)
+            assert fleet.dispatch(long_nap) is not None
+            assert fleet.dispatch(short_nap) is not None
+            assert fleet.terminate([long_nap]) == [long_nap]
             deadline = time.monotonic() + 30
             done = []
             while not done and time.monotonic() < deadline:
                 done = [m for m in fleet.poll(wait=0.1) if m.kind == "done"]
             [message] = done
-            assert message.item == 0.0 and message.result == 0.0
+            assert message.item is short_nap and message.result == 0.0
             assert fleet.alive_count() == 2  # the killed worker replaced
         finally:
             fleet.stop()
@@ -636,9 +667,8 @@ class TestWorkerFleet:
         fleet = WorkerFleet(1)
         fleet.start()
         try:
-            task = CellTask(job_id="j1", label=label, spec=spec,
-                            cache_key="k")
-            assert fleet.dispatch(task) is not None
+            [cell] = spec.cells()
+            assert fleet.dispatch(cell) is not None
             victim = next(iter(fleet._workers.values()))
             victim.proc.terminate()
             deadline = time.monotonic() + 30
@@ -753,6 +783,13 @@ class TestHTTPApi:
             endpoint.submit({"workload": "Mp3d", "bits": 100})
         assert info.value.status == 400
         assert "power of two" in str(info.value)
+        # Malformed fields, and a grid the default machine cannot run,
+        # are 400s at submission rather than failed cells afterwards.
+        for junk in ({"threads": 8.7}, {"threads": True}, {"seed": "12"},
+                     {"threads": 33}, {"timeout": "5"}):
+            with pytest.raises(ClientError) as info:
+                endpoint.submit({"workload": "Mp3d", **junk})
+            assert info.value.status == 400, junk
         assert endpoint.healthz()["status"] == "ok"
         job = endpoint.submit(tiny_spec().to_dict())
         endpoint.wait(job["id"], timeout=120)
