@@ -49,7 +49,6 @@ import traceback
 from typing import List, Optional
 
 from repro.common.config import SignatureKind, SyncMode, SystemConfig
-from repro.harness import experiments as E
 from repro.harness.runner import run_workload
 from repro.harness.sweep import SweepExecutionError, run_sweep
 from repro.svc.spec import SWEEP_MODES, SpecError, SweepSpec
@@ -94,6 +93,8 @@ def _emit_json(payload) -> int:
 def _cmd_paper(args) -> int:
     """Run, print and check the paper's experiments; exit 1 if any failed
     a claim or raised, after running all of them."""
+    from repro.harness import experiments as E
+
     scale = E.QUICK if args.scale == "quick" else E.FULL
     payload = {}
     failed = False
@@ -135,12 +136,29 @@ def _cmd_paper(args) -> int:
 def _workloads():
     """Workloads ``run`` and ``trace`` accept: the Table 2 benchmarks plus
     the microbenchmarks (small enough to make readable traces)."""
-    from repro.workloads import (BigFootprint, NestedUpdate, RepeatStores,
-                                 SharedCounter)
-    catalog = dict(E.WORKLOAD_CLASSES)
-    for cls in (SharedCounter, NestedUpdate, BigFootprint, RepeatStores):
-        catalog[cls.name] = cls
-    return catalog
+    from repro.workloads import (PAPER_SUITE, BigFootprint, NestedUpdate,
+                                 RepeatStores, SharedCounter)
+    return {cls.name: cls for cls in (*PAPER_SUITE, SharedCounter,
+                                      NestedUpdate, BigFootprint,
+                                      RepeatStores)}
+
+
+class _ExperimentNames:
+    """The ``paper --only`` choices, read from the experiment registry on
+    first use: argparse tests a value against them and prints them in
+    ``--help``, but building the parser (given a ``metavar``) never
+    iterates them, so other commands do not import the paper module."""
+
+    @staticmethod
+    def _names():
+        from repro.harness.experiments import EXPERIMENTS
+        return EXPERIMENTS
+
+    def __contains__(self, name: object) -> bool:
+        return name in self._names()
+
+    def __iter__(self):
+        return iter(self._names())
 
 
 def _cmd_run(args) -> int:
@@ -763,9 +781,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="run, print and check the paper's tables, figures, ablations "
              "and extensions")
     p.add_argument("--only", nargs="+", metavar="NAME",
-                   choices=list(E.EXPERIMENTS),
+                   choices=_ExperimentNames(),
                    help="experiments to run, in the order given (default: "
-                        "all, in paper order): " + ", ".join(E.EXPERIMENTS))
+                        "all, in paper order): %(choices)s")
     p.add_argument("--scale", choices=["quick", "full"], default="quick",
                    help="experiment size; shape claims are checked only at "
                         "full (default: quick)")

@@ -9,7 +9,7 @@ outcomes; cores own their L1 arrays and signatures.
 from __future__ import annotations
 
 import abc
-from typing import Dict, Iterable, List, Optional
+from typing import Collection, Dict, Iterable, List, Optional
 
 from repro.cache.block import MESI
 from repro.coherence.msgs import (Blocker, CoherenceResult, ConflictPort,
@@ -37,7 +37,7 @@ class CoherenceFabric(abc.ABC):
                requester_thread: int, block_addr: int, is_write: bool,
                asid: int, requester_ts: Optional[Timestamp],
                owner: Optional[int] = None,
-               sticky_cores: Iterable[int] = (),
+               sticky_cores: Collection[int] = (),
                broadcast: bool = False) -> List[Blocker]:
         """Forward the request to each target core.
 
@@ -60,11 +60,12 @@ class CoherenceFabric(abc.ABC):
         on their ``_c_fwd`` counter. Snooping keeps its own broadcast loop:
         it counts one snoop per request, not one forward per core.
         """
-        sticky_set = set(sticky_cores)
         blockers: List[Blocker] = []
         ports = self._ports
         c_fwd = self._c_fwd
-        for core_id in sorted(set(cores)):
+        # Every caller passes a set, a range or a list of distinct ids, so
+        # no copy is needed to sort ``cores`` or to test ``sticky_cores``.
+        for core_id in sorted(cores):
             if core_id == requester_core:
                 # Same-core (SMT sibling) conflicts are detected at access
                 # time by the core itself, before the miss is issued.
@@ -73,14 +74,12 @@ class CoherenceFabric(abc.ABC):
             if port is None:
                 continue
             c_fwd.value += 1
-            found = port.check_conflicts(
-                block_addr, is_write, exclude_thread=requester_thread,
-                asid=asid, requester_ts=requester_ts)
+            found = port.check_conflicts(block_addr, is_write,
+                                         requester_thread, asid,
+                                         requester_ts)
             if found:
-                via = ("broadcast" if broadcast
-                       else "sticky" if core_id in sticky_set
-                       else "targeted")
-                if via != "targeted":
+                if broadcast or core_id in sticky_cores:
+                    via = "broadcast" if broadcast else "sticky"
                     found = [Blocker(b.core_id, b.thread_id,
                                      b.timestamp, b.false_positive, via)
                              for b in found]

@@ -70,6 +70,15 @@ class Blocker:
                 f"false_positive={self.false_positive}, via={self.via!r})")
 
 
+def all_false_positive(blockers: List[Blocker]) -> bool:
+    """Whether a NACK by ``blockers`` was all signature aliasing: there are
+    blockers and none of their signatures really holds the block."""
+    for blocker in blockers:
+        if not blocker.false_positive:
+            return False
+    return bool(blockers)
+
+
 class CoherenceResult:
     """Outcome of one coherence request attempt.
 
@@ -93,8 +102,7 @@ class CoherenceResult:
     @property
     def all_false_positive(self) -> bool:
         """The whole NACK was due to signature aliasing (no real conflict)."""
-        return bool(self.blockers) and all(
-            b.false_positive for b in self.blockers)
+        return all_false_positive(self.blockers)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, CoherenceResult):
@@ -119,7 +127,8 @@ class ConflictPort:
     runs real cores over a tags-only L1.
 
     ``l1`` needs ``peek`` and ``invalidate``; each of ``slots`` holds a
-    ``thread`` (or None) with ``tid``, ``asid`` and ``ctx``.
+    ``thread`` (or None) with ``tid``, ``page_table`` (for its ASID) and
+    ``ctx``.
     """
 
     def __init__(self, core_id: int, l1, slots: list,
@@ -145,6 +154,7 @@ class ConflictPort:
             # on coherence requests: execution is never NACKed.
             return []
         blockers: List[Blocker] = []
+        use_asid_filter = self._use_asid_filter
         for slot in self.slots:
             thread = slot.thread
             if thread is None or thread.tid == exclude_thread:
@@ -152,12 +162,15 @@ class ConflictPort:
             # ASID filter: signatures never NACK another address space
             # (prevents cross-process interference, Section 2). The
             # ablation knob re-creates the interference for measurement.
-            if self._use_asid_filter and thread.asid != asid:
+            # (The page table holds the ASID; ``thread.asid`` is a property
+            # over it, and this runs once per context per forwarded check.)
+            if use_asid_filter and thread.page_table.asid != asid:
                 continue
             ctx = thread.ctx
-            if ctx.signature.conflicts(is_write, block_addr):
-                fp = ctx.signature.conflict_is_false_positive(
-                    is_write, block_addr)
+            signature = ctx.signature
+            if signature.conflicts(is_write, block_addr):
+                fp = signature.conflict_is_false_positive(is_write,
+                                                          block_addr)
                 ctx.note_nacked_older(requester_ts)
                 blockers.append(Blocker(self.core_id, thread.tid,
                                         ctx.timestamp, fp))

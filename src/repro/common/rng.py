@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import hashlib
 import random
-from typing import Iterable, List, Sequence, TypeVar
+from bisect import bisect_right
+from functools import lru_cache
+from typing import Iterable, List, Sequence, Tuple, TypeVar
 
 T = TypeVar("T")
 
@@ -68,17 +70,18 @@ def zipf_rank(rng: random.Random, n: int, skew: float = 1.0) -> int:
         raise ValueError(f"n must be >= 1, got {n}")
     if skew < 0:
         raise ValueError(f"skew must be >= 0, got {skew}")
+    bounds = _zipf_bounds(n, skew)
+    # The first rank whose cumulative weight exceeds the draw; the search
+    # stops at n - 1, which also takes a draw that rounds up to the total.
+    return bisect_right(bounds, rng.random() * bounds[-1], 0, n - 1)
+
+
+@lru_cache(maxsize=128, typed=True)
+def _zipf_bounds(n: int, skew: float) -> Tuple[float, ...]:
+    """Cumulative harmonic weights of ranks 1..n (built once per pair)."""
     total = 0.0
     bounds = []
     for rank in range(1, n + 1):
         total += 1.0 / (rank ** skew)
         bounds.append(total)
-    x = rng.random() * total
-    lo, hi = 0, n - 1
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if x < bounds[mid]:
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
+    return tuple(bounds)

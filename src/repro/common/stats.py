@@ -34,6 +34,26 @@ class Counter:
         return f"Counter({self.name}={self.value})"
 
 
+class LazyCounters(dict):
+    """Counters named ``prefix + key``, each registered on its first use.
+
+    Registering a counter is an output: it is an entry, zero or not, in
+    the run's counters and so in its digest. A component whose counter
+    may never fire indexes one of these on each use instead of
+    registering the counter up front; after the first use the index is a
+    plain dict hit. Built by :meth:`StatsRegistry.lazy_counters`.
+    """
+
+    def __init__(self, stats: "StatsRegistry", prefix: str) -> None:
+        super().__init__()
+        self._stats = stats
+        self._prefix = prefix
+
+    def __missing__(self, key: str) -> Counter:
+        counter = self[key] = self._stats.counter(self._prefix + key)
+        return counter
+
+
 class Histogram:
     """Tracks a distribution of integer samples (read-set sizes, latencies)."""
 
@@ -151,6 +171,10 @@ class StatsRegistry:
         if name not in self._counters:
             self._counters[name] = Counter(name)
         return self._counters[name]
+
+    def lazy_counters(self, prefix: str) -> LazyCounters:
+        """Counters under ``prefix``, each registered on its first use."""
+        return LazyCounters(self, prefix)
 
     def histogram(self, name: str) -> Histogram:
         if name not in self._histograms:

@@ -64,11 +64,12 @@ class TimestampPolicy(ContentionPolicy):
 
     def decide(self, ctx: TxContext, blockers: List[Blocker],
                retries: int) -> Decision:
-        if ctx.timestamp is not None:
-            nacked_by_older = any(b.older_than(ctx.timestamp)
-                                  for b in blockers)
-            if nacked_by_older and ctx.possible_cycle:
-                return Decision.ABORT_SELF
+        # Abort on a possible cycle: this transaction NACKed an older one
+        # (``possible_cycle``) and is now NACKed by an older one.
+        if ctx.possible_cycle and ctx.timestamp is not None:
+            for blocker in blockers:
+                if blocker.older_than(ctx.timestamp):
+                    return Decision.ABORT_SELF
         if self._over_budget(retries):
             return Decision.ABORT_SELF
         return Decision.STALL

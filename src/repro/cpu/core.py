@@ -29,7 +29,7 @@ from typing import Callable, List, Optional
 from repro.cache.array import CacheArray
 from repro.cache.block import MESI
 from repro.coherence.fabric import CoherenceFabric
-from repro.coherence.msgs import Blocker, ConflictPort
+from repro.coherence.msgs import Blocker, ConflictPort, all_false_positive
 from repro.common.config import SystemConfig
 from repro.common.errors import (AbortTransaction, PreemptedAccess,
                                  SimulationError)
@@ -84,6 +84,9 @@ class Core(ConflictPort):
         self._c_log_appends = stats.counter("tm.log_appends")
         self._c_log_filtered = stats.counter("tm.log_filtered")
         self._c_tlb_misses = stats.counter("mem.tlb_misses")
+        # tm.stall_cycles and tm.starvation_aborts are registered on first
+        # use: a stall-free run's counters must not name them.
+        self._c_tm_lazy = stats.lazy_counters("tm.")
         # Hot-path constants, hoisted out of the per-access loop. All are
         # fixed for the lifetime of the system (SystemConfig is immutable).
         self._l1_latency = cfg.l1.latency
@@ -287,56 +290,52 @@ class Core(ConflictPort):
             if sibling_blockers:
                 self._c_sibling.add()
                 source, blockers = "sibling", sibling_blockers
-                fp = all(b.false_positive for b in blockers)
-                self._note_conflict(ctx, fp=fp, source=source, block=block,
-                                    blockers=blockers)
-                yield from self._resolve_or_stall(ctx, blockers,
-                                                  retries=_attempt)
-                continue
+            else:
+                # (3) L1 lookup. The permission test spells out
+                # MESI.can_write / MESI.can_read: enum properties cost a
+                # descriptor call per access, identity tests do not.
+                resident = lookup(block)
+                if resident is not None and (
+                        (resident.state is MESI.MODIFIED
+                         or resident.state is MESI.EXCLUSIVE) if is_write
+                        else resident.state is not MESI.INVALID):
+                    # Insert into the signature *before* modeling the L1
+                    # access latency: the insert is part of issuing the
+                    # access, so a conflicting request arriving during the
+                    # latency window is NACKed. (Deferring it opened a
+                    # window where two same-cycle accesses — SMT siblings,
+                    # or a remote grant in flight — both passed their
+                    # signature checks and then both proceeded, breaking
+                    # isolation on the block.)
+                    if transactional:
+                        if is_write:
+                            ctx.signature.insert_write(block)
+                        else:
+                            ctx.signature.insert_read(block)
+                    yield self._l1_latency
+                    if is_write and resident.state is MESI.EXCLUSIVE:
+                        resident.state = MESI.MODIFIED  # silent E->M upgrade
+                    break
 
-            # (3) L1 lookup. The permission test spells out MESI.can_write /
-            # MESI.can_read: enum properties cost a descriptor call per
-            # access, identity tests do not.
-            resident = lookup(block)
-            if resident is not None and (
-                    (resident.state is MESI.MODIFIED
-                     or resident.state is MESI.EXCLUSIVE) if is_write
-                    else resident.state is not MESI.INVALID):
-                # Insert into the signature *before* modeling the L1 access
-                # latency: the insert is part of issuing the access, so a
-                # conflicting request arriving during the latency window is
-                # NACKed. (Deferring it opened a window where two
-                # same-cycle accesses — SMT siblings, or a remote grant in
-                # flight — both passed their signature checks and then both
-                # proceeded, breaking isolation on the block.)
-                if transactional:
-                    if is_write:
-                        ctx.signature.insert_write(block)
-                    else:
-                        ctx.signature.insert_read(block)
-                yield self._l1_latency
-                if is_write and resident.state is MESI.EXCLUSIVE:
-                    resident.state = MESI.MODIFIED  # silent E->M upgrade
-                break
+                # (4) Coherence request.
+                result = yield from self.fabric.request(
+                    self.core_id, thread.tid, requester_ts, block,
+                    is_write, asid)
+                if result.granted:
+                    self._install(block, result.grant_state, is_write)
+                    # Do not proceed directly: an SMT sibling may have
+                    # touched the block while our request was in flight
+                    # (its access was a local L1 hit our pre-issue sibling
+                    # check predates). Looping re-runs the summary/sibling
+                    # checks against the now-resident copy before the
+                    # access commits.
+                    continue
+                source, blockers = "coherence", result.blockers
 
-            # (4) Coherence request.
-            result = yield from self.fabric.request(
-                self.core_id, thread.tid, requester_ts, block,
-                is_write, asid)
-            if result.granted:
-                self._install(block, result.grant_state, is_write)
-                # Do not proceed directly: an SMT sibling may have touched
-                # the block while our request was in flight (its access was
-                # a local L1 hit our pre-issue sibling check predates).
-                # Looping re-runs the summary/sibling checks against the
-                # now-resident copy before the access commits.
-                continue
-            source, blockers = "coherence", result.blockers
-            fp = result.all_false_positive
-            self._note_conflict(ctx, fp=fp, source=source, block=block,
-                                blockers=blockers)
-            yield from self._resolve_or_stall(ctx, blockers,
-                                              retries=_attempt)
+            # A NACK, from an SMT sibling or through the fabric.
+            fp = all_false_positive(blockers)
+            self._note_conflict(ctx, fp, source, block, blockers)
+            yield self._resolve_or_stall(ctx, blockers, _attempt, fp)
         else:
             raise SimulationError(self._livelock_message(
                 thread.tid, vaddr, block, source, blockers, fp))
@@ -429,15 +428,19 @@ class Core(ConflictPort):
             self.fabric.l1_evicted(self.core_id, victim.addr,
                                    victim.state, transactional)
 
-    def _resolve_or_stall(self, ctx, blockers: List[Blocker],
-                          retries: int = 0):
+    def _resolve_or_stall(self, ctx, blockers: List[Blocker], retries: int,
+                          fp: bool) -> int:
         """Trap to the contention manager: stall, abort self, or doom the
         blockers (Section 2's contention-manager hook; the default policy
         is LogTM's timestamp scheme with a starvation-relief retry budget).
+
+        ``fp`` says whether the whole NACK was signature aliasing. Returns
+        the backoff delay, which the caller yields; the delay is drawn
+        only after the decision and the counters, because the model
+        checker ends a stall by raising from ``stall_delay()``.
         """
         if ctx.transactional:
-            self._c_stalls.add()
-            fp = bool(blockers) and all(b.false_positive for b in blockers)
+            self._c_stalls.value += 1
             via = dominant_via(b.via for b in blockers)
             if self.stats.recorder is not None:
                 self.stats.emit("tm.stall", thread=ctx.thread_id,
@@ -446,7 +449,7 @@ class Core(ConflictPort):
             if decision is Decision.ABORT_SELF:
                 limit = self.cfg.tm.max_retries_before_abort
                 if limit and retries >= limit:
-                    self.stats.counter("tm.starvation_aborts").add()
+                    self._c_tm_lazy["starvation_aborts"].value += 1
                 raise AbortTransaction(
                     f"contention manager ({self.policy.name})",
                     cause="conflict", fp=fp, via=via)
@@ -456,10 +459,10 @@ class Core(ConflictPort):
                     port.mark_abort(blocker.thread_id,
                                     fp=blocker.false_positive)
         else:
-            self._c_nontx_stalls.add()
+            self._c_nontx_stalls.value += 1
         delay = self.backoff.stall_delay()
-        self.stats.counter("tm.stall_cycles").add(delay)
-        yield delay
+        self._c_tm_lazy["stall_cycles"].value += delay
+        return delay
 
     def _note_conflict(self, ctx, fp: bool, source: str = "coherence",
                        block: Optional[int] = None,
@@ -471,9 +474,9 @@ class Core(ConflictPort):
         block, and the blocking threads — the raw material for
         :class:`repro.obs.analysis.ConflictGraph`.
         """
-        self._c_conflicts.add()
+        self._c_conflicts.value += 1
         if fp:
-            self._c_conflicts_fp.add()
+            self._c_conflicts_fp.value += 1
         if self.stats.recorder is not None:
             self.stats.emit(
                 "tm.conflict", thread=ctx.thread_id, source=source, fp=fp,

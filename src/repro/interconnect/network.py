@@ -14,7 +14,11 @@ from repro.interconnect.topology import GridTopology
 
 
 class Network:
-    """Charges per-hop link latency for coherence traffic."""
+    """Charges per-hop link latency for coherence traffic.
+
+    The route methods run once per message, several times per coherence
+    request, so each indexes the topology's hop table directly.
+    """
 
     def __init__(self, topology: GridTopology, link_latency: int,
                  stats: StatsRegistry) -> None:
@@ -23,25 +27,23 @@ class Network:
         self._stats = stats
         self._messages = stats.counter("network.messages")
         self._hops = stats.counter("network.hops")
-        #: Per-class counters, cached so the hot path skips the name
-        #: formatting and registry lookup.
-        self._class_counters = {}
+        #: ``network.msg.<class>``: a run's counters name only the
+        #: classes it sent.
+        self._class_counters = stats.lazy_counters("network.msg.")
+        self._cb_hops = topology.core_bank_hops
+        self._cc_hops = topology.core_core_hops
 
     def _charge(self, hops: int, msg_class: str) -> int:
         self._messages.value += 1
         self._hops.value += hops
-        counter = self._class_counters.get(msg_class)
-        if counter is None:
-            counter = self._class_counters[msg_class] = (
-                self._stats.counter(f"network.msg.{msg_class}"))
-        counter.value += 1
+        self._class_counters[msg_class].value += 1
         # Minimum one link traversal even for same-tile transfers (the
         # message still crosses the router/bank interface).
         return (hops if hops > 1 else 1) * self.link_latency
 
     def core_to_bank(self, core_id: int, bank_id: int,
                      msg_class: str = "request") -> int:
-        hops = self.topology.core_to_bank_hops(core_id, bank_id)
+        hops = self._cb_hops[core_id][bank_id]
         # net.msg events are guarded: this is the hottest emission site in
         # the machine, and building the kwargs dict must cost nothing when
         # no bus/recorder is attached.
@@ -52,7 +54,7 @@ class Network:
 
     def bank_to_core(self, bank_id: int, core_id: int,
                      msg_class: str = "response") -> int:
-        hops = self.topology.core_to_bank_hops(core_id, bank_id)
+        hops = self._cb_hops[core_id][bank_id]
         if self._stats.recorder is not None:
             self._stats.emit("net.msg", route="bank_to_core", src=bank_id,
                              dst=core_id, cls=msg_class, hops=hops)
@@ -60,7 +62,7 @@ class Network:
 
     def core_to_core(self, src: int, dst: int,
                      msg_class: str = "forward") -> int:
-        hops = self.topology.core_to_core_hops(src, dst)
+        hops = self._cc_hops[src][dst]
         if self._stats.recorder is not None:
             self._stats.emit("net.msg", route="core_to_core", src=src,
                              dst=dst, cls=msg_class, hops=hops)
@@ -75,12 +77,12 @@ class Network:
         destination; per-message counters record the fan-out.
         """
         worst = 0
-        for core_id in range(self.topology.num_cores):
-            hops = self.topology.core_to_bank_hops(core_id, bank_id)
+        for core_row in self._cb_hops:
+            hops = core_row[bank_id]
             self._messages.add()
             self._hops.add(hops)
             worst = max(worst, hops)
-        self._stats.counter(f"network.msg.{msg_class}").add()
+        self._class_counters[msg_class].value += 1
         if self._stats.recorder is not None:
             self._stats.emit("net.msg", route="broadcast", src=bank_id,
                              dst=-1, cls=msg_class, hops=worst)

@@ -40,12 +40,13 @@ class GridTopology:
         self._bank_pos: Dict[int, Tuple[int, int]] = {
             b: self._tile_coord(b % tiles) for b in range(num_banks)}
         # Hop counts are pure functions of the fixed placement; precompute
-        # them so the per-message cost is two list indexings.
-        self._cb_hops = [
+        # them so the per-message cost is two list indexings
+        # (``core_bank_hops[core][bank]``, ``core_core_hops[a][b]``).
+        self.core_bank_hops = [
             [self.manhattan(self._core_pos[c], self._bank_pos[b])
              for b in range(num_banks)]
             for c in range(num_cores)]
-        self._cc_hops = [
+        self.core_core_hops = [
             [self.manhattan(self._core_pos[a], self._core_pos[b])
              for b in range(num_cores)]
             for a in range(num_cores)]
@@ -62,12 +63,6 @@ class GridTopology:
     @staticmethod
     def manhattan(a: Tuple[int, int], b: Tuple[int, int]) -> int:
         return abs(a[0] - b[0]) + abs(a[1] - b[1])
-
-    def core_to_bank_hops(self, core_id: int, bank_id: int) -> int:
-        return self._cb_hops[core_id][bank_id]
-
-    def core_to_core_hops(self, a: int, b: int) -> int:
-        return self._cc_hops[a][b]
 
     @property
     def diameter(self) -> int:

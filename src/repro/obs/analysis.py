@@ -70,12 +70,13 @@ def dominant_via(vias: Iterable[str]) -> str:
     that mechanism; sticky outranks broadcast (it is the more specific
     decoupling artifact).
     """
-    vias = set(vias)
-    if "sticky" in vias:
-        return "sticky"
-    if "broadcast" in vias:
-        return "broadcast"
-    return "targeted"
+    dominant = "targeted"
+    for via in vias:
+        if via == "sticky":
+            return "sticky"
+        if via == "broadcast":
+            dominant = "broadcast"
+    return dominant
 
 
 # ---------------------------------------------------------------------------

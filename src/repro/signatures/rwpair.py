@@ -59,12 +59,15 @@ class ReadWriteSignature:
     def conflict_is_false_positive(self, is_write: bool,
                                    block_addr: int) -> bool:
         """True when the filter reports a conflict the exact sets refute."""
+        # Exact sets first: a real overlap is never a false positive, and
+        # the filter test is needed only when there is none.
         if is_write:
-            real = (self.read.contains_exact(block_addr)
-                    or self.write.contains_exact(block_addr))
-        else:
-            real = self.write.contains_exact(block_addr)
-        return self.conflicts(is_write, block_addr) and not real
+            if (self.read.contains_exact(block_addr)
+                    or self.write.contains_exact(block_addr)):
+                return False
+        elif self.write.contains_exact(block_addr):
+            return False
+        return self.conflicts(is_write, block_addr)
 
     # -- software accessibility ----------------------------------------------
 

@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -114,8 +116,34 @@ class TestMain:
         assert locks["cycles"] > 0
 
 
+_LEAN_CLI_PROBE = """
+import sys
+from repro.cli import build_parser
+build_parser().parse_args(["jobs"])
+assert "repro.harness.experiments" not in sys.modules, "loaded"
+"""
+
+
 class TestPaperCommand:
     CHEAP = ["table1", "table4", "fig3", "ablation-log-filter"]
+
+    def test_other_commands_do_not_load_the_paper_module(self):
+        """Importing the CLI and parsing a non-paper command leaves the
+        experiment registry unloaded; ``paper`` imports it itself."""
+        src = os.path.join(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__))), "src")
+        proc = subprocess.run([sys.executable, "-c", _LEAN_CLI_PROBE],
+                              env=dict(os.environ, PYTHONPATH=src),
+                              capture_output=True, text=True, check=False)
+        assert proc.returncode == 0, proc.stderr
+
+    def test_help_lists_every_experiment(self, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "2000")  # no wrap inside a name
+        with pytest.raises(SystemExit):
+            main(["paper", "--help"])
+        out = capsys.readouterr().out
+        assert ("(default: all, in paper order): "
+                + ", ".join(E.EXPERIMENTS)) in out
 
     def test_cheap_experiments_pass(self, capsys):
         assert main(["paper", "--only"] + self.CHEAP) == 0

@@ -12,9 +12,11 @@ from repro.core.conflict import BackoffPolicy
 from repro.core.policies import Decision, TimestampPolicy
 from repro.core.txcontext import TxContext
 from repro.cpu import core as core_module
+from repro.harness.runner import run_workload
 from repro.harness.system import System
 from repro.signatures.perfect import PerfectSignature
 from repro.signatures.rwpair import ReadWriteSignature
+from repro.workloads import SharedCounter
 
 
 def make_ctx(tid=0, begin=None):
@@ -45,7 +47,8 @@ def resolve_on_core(setup):
     """``Core._resolve_or_stall`` for one NACK by an older transaction.
 
     ``setup(ctx)`` puts the requester's context in the state under test.
-    Returns the yielded delays and the system's stats.
+    Returns the stall delays (the one the caller yields) and the system's
+    stats.
     """
     system = System(SystemConfig.small(num_cores=1, threads_per_core=1),
                     seed=1)
@@ -53,8 +56,8 @@ def resolve_on_core(setup):
     core = system.cores[0]
     core.policy = _NeverAsked()
     setup(thread.ctx)
-    delays = list(core._resolve_or_stall(thread.ctx, [blocker(ts=(50, 9))],
-                                         retries=10_000))
+    delays = [core._resolve_or_stall(thread.ctx, [blocker(ts=(50, 9))],
+                                     retries=10_000, fp=False)]
     return delays, system.stats
 
 
@@ -102,6 +105,71 @@ class TestResolveNack:
         assert len(delays) == 1 and delays[0] > 0
         assert stats.value("mem.nontx_stalls") == 1
         assert stats.value("tm.stalls") == 0
+
+
+class _RecordingBackoff:
+    """Stall delays 17, 18, ... in draw order, each one recorded."""
+
+    def __init__(self):
+        self.drawn = []
+
+    def stall_delay(self):
+        self.drawn.append(17 + len(self.drawn))
+        return self.drawn[-1]
+
+
+def first_stall(core, thread, vaddr):
+    """Run a store of ``thread`` through ``Core._mem_op`` until it yields
+    its first stall delay; returns that delay. Uncontended, the access
+    path yields only latencies, so no engine is needed."""
+    backoff = core.backoff = _RecordingBackoff()
+    for step in core.store(thread.slot, vaddr, 1):
+        if backoff.drawn:
+            assert backoff.drawn == [step]
+            return step
+    raise AssertionError("the store completed without stalling")
+
+
+class TestStallAccounting:
+    def test_each_nack_stalls_once_and_counts_its_delay(self):
+        """A NACK reaches the contention manager through one path, from
+        the SMT-sibling check and from the directory alike: one
+        ``tm.stalls`` and the drawn delay in ``tm.stall_cycles``. The
+        cycle counter is registered at the first stall, so a stall-free
+        run does not report it."""
+        vaddr = 0x1000_0048
+
+        # SMT sibling: the writer shares the requester's core.
+        system = System(SystemConfig.small(num_cores=1, threads_per_core=2),
+                        seed=1)
+        requester, writer = system.place_threads(2)
+        block = requester.translate(vaddr) & ~(system.cfg.block_bytes - 1)
+        writer.ctx.begin(now=0)
+        writer.ctx.signature.insert_write(block)
+        requester.ctx.begin(now=10)
+        delay = first_stall(system.cores[0], requester, vaddr)
+        assert system.stats.value("tm.sibling_conflicts") == 1
+        assert system.stats.value("tm.stalls") == 1
+        assert system.stats.value("tm.stall_cycles") == delay
+
+        # Directory: the writer owns the block on the other core.
+        system = System(SystemConfig.small(num_cores=2, threads_per_core=1),
+                        seed=1)
+        requester, writer = system.place_threads(2)
+        writer.ctx.begin(now=0)
+        list(system.cores[1].store(writer.slot, vaddr, 5))
+        requester.ctx.begin(now=10)
+        delay = first_stall(system.cores[0], requester, vaddr)
+        assert system.stats.value("coherence.nacks") == 1
+        assert system.stats.value("tm.stalls") == 1
+        assert system.stats.value("tm.stall_cycles") == delay
+
+        result = run_workload(SystemConfig.small(num_cores=1),
+                              SharedCounter(num_threads=1,
+                                            units_per_thread=2),
+                              seed=1)
+        assert result.counters["tm.stalls"] == 0
+        assert "tm.stall_cycles" not in result.counters
 
 
 class TestLivelockDiagnostics:

@@ -17,9 +17,9 @@ class TestGridTopology:
 
     def test_manhattan_distance(self):
         topo = GridTopology(4, 4, num_cores=16, num_banks=16)
-        assert topo.core_to_core_hops(0, 15) == 6
-        assert topo.core_to_core_hops(0, 0) == 0
-        assert topo.core_to_core_hops(0, 1) == 1
+        assert topo.core_core_hops[0][15] == 6
+        assert topo.core_core_hops[0][0] == 0
+        assert topo.core_core_hops[0][1] == 1
 
     def test_diameter(self):
         assert GridTopology(4, 4, 16, 16).diameter == 6
@@ -27,7 +27,7 @@ class TestGridTopology:
 
     def test_banks_share_tiles(self):
         topo = GridTopology(4, 4, num_cores=16, num_banks=16)
-        assert topo.core_to_bank_hops(3, 3) == 0
+        assert topo.core_bank_hops[3][3] == 0
 
     def test_bank_wraparound(self):
         topo = GridTopology(2, 2, num_cores=4, num_banks=8)

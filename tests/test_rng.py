@@ -94,3 +94,29 @@ class TestZipfRank:
             zipf_rank(random.Random(0), 0)
         with pytest.raises(ValueError):
             zipf_rank(random.Random(0), 5, skew=-1)
+
+    @pytest.mark.parametrize("n,skew", [(1, 1.0), (2, 0.5), (10, 1.0),
+                                        (100, 1.2), (137, 0.4),
+                                        (117, 0.1), (50, 0.0), (50, 0)])
+    def test_cached_bounds_draw_like_the_formula(self, n, skew):
+        """The bounds are built once per (n, skew); every draw still
+        equals the inverse transform over freshly summed weights."""
+        def reference(rng):
+            total = 0.0
+            bounds = []
+            for rank in range(1, n + 1):
+                total += 1.0 / (rank ** skew)
+                bounds.append(total)
+            x = rng.random() * total
+            lo, hi = 0, n - 1
+            while lo < hi:
+                mid = (lo + hi) // 2
+                if x < bounds[mid]:
+                    hi = mid
+                else:
+                    lo = mid + 1
+            return lo
+
+        ours, theirs = random.Random(n), random.Random(n)
+        assert ([zipf_rank(ours, n, skew) for _ in range(1000)]
+                == [reference(theirs) for _ in range(1000)])

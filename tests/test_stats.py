@@ -100,6 +100,14 @@ class TestStatsRegistry:
         reg.counter("a").add(1)
         assert reg.snapshot() == {"a": 1, "b": 2}
 
+    def test_lazy_counters_register_on_first_use(self):
+        reg = StatsRegistry()
+        lazy = reg.lazy_counters("tm.")
+        assert reg.snapshot() == {}
+        lazy["stall_cycles"].value += 7
+        assert lazy["stall_cycles"] is reg.counter("tm.stall_cycles")
+        assert reg.snapshot() == {"tm.stall_cycles": 7}
+
     def test_reset_clears_everything(self):
         reg = StatsRegistry()
         reg.counter("a").add(5)
