@@ -135,14 +135,23 @@ def _recv_state_attr(node: ast.AST) -> Optional[str]:
     return None
 
 
+def _bound_attr(node: ast.AST,
+                env: Dict[str, ast.AST]) -> Optional[ast.Attribute]:
+    """Attribute an expression denotes: itself, or the attribute a local
+    is bound to (``c_fwd = self._c_fwd``, ``to_core =
+    self.network.bank_to_core``)."""
+    if isinstance(node, ast.Name):
+        node = env.get(node.id)
+    return node if isinstance(node, ast.Attribute) else None
+
+
 def _counter_attr(node: ast.AST,
                   env: Dict[str, ast.AST]) -> Optional[str]:
     """Counter a receiver denotes: ``self._c_x``, or a local bound to it
     (``c_fwd = self._c_fwd``), named by its attribute ``_c_x``."""
-    if isinstance(node, ast.Name):
-        node = env.get(node.id)
-    if isinstance(node, ast.Attribute) and node.attr.startswith("_c_"):
-        return node.attr
+    attr = _bound_attr(node, env)
+    if attr is not None and attr.attr.startswith("_c_"):
+        return attr.attr
     return None
 
 
@@ -154,6 +163,16 @@ def _counter_bump(stmt: ast.AugAssign,
             and target.attr == "value":
         return _counter_attr(target.value, env)
     return None
+
+
+def _const_strings(node: ast.AST) -> List[str]:
+    """String constants a call argument may be: a literal, or either arm
+    of a conditional expression."""
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return [node.value]
+    if isinstance(node, ast.IfExp):
+        return _const_strings(node.body) + _const_strings(node.orelse)
+    return []
 
 
 def _is_falsy_const(node: ast.AST) -> bool:
@@ -569,7 +588,6 @@ class _Extractor:
                 self._augassign(sub, st)
 
     def _call_effects(self, call: ast.Call, st: _PathState) -> None:
-        func = call.func
         resolved = self.project.resolve_method_call(call, self.cls)
         if resolved is not None:
             stimulus = self._handler_stimulus.get(resolved.name)
@@ -578,7 +596,9 @@ class _Extractor:
             else:
                 self._apply_summary(resolved, st)
             return
-        if not isinstance(func, ast.Attribute):
+        # ``x.route(...)``, or ``route(...)`` through a local bound to it
+        func = _bound_attr(call.func, st.env)
+        if func is None:
             return
         receiver = func.value
         # Counter bump: self._c_x.add(...), directly or through a local
@@ -665,12 +685,13 @@ class _Extractor:
             return cached
         effects: Set[str] = set()
         visited = visited | {fn.name}
-        # Locals bound to a counter (``c_fwd = self._c_fwd``), so that
-        # bumps through them count as the counter's.
-        counters: Dict[str, ast.AST] = {
+        # Locals bound to an attribute (``c_fwd = self._c_fwd``,
+        # ``to_core = self.network.bank_to_core``), so that bumps and
+        # calls through them count as the attribute's.
+        aliases: Dict[str, ast.AST] = {
             target.id: node.value for node in ast.walk(fn.node)
             if isinstance(node, ast.Assign)
-            and _counter_attr(node.value, {}) is not None
+            and isinstance(node.value, ast.Attribute)
             for target in node.targets if isinstance(target, ast.Name)}
         for node in ast.walk(fn.node):
             if isinstance(node, ast.Call):
@@ -684,7 +705,7 @@ class _Extractor:
                         effects |= self._summarize(resolved, visited,
                                                    depth + 1)
                     continue
-                effects |= self._flat_call_effects(node, counters)
+                effects |= self._flat_call_effects(node, aliases)
             elif isinstance(node, ast.Assign):
                 for target in node.targets:
                     effects |= self._flat_target_effects(target,
@@ -695,19 +716,19 @@ class _Extractor:
                     verb = "sub" if isinstance(node.op, ast.Sub) else "add"
                     effects.add(f"{verb}:{node.target.attr}")
                 else:
-                    counter = _counter_bump(node, counters)
+                    counter = _counter_bump(node, aliases)
                     if counter is not None:
                         effects.add(f"ctr:{counter}")
         self._summary_cache[fn.qualname] = effects
         return effects
 
     def _flat_call_effects(self, call: ast.Call,
-                           counters: Dict[str, ast.AST]) -> Set[str]:
-        func = call.func
-        if not isinstance(func, ast.Attribute):
+                           aliases: Dict[str, ast.AST]) -> Set[str]:
+        func = _bound_attr(call.func, aliases)
+        if func is None:
             return set()
         receiver = func.value
-        counter = _counter_attr(receiver, counters)
+        counter = _counter_attr(receiver, aliases)
         if func.attr == "add" and counter is not None:
             return {f"ctr:{counter}"}
         if func.attr in PORT_METHODS:

@@ -53,7 +53,7 @@ PROTOCOL_RULES: Dict[str, str] = {
 #: paths; everything else resolvable is flattened to an effect summary.
 SPLICE_HELPERS = frozenset({
     "_request_locked", "_broadcast_check", "_targeted_check",
-    "_intra_chip", "_inter_chip", "_apply_grant", "_apply_chip_grant",
+    "_intra_chip", "_inter_chip", "_apply_grant",
 })
 
 #: Guard tests that never fork a path (pure observability).

@@ -6,6 +6,11 @@ extensions — a *sticky* set of cores that replaced the block while it was
 (possibly) in a local transaction's signature, and the lost-directory-info /
 check-all flags used after L2 victimization.
 
+The per-core part of an entry (:class:`CoreEntry`) and the rules that
+move it, the grant and the sticky L1 eviction, live in
+:class:`DirectoryLevel`, which each multiple-CMP chip directory
+(:mod:`repro.coherence.multichip`) shares.
+
 Protocol simplification (see DESIGN.md §5): each coherence transaction holds
 a per-entry lock from request arrival to completion, so there are no
 transient-state races. NACKed requesters release the entry and retry later,
@@ -27,6 +32,7 @@ Request walkthrough (GETM from core R):
 
 from __future__ import annotations
 
+import abc
 from typing import Dict, Optional, Set
 
 from repro.cache.array import CacheArray
@@ -40,23 +46,18 @@ from repro.mem.address import AddressMap
 from repro.sim.resources import SimLock
 
 
-class DirectoryEntry:
-    """Directory state for one block."""
+class CoreEntry:
+    """One directory level's state for one block, per core: the
+    exclusive owner, the sharers and the cores with sticky obligations.
+    The single-CMP directory and each multiple-CMP chip directory keep
+    one of these per block."""
 
-    __slots__ = ("owner", "sharers", "sticky", "lost_info", "must_check_all",
-                 "lock")
+    __slots__ = ("owner", "sharers", "sticky")
 
-    def __init__(self, block_addr: int) -> None:
-        self.owner: Optional[int] = None
-        self.sharers: Set[int] = set()
-        self.sticky: Set[int] = set()
-        self.lost_info = False
-        self.must_check_all = False
-        self.lock = SimLock(f"dir[{block_addr:#x}]")
-
-    @property
-    def present_anywhere(self) -> bool:
-        return self.owner is not None or bool(self.sharers) or bool(self.sticky)
+    def __init__(self) -> None:
+        self.owner: Optional[int] = None   # core with M/E
+        self.sharers: Set[int] = set()     # cores with S
+        self.sticky: Set[int] = set()      # cores with sticky obligations
 
     def forward_targets(self, is_write: bool) -> Set[int]:
         """Cores whose signatures must be checked for this request."""
@@ -69,31 +70,139 @@ class DirectoryEntry:
         return targets
 
 
-class DirectoryFabric(CoherenceFabric):
-    """Banked L2 + MESI directory + sticky states."""
+class DirectoryEntry(CoreEntry):
+    """Single-CMP directory state for one block."""
 
-    def __init__(self, cfg: SystemConfig, network: Network,
-                 stats: StatsRegistry) -> None:
+    __slots__ = ("lost_info", "must_check_all", "lock")
+
+    def __init__(self, block_addr: int) -> None:
+        super().__init__()
+        self.lost_info = False
+        self.must_check_all = False
+        self.lock = SimLock(f"dir[{block_addr:#x}]")
+
+    @property
+    def present_anywhere(self) -> bool:
+        return self.owner is not None or bool(self.sharers) or bool(self.sticky)
+
+
+class DirectoryLevel(CoherenceFabric):
+    """What the single-CMP directory and the multiple-CMP chip
+    directories share (Sections 3.1, 5 and 7): per-core entries, their
+    counters, and the two rules that move per-core sticky state, the
+    grant and the L1 eviction.
+
+    A subclass says where a core's entry lives (:meth:`_entry_for`) and
+    whether its level may grant E (:meth:`_exclusive_rights`).
+    """
+
+    def __init__(self, cfg: SystemConfig, stats: StatsRegistry) -> None:
         super().__init__()
         self.cfg = cfg
-        self.network = network
         self.stats = stats
         self.amap = AddressMap(block_bytes=cfg.block_bytes,
                                page_bytes=cfg.page_bytes,
                                num_banks=cfg.l2_banks)
-        self.l2 = CacheArray(cfg.l2, name="L2")
-        self._entries: Dict[int, DirectoryEntry] = {}
         self._use_sticky = cfg.tm.use_sticky_states
         # Counters surfaced in the tables.
         self._c_requests = stats.counter("coherence.requests")
         self._c_nacks = stats.counter("coherence.nacks")
         self._c_fwd = stats.counter("coherence.forwards")
-        self._c_bcast = stats.counter("coherence.broadcast_rebuilds")
         self._c_sticky_set = stats.counter("coherence.sticky_created")
         self._c_sticky_clean = stats.counter("coherence.sticky_cleaned")
         self._c_l2_evict_tx = stats.counter("victimization.l2_tx")
         self._c_l1_evict_tx = stats.counter("victimization.l1_tx")
         self._c_mem = stats.counter("coherence.memory_fetches")
+
+    @abc.abstractmethod
+    def _entry_for(self, core_id: int, block_addr: int) -> CoreEntry:
+        """The entry of the directory that tracks ``core_id``'s copy."""
+
+    def _exclusive_rights(self, entry: CoreEntry) -> bool:
+        """May this level grant E, as far as levels above it go?"""
+        return True
+
+    def _apply_grant(self, requester_core: int, block_addr: int,
+                     is_write: bool, entry: CoreEntry) -> MESI:
+        """Commit the directory-state transition for a granted request.
+
+        Pure bookkeeping: the L1 invalidations/downgrades were applied
+        atomically with each target's signature check in ``_check``.
+        """
+        if entry.sticky:
+            # The request succeeded, so sticky forwarding obligations are
+            # discharged ("a block leaves this state when the request
+            # finally succeeds") — but only for cores whose signatures no
+            # longer cover the block. A core whose *read* set still holds
+            # it did not NACK this (compatible) read, yet must keep being
+            # checked: a later write has to reach it.
+            cleaned = {cid for cid in entry.sticky
+                       if cid == requester_core
+                       or not self._ports[cid].holds_transactional(
+                           block_addr)}
+            if cleaned:
+                self._c_sticky_clean.add(len(cleaned))
+                self.stats.emit("coh.sticky_clean", block=block_addr,
+                                cores=tuple(sorted(cleaned)))
+                entry.sticky -= cleaned
+        if is_write:
+            entry.sharers.clear()
+            entry.owner = requester_core
+            return MESI.MODIFIED
+        # GETS
+        if entry.owner is not None and entry.owner != requester_core:
+            entry.sharers.add(entry.owner)
+            entry.owner = None
+        if not entry.sharers and not entry.sticky and \
+                self._exclusive_rights(entry):
+            # E needs true exclusivity: a surviving sticky core may hold
+            # the block in its read set, and a silent E->M upgrade here
+            # would write without that signature ever being checked.
+            entry.owner = requester_core
+            return MESI.EXCLUSIVE
+        entry.sharers.add(requester_core)
+        return MESI.SHARED
+
+    def l1_evicted(self, core_id: int, block_addr: int, state: MESI,
+                   transactional: bool) -> None:
+        entry = self._entry_for(core_id, block_addr)
+        if self.stats.recorder is not None:
+            self.stats.emit("coh.l1_victim", block=block_addr, core=core_id,
+                            transactional=transactional,
+                            sticky=transactional and self._use_sticky)
+        if transactional:
+            self._c_l1_evict_tx.add()
+            if self._use_sticky:
+                # Sticky replacement: leave the directory state unchanged
+                # so conflicting requests keep being forwarded to this
+                # core, and remember the obligation. (With sticky states
+                # disabled — an ablation — the eviction is handled like a
+                # non-transactional one, which loses isolation for
+                # overflowed data; the ablation benchmark quantifies how
+                # often that would bite.)
+                entry.sticky.add(core_id)
+                self._c_sticky_set.add()
+                return
+        # An M writeback or an E replacement notice clears the owner
+        # pointer; data is functional, so only directory state moves. S
+        # replacements are completely silent (Section 5): the directory
+        # may retain a stale sharer, and a later invalidation to a
+        # non-resident block is harmless.
+        if state in (MESI.MODIFIED, MESI.EXCLUSIVE) and \
+                entry.owner == core_id:
+            entry.owner = None
+
+
+class DirectoryFabric(DirectoryLevel):
+    """Banked L2 + MESI directory + sticky states."""
+
+    def __init__(self, cfg: SystemConfig, network: Network,
+                 stats: StatsRegistry) -> None:
+        super().__init__(cfg, stats)
+        self.network = network
+        self.l2 = CacheArray(cfg.l2, name="L2")
+        self._entries: Dict[int, DirectoryEntry] = {}
+        self._c_bcast = stats.counter("coherence.broadcast_rebuilds")
         # Fixed latencies, hoisted off the per-request path (SystemConfig
         # is immutable for the lifetime of the fabric).
         self._dir_latency = cfg.directory_latency
@@ -109,6 +218,9 @@ class DirectoryFabric(CoherenceFabric):
 
     def entry_view(self, block_addr: int) -> DirectoryEntry:
         """Inspection hook for tests (creates the entry if absent)."""
+        return self._entry(block_addr)
+
+    def _entry_for(self, core_id: int, block_addr: int) -> DirectoryEntry:
         return self._entry(block_addr)
 
     # ------------------------------------------------------------------
@@ -208,6 +320,7 @@ class DirectoryFabric(CoherenceFabric):
             # in the same simulation event, so its L1 install is atomic with
             # this directory-state update (no window for a competing
             # request).
+            entry.must_check_all = False
             grant_state = self._apply_grant(requester_core, block_addr,
                                             is_write, entry)
             if self.stats.recorder is not None:
@@ -272,47 +385,6 @@ class DirectoryFabric(CoherenceFabric):
             yield resp
         return blockers
 
-    def _apply_grant(self, requester_core: int, block_addr: int,
-                     is_write: bool, entry: DirectoryEntry) -> MESI:
-        """Commit the directory-state transition for a granted request.
-
-        Pure bookkeeping: the L1 invalidations/downgrades were applied
-        atomically with each target's signature check in ``_check``.
-        """
-        if entry.sticky:
-            # The request succeeded, so sticky forwarding obligations are
-            # discharged ("a block leaves this state when the request
-            # finally succeeds") — but only for cores whose signatures no
-            # longer cover the block. A core whose *read* set still holds
-            # it did not NACK this (compatible) read, yet must keep being
-            # checked: a later write has to reach it.
-            cleaned = {cid for cid in entry.sticky
-                       if cid == requester_core
-                       or not self._ports[cid].holds_transactional(
-                           block_addr)}
-            if cleaned:
-                self._c_sticky_clean.add(len(cleaned))
-                self.stats.emit("coh.sticky_clean", block=block_addr,
-                                cores=tuple(sorted(cleaned)))
-                entry.sticky -= cleaned
-        entry.must_check_all = False
-        if is_write:
-            entry.sharers.clear()
-            entry.owner = requester_core
-            return MESI.MODIFIED
-        # GETS
-        if entry.owner is not None and entry.owner != requester_core:
-            entry.sharers.add(entry.owner)
-            entry.owner = None
-        if not entry.sharers and not entry.sticky:
-            # E needs true exclusivity: a surviving sticky core may hold
-            # the block in its read set, and a silent E->M upgrade here
-            # would write without that signature ever being checked.
-            entry.owner = requester_core
-            return MESI.EXCLUSIVE
-        entry.sharers.add(requester_core)
-        return MESI.SHARED
-
     def note_relocated_block(self, block_addr: int) -> None:
         """Force signature checks for a block relocated by paging."""
         self._entry(block_addr).must_check_all = True
@@ -332,40 +404,6 @@ class DirectoryFabric(CoherenceFabric):
         entry.owner = None
         entry.sharers.clear()
 
-    # ------------------------------------------------------------------
-    # L1 replacement notifications
-    # ------------------------------------------------------------------
-
-    def l1_evicted(self, core_id: int, block_addr: int, state: MESI,
-                   transactional: bool) -> None:
-        entry = self._entry(block_addr)
-        if self.stats.recorder is not None:
-            self.stats.emit("coh.l1_victim", block=block_addr, core=core_id,
-                            transactional=transactional,
-                            sticky=transactional and self._use_sticky)
-        if transactional and self._use_sticky:
-            # Sticky replacement: leave the directory state unchanged so
-            # conflicting requests keep being forwarded to this core, and
-            # remember the obligation. (With sticky states disabled — an
-            # ablation — the eviction is handled like a non-transactional
-            # one, which loses isolation for overflowed data; the ablation
-            # benchmark quantifies how often that would bite.)
-            entry.sticky.add(core_id)
-            self._c_sticky_set.add()
-            self._c_l1_evict_tx.add()
-            return
-        if transactional:
-            self._c_l1_evict_tx.add()
-        if state is MESI.MODIFIED:
-            # Writeback: data is functional, so only directory state moves.
-            if entry.owner == core_id:
-                entry.owner = None
-        elif state is MESI.EXCLUSIVE:
-            # E replacements send a control message updating the pointer.
-            if entry.owner == core_id:
-                entry.owner = None
-        else:
-            # S replacements are completely silent (Section 5): the
-            # directory may retain a stale sharer, and a later invalidation
-            # to a non-resident block is harmless.
-            pass
+    # ``perfbench/tracer.py`` wraps ``request`` and ``l1_evicted`` in
+    # each fabric class's own ``__dict__``.
+    l1_evicted = DirectoryLevel.l1_evicted

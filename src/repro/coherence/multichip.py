@@ -25,6 +25,13 @@ Protocol hierarchy (two-level MESI):
    Any hit NACKs the request; otherwise chip-level rights migrate and the
    requester's chip completes the fill.
 
+The fabric shares :class:`~repro.coherence.directory.DirectoryLevel` with
+the single-CMP directory, so each chip directory keeps the same per-core
+entries, forward targets, grant rule and sticky L1-eviction rule. It
+differs in two places: an E grant also needs chip-level M rights, and a
+chip-L2 victimization of a covered block becomes sticky-M at memory plus
+per-core sticky state.
+
 The same blocking-transaction simplification as the single-CMP directory
 applies: one global lock per block serializes same-block transactions, so
 no transient-state races exist (DESIGN.md §5).
@@ -36,26 +43,24 @@ from typing import Dict, List, Optional, Set
 
 from repro.cache.array import CacheArray
 from repro.cache.block import MESI
-from repro.coherence.fabric import CoherenceFabric
+from repro.coherence.directory import CoreEntry, DirectoryLevel
 from repro.coherence.msgs import Blocker, CoherenceResult, Timestamp
 from repro.common.config import SystemConfig
 from repro.common.stats import StatsRegistry
 from repro.interconnect.network import Network
-from repro.mem.address import AddressMap
 from repro.sim.resources import SimLock
 
 
-class ChipEntry:
-    """Intra-chip directory state for one block on one chip."""
+class ChipEntry(CoreEntry):
+    """Intra-chip directory state for one block on one chip (per-core
+    pointers are global core ids)."""
 
-    __slots__ = ("rights", "owner", "sharers", "sticky")
+    __slots__ = ("rights",)
 
     def __init__(self) -> None:
+        super().__init__()
         #: Chip-level rights: 'M' (exclusive chip), 'S' (shared), or None.
         self.rights: Optional[str] = None
-        self.owner: Optional[int] = None   # global core id with M/E
-        self.sharers: Set[int] = set()     # global core ids with S
-        self.sticky: Set[int] = set()      # cores with sticky obligations
 
     @property
     def present(self) -> bool:
@@ -78,36 +83,22 @@ class MemDirEntry:
         self.lock = SimLock(f"memdir[{block_addr:#x}]")
 
 
-class MultiChipFabric(CoherenceFabric):
+class MultiChipFabric(DirectoryLevel):
     """Two-level directory coherence for a multiple-CMP system."""
 
     def __init__(self, cfg: SystemConfig, networks: List[Network],
                  stats: StatsRegistry) -> None:
-        super().__init__()
         if cfg.num_chips < 2:
             raise ValueError("MultiChipFabric needs at least two chips")
-        self.cfg = cfg
+        super().__init__(cfg, stats)
         self.networks = networks  # one intra-chip network per chip
-        self.stats = stats
-        self.amap = AddressMap(block_bytes=cfg.block_bytes,
-                               page_bytes=cfg.page_bytes,
-                               num_banks=cfg.l2_banks)
         self.l2s = [CacheArray(cfg.l2, name=f"L2[chip{c}]")
                     for c in range(cfg.num_chips)]
         self._chip_entries: List[Dict[int, ChipEntry]] = [
             {} for _ in range(cfg.num_chips)]
         self._mem_entries: Dict[int, MemDirEntry] = {}
-        self._use_sticky = cfg.tm.use_sticky_states
-        self._c_requests = stats.counter("coherence.requests")
-        self._c_nacks = stats.counter("coherence.nacks")
-        self._c_fwd = stats.counter("coherence.forwards")
         self._c_interchip = stats.counter("coherence.interchip_requests")
         self._c_chip_sticky = stats.counter("coherence.chip_sticky_created")
-        self._c_sticky_set = stats.counter("coherence.sticky_created")
-        self._c_sticky_clean = stats.counter("coherence.sticky_cleaned")
-        self._c_l1_evict_tx = stats.counter("victimization.l1_tx")
-        self._c_l2_evict_tx = stats.counter("victimization.l2_tx")
-        self._c_mem = stats.counter("coherence.memory_fetches")
 
     # ------------------------------------------------------------------
     # Topology helpers
@@ -136,6 +127,9 @@ class MultiChipFabric(CoherenceFabric):
 
     def chip_entry_view(self, chip: int, block_addr: int) -> ChipEntry:
         return self._chip_entry(chip, block_addr)
+
+    def _entry_for(self, core_id: int, block_addr: int) -> ChipEntry:
+        return self._chip_entry(self.chip_of(core_id), block_addr)
 
     def mem_entry_view(self, block_addr: int) -> MemDirEntry:
         return self._mem_entry(block_addr)
@@ -227,11 +221,7 @@ class MultiChipFabric(CoherenceFabric):
                     is_write: bool, asid: int, entry: ChipEntry, bank: int):
         """The chip already holds sufficient rights: single-CMP behaviour."""
         net = self.networks[chip]
-        targets = set(entry.sticky)
-        if entry.owner is not None:
-            targets.add(entry.owner)
-        if is_write:
-            targets |= entry.sharers
+        targets = entry.forward_targets(is_write)
         targets.discard(requester_core)
         if targets:
             yield max(net.bank_to_core(bank, self._local_core(t), "fwd")
@@ -261,8 +251,8 @@ class MultiChipFabric(CoherenceFabric):
             self._l2_fill(chip, block_addr)
         yield net.bank_to_core(bank, self._local_core(requester_core),
                                "DATA")
-        grant = self._apply_chip_grant(chip, requester_core, block_addr,
-                                       is_write, entry)
+        grant = self._apply_grant(requester_core, block_addr, is_write,
+                                  entry)
         if self.stats.recorder is not None:
             self.stats.emit("coh.grant", block=block_addr,
                             core=requester_core, thread=requester_thread,
@@ -298,11 +288,7 @@ class MultiChipFabric(CoherenceFabric):
                 requester_thread, block_addr, is_write, asid, requester_ts))
         # The requester's own chip may still hold intra-chip conflicts
         # (e.g. another local core's signature) even without chip rights.
-        local_targets = set(entry.sticky)
-        if entry.owner is not None:
-            local_targets.add(entry.owner)
-        if is_write:
-            local_targets |= entry.sharers
+        local_targets = entry.forward_targets(is_write)
         local_targets.discard(requester_core)
         blockers.extend(self._check(
             local_targets, requester_core, requester_thread, block_addr,
@@ -358,8 +344,8 @@ class MultiChipFabric(CoherenceFabric):
         yield self.cfg.memory_latency  # data from memory / remote L2
         yield self.cfg.interchip_latency
         self._l2_fill(chip, block_addr)
-        grant = self._apply_chip_grant(chip, requester_core, block_addr,
-                                       is_write, entry)
+        grant = self._apply_grant(requester_core, block_addr, is_write,
+                                  entry)
         if self.stats.recorder is not None:
             self.stats.emit("coh.grant", block=block_addr,
                             core=requester_core, thread=requester_thread,
@@ -370,36 +356,11 @@ class MultiChipFabric(CoherenceFabric):
     # State transitions
     # ------------------------------------------------------------------
 
-    def _apply_chip_grant(self, chip: int, requester_core: int,
-                          block_addr: int, is_write: bool,
-                          entry: ChipEntry) -> MESI:
-        """Bookkeeping only — port invalidations/downgrades happened
-        atomically with the signature checks in ``_check``."""
-        if entry.sticky:
-            # Only discharge cores whose signatures no longer cover the
-            # block; a surviving read-set entry must keep being checked.
-            cleaned = {cid for cid in entry.sticky
-                       if cid == requester_core
-                       or not self._ports[cid].holds_transactional(
-                           block_addr)}
-            if cleaned:
-                self._c_sticky_clean.add(len(cleaned))
-                entry.sticky -= cleaned
-        if is_write:
-            entry.sharers.clear()
-            entry.owner = requester_core
-            return MESI.MODIFIED
-        if entry.owner is not None and entry.owner != requester_core:
-            entry.sharers.add(entry.owner)
-            entry.owner = None
-        if not entry.sharers and not entry.sticky and entry.rights == "M":
-            # An E grant needs *chip-level* exclusivity: with only S
-            # rights another chip may hold copies, and a silent E->M
-            # upgrade here would write without global permission.
-            entry.owner = requester_core
-            return MESI.EXCLUSIVE
-        entry.sharers.add(requester_core)
-        return MESI.SHARED
+    def _exclusive_rights(self, entry: ChipEntry) -> bool:
+        # An E grant needs *chip-level* exclusivity: with only S rights
+        # another chip may hold copies, and a silent E->M upgrade here
+        # would write without global permission.
+        return entry.rights == "M"
 
     def _strip_chip(self, chip: Optional[int], block_addr: int) -> None:
         """Remove all of a chip's copies (remote GETM invalidation)."""
@@ -524,22 +485,6 @@ class MultiChipFabric(CoherenceFabric):
                     mem.sticky_chips.add(chip)
             self.l2s[chip].invalidate(block_addr)
 
-    # ------------------------------------------------------------------
-    # L1 replacement notifications
-    # ------------------------------------------------------------------
-
-    def l1_evicted(self, core_id: int, block_addr: int, state: MESI,
-                   transactional: bool) -> None:
-        chip = self.chip_of(core_id)
-        entry = self._chip_entry(chip, block_addr)
-        if transactional and self._use_sticky:
-            entry.sticky.add(core_id)
-            self._c_sticky_set.add()
-            self._c_l1_evict_tx.add()
-            return
-        if transactional:
-            self._c_l1_evict_tx.add()
-        if state in (MESI.MODIFIED, MESI.EXCLUSIVE):
-            if entry.owner == core_id:
-                entry.owner = None
-        # S replacements stay silent, as in the single-CMP protocol.
+    # ``perfbench/tracer.py`` wraps ``request`` and ``l1_evicted`` in
+    # each fabric class's own ``__dict__``.
+    l1_evicted = DirectoryLevel.l1_evicted

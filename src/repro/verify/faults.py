@@ -16,14 +16,17 @@ provides the seeded bugs, at two levels:
   that the dynamic-analysis suite exposed and that were then fixed
   (``sticky-discharge``, ``eager-e-grant``, ``no-scrub``): the paper
   mechanism each breaks, and per fabric class the method it replaces
-  with a verbatim resurrection of the pre-fix logic. Both protocol
-  checkers are tested against the table:
-  :func:`apply_protocol_mutation` monkeypatches a live fabric instance
-  for the model checker (:mod:`repro.mc`), and :func:`spliced_source`
-  splices the pre-fix function into the fabric's source for the static
-  protocol analyzer (:mod:`repro.analysis.protocol`). A checker that
-  convicts all three known-real defects has demonstrated it can see
-  the class of bug it was built for.
+  with a verbatim resurrection of the pre-fix logic. A mutation
+  replaces one method on the class that defines it, so the grant the
+  two directory fabrics share (``DirectoryLevel._apply_grant``) has one
+  pre-fix copy per bug, listed for both. Both protocol checkers are
+  tested against the table: :func:`apply_protocol_mutation`
+  monkeypatches a live fabric instance for the model checker
+  (:mod:`repro.mc`), and :func:`spliced_source` splices the pre-fix
+  function into the defining class's source for the static protocol
+  analyzer (:mod:`repro.analysis.protocol`). A checker that convicts
+  all three known-real defects has demonstrated it can see the class
+  of bug it was built for.
 
 Test-only: nothing in the simulator proper imports this module.
 """
@@ -39,9 +42,10 @@ from typing import (Any, Callable, Dict, FrozenSet, Iterable, Mapping,
                     Tuple)
 
 from repro.cache.block import MESI
-from repro.coherence.directory import DirectoryEntry, DirectoryFabric
+from repro.coherence.directory import (CoreEntry, DirectoryFabric,
+                                      DirectoryLevel)
 from repro.coherence.fabric import CoherenceFabric
-from repro.coherence.multichip import ChipEntry, MultiChipFabric
+from repro.coherence.multichip import MultiChipFabric
 from repro.coherence.snooping import SnoopingFabric
 from repro.common.errors import ConfigError
 from repro.signatures.base import Signature, Snapshot
@@ -145,10 +149,10 @@ def make_lossy(pair: ReadWriteSignature,
 # Protocol mutations: the three pre-fix bugs, resurrected behind flags
 # ---------------------------------------------------------------------------
 
-def _mutant_dir_sticky_discharge(
-        self: DirectoryFabric, requester_core: int, block_addr: int,
-        is_write: bool, entry: DirectoryEntry) -> MESI:
-    """Pre-fix ``DirectoryFabric._apply_grant``: on any successful
+def _mutant_sticky_discharge(
+        self: DirectoryLevel, requester_core: int, block_addr: int,
+        is_write: bool, entry: CoreEntry) -> MESI:
+    """Pre-fix ``DirectoryLevel._apply_grant``: on any successful
     request, *all* sticky state is cleaned — including cores whose read
     sets still cover the block and which therefore must keep being
     checked by later writes."""
@@ -157,7 +161,6 @@ def _mutant_dir_sticky_discharge(
         self.stats.emit("coh.sticky_clean", block=block_addr,
                         cores=tuple(sorted(entry.sticky)))
         entry.sticky.clear()
-    entry.must_check_all = False
     if is_write:
         entry.sharers.clear()
         entry.owner = requester_core
@@ -165,21 +168,23 @@ def _mutant_dir_sticky_discharge(
     if entry.owner is not None and entry.owner != requester_core:
         entry.sharers.add(entry.owner)
         entry.owner = None
-    if not entry.sharers and not entry.sticky:
+    if not entry.sharers and not entry.sticky and \
+            self._exclusive_rights(entry):
         entry.owner = requester_core
         return MESI.EXCLUSIVE
     entry.sharers.add(requester_core)
     return MESI.SHARED
 
 
-def _mutant_dir_eager_e_grant(
-        self: DirectoryFabric, requester_core: int, block_addr: int,
-        is_write: bool, entry: DirectoryEntry) -> MESI:
-    """Pre-fix ``DirectoryFabric._apply_grant``: the E-grant test checks
-    only cache residency (``not entry.sharers``), so a requester can be
-    granted EXCLUSIVE while a sticky core's read set still covers the
-    block — its later silent E->M upgrade writes with no signature
-    check. The sticky-discharge rule itself is the fixed, selective one."""
+def _mutant_eager_e_grant(
+        self: DirectoryLevel, requester_core: int, block_addr: int,
+        is_write: bool, entry: CoreEntry) -> MESI:
+    """Pre-fix ``DirectoryLevel._apply_grant``: the E-grant test checks
+    only cache residency (``not entry.sharers``) and the level's rights,
+    so a requester can be granted EXCLUSIVE while a sticky core's read
+    set still covers the block — its later silent E->M upgrade writes
+    with no signature check. The sticky-discharge rule itself is the
+    fixed, selective one."""
     if entry.sticky:
         cleaned = {cid for cid in entry.sticky
                    if cid == requester_core
@@ -189,7 +194,6 @@ def _mutant_dir_eager_e_grant(
             self.stats.emit("coh.sticky_clean", block=block_addr,
                             cores=tuple(sorted(cleaned)))
             entry.sticky -= cleaned
-    entry.must_check_all = False
     if is_write:
         entry.sharers.clear()
         entry.owner = requester_core
@@ -197,7 +201,7 @@ def _mutant_dir_eager_e_grant(
     if entry.owner is not None and entry.owner != requester_core:
         entry.sharers.add(entry.owner)
         entry.owner = None
-    if not entry.sharers:
+    if not entry.sharers and self._exclusive_rights(entry):
         entry.owner = requester_core
         return MESI.EXCLUSIVE
     entry.sharers.add(requester_core)
@@ -226,54 +230,6 @@ def _mutant_snoop_eager_e_grant(
     return MESI.SHARED
 
 
-def _mutant_chip_sticky_discharge(
-        self: MultiChipFabric, chip: int, requester_core: int,
-        block_addr: int, is_write: bool, entry: ChipEntry) -> MESI:
-    """Pre-fix ``MultiChipFabric._apply_chip_grant``: full sticky clean
-    on any grant (intra-chip analog of the directory bug)."""
-    if entry.sticky:
-        self._c_sticky_clean.add(len(entry.sticky))
-        entry.sticky.clear()
-    if is_write:
-        entry.sharers.clear()
-        entry.owner = requester_core
-        return MESI.MODIFIED
-    if entry.owner is not None and entry.owner != requester_core:
-        entry.sharers.add(entry.owner)
-        entry.owner = None
-    if not entry.sharers and not entry.sticky and entry.rights == "M":
-        entry.owner = requester_core
-        return MESI.EXCLUSIVE
-    entry.sharers.add(requester_core)
-    return MESI.SHARED
-
-
-def _mutant_chip_eager_e_grant(
-        self: MultiChipFabric, chip: int, requester_core: int,
-        block_addr: int, is_write: bool, entry: ChipEntry) -> MESI:
-    """Pre-fix ``MultiChipFabric._apply_chip_grant``: the E test ignores
-    sticky obligations (selective discharge itself is the fixed rule)."""
-    if entry.sticky:
-        cleaned = {cid for cid in entry.sticky
-                   if cid == requester_core
-                   or not self._ports[cid].holds_transactional(block_addr)}
-        if cleaned:
-            self._c_sticky_clean.add(len(cleaned))
-            entry.sticky -= cleaned
-    if is_write:
-        entry.sharers.clear()
-        entry.owner = requester_core
-        return MESI.MODIFIED
-    if entry.owner is not None and entry.owner != requester_core:
-        entry.sharers.add(entry.owner)
-        entry.owner = None
-    if not entry.sharers and entry.rights == "M":
-        entry.owner = requester_core
-        return MESI.EXCLUSIVE
-    entry.sharers.add(requester_core)
-    return MESI.SHARED
-
-
 def _mutant_no_scrub(self: CoherenceFabric, block_addr: int) -> None:
     """Pre-fix behavior: the fabric had no scrub hook at all, so frame
     free/reuse left stale copies in every cache and stale pointers in
@@ -285,7 +241,8 @@ class Mutation:
     """One known protocol bug, written once.
 
     ``mutants`` maps each fabric class the bug applies to onto the
-    method it replaces and the pre-fix function that replaces it.
+    method it replaces and the pre-fix function that replaces it; the
+    method may be inherited (:func:`mutated_class` names its owner).
     """
 
     description: str
@@ -302,17 +259,15 @@ MUTATIONS: Dict[str, Mutation] = {
         "a successful request discharges every sticky obligation on its "
         "block, including cores whose signatures still cover it",
         "victimization and sticky state (§3.1)",
-        {DirectoryFabric: ("_apply_grant", _mutant_dir_sticky_discharge),
-         MultiChipFabric: ("_apply_chip_grant",
-                           _mutant_chip_sticky_discharge)}),
+        {DirectoryFabric: ("_apply_grant", _mutant_sticky_discharge),
+         MultiChipFabric: ("_apply_grant", _mutant_sticky_discharge)}),
     "eager-e-grant": Mutation(
         "GETS grants EXCLUSIVE whenever no cache holds the block, "
         "ignoring standing sticky obligations / uncached signatures",
         "victimization and sticky state (§3.1)",
-        {DirectoryFabric: ("_apply_grant", _mutant_dir_eager_e_grant),
+        {DirectoryFabric: ("_apply_grant", _mutant_eager_e_grant),
          SnoopingFabric: ("_apply_grant", _mutant_snoop_eager_e_grant),
-         MultiChipFabric: ("_apply_chip_grant",
-                           _mutant_chip_eager_e_grant)}),
+         MultiChipFabric: ("_apply_grant", _mutant_eager_e_grant)}),
     "no-scrub": Mutation(
         "freeing or reusing a physical frame does not invalidate cached "
         "copies of its previous tenant",
@@ -351,22 +306,34 @@ def apply_protocol_mutation(fabric: CoherenceFabric, name: str) -> None:
     setattr(fabric, method, MethodType(mutant, fabric))
 
 
-def spliced_source(name: str, fabric_cls: type) -> str:
-    """``fabric_cls``'s module source with mutation ``name`` spliced in.
+def mutated_class(name: str, fabric_cls: type) -> type:
+    """The class whose method mutation ``name`` replaces on
+    ``fabric_cls``: the first class in its MRO that defines the method
+    (``DirectoryLevel`` for the grant both directory fabrics share).
+    Raises :class:`ConfigError` like :func:`apply_protocol_mutation`."""
+    method, _mutant = _lookup(name, fabric_cls)
+    return next(cls for cls in fabric_cls.__mro__ if method in vars(cls))
 
-    The pre-fix function replaces the method's definition in the class
+
+def spliced_source(name: str, fabric_cls: type) -> str:
+    """The source of the module defining :func:`mutated_class` with
+    mutation ``name`` spliced in.
+
+    The pre-fix function replaces the method's definition in that class
     body, renamed to the method, so the static protocol analyzer reads
-    the real fabric with only the bug changed. Raises
+    the real fabrics with only the bug changed; a method a base class
+    defines changes for every fabric that inherits it. Raises
     :class:`ConfigError` like :func:`apply_protocol_mutation`.
     """
     method, mutant = _lookup(name, fabric_cls)
-    tree = ast.parse(inspect.getsource(sys.modules[fabric_cls.__module__]))
+    owner = mutated_class(name, fabric_cls)
+    tree = ast.parse(inspect.getsource(sys.modules[owner.__module__]))
     mutant_def = ast.parse(inspect.getsource(mutant)).body[0]
     assert isinstance(mutant_def, ast.FunctionDef)
     mutant_def.name = method
     cls_def = next(node for node in tree.body
                    if isinstance(node, ast.ClassDef)
-                   and node.name == fabric_cls.__name__)
+                   and node.name == owner.__name__)
     cls_def.body = [mutant_def if isinstance(node, ast.FunctionDef)
                     and node.name == method else node
                     for node in cls_def.body]

@@ -208,11 +208,25 @@ class TestStickyAttribution:
         SystemConfig.multichip(num_chips=2, cores_per_chip=2)],
         ids=["directory", "multichip"])
     def test_l1_victim_sticky_nack(self, cfg):
+        """Both fabrics run one L1-eviction rule and one grant, so both
+        publish the sticky eviction (``coh.l1_victim``) and, once a
+        later request succeeds, its discharge (``coh.sticky_clean``)."""
         system = System(cfg, seed=1)
+        _bus, log = system.attach_bus(strict=True)
         a, b = system.place_threads(2)  # cores 0 and 1, one chip
         block = self._tx_read(system, a)
         self._evict_l1(system, a.slot.core, block)
         assert self._getm_vias(system, b, block) == ["sticky"]
+        assert [(e.fields["core"], e.fields["transactional"],
+                 e.fields["sticky"])
+                for e in log.events(kind="coh.l1_victim")] == \
+            [(0, True, True)]
+        a.ctx.commit()
+        result = run(system, system.fabric.request(
+            b.slot.core.core_id, b.tid, None, block, True, 0))
+        assert result.granted
+        assert [e.fields["cores"]
+                for e in log.events(kind="coh.sticky_clean")] == [(0,)]
 
     @pytest.mark.parametrize("victim", ["l1", "chip-l2"])
     def test_remote_chip_sticky_nack(self, victim):

@@ -29,13 +29,13 @@ import pytest
 import repro.coherence
 from repro.analysis.callgraph import Project, parse_module
 from repro.analysis.engine import build_project
-from repro.analysis.protocol import protocol_pass
+from repro.analysis.protocol import check_extraction, extract_tables
 from repro.coherence.directory import DirectoryFabric
 from repro.coherence.multichip import MultiChipFabric
 from repro.coherence.snooping import SnoopingFabric
 from repro.common.errors import ConfigError
 from repro.mc import ModelConfig, check
-from repro.verify.faults import MUTATIONS, spliced_source
+from repro.verify.faults import MUTATIONS, mutated_class, spliced_source
 
 REPO = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
@@ -128,19 +128,22 @@ def coherence_project() -> Project:
 
 @pytest.mark.parametrize("pair", PAIRS, ids=_pair_id)
 def test_static_analyzer_convicts(pair, coherence_project):
-    """The analyzer reads the coherence package with the mutated fabric
-    spliced and the other fabrics left out, so every finding is the
-    mutant's."""
+    """The analyzer reads the coherence package with the module that
+    defines the replaced method spliced, and only the mutant fabric's
+    findings count: a method of a shared base class changes every
+    fabric that inherits it."""
     mutation, fabric = pair
     expected = EXPECTED[pair]
     cls = FABRICS[fabric]
-    fabric_modules = {c.__module__ for c in FABRICS.values()}
-    spliced = parse_module(inspect.getsourcefile(cls),
+    owner = mutated_class(mutation, cls)
+    spliced = parse_module(inspect.getsourcefile(owner),
                            spliced_source(mutation, cls),
-                           name=cls.__module__)
+                           name=owner.__module__)
     project = Project([m for m in coherence_project.modules
-                       if m.name not in fabric_modules] + [spliced])
-    findings = protocol_pass(project)
+                       if m.name != owner.__module__] + [spliced])
+    findings = [finding for extraction in extract_tables(project)
+                if extraction.cls.name == cls.__name__
+                for finding in check_extraction(extraction)]
     assert tuple(sorted(f.rule for f in findings)) == expected.rules
     assert all(expected.names in f.message for f in findings), \
         [f.message for f in findings]

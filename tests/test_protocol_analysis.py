@@ -12,6 +12,7 @@ import os
 
 import pytest
 
+from repro.analysis.callgraph import Project, parse_module
 from repro.analysis.engine import analyze_paths, build_project
 from repro.analysis.protocol import (check_extraction, extract_tables,
                                      profile_of, tables_json)
@@ -119,6 +120,51 @@ def test_value_counter_bumps_are_effects(extractions):
     for key, transition in kinds["multichip"].table.transitions.items():
         if key[0] in ("GETS", "GETM"):
             assert "ctr:_c_fwd" in transition.effect_union, key
+
+
+#: A toy directory fabric whose routes and port calls go through locals
+#: bound to them, on a handler path and in a summarized helper.
+ALIASED_CALLS_FABRIC = '''
+class CoherenceResult:
+    def __init__(self, granted, grant_state=None):
+        self.granted = granted
+        self.grant_state = grant_state
+
+
+class AliasedDirectoryFabric:
+    def request(self, requester_core, requester_thread, requester_ts,
+                block_addr, is_write, asid):
+        to_core = self.network.bank_to_core
+        if self._conflicts(block_addr):
+            to_core(0, requester_core, "NACK")
+            return CoherenceResult(granted=False)
+        self._forward(block_addr)
+        to_core(0, requester_core, "DATA")
+        return CoherenceResult(granted=True, grant_state="S")
+
+    def _forward(self, block_addr):
+        to_core = self.network.bank_to_core
+        for port in self.ports:
+            invalidate = port.invalidate_block
+            to_core(0, port.core_id, "fwd")
+            invalidate(block_addr)
+
+    def l1_evicted(self, core_id, block_addr, state, transactional):
+        pass
+'''
+
+
+def test_aliased_routes_and_port_calls_are_effects():
+    """``to_core = self.network.bank_to_core; to_core(bank, t, "fwd")``
+    records ``msg:fwd`` like the attribute call, and a port method
+    called through a local records its ``call:`` effect."""
+    project = Project([parse_module("aliased_toy.py",
+                                    ALIASED_CALLS_FABRIC)])
+    (extraction,) = extract_tables(project)
+    table = extraction.table.transitions
+    assert "msg:NACK" in table[("GETS", "targeted", "nack")].effect_union
+    assert {"msg:DATA", "msg:fwd", "call:invalidate_block"} <= \
+        table[("GETS", "targeted", "grant")].effect_union
 
 
 def test_callgraph_resolves_one_level_of_self_delegation():
