@@ -34,14 +34,14 @@ entirely from ``Op.call`` get no RC001/RC002 coverage. Documented in
 from __future__ import annotations
 
 import ast
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.analysis.cfg import CFG, Param, ReachingDefs, element_value
 from repro.analysis.findings import Finding
+from repro.analysis.lint import _WRITE_OPS, _Scope
 
-#: Op constructor names that read/write memory.
+#: Op constructor names that read memory (writes: ``lint._WRITE_OPS``).
 _READ_OPS = frozenset({"load"})
-_WRITE_OPS = frozenset({"store", "incr", "swap"})
 #: Atomic read-modify-writes: exempt from the RC002 stale-read rule.
 _RMW_OPS = frozenset({"incr", "swap"})
 
@@ -49,34 +49,6 @@ _RMW_OPS = frozenset({"incr", "swap"})
 _THREAD_PARAM_NAMES = frozenset({"thread_index", "thread_id", "tid"})
 
 _MAX_HELPER_DEPTH = 3
-
-
-class _Scope:
-    """Module-level name resolution: functions and class methods."""
-
-    def __init__(self, tree: ast.Module) -> None:
-        self.functions: Dict[str, ast.FunctionDef] = {}
-        self.methods: Dict[str, Dict[str, ast.FunctionDef]] = {}
-        for node in tree.body:
-            if isinstance(node, ast.FunctionDef):
-                self.functions[node.name] = node
-            elif isinstance(node, ast.ClassDef):
-                table: Dict[str, ast.FunctionDef] = {}
-                for item in node.body:
-                    if isinstance(item, ast.FunctionDef):
-                        table[item.name] = item
-                self.methods[node.name] = table
-
-    def resolve(self, call: ast.Call,
-                cls: Optional[str]) -> Optional[ast.FunctionDef]:
-        func = call.func
-        if isinstance(func, ast.Name):
-            return self.functions.get(func.id)
-        if (isinstance(func, ast.Attribute)
-                and isinstance(func.value, ast.Name)
-                and func.value.id == "self" and cls):
-            return self.methods.get(cls, {}).get(func.attr)
-        return None
 
 
 class _FnCtx:

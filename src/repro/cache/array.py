@@ -27,7 +27,7 @@ class CacheArray:
     """Tag array: ``num_sets`` sets of ``associativity`` ways, LRU."""
 
     __slots__ = ("cfg", "name", "_sets", "_use_clock", "_block_shift",
-                 "_set_mask", "hits", "misses", "evictions")
+                 "_set_mask")
 
     def __init__(self, cfg: CacheConfig, name: str = "cache") -> None:
         self.cfg = cfg
@@ -36,29 +36,24 @@ class CacheArray:
         self._use_clock = 0
         self._block_shift = cfg.block_bytes.bit_length() - 1
         self._set_mask = cfg.num_sets - 1
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
 
     def set_index(self, block_addr: int) -> int:
         return (block_addr >> self._block_shift) & self._set_mask
 
     def lookup(self, block_addr: int, touch: bool = True
                ) -> Optional[CacheBlock]:
-        """Find a resident block (hit/miss counters updated)."""
+        """Find a resident block; a hit with ``touch`` updates its LRU."""
         block = self._sets[(block_addr >> self._block_shift)
                            & self._set_mask].get(block_addr)
         if block is None:
-            self.misses += 1
             return None
-        self.hits += 1
         if touch:
             self._use_clock += 1
             block.last_use = self._use_clock
         return block
 
     def peek(self, block_addr: int) -> Optional[CacheBlock]:
-        """Find a resident block without disturbing LRU or counters."""
+        """Find a resident block without disturbing LRU."""
         return self._sets[(block_addr >> self._block_shift)
                           & self._set_mask].get(block_addr)
 
@@ -83,7 +78,6 @@ class CacheArray:
         if len(cache_set) >= self.cfg.associativity:
             lru_addr = min(cache_set, key=lambda a: cache_set[a].last_use)
             victim = cache_set.pop(lru_addr)
-            self.evictions += 1
         block = CacheBlock(block_addr, state)
         self._use_clock += 1
         block.last_use = self._use_clock

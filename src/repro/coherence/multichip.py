@@ -338,6 +338,8 @@ class MultiChipFabric(DirectoryLevel):
                                                 exclude=requester_core)}
             if cleaned:
                 self._c_sticky_clean.add(len(cleaned))
+                self.stats.emit("coh.sticky_clean", block=block_addr,
+                                chips=tuple(sorted(cleaned)))
                 mem_entry.sticky_chips -= cleaned
 
         self._c_mem.add()
@@ -436,6 +438,8 @@ class MultiChipFabric(DirectoryLevel):
             if self._use_sticky:
                 mem_entry.sticky_chips.add(chip)
                 self._c_chip_sticky.add()
+        self.stats.emit("coh.l2_victim", block=victim_addr,
+                        transactional=transactional)
 
     # ------------------------------------------------------------------
     # Paging hooks

@@ -22,8 +22,6 @@ class LogFilter:
             raise ValueError("entries must be >= 0")
         self.entries = entries
         self._slots: "OrderedDict[int, None]" = OrderedDict()
-        self.hits = 0
-        self.misses = 0
 
     def should_log(self, vblock: int) -> bool:
         """True if the block must be logged (filter miss); updates the array.
@@ -31,13 +29,10 @@ class LogFilter:
         A zero-entry filter (ablation) always says "log it".
         """
         if self.entries == 0:
-            self.misses += 1
             return True
         if vblock in self._slots:
             self._slots.move_to_end(vblock)
-            self.hits += 1
             return False
-        self.misses += 1
         if len(self._slots) >= self.entries:
             self._slots.popitem(last=False)
         self._slots[vblock] = None

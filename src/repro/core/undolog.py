@@ -55,9 +55,6 @@ class UndoLog:
         self._frames: List[LogFrame] = []
         self._stats = stats
         self._thread_id = thread_id
-        #: Total records ever appended in the current outer transaction —
-        #: the "log pointer" that commit resets.
-        self.appended = 0
 
     # -- frame management ----------------------------------------------------
 
@@ -112,7 +109,6 @@ class UndoLog:
     def reset(self) -> None:
         """Outer commit: reset the log pointer (frames are gone)."""
         self._frames.clear()
-        self.appended = 0
 
     # -- undo records ----------------------------------------------------------
 
@@ -126,7 +122,6 @@ class UndoLog:
         record = UndoRecord(vblock, memory.load_block(translate(vblock),
                                                       self.block_bytes))
         self.current.records.append(record)
-        self.appended += 1
         if self._stats is not None and self._stats.recorder is not None:
             self._stats.emit("log.append", thread=self._thread_id,
                              vblock=vblock, depth=self.depth)

@@ -671,7 +671,6 @@ class ProtocolModel:
                 addr = self.block_addrs[b]
                 ctx.log.current.records.append(
                     UndoRecord(addr, (old,) + zeros))
-                ctx.log.appended += 1
                 ctx.log_filter.should_log(addr)
             ctx.timestamp = (0, ctx.thread_id)
         else:

@@ -23,26 +23,20 @@ TlbTag = Tuple[int, int]
 class Tlb:
     """Fully associative, LRU, per-core translation cache."""
 
-    __slots__ = ("entries", "_map", "hits", "misses", "shootdowns")
+    __slots__ = ("entries", "_map")
 
     def __init__(self, entries: int = 64) -> None:
         if entries < 1:
             raise ValueError("TLB needs at least one entry")
         self.entries = entries
         self._map: "OrderedDict[TlbTag, int]" = OrderedDict()
-        self.hits = 0
-        self.misses = 0
-        self.shootdowns = 0
 
     def lookup(self, asid: int, vpage: int) -> Optional[int]:
         """Cached frame for a virtual page, or None on a miss."""
         tag = (asid, vpage)
         frame = self._map.get(tag)
-        if frame is None:
-            self.misses += 1
-            return None
-        self._map.move_to_end(tag)
-        self.hits += 1
+        if frame is not None:
+            self._map.move_to_end(tag)
         return frame
 
     def fill(self, asid: int, vpage: int, frame: int) -> None:
@@ -57,10 +51,7 @@ class Tlb:
 
     def invalidate(self, asid: int, vpage: int) -> bool:
         """Shootdown of one translation; True if it was present."""
-        present = self._map.pop((asid, vpage), None) is not None
-        if present:
-            self.shootdowns += 1
-        return present
+        return self._map.pop((asid, vpage), None) is not None
 
     def flush_asid(self, asid: int) -> int:
         """Drop every translation of one address space (process exit)."""
@@ -74,5 +65,4 @@ class Tlb:
         return len(self._map)
 
     def __repr__(self) -> str:
-        return (f"Tlb(entries={self.entries}, occ={self.occupancy}, "
-                f"hits={self.hits}, misses={self.misses})")
+        return f"Tlb(entries={self.entries}, occ={self.occupancy})"

@@ -95,10 +95,12 @@ TAXONOMY: Dict[str, Tuple[str, Tuple[str, ...]]] = {
                   ("block", "core", "write")),
     "coh.l1_victim": ("L1 replacement evicted a block",
                       ("block", "core", "transactional", "sticky")),
-    "coh.l2_victim": ("L2 replacement dropped directory info",
-                      ("block", "transactional")),
+    "coh.l2_victim": ("L2 (or multichip chip-L2) replacement dropped "
+                      "directory info", ("block", "transactional")),
+    # A chip directory's discharge names its cores; the multichip memory
+    # directory's discharge of sticky-M chips names those chips instead.
     "coh.sticky_clean": ("sticky forwarding obligation discharged",
-                         ("block", "cores")),
+                         ("block", "cores", "chips")),
     # -- interconnect -------------------------------------------------------
     "net.msg": ("one message traversed the grid",
                 ("route", "src", "dst", "cls", "hops")),
@@ -117,7 +119,7 @@ TAXONOMY: Dict[str, Tuple[str, Tuple[str, ...]]] = {
     "log.unroll": ("abort handler walked one log frame",
                    ("thread", "records", "depth")),
     # -- simulation kernel --------------------------------------------------
-    "sim.spawn": ("process registered with the simulator", ("process",)),
+    "sim.spawn": ("process started on the simulator", ("process",)),
     "sim.process_done": ("process generator finished", ("process",)),
     # -- sweep service (wall-clock ms since service start) ------------------
     "svc.job.submitted": ("sweep job accepted into the queue",

@@ -169,8 +169,8 @@ def _run_table3_conflict(scale: str) -> Dict[str, Any]:
 
 _STRESS_SCALE = {"quick": (4, 200), "full": (8, 2000)}
 
-#: Per-stage latencies: a mix of zero-delay handoffs (the case the kernel's
-#: fast path targets) and short timed hops (heap traffic).
+#: Per-stage latencies: a mix of zero-delay handoffs (future wake-ups due
+#: in the current cycle) and short timed hops.
 _STRESS_DELAYS = (0, 1, 0, 3)
 
 

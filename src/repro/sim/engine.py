@@ -11,21 +11,19 @@ that ``yield`` either
 Processes compose with ``yield from``, which is how a CPU access "calls into"
 the cache hierarchy while accumulating latency.
 
-Internally the queue is split in two: a binary heap for timed actions and a
-FIFO deque for zero-delay actions scheduled at the current cycle (future
-resolutions and ``yield 0`` handoffs, which dominate synchronization-heavy
-runs). Both structures honour the same global ``(when, seq)`` order — every
-schedule still draws a fresh sequence number — so execution order, and
-therefore every simulation result, is identical to a single-heap engine;
-the split only avoids heap churn for actions that would be popped
-immediately. See ``docs/performance.md``.
+Pending actions live in one binary heap of ``(when, seq, action)``. Every
+schedule draws a fresh sequence number, so the heap's tuple order is the
+global ``(when, seq)`` order that makes each run a deterministic function
+of its inputs: actions due in the same cycle run FIFO. Zero-delay actions
+(process starts and future wake-ups; no model process yields 0) are
+0.5-3% of a benchmark run's events, and a queue of their own sped up no
+benchmark workload, so they share the heap. See ``docs/performance.md``.
 """
 
 from __future__ import annotations
 
 import heapq
-from collections import deque
-from typing import Any, Callable, Deque, Generator, List, Optional, Tuple
+from typing import Any, Callable, Generator, List, Optional, Tuple
 
 from repro.common.errors import DeadlockError, SimulationError
 from repro.sim.future import Future
@@ -35,9 +33,9 @@ ProcessGen = Generator[Any, Any, Any]
 
 
 class Process:
-    """A running generator registered with the simulator."""
+    """A generator the simulator advances one yield per event."""
 
-    __slots__ = ("gen", "name", "done", "sim", "_alive",
+    __slots__ = ("gen", "name", "done", "sim",
                  "_resume", "_on_resolved", "_next_value")
 
     def __init__(self, sim: "Simulator", gen: ProcessGen, name: str) -> None:
@@ -46,7 +44,6 @@ class Process:
         self.name = name
         #: Resolves with the generator's return value when it finishes.
         self.done = Future(f"{name}.done")
-        self._alive = True
         # Prebound continuations: scheduling a step reuses these callables
         # instead of allocating a closure per yield. A process waits on at
         # most one future at a time, so a single ``_next_value`` cell is
@@ -54,21 +51,6 @@ class Process:
         self._next_value: Any = None
         self._resume = self._step_next
         self._on_resolved = self._future_resolved
-
-    @property
-    def alive(self) -> bool:
-        return self._alive
-
-    def kill(self) -> None:
-        """Terminate the process without resolving its ``done`` future value.
-
-        Used by tests and by the OS model when tearing a system down early.
-        """
-        if self._alive:
-            self._alive = False
-            self.gen.close()
-            if not self.done.done:
-                self.done.resolve(None)
 
     def _step_next(self) -> None:
         """Advance the generator one yield and reschedule accordingly.
@@ -78,37 +60,24 @@ class Process:
         helper would double the per-event call count).
         """
         send_value, self._next_value = self._next_value, None
-        if not self._alive:
-            return
         try:
             yielded = self.gen.send(send_value)
         except StopIteration as stop:
-            self._alive = False
             if self.sim.tracer is not None:
                 self.sim.tracer.record("sim.process_done", process=self.name)
             self.done.resolve(stop.value)
             return
         if type(yielded) is int or isinstance(yielded, int):
             if yielded < 0:
-                self._alive = False
                 raise SimulationError(
                     f"process {self.name} yielded negative delay {yielded}")
             sim = self.sim
             sim._seq += 1
-            if yielded:
-                heapq.heappush(sim._queue,
-                               (sim.now + yielded, sim._seq, self._resume))
-            elif not sim._ready:
-                sim._ready_when = sim.now
-                sim._ready.append((sim._seq, self._resume))
-            elif sim._ready_when == sim.now:
-                sim._ready.append((sim._seq, self._resume))
-            else:  # pragma: no cover - time moved past pending ready entries
-                heapq.heappush(sim._queue, (sim.now, sim._seq, self._resume))
+            heapq.heappush(sim._queue,
+                           (sim.now + yielded, sim._seq, self._resume))
         elif isinstance(yielded, Future):
             yielded.add_callback(self._on_resolved)
         else:
-            self._alive = False
             raise SimulationError(
                 f"process {self.name} yielded {type(yielded).__name__}; "
                 "only int delays and Futures are allowed")
@@ -117,16 +86,10 @@ class Process:
         self._next_value = value
         sim = self.sim
         sim._seq += 1
-        if not sim._ready:
-            sim._ready_when = sim.now
-            sim._ready.append((sim._seq, self._resume))
-        elif sim._ready_when == sim.now:
-            sim._ready.append((sim._seq, self._resume))
-        else:  # pragma: no cover - time moved past pending ready entries
-            heapq.heappush(sim._queue, (sim.now, sim._seq, self._resume))
+        heapq.heappush(sim._queue, (sim.now, sim._seq, self._resume))
 
     def __repr__(self) -> str:
-        state = "alive" if self._alive else "done"
+        state = "done" if self.done.done else "running"
         return f"Process({self.name}, {state})"
 
 
@@ -137,11 +100,6 @@ class Simulator:
         self.now = 0
         self._seq = 0
         self._queue: List[Tuple[int, int, Callable[[], None]]] = []
-        #: Zero-delay actions scheduled at cycle ``_ready_when`` (always the
-        #: current cycle while non-empty), FIFO by sequence number.
-        self._ready: Deque[Tuple[int, Callable[[], None]]] = deque()
-        self._ready_when = 0
-        self._processes: List[Process] = []
         self.events_executed = 0
         #: Optional observability sink with a ``record(kind, **fields)``
         #: method (an :class:`repro.obs.bus.EventBus` or recorder). The
@@ -153,53 +111,24 @@ class Simulator:
         if delay < 0:
             raise SimulationError(f"cannot schedule into the past ({delay})")
         self._seq += 1
-        if delay:
-            heapq.heappush(self._queue, (self.now + delay, self._seq, action))
-        elif not self._ready:
-            self._ready_when = self.now
-            self._ready.append((self._seq, action))
-        elif self._ready_when == self.now:
-            self._ready.append((self._seq, action))
-        else:  # pragma: no cover - time moved past pending ready entries
-            heapq.heappush(self._queue, (self.now, self._seq, action))
+        heapq.heappush(self._queue, (self.now + delay, self._seq, action))
 
-    def _next_entry(self) -> Tuple[int, int, Callable[[], None], bool]:
-        """Peek the globally smallest ``(when, seq, action)`` without
-        popping; the flag says whether it lives on the heap."""
-        queue, ready = self._queue, self._ready
-        if ready:
-            rseq, raction = ready[0]
-            rwhen = self._ready_when
-            if queue:
-                hwhen, hseq, haction = queue[0]
-                if hwhen < rwhen or (hwhen == rwhen and hseq < rseq):
-                    return hwhen, hseq, haction, True
-            return rwhen, rseq, raction, False
-        hwhen, hseq, haction = queue[0]
-        return hwhen, hseq, haction, True
-
-    def run(self, until: Optional[int] = None,
-            max_events: Optional[int] = None) -> int:
+    def run(self, until: Optional[int] = None) -> int:
         """Drain the event queue.
 
-        Stops when the queue is empty, virtual time would pass ``until``, or
-        ``max_events`` actions have run. Returns the final virtual time.
+        Stops when the queue is empty or virtual time would pass ``until``.
+        Returns the final virtual time.
         """
-        queue, ready = self._queue, self._ready
-        while queue or ready:
-            when, _seq, action, from_heap = self._next_entry()
+        queue = self._queue
+        while queue:
+            when = queue[0][0]
             if until is not None and when > until:
                 self.now = until
                 break
-            if from_heap:
-                heapq.heappop(queue)
-            else:
-                ready.popleft()
+            _when, _seq, action = heapq.heappop(queue)
             self.now = when
             self.events_executed += 1
             action()
-            if max_events is not None and self.events_executed >= max_events:
-                break
         return self.now
 
     def run_until_done(self, procs: List[Process],
@@ -220,59 +149,27 @@ class Simulator:
                     remaining -= 1
 
                 p.done.add_callback(_finished)
-        queue, ready = self._queue, self._ready
+        queue = self._queue
         heappop = heapq.heappop
         while remaining:
-            if not queue and not ready:
+            if not queue:
                 stuck = [p.name for p in procs if not p.done.done]
                 raise DeadlockError(
                     f"no pending events but processes blocked: {stuck}")
-            if ready:
-                rseq, action = ready[0]
-                when = self._ready_when
-                if queue:
-                    head = queue[0]
-                    if head[0] < when or (head[0] == when and head[1] < rseq):
-                        when, action = head[0], head[2]
-                        if limit is not None and when > limit:
-                            self._limit_exceeded(procs, limit)
-                        heappop(queue)
-                    else:
-                        if limit is not None and when > limit:
-                            self._limit_exceeded(procs, limit)
-                        ready.popleft()
-                else:
-                    if limit is not None and when > limit:
-                        self._limit_exceeded(procs, limit)
-                    ready.popleft()
-            else:
-                when, _seq, action = queue[0]
-                if limit is not None and when > limit:
-                    self._limit_exceeded(procs, limit)
-                heappop(queue)
+            if limit is not None and queue[0][0] > limit:
+                stuck = [p.name for p in procs if not p.done.done]
+                raise DeadlockError(
+                    f"cycle limit {limit} exceeded; still running: {stuck}")
+            when, _seq, action = heappop(queue)
             self.now = when
             self.events_executed += 1
             action()
         return self.now
 
-    def _limit_exceeded(self, procs: List[Process], limit: int) -> None:
-        stuck = [p.name for p in procs if not p.done.done]
-        raise DeadlockError(
-            f"cycle limit {limit} exceeded; still running: {stuck}")
-
     def spawn(self, gen: ProcessGen, name: str = "proc") -> Process:
-        """Register a generator as a process; it starts at the current time."""
+        """Start a generator as a process at the current time."""
         proc = Process(self, gen, name)
-        self._processes.append(proc)
         if self.tracer is not None:
             self.tracer.record("sim.spawn", process=name)
         self.schedule(0, proc._resume)
         return proc
-
-    @property
-    def pending_events(self) -> int:
-        return len(self._queue) + len(self._ready)
-
-    def processes(self) -> List[Process]:
-        """All processes ever spawned (including finished ones)."""
-        return list(self._processes)

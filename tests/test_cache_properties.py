@@ -30,9 +30,6 @@ class ReferenceLRU:
         self.ways = ways
         self.block_bytes = block_bytes
         self.num_sets = sets
-        self.hits = 0
-        self.misses = 0
-        self.evictions = 0
 
     def _set(self, addr):
         return (addr // self.block_bytes) % self.num_sets
@@ -41,9 +38,7 @@ class ReferenceLRU:
         s = self.sets[self._set(addr)]
         if addr in s:
             s.move_to_end(addr)
-            self.hits += 1
             return True
-        self.misses += 1
         return False
 
     def peek(self, addr):
@@ -57,7 +52,6 @@ class ReferenceLRU:
             return None
         if len(s) >= self.ways:
             victim, _ = s.popitem(last=False)
-            self.evictions += 1
         s[addr] = True
         return victim
 
@@ -101,8 +95,6 @@ def test_cache_matches_reference_lru(ops):
         else:
             assert cache.flush() == ref.flush()
     assert {b.addr for b in cache.resident_blocks()} == ref.resident()
-    assert (cache.hits, cache.misses, cache.evictions) == \
-        (ref.hits, ref.misses, ref.evictions)
     # Every untouched set of every array shares this one dict; a block
     # leaking into it would appear resident in all of them.
     assert _EMPTY_SET == {}

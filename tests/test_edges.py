@@ -10,27 +10,10 @@ from repro.common.errors import ConfigError
 from repro.harness.runner import run_workload
 from repro.harness.system import System
 from repro.sim.engine import Simulator
-from repro.sim.future import Future
 from repro.workloads import SharedCounter
 
 
 class TestEngineEdges:
-    def test_kill_while_waiting_on_future(self):
-        sim = Simulator()
-        fut = Future("never")
-
-        def waiter():
-            yield fut
-
-        proc = sim.spawn(waiter())
-        sim.run()
-        proc.kill()
-        assert proc.done.done
-        # A late resolve must not resurrect the process.
-        fut.resolve(1)
-        sim.run()
-        assert not proc.alive
-
     def test_schedule_inside_action(self):
         sim = Simulator()
         order = []
@@ -38,14 +21,6 @@ class TestEngineEdges:
                                  sim.schedule(0, lambda: order.append("b"))))
         sim.run()
         assert order == ["a", "b"]
-
-    def test_run_max_events(self):
-        sim = Simulator()
-        for i in range(10):
-            sim.schedule(i, lambda: None)
-        sim.run(max_events=3)
-        assert sim.events_executed == 3
-        assert sim.pending_events == 7
 
 
 class TestConfigEdges:

@@ -12,7 +12,7 @@ class TestLogFilter:
         f = LogFilter(entries=4)
         assert f.should_log(0)
         assert not f.should_log(0)
-        assert f.hits == 1 and f.misses == 1
+        assert f.occupancy == 1
 
     def test_lru_replacement(self):
         f = LogFilter(entries=2)

@@ -177,6 +177,32 @@ class TestChipLevelSticky:
         system.sim.run()
         assert done == [0]
 
+    def test_chip_l2_victims_and_sticky_m_discharge_are_published(self):
+        """A chip-L2 victimization emits ``coh.l2_victim`` as the
+        single-CMP L2 does, and the memory directory's discharge of a
+        sticky-M chip emits ``coh.sticky_clean`` naming that chip."""
+        system, threads = build()
+        _bus, log = system.attach_bus(strict=True)
+        a, b = cross_chip_pair(system, threads)
+        chip_a = system.fabric.chip_of(a.slot.core.core_id)
+        self._overflow_chip_l2(system, a)
+        tx_victims = [e.fields["block"]
+                      for e in log.events(kind="coh.l2_victim")
+                      if e.fields["transactional"]]
+        assert len(tx_victims) == \
+            system.stats.value("victimization.l2_tx") == 2
+        assert set(tx_victims) == {
+            blk for blk, e in system.fabric._mem_entries.items()
+            if chip_a in e.sticky_chips}
+        a.ctx.commit()
+        block = tx_victims[0]
+        result = run(system, system.fabric.request(
+            b.slot.core.core_id, b.tid, None, block, True, 0))
+        assert result.granted
+        assert [(e.fields["block"], e.fields["chips"])
+                for e in log.events(kind="coh.sticky_clean")
+                if "chips" in e.fields] == [(block, (chip_a,))]
+
 
 class TestStickyAttribution:
     """A NACK that reached its blocker only through a sticky state says so

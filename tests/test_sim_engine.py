@@ -1,6 +1,8 @@
 """Tests for the discrete-event kernel (engine, futures, resources)."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.common.errors import DeadlockError, SimulationError
 from repro.sim.engine import Simulator
@@ -99,19 +101,6 @@ class TestProcesses:
         with pytest.raises(SimulationError):
             sim.run()
 
-    def test_kill_stops_process(self):
-        sim = Simulator()
-
-        def forever():
-            while True:
-                yield 10
-
-        p = sim.spawn(forever())
-        sim.run(until=100)
-        p.kill()
-        assert not p.alive
-        assert p.done.done
-
     def test_run_until_done_detects_deadlock(self):
         sim = Simulator()
         fut = Future("never")
@@ -132,6 +121,108 @@ class TestProcesses:
         p = sim.spawn(slow())
         with pytest.raises(DeadlockError):
             sim.run_until_done([p], limit=100)
+
+
+N_FUTURES = 3
+N_ACTIONS = 6
+_delays = st.integers(min_value=0, max_value=3)
+# An action's ops: schedule a later action (by offset, so the plan
+# terminates), resolve a future (waking its waiters) or spawn a process.
+_ops = st.one_of(
+    st.tuples(st.just("schedule"), _delays, st.integers(0, N_ACTIONS - 1)),
+    st.tuples(st.just("resolve"), st.integers(0, N_FUTURES - 1)),
+    st.tuples(st.just("spawn"), st.integers(0, 3)),
+)
+_steps = st.one_of(st.tuples(st.just("delay"), _delays),
+                   st.tuples(st.just("wait"), st.integers(0, N_FUTURES - 1)))
+_plans = st.fixed_dictionaries({
+    "roots": st.lists(st.tuples(_delays, st.integers(0, N_ACTIONS - 1)),
+                      min_size=1, max_size=6),
+    "actions": st.lists(st.lists(_ops, max_size=3),
+                        min_size=N_ACTIONS, max_size=N_ACTIONS),
+    "procs": st.lists(st.lists(_steps, max_size=4), min_size=4, max_size=4),
+    "starts": st.lists(st.integers(0, 3), max_size=3),
+})
+
+
+class _OrderProbe:
+    """Runs a random plan and logs every schedule and every execution.
+
+    Each schedule the kernel makes (an explicit ``schedule``, a spawn, a
+    process's delay yield, a future waking a waiter) is logged as
+    ``(when, ticket)`` just before the kernel draws its sequence number,
+    so tickets are drawn in the kernel's ``seq`` order. The entry that
+    runs logs ``(now, ticket)``.
+    """
+
+    def __init__(self, plan):
+        self.plan = plan
+        self.sim = Simulator()
+        self.scheduled, self.ran = [], []
+        self.futures = [Future(f"f{i}") for i in range(N_FUTURES)]
+        self.waiters = [[] for _ in range(N_FUTURES)]
+
+    def _ticket(self, delay):
+        self.scheduled.append((self.sim.now + delay, len(self.scheduled)))
+        return len(self.scheduled) - 1
+
+    def schedule(self, delay, index):
+        ticket = self._ticket(delay)
+        self.sim.schedule(delay, lambda: self._act(index, ticket))
+
+    def spawn(self, index):
+        ticket = self._ticket(0)
+        self.sim.spawn(self._process(self.plan["procs"][index], ticket))
+
+    def _act(self, index, ticket):
+        self.ran.append((self.sim.now, ticket))
+        for op in self.plan["actions"][index]:
+            if op[0] == "schedule" and index + 1 + op[2] < N_ACTIONS:
+                self.schedule(op[1], index + 1 + op[2])
+            elif op[0] == "resolve" and not self.futures[op[1]].done:
+                for cell in self.waiters[op[1]]:
+                    cell.append(self._ticket(0))
+                self.futures[op[1]].resolve(None)
+            elif op[0] == "spawn":
+                self.spawn(op[1])
+
+    def _process(self, script, ticket):
+        self.ran.append((self.sim.now, ticket))
+        for kind, arg in script:
+            if kind == "delay":
+                ticket = self._ticket(arg)
+                yield arg
+            elif self.futures[arg].done:
+                ticket = self._ticket(0)
+                yield self.futures[arg]
+            else:
+                cell = []
+                self.waiters[arg].append(cell)
+                yield self.futures[arg]
+                ticket = cell[0]
+            self.ran.append((self.sim.now, ticket))
+
+
+def _reference_order(scheduled):
+    """The kernel's contract: every scheduled entry runs once, at its
+    ``when``, in ascending ``(when, seq)`` order. An entry scheduled while
+    another runs has ``when >= now`` and a larger ``seq``, so the whole
+    run is one ascending sequence: the sorted list of every schedule."""
+    return sorted(scheduled)
+
+
+class TestOrderingContract:
+    @settings(max_examples=200, deadline=None)
+    @given(_plans)
+    def test_execution_matches_when_seq_reference(self, plan):
+        probe = _OrderProbe(plan)
+        for delay, index in plan["roots"]:
+            probe.schedule(delay, index)
+        for index in plan["starts"]:
+            probe.spawn(index)
+        probe.sim.run()
+        assert probe.ran == _reference_order(probe.scheduled)
+        assert probe.sim.events_executed == len(probe.ran)
 
 
 class TestFuture:

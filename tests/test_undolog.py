@@ -35,7 +35,7 @@ class TestFrames:
         log.append(0, mem, IDENTITY)
         log.reset()
         assert log.depth == 0
-        assert log.appended == 0
+        assert log.total_records == 0
 
 
 class TestAppendAndUnroll:
@@ -206,4 +206,3 @@ class TestNestingSemantics:
         log.push_frame()
         log.append(64, mem, IDENTITY)
         assert log.total_records == 2
-        assert log.appended == 2
