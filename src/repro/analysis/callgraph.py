@@ -277,20 +277,6 @@ class Project:
                         return method
         return None
 
-    def self_delegations(self, fn: FunctionInfo
-                         ) -> List[Tuple[ast.Call, FunctionInfo]]:
-        """One level of ``self._helper(...)`` delegation inside ``fn``:
-        every call site paired with the method it resolves to."""
-        out: List[Tuple[ast.Call, FunctionInfo]] = []
-        if fn.cls is None:
-            return out
-        for node in ast.walk(fn.node):
-            if isinstance(node, ast.Call):
-                target = self.resolve_method_call(node, fn.cls)
-                if target is not None:
-                    out.append((node, target))
-        return out
-
     def resolve_call(self, call: ast.Call,
                      fn: FunctionInfo) -> List[FunctionInfo]:
         """Project functions a call site may invoke (possibly empty)."""

@@ -96,10 +96,6 @@ class CoherenceResult:
         self.blockers = [] if blockers is None else blockers
 
     @property
-    def nacked(self) -> bool:
-        return not self.granted
-
-    @property
     def all_false_positive(self) -> bool:
         """The whole NACK was due to signature aliasing (no real conflict)."""
         return all_false_positive(self.blockers)

@@ -323,7 +323,14 @@ class MultiChipFabric(DirectoryLevel):
                 self._demote_chip(mem_entry.owner_chip, block_addr)
                 mem_entry.sharer_chips.add(mem_entry.owner_chip)
                 mem_entry.owner_chip = None
-            if mem_entry.sharer_chips or mem_entry.owner_chip == chip:
+            # A sticky chip whose cores still cover the block counts as
+            # a sharer: a read grant past it must not carry E rights.
+            covered = any(
+                remote != chip and self._chip_covers(
+                    remote, block_addr, exclude=requester_core)
+                for remote in mem_entry.sticky_chips)
+            if mem_entry.sharer_chips or mem_entry.owner_chip == chip or \
+                    covered:
                 mem_entry.sharer_chips.add(chip)
                 entry.rights = "S"
             else:

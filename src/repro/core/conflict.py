@@ -20,10 +20,22 @@ class BackoffPolicy:
     def __init__(self, cfg: TMConfig, rng: random.Random) -> None:
         self._cfg = cfg
         self._rng = rng
+        self._getrandbits = rng.getrandbits
+        self._jitter_span = cfg.backoff_jitter + 1
+        self._jitter_bits = self._jitter_span.bit_length()
 
     def stall_delay(self) -> int:
-        """Cycles before retrying a NACKed coherence request."""
-        jitter = self._rng.randrange(self._cfg.backoff_jitter + 1)
+        """Cycles before retrying a NACKed coherence request.
+
+        The jitter is ``randrange(backoff_jitter + 1)`` drawn inline: the
+        same rejection loop over ``getrandbits(k)`` that ``randrange``
+        runs, so it consumes the same bits from the shared RNG, without
+        ``randrange``'s two Python frames per stall.
+        """
+        span, bits = self._jitter_span, self._jitter_bits
+        jitter = self._getrandbits(bits)
+        while jitter >= span:
+            jitter = self._getrandbits(bits)
         return self._cfg.backoff_base + jitter
 
     def restart_delay(self, attempt: int) -> int:

@@ -199,8 +199,15 @@ class Cell:
         workload fingerprint, seed, label, cycle limit, verify mode)``
         tuple, so the CLI sweep and the service agree on it.
         """
-        payload = "\n".join([code_version(), repr(self.config),
-                             workload_fingerprint(self.workload),
+        return self.key_with(workload_fingerprint(self.workload))
+
+    def key_with(self, fingerprint: str) -> str:
+        """:attr:`key`, given ``workload_fingerprint(self.workload)``.
+
+        Cells that share one workload instance (a spec's grid) fingerprint
+        it once instead of once per cell.
+        """
+        payload = "\n".join([code_version(), repr(self.config), fingerprint,
                              str(self.seed), self.label,
                              str(self.cycle_limit),
                              f"verify={self.verify!r}"])

@@ -54,17 +54,6 @@ class GridTopology:
     def _tile_coord(self, index: int) -> Tuple[int, int]:
         return divmod(index % (self.rows * self.cols), self.cols)
 
-    def core_coord(self, core_id: int) -> Tuple[int, int]:
-        return self._core_pos[core_id]
-
-    def bank_coord(self, bank_id: int) -> Tuple[int, int]:
-        return self._bank_pos[bank_id]
-
     @staticmethod
     def manhattan(a: Tuple[int, int], b: Tuple[int, int]) -> int:
         return abs(a[0] - b[0]) + abs(a[1] - b[1])
-
-    @property
-    def diameter(self) -> int:
-        """Worst-case hop count across the grid."""
-        return (self.rows - 1) + (self.cols - 1)

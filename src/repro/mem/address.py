@@ -48,22 +48,6 @@ class AddressMap:
     def page_of(self, addr: int) -> int:
         return addr & ~(self.page_bytes - 1)
 
-    def page_offset(self, addr: int) -> int:
-        return addr & (self.page_bytes - 1)
-
     def bank_of(self, addr: int) -> int:
         """Home L2 bank: interleaved by block address (Section 5)."""
         return self.block_index(addr) % self.num_banks
-
-    def blocks_in_page(self, page_addr: int):
-        """Iterate the block-aligned addresses inside one page."""
-        base = self.page_of(page_addr)
-        for off in range(0, self.page_bytes, self.block_bytes):
-            yield base + off
-
-    def same_block(self, a: int, b: int) -> bool:
-        return self.block_of(a) == self.block_of(b)
-
-    @property
-    def blocks_per_page(self) -> int:
-        return self.page_bytes // self.block_bytes

@@ -13,7 +13,7 @@ convention, but any integer address maps to its containing word.
 from __future__ import annotations
 
 from itertools import repeat
-from typing import Dict, Iterator, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 WORD_BYTES = 8
 
@@ -87,10 +87,6 @@ class PhysicalMemory:
         if nbytes % WORD_BYTES:
             raise ValueError("copy length must be word-aligned")
         self.store_block(dst, self.load_block(src, nbytes))
-
-    def nonzero_words(self) -> Iterator[Tuple[int, int]]:
-        """Iterate ``(word_address, value)`` pairs with nonzero values."""
-        return iter(sorted(self._words.items()))
 
     def __len__(self) -> int:
         return len(self._words)

@@ -53,13 +53,6 @@ class Tlb:
         """Shootdown of one translation; True if it was present."""
         return self._map.pop((asid, vpage), None) is not None
 
-    def flush_asid(self, asid: int) -> int:
-        """Drop every translation of one address space (process exit)."""
-        stale = [tag for tag in self._map if tag[0] == asid]
-        for tag in stale:
-            del self._map[tag]
-        return len(stale)
-
     @property
     def occupancy(self) -> int:
         return len(self._map)

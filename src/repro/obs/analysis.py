@@ -27,7 +27,7 @@ user abort) is *other*.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.obs.events import Event
 
@@ -214,21 +214,12 @@ class ConflictGraph:
         return sorted(self._edges.values(),
                       key=lambda e: (-e.count, e.src, e.dst))
 
-    @property
-    def total_conflicts(self) -> int:
-        return sum(e.count for e in self._edges.values())
-
     def nodes(self) -> List[int]:
         out = set()
         for src, dst in self._edges:
             out.add(src)
             out.add(dst)
         return sorted(out)
-
-    def blocked_by(self, thread: int) -> Dict[int, int]:
-        """victim → count for conflicts where ``thread`` was the blocker."""
-        return {dst: e.count for (src, dst), e in sorted(self._edges.items())
-                if src == thread}
 
     def to_dict(self) -> Dict[str, Any]:
         return {"nodes": self.nodes(),
@@ -254,10 +245,6 @@ class AbortAttribution:
     @property
     def total(self) -> int:
         return sum(self.counts.values())
-
-    def fraction(self, category: str) -> float:
-        total = self.total
-        return self.counts.get(category, 0) / total if total else 0.0
 
     def to_dict(self) -> Dict[str, int]:
         return {cat: self.counts[cat] for cat in CATEGORIES}

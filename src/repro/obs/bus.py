@@ -53,18 +53,6 @@ class EventBus:
         self._subs.append((subscriber, kind_set, ns_set))
         return subscriber
 
-    def unsubscribe(self, subscriber: Subscriber) -> bool:
-        """Remove a subscriber; True if it was registered."""
-        for i, (sub, _k, _n) in enumerate(self._subs):
-            if sub is subscriber:
-                del self._subs[i]
-                return True
-        return False
-
-    @property
-    def subscriber_count(self) -> int:
-        return len(self._subs)
-
     # -- emission ----------------------------------------------------------
 
     def record(self, kind: str, **fields: Any) -> None:

@@ -7,7 +7,7 @@ in the kernel — conditions, queues, and locks in the model are built from it.
 
 from __future__ import annotations
 
-from typing import Any, Callable, List, Optional
+from typing import Any, Callable, List
 
 from repro.common.errors import SimulationError
 
@@ -80,7 +80,3 @@ class Signal:
         for fut in waiters:
             fut.resolve(value)
         return len(waiters)
-
-    @property
-    def waiter_count(self) -> int:
-        return len(self._waiters)

@@ -16,7 +16,9 @@ Routes (all JSON unless noted)::
     DELETE /sweeps/{id}            cancel (queued or running)
 
 ``POST /sweeps`` accepts either a bare spec object or
-``{"spec": {...}, "priority": N}``. Errors are JSON too:
+``{"spec": {...}, "priority": N}``. Responses are compact JSON (no
+indentation or spaces; ``repro jobs`` pretty-prints its own output).
+Errors are JSON too:
 ``{"error": "..."}`` with 400 (bad spec), 404 (unknown job), 409
 (illegal cancel), 405, or 500.
 
@@ -73,7 +75,8 @@ class SweepRequestHandler(BaseHTTPRequestHandler):
         pass  # request logging rides the svc.* event stream instead
 
     def _send_json(self, payload: Any, status: int = 200) -> None:
-        body = json.dumps(payload, indent=2).encode("utf-8")
+        # Compact, so the C encoder writes it: clients only parse it.
+        body = json.dumps(payload, separators=(",", ":")).encode("utf-8")
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(body)))

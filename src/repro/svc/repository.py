@@ -22,7 +22,10 @@ Two responsibilities, one database file:
   ``queued`` job, and every other state change is a compare-and-set
   (:meth:`RunRepository.transition`) against :data:`TRANSITIONS`. Jobs
   survive a service restart: :meth:`RunRepository.recover` re-queues
-  anything left ``running`` by a previous process.
+  anything left ``running`` by a previous process. A cell's outcome
+  commits with its ledger row (:meth:`RunRepository.store_cell_result`,
+  :meth:`RunRepository.serve_cell_from_store`), so no crash separates
+  a stored result from the cell it finished.
 
 A repository keeps one SQLite connection, opened when it is built and
 shared by every thread under a lock: API handler threads and the
@@ -110,6 +113,13 @@ CREATE INDEX IF NOT EXISTS cells_by_key ON cells (cache_key);
 CREATE INDEX IF NOT EXISTS jobs_by_state ON jobs (state);
 """
 
+#: The one statement that stores a result. First write wins: cells are
+#: deterministic functions of their key, so a concurrent duplicate is
+#: identical by construction and need not be rewritten.
+_INSERT_RUN = ("INSERT OR IGNORE INTO runs "
+               "(cache_key, digest, result_json, created_at, last_used) "
+               "VALUES (?, ?, ?, ?, ?)")
+
 
 def default_db_path() -> str:
     """``$REPRO_CACHE_DIR/sweeps.db``, else ``~/.cache/repro/sweeps.db``."""
@@ -186,20 +196,20 @@ class RunRepository:
     def store_run(self, cache_key: str, result: RunResult) -> str:
         """Persist one result; returns its digest.
 
-        First write wins (``INSERT OR IGNORE``): cells are deterministic
-        functions of their key, so a concurrent duplicate is identical
-        by construction and need not be rewritten.
+        First write wins (:data:`_INSERT_RUN`).
         """
-        record = result.to_dict()
-        digest = result_digest(record)
-        now = time.time()
+        row = self._run_row(cache_key, result)
         with self._connect() as conn:
-            conn.execute(
-                "INSERT OR IGNORE INTO runs "
-                "(cache_key, digest, result_json, created_at, last_used) "
-                "VALUES (?, ?, ?, ?, ?)",
-                (cache_key, digest, json.dumps(record), now, now))
-        return digest
+            conn.execute(_INSERT_RUN, row)
+        return row[1]
+
+    @staticmethod
+    def _run_row(cache_key: str, result: RunResult) -> Tuple:
+        """:data:`_INSERT_RUN`'s parameters, encoded outside the lock."""
+        record = result.to_dict()
+        now = time.time()
+        return (cache_key, result_digest(record), json.dumps(record),
+                now, now)
 
     def load_run(self, cache_key: str) -> Optional[RunResult]:
         """The stored result, or None; a hit refreshes its recency."""
@@ -212,11 +222,6 @@ class RunRepository:
         if row is None:
             return None
         return RunResult.from_dict(json.loads(row["result_json"]))
-
-    def touch_run(self, cache_key: str) -> bool:
-        """Refresh a stored run's recency; True if the run exists."""
-        with self._connect() as conn:
-            return self._touch(conn, cache_key)
 
     @staticmethod
     def _touch(conn: sqlite3.Connection, cache_key: str) -> bool:
@@ -282,7 +287,7 @@ class RunRepository:
                 "INSERT INTO cells (job_id, label, cache_key, state) "
                 "VALUES (?, ?, ?, 'pending')",
                 [(job_id, label, key) for label, key in keys.items()])
-        return self.get_job(job_id)
+            return self._load_job(conn, job_id)
 
     def transition(self, job_id: str, old: str, new: str,
                    error: Optional[str] = None) -> bool:
@@ -290,8 +295,10 @@ class RunRepository:
 
         One compare-and-set ``UPDATE``, so of two threads moving the same
         job (the scheduler claiming it, an API thread cancelling it) only
-        one wins. An edge missing from :data:`TRANSITIONS` raises
-        :class:`StateError` and changes nothing.
+        one wins. A move to ``cancelled`` cancels the job's unfinished
+        cells in the same transaction. An edge missing from
+        :data:`TRANSITIONS` raises :class:`StateError` and changes
+        nothing.
         """
         if new not in TRANSITIONS.get(old, ()):
             raise StateError(f"illegal transition {old!r} -> {new!r}")
@@ -310,7 +317,13 @@ class RunRepository:
         cur = conn.execute(
             f"UPDATE jobs SET state = ?, error = ?, {stamp} = ? "
             "WHERE id = ? AND state = ?", (new, error, when, job_id, old))
-        return cur.rowcount > 0
+        if cur.rowcount == 0:
+            return False
+        if new == "cancelled":
+            conn.execute(
+                "UPDATE cells SET state = 'cancelled' WHERE job_id = ? "
+                "AND state IN ('pending', 'running')", (job_id,))
+        return True
 
     def claim_next_job(self) -> Optional[Dict[str, Any]]:
         """Move the next queued job to ``running``; return it, or None.
@@ -401,23 +414,49 @@ class RunRepository:
     # -- cells -------------------------------------------------------------
 
     def update_cell(self, job_id: str, label: str, **fields: Any) -> None:
+        with self._connect() as conn:
+            self._update_cell(conn, job_id, label, fields)
+
+    def store_cell_result(self, job_id: str, label: str, cache_key: str,
+                          result: RunResult, **fields: Any) -> str:
+        """An executed cell's outcome: its result and its ledger row.
+
+        One transaction stores the run (as :meth:`store_run` does) and
+        sets the cell's ``fields``, so a crash keeps both or neither.
+        Returns the result's digest.
+        """
+        row = self._run_row(cache_key, result)
+        with self._connect() as conn:
+            conn.execute(_INSERT_RUN, row)
+            self._update_cell(conn, job_id, label, fields)
+        return row[1]
+
+    def serve_cell_from_store(self, job_id: str, label: str,
+                              cache_key: str) -> bool:
+        """Resolve a cell from a stored run; False if none is stored.
+
+        One transaction refreshes the run's recency and marks the cell
+        ``done`` with source ``repository``; a miss writes nothing.
+        """
+        with self._connect() as conn:
+            if not self._touch(conn, cache_key):
+                return False
+            self._update_cell(conn, job_id, label,
+                              {"state": "done", "source": "repository"})
+        return True
+
+    @staticmethod
+    def _update_cell(conn: sqlite3.Connection, job_id: str, label: str,
+                     fields: Dict[str, Any]) -> None:
         allowed = {"state", "source", "attempts", "retries", "timeouts",
                    "wall_time", "error"}
         unknown = set(fields) - allowed
         if unknown:
             raise ValueError(f"unknown cell fields: {sorted(unknown)}")
         sets = ", ".join(f"{name} = ?" for name in fields)
-        with self._connect() as conn:
-            conn.execute(
-                f"UPDATE cells SET {sets} WHERE job_id = ? AND label = ?",
-                tuple(fields.values()) + (job_id, label))
-
-    def cells_in_state(self, job_id: str, state: str) -> List[str]:
-        with self._connect() as conn:
-            rows = conn.execute(
-                "SELECT label FROM cells WHERE job_id = ? AND state = ? "
-                "ORDER BY rowid", (job_id, state)).fetchall()
-        return [row["label"] for row in rows]
+        conn.execute(
+            f"UPDATE cells SET {sets} WHERE job_id = ? AND label = ?",
+            tuple(fields.values()) + (job_id, label))
 
     def results_for_job(self, job_id: str,
                         labels: Optional[Iterable[str]] = None

@@ -3,16 +3,23 @@
 :class:`SweepService` is the hub every other ``repro.svc`` module plugs
 into. A submission flows through it as::
 
-    POST /sweeps ──> SweepSpec ──> RunRepository.create_job (queued)
+    POST /sweeps ──> SweepSpec ──> cells + keys ──> create_job (queued)
                                         │
                  jobs table (the queue: priority, then FIFO)
                                         │
                 scheduler thread: claim_next_job (queued ──> running)
-                    for each cell of SweepSpec.cells()
+                    for each cell built at submission
                     repository hit? ──────────────> cell done (repo)
                     else ─> WorkerFleet.dispatch(cell) ─> run ─> store+done
                                         │
                     crash/timeout ─> re-queue (retry budget) or failed
+
+A submission is expanded once: the cells and keys built when it is
+accepted are the ones the scheduler runs. Only a job recovered after a
+restart is expanded again from its stored spec. A cell outcome is one
+repository transaction: a repository hit refreshes the run's recency
+with the cell's ledger row, and an executed cell's result is stored
+with its ledger row ("store+done"), so a crash keeps both or neither.
 
 The repository's ``jobs`` table is the only queue and the only place a
 job's state changes: the scheduler claims the next job in one
@@ -50,6 +57,7 @@ from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from repro.common.errors import ReproError
 from repro.harness.fleet import WorkerFleet
+from repro.harness.sweep import Cell
 from repro.obs.bus import EventBus
 from repro.obs.events import Event
 from repro.svc.repository import RunRepository
@@ -96,6 +104,10 @@ class SweepService:
         self._event_counts: Counter = Counter()  # (kind, source) -> n
         self._cancel_requested: set = set()
         self._cancel_lock = threading.Lock()
+        # job id -> (spec, cells) built at submission, taken by the
+        # scheduler when it runs the job or by a cancel while queued.
+        self._expansions: Dict[str, Tuple[SweepSpec, List[Cell]]] = {}
+        self._expansions_lock = threading.Lock()
         self._stop = threading.Event()
         # Set when a job may be waiting: a submission, or shutdown.
         self._wake = threading.Event()
@@ -175,9 +187,9 @@ class SweepService:
             return
         for cell in self.repository.get_job(job_id)["cells"]:
             if cell["label"] == label:
-                self.repository.store_run(cell["cache_key"], result)
-                self.repository.update_cell(job_id, label, state="done",
-                                            source="executed")
+                self.repository.store_cell_result(
+                    job_id, label, cell["cache_key"], result,
+                    state="done", source="executed")
 
     # -- client surface ----------------------------------------------------
 
@@ -186,8 +198,14 @@ class SweepService:
         """Validate, persist, and enqueue one sweep; returns the job."""
         spec = (spec_data if isinstance(spec_data, SweepSpec)
                 else SweepSpec.from_dict(spec_data))
-        job = self.repository.create_job(spec, priority=priority,
-                                         cache_keys=spec.cache_keys())
+        cells = spec.cells()
+        keys = spec.cache_keys(cells)
+        # Held until the expansion is filed: the scheduler can claim the
+        # job as soon as it is committed, and takes this lock to find it.
+        with self._expansions_lock:
+            job = self.repository.create_job(spec, priority=priority,
+                                             cache_keys=keys)
+            self._expansions[job["id"]] = (spec, cells)
         # Emitted before the scheduler is woken, so a job's event stream
         # starts with it.
         self._emit("svc.job.submitted", job=job["id"],
@@ -222,18 +240,13 @@ class SweepService:
         if self.repository.transition(job_id, "queued", "cancelled"):
             # It was still queued, so the scheduler can no longer claim
             # it; a running job is stopped by the scheduler instead.
-            self._finalize_cancel(job_id, claimed=False)
+            self._take_expansion(job_id)
+            self._finalize_cancel(job_id)
         return self.job(job_id)
 
-    def _finalize_cancel(self, job_id: str, claimed: bool) -> None:
-        """Cancel a job's unfinished cells, then a ``claimed`` (running)
-        job itself; a queued job was already moved by :meth:`cancel`."""
-        for label in self.repository.cells_in_state(job_id, "pending"):
-            self.repository.update_cell(job_id, label, state="cancelled")
-        for label in self.repository.cells_in_state(job_id, "running"):
-            self.repository.update_cell(job_id, label, state="cancelled")
-        if claimed:
-            self.repository.transition(job_id, "running", "cancelled")
+    def _finalize_cancel(self, job_id: str) -> None:
+        """Announce a job the repository moved to ``cancelled`` (with its
+        unfinished cells) and forget its cancel request."""
         self._emit("svc.job.cancelled", job=job_id)
         with self._cancel_lock:
             self._cancel_requested.discard(job_id)
@@ -241,6 +254,13 @@ class SweepService:
     def _cancelled(self, job_id: str) -> bool:
         with self._cancel_lock:
             return job_id in self._cancel_requested
+
+    def _take_expansion(self, job_id: str
+                        ) -> Optional[Tuple[SweepSpec, List[Cell]]]:
+        """The job's submit-time expansion, once; None for a job this
+        process did not accept (recovered after a restart)."""
+        with self._expansions_lock:
+            return self._expansions.pop(job_id, None)
 
     # -- health / metrics --------------------------------------------------
 
@@ -310,7 +330,11 @@ class SweepService:
         """Resolve every cell of a job this scheduler claimed."""
         job_id = job["id"]
         self._emit("svc.job.started", job=job_id)
-        spec = SweepSpec.from_dict(job["spec"])
+        expansion = self._take_expansion(job_id)
+        if expansion is None:
+            spec, grid = SweepSpec.from_dict(job["spec"]), None
+        else:
+            spec, grid = expansion
         keys = {cell["label"]: cell["cache_key"] for cell in job["cells"]}
 
         # Serve what the repository already holds (cross-submission
@@ -324,9 +348,11 @@ class SweepService:
             if not self._resolve_from_repository(job_id, label,
                                                  keys[label]):
                 pending.append(label)
-        # Built only when something must run: a job served wholly from
-        # the repository needs no workload.
-        cells = {cell.label: cell for cell in spec.cells()} if pending else {}
+        # A recovered job is expanded again only when something must run:
+        # a job served wholly from the repository needs no workload.
+        if pending and grid is None:
+            grid = spec.cells()
+        cells = {cell.label: cell for cell in grid or ()}
 
         attempts: Dict[str, int] = {}
         timeouts: Dict[str, int] = {}
@@ -338,7 +364,8 @@ class SweepService:
             if self._cancelled(job_id):
                 self.fleet.terminate([cells[label]
                                       for label in inflight.values()])
-                self._finalize_cancel(job_id, claimed=True)
+                self.repository.transition(job_id, "running", "cancelled")
+                self._finalize_cancel(job_id)
                 return
             if self._stop.is_set():
                 interrupted = True
@@ -368,7 +395,6 @@ class SweepService:
                 if message.kind == "done":
                     self._record_done(job_id, label, keys[label],
                                       message.result,
-                                      source="executed",
                                       wall_time=message.wall_time,
                                       attempts=attempts.get(label, 1),
                                       timeouts=timeouts.get(label, 0))
@@ -415,24 +441,22 @@ class SweepService:
     def _resolve_from_repository(self, job_id: str, label: str,
                                  cache_key: str) -> bool:
         """Serve a cell from the repository; True if it was stored."""
-        if not self.repository.touch_run(cache_key):
+        if not self.repository.serve_cell_from_store(job_id, label,
+                                                     cache_key):
             return False
-        self.repository.update_cell(job_id, label, state="done",
-                                    source="repository")
         self._emit("svc.cell.done", job=job_id, label=label,
                    source="repository", wall_time=0.0, attempts=0)
         return True
 
     def _record_done(self, job_id: str, label: str, key: str, result,
-                     source: str, wall_time: float, attempts: int,
+                     wall_time: float, attempts: int,
                      timeouts: int) -> None:
-        self.repository.store_run(key, result)
-        self.repository.update_cell(
-            job_id, label, state="done", source=source,
+        self.repository.store_cell_result(
+            job_id, label, key, result, state="done", source="executed",
             attempts=attempts, retries=max(attempts - 1, 0),
             timeouts=timeouts, wall_time=wall_time)
         self._emit("svc.cell.done", job=job_id, label=label,
-                   source=source, wall_time=round(wall_time, 6),
+                   source="executed", wall_time=round(wall_time, 6),
                    attempts=attempts)
 
     def _record_failed(self, job_id: str, label: str,

@@ -30,7 +30,8 @@ from repro.common.errors import ConfigError, ReproError
 from repro.common.rng import DEFAULT_SEED
 from repro.harness.runner import DEFAULT_CYCLE_LIMIT
 from repro.harness.sweep import (Cell, Variant, signature_design_variants,
-                                 signature_size_variants)
+                                 signature_size_variants,
+                                 workload_fingerprint)
 from repro.workloads import PAPER_SUITE
 from repro.workloads.base import Workload
 
@@ -161,13 +162,18 @@ class SweepSpec:
                      cycle_limit=self.cycle_limit, verify=self.verify)
                 for label, cfg in self.variants()]
 
-    def cache_keys(self) -> Dict[str, str]:
+    def cache_keys(self, cells: Optional[List[Cell]] = None
+                   ) -> Dict[str, str]:
         """label -> :attr:`Cell.key` of each of :meth:`cells`.
 
         It is the key the CLI sweep stores the same cell under, so a
-        stored run written by either path satisfies the other.
+        stored run written by either path satisfies the other. ``cells``
+        is this spec's expansion when the caller already built it. One
+        workload instance backs every cell, so it is fingerprinted once.
         """
-        return {cell.label: cell.key for cell in self.cells()}
+        cells = self.cells() if cells is None else cells
+        fingerprint = workload_fingerprint(cells[0].workload)
+        return {cell.label: cell.key_with(fingerprint) for cell in cells}
 
     # -- serialization -----------------------------------------------------
 

@@ -216,6 +216,19 @@ class TestBackoffPolicy:
             d = policy.stall_delay()
             assert 20 <= d <= 32
 
+    @pytest.mark.parametrize("jitter", [0, 1, 2, 3, 7, 12, 16, 100])
+    def test_stall_draw_is_randrange(self, jitter):
+        """The inline draw takes exactly randrange's bits: every later
+        draw from the shared RNG is unchanged, so no digest moves."""
+        for seed in range(50):
+            ours, reference = random.Random(seed), random.Random(seed)
+            policy = BackoffPolicy(
+                TMConfig(backoff_base=20, backoff_jitter=jitter), ours)
+            for _ in range(40):
+                assert policy.stall_delay() == \
+                    20 + reference.randrange(jitter + 1)
+            assert ours.getstate() == reference.getstate()
+
     def test_restart_delay_grows_with_attempts(self):
         policy = BackoffPolicy(TMConfig(backoff_base=20), random.Random(0))
         early = [policy.restart_delay(1) for _ in range(200)]

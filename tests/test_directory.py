@@ -134,7 +134,7 @@ class TestConflictNacks:
         ports[0].conflicts.append(0x1000)
         result, _ = do_request(fabric, 1, 0x1000, is_write=True,
                                ts=(10, 1))
-        assert result.nacked
+        assert not result.granted
         assert result.blockers[0].core_id == 0
         assert stats.value("coherence.nacks") == 1
         # The directory state is unchanged by a NACKed request.
@@ -168,7 +168,7 @@ class TestConflictNacks:
         ports[0].conflicts.append(0x1000)
         ports[0].fp = True
         result, _ = do_request(fabric, 1, 0x1000, is_write=True)
-        assert result.nacked
+        assert not result.granted
         assert result.all_false_positive
 
 
@@ -185,7 +185,7 @@ class TestStickyStates:
         # Conflicting request is still forwarded to the evictor.
         ports[0].conflicts.append(0x1000)
         result, _ = do_request(fabric, 1, 0x1000, is_write=True)
-        assert result.nacked
+        assert not result.granted
 
     def test_sticky_cleaned_on_successful_request(self):
         fabric, ports, stats = build()
@@ -262,7 +262,7 @@ class TestL2Victimization:
             do_request(fabric, 1, addr, is_write=False)
         # NACKed broadcast leaves the entry in check-all state.
         result, _ = do_request(fabric, 2, victim, is_write=False)
-        assert result.nacked
+        assert not result.granted
         assert fabric.entry_view(victim).must_check_all
         # Conflict clears; the next request succeeds and leaves the state.
         ports[0].conflicts.remove(victim)

@@ -10,10 +10,11 @@ from repro.interconnect.topology import GridTopology
 
 class TestGridTopology:
     def test_tile_placement(self):
+        # Row-major tiles: core 5 sits at (1, 1), core 15 at (3, 3).
         topo = GridTopology(4, 4, num_cores=16, num_banks=16)
-        assert topo.core_coord(0) == (0, 0)
-        assert topo.core_coord(5) == (1, 1)
-        assert topo.core_coord(15) == (3, 3)
+        assert topo.core_core_hops[0][5] == 2
+        assert topo.core_core_hops[1][5] == topo.core_core_hops[4][5] == 1
+        assert topo.core_core_hops[5][15] == 4
 
     def test_manhattan_distance(self):
         topo = GridTopology(4, 4, num_cores=16, num_banks=16)
@@ -22,8 +23,9 @@ class TestGridTopology:
         assert topo.core_core_hops[0][1] == 1
 
     def test_diameter(self):
-        assert GridTopology(4, 4, 16, 16).diameter == 6
-        assert GridTopology(4, 3, 12, 12).diameter == 5
+        for rows, cols, diameter in ((4, 4, 6), (4, 3, 5)):
+            topo = GridTopology(rows, cols, rows * cols, rows * cols)
+            assert max(map(max, topo.core_core_hops)) == diameter
 
     def test_banks_share_tiles(self):
         topo = GridTopology(4, 4, num_cores=16, num_banks=16)
@@ -31,7 +33,8 @@ class TestGridTopology:
 
     def test_bank_wraparound(self):
         topo = GridTopology(2, 2, num_cores=4, num_banks=8)
-        assert topo.bank_coord(4) == topo.bank_coord(0)
+        for hops in topo.core_bank_hops:
+            assert hops[4:] == hops[:4]
 
     def test_rejects_overfull_grid(self):
         with pytest.raises(ConfigError):

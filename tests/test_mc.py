@@ -292,6 +292,40 @@ class TestProtocolRegressions:
         from repro.mc.invariants import violated_invariant
         assert violated_invariant(model) is None
 
+    @pytest.mark.parametrize("mcfg, path", [
+        # begin t0; read t0 B0; write t0 B1; begin t2;
+        # l2_evict chip0 B0; read t2 B0; write t2 B0
+        (ModelConfig(fabric="multichip"),
+         [("begin", 0), ("read", 0, 0), ("write", 0, 1), ("begin", 2),
+          ("l2_evict", 0, 0), ("read", 2, 0), ("write", 2, 0)]),
+        # begin t0; begin t3; read t3 B0; l2_evict chip1 B0;
+        # read t0 B0; write t0 B0
+        (ModelConfig(fabric="multichip", cores=1, contexts_per_core=2,
+                     blocks=1),
+         [("begin", 0), ("begin", 3), ("read", 3, 0), ("l2_evict", 1, 0),
+          ("read", 0, 0), ("write", 0, 0)]),
+    ], ids=["2x2-cores", "2x1-core-2-contexts"])
+    def test_multichip_read_past_a_covering_sticky_chip_is_shared(
+            self, mcfg, path):
+        """Regression: a remote GETS that found no owner or sharer chip
+        was granted chip rights M past a sticky chip whose read set
+        still covered the block, so the silent E->M upgrade that
+        followed wrote under that read set. The requester's chip now
+        gets S; both traces the checker found stay clean."""
+        from repro.mc.invariants import violated_invariant
+        model = ProtocolModel(mcfg)
+        for step, action in enumerate(path):
+            model.apply(action)
+            assert violated_invariant(model) is None, (step, action)
+            if action[0] == "read" and step == len(path) - 2:
+                reader_chip = model.fabric.chip_of(
+                    model.slots[action[1]].core.core_id)
+                block = model.block_addrs[action[2]]
+                assert model.fabric.chip_entry_view(
+                    reader_chip, block).rights == "S"
+                assert reader_chip in \
+                    model.fabric.mem_entry_view(block).sharer_chips
+
     def test_multichip_chip_victimization_retains_coverage(self):
         """Regression: chip-level L2 victimization used to clear per-core
         sticky pointers, leaving only the memory-level sticky-M — which

@@ -25,8 +25,6 @@ class TestAddressMap:
         amap = AddressMap(block_bytes=64, page_bytes=8192)
         assert amap.page_of(8191) == 0
         assert amap.page_of(8192) == 8192
-        assert amap.page_offset(8192 + 100) == 100
-        assert amap.blocks_per_page == 128
 
     def test_bank_interleave_by_block(self):
         amap = AddressMap(block_bytes=64, num_banks=16)
@@ -35,15 +33,10 @@ class TestAddressMap:
         assert amap.bank_of(64 * 16) == 0
         assert amap.bank_of(64 * 17 + 5) == 1
 
-    def test_blocks_in_page(self):
-        amap = AddressMap(block_bytes=64, page_bytes=512)
-        blocks = list(amap.blocks_in_page(512 + 7))
-        assert blocks == [512, 576, 640, 704, 768, 832, 896, 960]
-
     def test_same_block(self):
         amap = AddressMap(block_bytes=64)
-        assert amap.same_block(10, 60)
-        assert not amap.same_block(60, 70)
+        assert amap.block_of(10) == amap.block_of(60)
+        assert amap.block_of(60) != amap.block_of(70)
 
     def test_rejects_bad_geometry(self):
         with pytest.raises(ConfigError):
@@ -113,8 +106,8 @@ class TestPhysicalMemory:
         by_block.store_block(0x2000, words)
         for i, value in enumerate(words):
             by_word.store(0x2000 + i * WORD_BYTES, value)
-        assert list(by_block.nonzero_words()) == \
-            list(by_word.nonzero_words())
+        assert by_block.load_block(0x2000, 64) == \
+            by_word.load_block(0x2000, 64) == words
         assert len(by_block) == len(by_word) == 4   # stored zeros freed
 
     def test_block_ops_reject_blocks_crossing_capacity(self):
@@ -126,12 +119,6 @@ class TestPhysicalMemory:
             mem.store_block(1024 - 32, (1,) * 8)
         with pytest.raises(IndexError):
             mem.load_block(-64, 64)
-
-    def test_nonzero_words_sorted(self):
-        mem = PhysicalMemory(1 << 20)
-        mem.store(0x80, 2)
-        mem.store(0x40, 1)
-        assert list(mem.nonzero_words()) == [(0x40, 1), (0x80, 2)]
 
 
 class TestFrameAllocator:

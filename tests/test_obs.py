@@ -78,16 +78,6 @@ class TestEventBus:
         # kinds and namespaces union: tm.* events and net.msg both match.
         assert [e.kind for e in both] == ["tm.commit", "net.msg"]
 
-    def test_unsubscribe(self):
-        bus, _ = self._bus()
-        seen = []
-        subscriber = bus.subscribe(seen.append)
-        assert bus.subscriber_count == 1
-        assert bus.unsubscribe(subscriber) is True
-        assert bus.unsubscribe(subscriber) is False
-        bus.record("tm.begin")
-        assert seen == []
-
     def test_strict_mode_rejects_unknown_kinds(self):
         clock = {"now": 0}
         bus = EventBus(clock=lambda: clock["now"], strict=True)
@@ -193,9 +183,9 @@ class TestReconstruct:
 
     def test_conflict_graph(self):
         graph = ConflictGraph.from_events(self._stream())
-        assert graph.total_conflicts == 1
         assert graph.nodes() == [0, 1]
-        assert graph.blocked_by(1) == {0: 1}
+        assert [(e.src, e.dst, e.count) for e in graph.edges()] \
+            == [(1, 0, 1)]
         graph.add(1, 0, fp=True)
         graph.add(2, 0)
         edge = graph.edges()[0]
@@ -210,7 +200,8 @@ class TestAttribution:
         attribution.add("true_conflict", 3)
         attribution.add("no_such_category")  # folds into "other"
         assert attribution.total == 4
-        assert attribution.fraction("true_conflict") == 0.75
+        assert attribution.counts["true_conflict"] / attribution.total \
+            == 0.75
         assert attribution.counts["other"] == 1
 
     def test_from_counters(self):

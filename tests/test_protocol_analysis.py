@@ -7,6 +7,7 @@ the callgraph delegation step the extractor leans on, and the
 ``repro analyze --protocol`` CLI surface.
 """
 
+import ast
 import json
 import os
 
@@ -178,8 +179,10 @@ def test_callgraph_resolves_one_level_of_self_delegation():
     cls = module.classes["DirectoryFabric"]
     request = next(f for f in cls.methods.values()
                    if f.name == "request")
-    resolved = {target.name
-                for _call, target in project.self_delegations(request)}
+    resolved = {target.name for node in ast.walk(request.node)
+                if isinstance(node, ast.Call)
+                for target in [project.resolve_method_call(node, cls)]
+                if target is not None}
     assert {"_broadcast_check", "_targeted_check",
             "_apply_grant"} <= resolved
 

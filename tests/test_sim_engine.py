@@ -256,7 +256,7 @@ class TestSignal:
         sig.fire()
         fut = sig.wait()
         assert not fut.done
-        assert sig.waiter_count == 1
+        assert sig.fire() == 1 and fut.done
 
 
 class TestSimLock:

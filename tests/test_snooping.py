@@ -88,7 +88,7 @@ class TestSnooping:
         fabric, ports, stats = build()
         ports[2].conflicts.append(0x1000)
         r = do_request(fabric, 0, 0x1000, is_write=True)
-        assert r.nacked
+        assert not r.granted
         assert r.blockers[0].core_id == 2
         assert stats.value("coherence.nacks") == 1
 
@@ -100,7 +100,7 @@ class TestSnooping:
         # The evictor's signature still gets checked on the next broadcast.
         ports[0].conflicts.append(0x1000)
         r = do_request(fabric, 1, 0x1000, is_write=True)
-        assert r.nacked
+        assert not r.granted
 
     def test_bus_serializes_requests(self):
         fabric, ports, _ = build()

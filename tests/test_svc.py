@@ -21,6 +21,7 @@ import pytest
 from repro.harness.runner import run_workload
 from repro.harness.sweep import Cell, run_sweep
 from repro.svc import repository as repository_mod
+from repro.svc import spec as spec_mod
 from repro.svc.repository import RunRepository, StateError, result_digest
 from repro.svc.spec import SpecError, SweepSpec
 
@@ -156,6 +157,19 @@ class TestSweepSpec:
                             verify=spec.verify).key
             assert spec.cache_keys()[label] == expected
 
+    def test_cache_keys_fingerprint_the_shared_workload_once(
+            self, monkeypatch):
+        spec = SweepSpec(workload="Mp3d", threads=2, units=1)
+        cells = spec.cells()
+        expected = {cell.label: cell.key for cell in cells}
+        fingerprinted = []
+        real = spec_mod.workload_fingerprint
+        monkeypatch.setattr(spec_mod, "workload_fingerprint",
+                            lambda w: fingerprinted.append(w) or real(w))
+        assert spec.cache_keys(cells) == expected
+        assert fingerprinted == [cells[0].workload]
+        assert spec.cache_keys() == expected
+
     def test_spec_cell_runs_the_exact_cell(self):
         spec = tiny_spec()
         [(label, cfg)] = spec.variants()
@@ -258,6 +272,25 @@ class TestJobQueue:
         assert repo.claim_next_job()["id"] == b
         assert repo.claim_next_job() is None
         assert repo.get_job(a)["state"] == "cancelled"
+        assert repo.get_job(a)["cell_counts"] == {"cancelled": 1}
+
+    def test_cancel_takes_unfinished_cells_with_it(self, tmp_path):
+        """One transaction moves a running job and its unfinished cells
+        to cancelled; a finished cell keeps its outcome."""
+        repo = RunRepository(tmp_path / "svc.db")
+        spec = SweepSpec(workload="Mp3d", mode="figure4", threads=2,
+                         units=1)
+        job = repo.create_job(spec, cache_keys=spec.cache_keys())
+        assert repo.claim_next_job()["id"] == job["id"]
+        done, running = spec.labels()[:2]
+        repo.update_cell(job["id"], done, state="done", source="executed")
+        repo.update_cell(job["id"], running, state="running")
+        assert repo.transition(job["id"], "running", "cancelled")
+        cells = {c["label"]: c["state"]
+                 for c in repo.get_job(job["id"])["cells"]}
+        assert cells.pop(done) == "done"
+        assert set(cells.values()) == {"cancelled"}
+        assert len(cells) == len(spec.labels()) - 1
 
     def test_recovered_job_is_claimed_again(self, tmp_path):
         repo = RunRepository(tmp_path / "svc.db")
@@ -417,6 +450,56 @@ class TestRunRepository:
         assert res_a[label]["source"] == "executed"
         assert res_b[label]["source"] == "repository"
 
+    def test_cell_outcome_commits_with_its_ledger_row(self, tmp_path):
+        """A failed ledger update rolls back the result stored with it,
+        and a repository hit's recency refresh with its ledger row."""
+        db_path = tmp_path / "svc.db"
+        repo = RunRepository(db_path)
+        spec = tiny_spec()
+        keys = spec.cache_keys()
+        [(label, key)] = keys.items()
+        job = repo.create_job(spec, cache_keys=keys)
+        result = self._result()
+        # The trigger fails the ledger row's move to done after the run
+        # was inserted in the same transaction.
+        other = sqlite3.connect(db_path)
+        with other:
+            other.execute(
+                "CREATE TRIGGER ledger_fails BEFORE UPDATE OF state ON "
+                "cells WHEN NEW.state = 'done' "
+                "BEGIN SELECT RAISE(ABORT, 'ledger update failed'); END")
+        try:
+            with pytest.raises(sqlite3.IntegrityError,
+                               match="ledger update failed"):
+                repo.store_cell_result(job["id"], label, key, result,
+                                       state="done", source="executed")
+            assert repo.run_count() == 0
+            assert repo.load_run(key) is None
+            assert repo.get_job(job["id"])["cells"][0]["state"] \
+                == "pending"
+
+            repo.store_run(key, result)
+            with other:
+                other.execute("UPDATE runs SET last_used = 1.0")
+            with pytest.raises(sqlite3.IntegrityError,
+                               match="ledger update failed"):
+                repo.serve_cell_from_store(job["id"], label, key)
+            assert other.execute("SELECT last_used FROM runs").fetchall() \
+                == [(1.0,)]
+            assert repo.get_job(job["id"])["cells"][0]["state"] \
+                == "pending"
+
+            with other:
+                other.execute("DROP TRIGGER ledger_fails")
+            assert repo.serve_cell_from_store(job["id"], label, key)
+            [cell] = repo.get_job(job["id"])["cells"]
+            assert (cell["state"], cell["source"]) == ("done", "repository")
+            assert other.execute("SELECT last_used FROM runs").fetchone()[0] \
+                > 1.0
+        finally:
+            other.close()
+            repo.close()
+
     def test_results_label_filter(self, tmp_path):
         repo = RunRepository(tmp_path / "svc.db")
         spec = SweepSpec(workload="Mp3d", mode="figure4", threads=2,
@@ -509,15 +592,15 @@ class TestRunRepository:
             assert repo.claim_next_job()["id"] == job["id"]
             repo.update_cell(job["id"], label, state="running",
                              attempts=1)
-            assert not repo.touch_run(key)
+            assert not repo.serve_cell_from_store(job["id"], label, key)
             repo.store_run(key, result)
-            repo.update_cell(job["id"], label, state="done",
-                             source="executed")
-            assert repo.touch_run(key)
+            repo.store_cell_result(job["id"], label, key, result,
+                                   state="done", source="executed")
+            assert repo.serve_cell_from_store(job["id"], label, key)
             assert repo.load_run(key) is not None
             assert repo.run_digest(key) == result_digest(result.to_dict())
             assert repo.run_count() == 1
-            assert repo.cells_in_state(job["id"], "done") == [label]
+            assert repo.get_job(job["id"])["cell_counts"] == {"done": 1}
             assert repo.results_for_job(job["id"])[label]["digest"]
             assert repo.transition(job["id"], "running", "done")
             assert repo.get_job(job["id"])["state"] == "done"
@@ -559,10 +642,10 @@ class TestRunRepository:
                     for label in labels:
                         repo.update_cell(job["id"], label, state="running",
                                          attempts=1)
-                        repo.store_run(keys[label], result)
-                        repo.update_cell(job["id"], label, state="done",
-                                         source="executed", wall_time=n)
-                        assert repo.touch_run(keys[label])
+                        repo.store_cell_result(
+                            job["id"], label, keys[label], result,
+                            state="done", source="executed", wall_time=n)
+                        assert repo.run_digest(keys[label]) == digest
                     assert repo.get_job(job["id"])["cell_counts"] \
                         == {"done": len(labels)}
                 job_ids[n] = ids

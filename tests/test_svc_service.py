@@ -327,6 +327,86 @@ class TestServiceEndToEnd:
         assert snapshot["svc.cache.hit_rate"] == 0.5
 
 
+def log_write_transactions(monkeypatch):
+    """Log every repository transaction that changes a row.
+
+    Each repository call is one transaction (``RunRepository._connect``);
+    this wrapper reads the connection's ``total_changes`` inside it, under
+    the repository's lock, so another thread's write is never counted
+    here. Each entry names the repository method that wrote.
+    """
+    writes = []
+    real = RunRepository._connect
+
+    @contextlib.contextmanager
+    def counting(self):
+        with real(self) as conn:
+            before = conn.total_changes
+            yield conn
+            if conn.total_changes > before:
+                # 0: this generator, 1: its __exit__, 2: the method.
+                writes.append(sys._getframe(2).f_code.co_name)
+
+    monkeypatch.setattr(RunRepository, "_connect", counting)
+    return writes
+
+
+class TestDurableWrites:
+    """What one job writes to the store, and how often it is expanded."""
+
+    def test_write_transactions_per_job(self, tmp_path, monkeypatch):
+        """A fresh 5-cell job commits 13 times, its resubmission 8.
+
+        Fresh: create, claim, per cell the dispatch record and the result
+        stored with its ledger row, and the final transition. Resubmitted:
+        create, claim, one repository hit per cell, the transition.
+        """
+        spec = SweepSpec(workload="Mp3d", mode="designs", threads=2,
+                         units=1)
+        svc = SweepService(tmp_path / "svc.db", workers=1)
+        svc.start()
+        try:
+            writes = log_write_transactions(monkeypatch)
+            fresh = svc.submit(spec.to_dict())
+            assert wait_terminal(svc, fresh["id"])["state"] == "done"
+            assert len(writes) == 13, writes
+            del writes[:]
+            again = svc.submit(spec.to_dict())
+            assert wait_terminal(svc, again["id"])["state"] == "done"
+            assert len(writes) == 8, writes
+        finally:
+            svc.shutdown(drain=False)
+
+    def test_each_submission_is_expanded_once(self, tmp_path, monkeypatch):
+        """The scheduler runs the cells built at submission; only a job
+        recovered from the store is expanded again."""
+        expanded = []
+        real_cells = SweepSpec.cells
+        monkeypatch.setattr(SweepSpec, "cells",
+                            lambda spec: expanded.append(spec)
+                            or real_cells(spec))
+        db = tmp_path / "svc.db"
+        spec = tiny_spec()
+        recovered_spec = tiny_spec(seed=7)
+        # Accepted by an earlier process, left queued in the store.
+        store = RunRepository(db)
+        recovered = store.create_job(recovered_spec,
+                                     cache_keys=recovered_spec.cache_keys())
+        store.close()
+        del expanded[:]
+        svc = SweepService(db, workers=1)
+        svc.start()
+        try:
+            job = svc.submit(spec.to_dict())
+            for job_id in (recovered["id"], job["id"]):
+                assert wait_terminal(svc, job_id)["state"] == "done"
+        finally:
+            svc.shutdown(drain=False)
+        assert sorted(expanded, key=lambda s: s.seed) \
+            == sorted([spec, recovered_spec], key=lambda s: s.seed)
+        assert svc._expansions == {}
+
+
 class TestCancellation:
     def test_cancel_queued_job(self, tmp_path):
         svc = SweepService(tmp_path / "svc.db", workers=1)  # not started

@@ -43,14 +43,6 @@ class TestTlbUnit:
         assert tlb.lookup(0, 0x1000) is None
         assert tlb.occupancy == 0
 
-    def test_flush_asid(self):
-        tlb = Tlb(entries=8)
-        tlb.fill(0, 0x1000, 1)
-        tlb.fill(0, 0x2000, 2)
-        tlb.fill(1, 0x1000, 3)
-        assert tlb.flush_asid(0) == 2
-        assert tlb.lookup(1, 0x1000) == 3
-
     def test_rejects_zero_entries(self):
         with pytest.raises(ValueError):
             Tlb(entries=0)
