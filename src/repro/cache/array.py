@@ -9,18 +9,10 @@ transactional blocks.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, Optional, Tuple
 
 from repro.common.config import CacheConfig
 from repro.cache.block import CacheBlock, MESI
-
-#: The set every untouched set starts as, shared by all arrays and never
-#: written: ``insert`` gives a set its own dict before its first block goes
-#: in, and a ``.get`` or ``.pop(addr, None)`` on it is a miss. A small run
-#: touches a few dozen of the Table 1 L2's 16,384 sets, so allocating sets
-#: on first insert keeps building a machine cheap, while the set geometry,
-#: and so every victimization, stays exact.
-_EMPTY_SET: Dict[int, CacheBlock] = {}
 
 
 class CacheArray:
@@ -32,7 +24,11 @@ class CacheArray:
     def __init__(self, cfg: CacheConfig, name: str = "cache") -> None:
         self.cfg = cfg
         self.name = name
-        self._sets: List[Dict[int, CacheBlock]] = [_EMPTY_SET] * cfg.num_sets
+        #: Set index -> that set's blocks, holding only the sets that have
+        #: received a block. A small run touches a few dozen of the Table 1
+        #: L2's 16,384 sets, so an array costs what its run touches, while
+        #: the set geometry, and so every victimization, stays exact.
+        self._sets: Dict[int, Dict[int, CacheBlock]] = {}
         self._use_clock = 0
         self._block_shift = cfg.block_bytes.bit_length() - 1
         self._set_mask = cfg.num_sets - 1
@@ -43,8 +39,11 @@ class CacheArray:
     def lookup(self, block_addr: int, touch: bool = True
                ) -> Optional[CacheBlock]:
         """Find a resident block; a hit with ``touch`` updates its LRU."""
-        block = self._sets[(block_addr >> self._block_shift)
-                           & self._set_mask].get(block_addr)
+        cache_set = self._sets.get((block_addr >> self._block_shift)
+                                   & self._set_mask)
+        if cache_set is None:
+            return None
+        block = cache_set.get(block_addr)
         if block is None:
             return None
         if touch:
@@ -54,8 +53,9 @@ class CacheArray:
 
     def peek(self, block_addr: int) -> Optional[CacheBlock]:
         """Find a resident block without disturbing LRU."""
-        return self._sets[(block_addr >> self._block_shift)
-                          & self._set_mask].get(block_addr)
+        cache_set = self._sets.get((block_addr >> self._block_shift)
+                                   & self._set_mask)
+        return None if cache_set is None else cache_set.get(block_addr)
 
     def insert(self, block_addr: int, state: MESI
                ) -> Tuple[CacheBlock, Optional[CacheBlock]]:
@@ -65,8 +65,8 @@ class CacheArray:
         any writeback / directory notification for the victim.
         """
         index = self.set_index(block_addr)
-        cache_set = self._sets[index]
-        if cache_set is _EMPTY_SET:
+        cache_set = self._sets.get(index)
+        if cache_set is None:
             cache_set = self._sets[index] = {}
         existing = cache_set.get(block_addr)
         if existing is not None:
@@ -86,20 +86,23 @@ class CacheArray:
 
     def invalidate(self, block_addr: int) -> Optional[CacheBlock]:
         """Remove a block (returns it, or None if absent)."""
-        return self._sets[self.set_index(block_addr)].pop(block_addr, None)
+        cache_set = self._sets.get(self.set_index(block_addr))
+        return None if cache_set is None else cache_set.pop(block_addr, None)
 
     def resident_blocks(self) -> Iterator[CacheBlock]:
-        for cache_set in self._sets:
-            yield from cache_set.values()
+        """Every resident block, in set-index order."""
+        sets = self._sets
+        for index in sorted(sets):
+            yield from sets[index].values()
 
     @property
     def occupancy(self) -> int:
-        return sum(len(s) for s in self._sets)
+        return sum(len(s) for s in self._sets.values())
 
     def flush(self) -> int:
         """Drop every block (test helper); returns how many were resident."""
         count = self.occupancy
-        self._sets = [_EMPTY_SET] * self.cfg.num_sets
+        self._sets.clear()
         return count
 
     def __repr__(self) -> str:

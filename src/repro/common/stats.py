@@ -225,11 +225,5 @@ class ConfidenceInterval:
         half = t * math.sqrt(var / n)
         return ConfidenceInterval(mean, half, list(samples))
 
-    def overlaps(self, other: "ConfidenceInterval") -> bool:
-        """Whether the two 95% intervals overlap (≈ 'not significant')."""
-        lo_a, hi_a = self.mean - self.half_width, self.mean + self.half_width
-        lo_b, hi_b = other.mean - other.half_width, other.mean + other.half_width
-        return lo_a <= hi_b and lo_b <= hi_a
-
     def __str__(self) -> str:
         return f"{self.mean:.3f} ± {self.half_width:.3f}"

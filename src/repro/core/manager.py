@@ -392,8 +392,13 @@ class TMManager:
 
     def _install_summary(self, slot: HardwareSlot, asid: int,
                          exclude_tid: Optional[int]) -> None:
-        computed = self._summary_pair(asid, exclude_tid)
-        slot.summary.restore(computed.snapshot())
+        """Give ``slot`` a freshly computed summary register.
+
+        A slot has none until its first install (a schedule onto it, or a
+        mid-transaction deschedule in its process), so a run whose
+        threads never leave their contexts allocates no register.
+        """
+        slot.summary = self._summary_pair(asid, exclude_tid)
         self._c_summary_installs.add()
         self.stats.emit("os.summary_install", slot=slot.global_id,
                         asid=asid, exclude=exclude_tid)

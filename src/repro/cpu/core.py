@@ -24,7 +24,7 @@ check step 2 runs for SMT siblings.
 
 from __future__ import annotations
 
-from typing import Callable, List, Optional
+from typing import List, Optional
 
 from repro.cache.array import CacheArray
 from repro.cache.block import MESI
@@ -41,7 +41,6 @@ from repro.cpu.thread import HardwareSlot
 from repro.mem.address import AddressMap
 from repro.mem.physical import PhysicalMemory
 from repro.mem.tlb import Tlb
-from repro.signatures.rwpair import ReadWriteSignature
 
 #: Give up after this many retries of one access — indicates a livelock bug
 #: in the model rather than expected workload behavior.
@@ -57,10 +56,9 @@ class Core(ConflictPort):
 
     def __init__(self, core_id: int, cfg: SystemConfig,
                  fabric: CoherenceFabric, memory: PhysicalMemory,
-                 stats: StatsRegistry, backoff: BackoffPolicy,
-                 summary_factory: Callable[[], ReadWriteSignature]) -> None:
+                 stats: StatsRegistry, backoff: BackoffPolicy) -> None:
         super().__init__(core_id, CacheArray(cfg.l1, name=f"L1[{core_id}]"),
-                         [HardwareSlot(self, i, summary_factory())
+                         [HardwareSlot(self, i)
                           for i in range(cfg.threads_per_core)], cfg)
         self.cfg = cfg
         self.fabric = fabric
@@ -221,7 +219,6 @@ class Core(ConflictPort):
         asid = page_table.asid
         block_mask = self._block_mask
         lazy = self._lazy
-        summary = slot.summary
         log = ctx.log
         lookup = self.l1.lookup
         # Address translation: the page table is the functional truth; the
@@ -262,10 +259,13 @@ class Core(ConflictPort):
 
             # (1) Summary signature: checked on every reference.
             # (Lazy mode has neither summary signatures nor execution-time
-            # conflicts — Bulk is not virtualizable this way. The emptiness
-            # test reads the exact shadows directly: the common case is an
-            # empty summary, and it must cost two attribute loads, not four
-            # chained properties.)
+            # conflicts — Bulk is not virtualizable this way. The register
+            # is read at every retry: the OS may install the slot's first
+            # one while this access stalls. The emptiness test reads the
+            # exact shadows directly: the common case is an empty summary,
+            # and it must cost two attribute loads, not four chained
+            # properties.)
+            summary = slot.summary
             if (not lazy and summary is not None
                     and (summary.read._exact or summary.write._exact)
                     and summary.conflicts(is_write, block)):

@@ -68,14 +68,14 @@ class HardwareSlot:
 
     __slots__ = ("core", "slot_index", "summary", "thread")
 
-    def __init__(self, core: "Core", slot_index: int,
-                 summary: ReadWriteSignature) -> None:
+    def __init__(self, core: "Core", slot_index: int) -> None:
         self.core = core
         self.slot_index = slot_index
         #: Per-context summary signature register: the union of the
         #: descheduled same-process transactions' signatures, installed by
-        #: the OS (Section 4.1) and checked on *every* reference.
-        self.summary = summary
+        #: the OS (Section 4.1) and checked on *every* reference. None
+        #: until the OS first installs one (``TMManager._install_summary``).
+        self.summary: Optional[ReadWriteSignature] = None
         self.thread: Optional[SoftwareThread] = None
 
     @property

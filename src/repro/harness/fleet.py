@@ -3,13 +3,13 @@
 :class:`WorkerFleet` keeps a fixed pool of worker processes alive, each
 connected to the parent by a duplex pipe. A worker is sent items,
 pickled, and calls ``item.run()`` on each; it sends back only the result
-(or the traceback), and the fleet reports the parent's own item with
-it. Both process-pool users drive a fleet with the same items,
-:class:`repro.harness.sweep.Cell` values: the sweep engine
-(:func:`repro.harness.sweep.execute_tasks`, one fleet per batch) and the
-sweep service (:mod:`repro.svc.service`, one long-lived fleet). An item
-carries everything its run needs, so the fleet works the same whether
-workers are forked or spawned.
+(or the traceback) and the CPU time the run took, and the fleet reports
+the parent's own item with them. Both process-pool users drive a fleet
+with the same items, :class:`repro.harness.sweep.Cell` values: the sweep
+engine (:func:`repro.harness.sweep.execute_tasks`, one fleet per batch)
+and the sweep service (:mod:`repro.svc.service`, one long-lived fleet).
+An item carries everything its run needs, so the fleet works the same
+whether workers are forked or spawned.
 
 * **dispatch** — the parent assigns an item to an idle worker;
 * **liveness** — the parent watches each worker's process liveness and
@@ -55,14 +55,16 @@ def _fleet_worker(conn) -> None:  # pragma: no cover
                 return  # parent went away; nothing useful left to do
             item = conn.recv()
             if item is None:
-                conn.send(("bye", None))
+                conn.send(("bye", None, 0.0))
                 return
+            started = time.process_time()
             try:
                 result = item.run()
             except BaseException:
-                conn.send(("error", traceback.format_exc()))
+                conn.send(("error", traceback.format_exc(),
+                           time.process_time() - started))
             else:
-                conn.send(("done", result))
+                conn.send(("done", result, time.process_time() - started))
     except (EOFError, OSError, BrokenPipeError):
         return  # parent went away; nothing useful left to do
     finally:
@@ -86,6 +88,9 @@ class FleetMessage:
     traceback in ``error``), ``crashed`` (worker died mid-item),
     ``timeout`` (worker terminated past its item's deadline). ``item`` is
     the parent's own dispatched object, not a copy from the worker.
+    ``wall_time`` runs from dispatch to report in the parent;
+    ``cpu_time`` is the worker's ``time.process_time()`` around
+    ``item.run()`` (0.0 when the worker did not report).
     """
 
     kind: str
@@ -95,6 +100,7 @@ class FleetMessage:
     error: Optional[str] = None
     exitcode: Optional[int] = None
     wall_time: float = 0.0
+    cpu_time: float = 0.0
 
 
 class _Worker:
@@ -251,7 +257,7 @@ class WorkerFleet:
             try:
                 if not worker.conn.poll():
                     break
-                kind, tail = worker.conn.recv()
+                kind, tail, cpu_time = worker.conn.recv()
             except (EOFError, OSError):
                 break  # died mid-send; the liveness check below handles it
             if kind == "bye":
@@ -261,7 +267,8 @@ class WorkerFleet:
                 kind, worker.item, worker.worker_id,
                 result=tail if kind == "done" else None,
                 error=tail if kind == "error" else None,
-                wall_time=time.monotonic() - worker.started))
+                wall_time=time.monotonic() - worker.started,
+                cpu_time=cpu_time))
             worker.item = None
             worker.deadline = None
         if not worker.proc.is_alive():

@@ -87,9 +87,6 @@ class RunResult:
         return (self.counters.get("victimization.l1_tx", 0)
                 + self.counters.get("victimization.l2_tx", 0))
 
-    def cycles_per_unit(self) -> float:
-        return self.cycles / self.units if self.units else float("inf")
-
     def to_dict(self) -> Dict[str, object]:
         """JSON-safe record of this run (``system`` is never included).
 

@@ -13,9 +13,36 @@ bank do not collapse to distance zero for every access.
 
 from __future__ import annotations
 
-from typing import Dict, Tuple
+from functools import lru_cache
+from typing import Tuple
 
 from repro.common.errors import ConfigError
+
+#: ``table[a][b]``: the hop count from node ``a`` to node ``b``.
+HopTable = Tuple[Tuple[int, ...], ...]
+
+
+@lru_cache(maxsize=32)
+def hop_tables(rows: int, cols: int, num_cores: int,
+               num_banks: int) -> Tuple[HopTable, HopTable]:
+    """``(core_bank_hops, core_core_hops)`` for one grid placement.
+
+    Tiles are numbered row-major. Core ``c`` sits on tile ``c``; banks
+    share tiles with cores (each tile hosts a core and an L2 bank slice,
+    as in Figure 2), and extra banks wrap around. The tables are pure
+    functions of the placement, so every machine on the same grid shares
+    one immutable copy.
+    """
+    tiles = rows * cols
+    cores = [divmod(c, cols) for c in range(num_cores)]
+    banks = [divmod(b % tiles, cols) for b in range(num_banks)]
+    core_bank = tuple(
+        tuple(abs(cr - br) + abs(cc - bc) for br, bc in banks)
+        for cr, cc in cores)
+    core_core = tuple(
+        tuple(abs(ar - br) + abs(ac - bc) for br, bc in cores)
+        for ar, ac in cores)
+    return core_bank, core_core
 
 
 class GridTopology:
@@ -25,35 +52,14 @@ class GridTopology:
                  num_banks: int) -> None:
         if rows < 1 or cols < 1:
             raise ConfigError("grid dimensions must be positive")
-        tiles = rows * cols
-        if num_cores > tiles:
+        if num_cores > rows * cols:
             raise ConfigError(
                 f"{num_cores} cores do not fit on a {rows}x{cols} grid")
         self.rows = rows
         self.cols = cols
         self.num_cores = num_cores
         self.num_banks = num_banks
-        self._core_pos: Dict[int, Tuple[int, int]] = {
-            c: self._tile_coord(c) for c in range(num_cores)}
-        # Banks share tiles with cores (each tile hosts a core + an L2 bank
-        # slice, as in Figure 2); extra banks wrap around.
-        self._bank_pos: Dict[int, Tuple[int, int]] = {
-            b: self._tile_coord(b % tiles) for b in range(num_banks)}
-        # Hop counts are pure functions of the fixed placement; precompute
-        # them so the per-message cost is two list indexings
+        # The per-message cost is two tuple indexings
         # (``core_bank_hops[core][bank]``, ``core_core_hops[a][b]``).
-        self.core_bank_hops = [
-            [self.manhattan(self._core_pos[c], self._bank_pos[b])
-             for b in range(num_banks)]
-            for c in range(num_cores)]
-        self.core_core_hops = [
-            [self.manhattan(self._core_pos[a], self._core_pos[b])
-             for b in range(num_cores)]
-            for a in range(num_cores)]
-
-    def _tile_coord(self, index: int) -> Tuple[int, int]:
-        return divmod(index % (self.rows * self.cols), self.cols)
-
-    @staticmethod
-    def manhattan(a: Tuple[int, int], b: Tuple[int, int]) -> int:
-        return abs(a[0] - b[0]) + abs(a[1] - b[1])
+        self.core_bank_hops, self.core_core_hops = hop_tables(
+            rows, cols, num_cores, num_banks)

@@ -296,7 +296,7 @@ class ProtocolModel:
 
         backoff = _StallEndsAction()
         self.cores = [Core(core_id, cfg, self.fabric, self.memory,
-                           self.stats, backoff, summary_factory=pair)
+                           self.stats, backoff)
                       for core_id in range(mcfg.total_cores)]
         # Every model block sits in page 0, which a fresh allocator maps
         # to frame 0: translation is the identity, in address space 0.

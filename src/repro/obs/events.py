@@ -132,8 +132,11 @@ TAXONOMY: Dict[str, Tuple[str, Tuple[str, ...]]] = {
     "svc.job.cancelled": ("job cancelled (queued or mid-run)", ("job",)),
     "svc.cell.dispatch": ("cell handed to a fleet worker",
                           ("job", "label", "worker")),
+    # ``wall_time`` runs from dispatch to result; ``cpu_time`` is the
+    # worker's process CPU time around ``Cell.run`` (0.0 for a hit).
     "svc.cell.done": ("cell result stored",
-                      ("job", "label", "source", "wall_time", "attempts")),
+                      ("job", "label", "source", "wall_time", "cpu_time",
+                       "attempts")),
     "svc.cell.failed": ("cell exhausted its retry budget",
                         ("job", "label", "reason")),
     "svc.cell.requeued": ("cell re-queued after a crash or timeout",

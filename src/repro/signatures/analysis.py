@@ -91,10 +91,3 @@ def bits_for_target_rate(kind: SignatureKind, inserted_blocks: int,
     raise ConfigError(
         f"no signature up to {max_bits} bits meets {target_rate:.3%} "
         f"for {inserted_blocks} blocks")
-
-
-def optimal_hash_count(bits: int, inserted_blocks: int) -> int:
-    """The textbook Bloom optimum k = (N/n) ln 2, clamped to >= 1."""
-    if inserted_blocks <= 0:
-        return 1
-    return max(1, round(bits / inserted_blocks * math.log(2)))

@@ -60,9 +60,14 @@ class SweepRequestHandler(BaseHTTPRequestHandler):
 
     server: SweepServer
     protocol_version = "HTTP/1.1"
-    #: ``TCP_NODELAY``: headers and body go out in separate writes, and on a
-    #: kept-alive connection Nagle's algorithm would hold the body until
-    #: the client's delayed ACK, about 40 ms per response.
+    #: A buffered writer: a response's headers and body collect in it and
+    #: leave in one send when the request ends (``handle_one_request``
+    #: flushes), for any response up to this size. The ``/events`` stream
+    #: flushes explicitly.
+    wbufsize = 1 << 16
+    #: ``TCP_NODELAY``: on a kept-alive connection Nagle's algorithm would
+    #: hold a send until the client's delayed ACK of the previous one,
+    #: about 40 ms per response.
     disable_nagle_algorithm = True
 
     # -- plumbing ----------------------------------------------------------

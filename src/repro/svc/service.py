@@ -396,6 +396,7 @@ class SweepService:
                     self._record_done(job_id, label, keys[label],
                                       message.result,
                                       wall_time=message.wall_time,
+                                      cpu_time=message.cpu_time,
                                       attempts=attempts.get(label, 1),
                                       timeouts=timeouts.get(label, 0))
                 elif message.kind == "error":
@@ -445,11 +446,12 @@ class SweepService:
                                                      cache_key):
             return False
         self._emit("svc.cell.done", job=job_id, label=label,
-                   source="repository", wall_time=0.0, attempts=0)
+                   source="repository", wall_time=0.0, cpu_time=0.0,
+                   attempts=0)
         return True
 
     def _record_done(self, job_id: str, label: str, key: str, result,
-                     wall_time: float, attempts: int,
+                     wall_time: float, cpu_time: float, attempts: int,
                      timeouts: int) -> None:
         self.repository.store_cell_result(
             job_id, label, key, result, state="done", source="executed",
@@ -457,7 +459,7 @@ class SweepService:
             timeouts=timeouts, wall_time=wall_time)
         self._emit("svc.cell.done", job=job_id, label=label,
                    source="executed", wall_time=round(wall_time, 6),
-                   attempts=attempts)
+                   cpu_time=round(cpu_time, 6), attempts=attempts)
 
     def _record_failed(self, job_id: str, label: str,
                        reason: Optional[str]) -> None:

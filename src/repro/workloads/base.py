@@ -132,11 +132,12 @@ class VirtualAllocator:
         return [base + 8 * i for i in range(count)]
 
     def blocks(self, count: int) -> List[int]:
-        """Allocate ``count`` block-aligned, block-sized regions."""
+        """Allocate ``count`` block-aligned, block-sized regions: the
+        addresses ``count`` successive :meth:`isolated_word` calls give."""
         self._align(self._block)
         base = self._next
         self._next += count * self._block
-        return [base + self._block * i for i in range(count)]
+        return list(range(base, self._next, self._block))
 
     def word(self) -> int:
         return self.words(1)[0]

@@ -49,16 +49,15 @@ class BerkeleyDB(Workload):
         self.db = alloc.words(DB_WORDS)
         #: Lock-table buckets: isolated words so conflicts are real, not
         #: false sharing.
-        self.buckets = [alloc.isolated_word()
-                        for _ in range(LOCK_TABLE_BUCKETS)]
+        self.buckets = alloc.blocks(LOCK_TABLE_BUCKETS)
         #: Lock-manager metadata (allocation counters, free lists,
         #: per-region headers).
-        self.lock_meta = [alloc.isolated_word() for _ in range(16)]
+        self.lock_meta = alloc.blocks(16)
         #: The single subsystem mutex used in LOCKS mode (coarse-grained,
         #: as in the original library).
         self.subsystem_mutex = alloc.isolated_word()
         #: Per-thread scratch used by escape actions.
-        self.scratch = [alloc.isolated_word() for _ in range(num_threads)]
+        self.scratch = alloc.blocks(num_threads)
 
     # -- transaction builders -------------------------------------------------
 

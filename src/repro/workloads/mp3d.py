@@ -35,8 +35,8 @@ class Mp3d(Workload):
         alloc = VirtualAllocator()
         #: Space cells: isolated words — conflicts happen only when two
         #: molecules genuinely share a cell.
-        self.cells = [alloc.isolated_word() for _ in range(SPACE_CELLS)]
-        self.cell_locks = [alloc.isolated_word() for _ in range(SPACE_CELLS)]
+        self.cells = alloc.blocks(SPACE_CELLS)
+        self.cell_locks = alloc.blocks(SPACE_CELLS)
         #: Per-thread molecule records (2 words each, private).
         self.molecules = [alloc.words(8) for _ in range(num_threads)]
         #: Global reservoir counter, touched rarely.

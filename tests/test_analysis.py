@@ -7,8 +7,7 @@ from repro.common.errors import ConfigError
 from repro.common.rng import make_rng
 from repro.signatures.analysis import (bits_for_target_rate,
                                        expected_occupied_macroblocks,
-                                       false_positive_rate,
-                                       optimal_hash_count)
+                                       false_positive_rate)
 from repro.signatures.factory import make_signature
 
 
@@ -97,8 +96,3 @@ class TestSizing:
     def test_rejects_bad_target(self):
         with pytest.raises(ConfigError):
             bits_for_target_rate(SignatureKind.BIT_SELECT, 8, 0.0)
-
-    def test_optimal_hash_count(self):
-        assert optimal_hash_count(1024, 128) == round(8 * 0.693)
-        assert optimal_hash_count(64, 0) == 1
-        assert optimal_hash_count(64, 10_000) == 1

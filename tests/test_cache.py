@@ -1,6 +1,7 @@
 """Tests for the cache substrate (MESI block state, set-associative array)."""
 
 import tracemalloc
+from collections import Counter
 
 import pytest
 
@@ -87,8 +88,10 @@ class TestCacheArray:
         for i in range(64):
             cache.insert(i * 64, MESI.SHARED)
         assert cache.occupancy <= 8
-        for cache_set in cache._sets:
-            assert len(cache_set) <= 2
+        per_set = Counter(cache.set_index(b.addr)
+                          for b in cache.resident_blocks())
+        assert sorted(per_set) == [0, 1, 2, 3]
+        assert max(per_set.values()) <= 2
 
     def test_resident_blocks_iteration(self):
         cache = small_cache()
@@ -105,20 +108,46 @@ class TestCacheArray:
         assert cache.occupancy == 0
 
 
+def _allocated_by(build):
+    """``(result, bytes still allocated)`` of one call of ``build``."""
+    tracemalloc.start()
+    try:
+        result = build()
+        allocated, _peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, allocated
+
+
 class TestLazySets:
     def test_table1_machine_builds_without_allocating_empty_sets(self):
-        """Sets are allocated on first insert, so a fresh machine is small.
+        """A cache keeps only the sets it has filled, so a fresh Table 1
+        machine is small: about 55 KB.
 
-        Allocating every set up front gives the 8 MB L2 alone 16,384
-        dicts, over 1 MB, paid by every cell of every sweep.
+        Every cell of every sweep builds one. Allocating every set up
+        front gives the 8 MB L2 alone 16,384 dicts, over 1 MB; even one
+        pointer per set costs 145 KB.
         """
         cfg = SystemConfig.default()
         System(cfg)  # first build pays one-time import and cache costs
-        tracemalloc.start()
-        try:
-            system = System(cfg)
-            allocated, _peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        system, allocated = _allocated_by(lambda: System(cfg))
         assert system.fabric.l2.cfg.num_sets == 16384
-        assert allocated < 512 * 1024
+        assert allocated < 96 * 1024
+
+    def test_fresh_array_holds_no_set_storage(self):
+        """An empty array's size does not grow with its set count."""
+        l2 = SystemConfig.default().l2
+        assert l2.num_sets == 16384
+        cache, allocated = _allocated_by(lambda: CacheArray(l2, name="L2"))
+        assert allocated < 1024
+        assert cache.occupancy == 0
+        assert list(cache.resident_blocks()) == []
+
+    def test_resident_blocks_walk_set_index_order(self):
+        cache = small_cache(sets=4, ways=2)
+        for addr in (3 * 64, 1 * 64, 7 * 64, 0, 2 * 64):
+            cache.insert(addr, MESI.SHARED)
+        assert [cache.set_index(b.addr) for b in cache.resident_blocks()] \
+            == [0, 1, 2, 3, 3]
+        # Within a set, blocks keep their fill order.
+        assert [b.addr for b in cache.resident_blocks()][3:] == [192, 448]

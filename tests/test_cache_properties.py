@@ -1,10 +1,10 @@
 """Property tests: the cache array against a reference LRU model."""
 
-from collections import OrderedDict
+from collections import Counter, OrderedDict
 
 from hypothesis import given, settings, strategies as st
 
-from repro.cache.array import _EMPTY_SET, CacheArray
+from repro.cache.array import CacheArray
 from repro.cache.block import MESI
 from repro.common.config import CacheConfig
 
@@ -95,9 +95,10 @@ def test_cache_matches_reference_lru(ops):
         else:
             assert cache.flush() == ref.flush()
     assert {b.addr for b in cache.resident_blocks()} == ref.resident()
-    # Every untouched set of every array shares this one dict; a block
-    # leaking into it would appear resident in all of them.
-    assert _EMPTY_SET == {}
+    # Sets are kept by index in first-fill order; iteration still walks
+    # them in set-index order.
+    indices = [cache.set_index(b.addr) for b in cache.resident_blocks()]
+    assert indices == sorted(indices)
 
 
 @given(ops=accesses)
@@ -115,5 +116,6 @@ def test_occupancy_never_exceeds_geometry(ops):
         else:
             cache.lookup(addr)
         assert cache.occupancy <= cfg.num_blocks
-        for cache_set in cache._sets:
-            assert len(cache_set) <= cfg.associativity
+        per_set = Counter(cache.set_index(b.addr)
+                          for b in cache.resident_blocks())
+        assert max(per_set.values(), default=0) <= cfg.associativity

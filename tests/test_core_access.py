@@ -6,8 +6,10 @@ import pytest
 from repro.cache.block import MESI
 from repro.common.config import SignatureKind, SystemConfig
 from repro.common.errors import AbortTransaction
+from repro.harness.runner import run_workload
 from repro.harness.system import System
 from repro.signatures.rwpair import ReadWriteSignature
+from repro.workloads import SharedCounter
 
 
 def build(num_cores=2, threads_per_core=2, signature=SignatureKind.PERFECT):
@@ -262,12 +264,21 @@ class TestSMTSiblingConflicts:
         assert system.stats.value("tm.sibling_conflicts") == 0
 
 
+def install_summary(system, slot):
+    """Install the slot's summary register as the OS does (empty: no
+    transaction of its process is descheduled) and return it."""
+    assert slot.summary is None
+    system.manager._install_summary(slot, slot.thread.asid,
+                                    exclude_tid=slot.thread.tid)
+    return slot.summary
+
+
 class TestSummarySignature:
     def test_summary_conflict_traps_transactional_access(self):
         system, threads = build()
         slot = threads[0].slot
         block = slot.core.amap.block_of(threads[0].translate(0x900))
-        slot.summary.write.insert(block)
+        install_summary(system, slot).write.insert(block)
         slot.ctx.begin(now=0)
 
         def access():
@@ -284,7 +295,7 @@ class TestSummarySignature:
         system, threads = build()
         slot = threads[0].slot
         block = slot.core.amap.block_of(threads[0].translate(0x900))
-        slot.summary.write.insert(block)
+        install_summary(system, slot).write.insert(block)
         done = []
 
         def access():
@@ -303,7 +314,7 @@ class TestSummarySignature:
         slot = threads[0].slot
         run(system, slot.core.load(slot, 0x900))  # now resident in L1
         block = slot.core.amap.block_of(threads[0].translate(0x900))
-        slot.summary.write.insert(block)
+        install_summary(system, slot).write.insert(block)
         slot.ctx.begin(now=0)
 
         def access():
@@ -314,6 +325,45 @@ class TestSummarySignature:
                 return "abort"
 
         assert run(system, access()) == "abort"
+
+    def test_summary_installed_during_a_stall_is_seen_at_the_next_retry(self):
+        """The register is read at every retry of an access, not once per
+        access: a stalled access meets the first summary the OS installs
+        on its slot while it waits."""
+        system, threads = build(num_cores=2, threads_per_core=1)
+        holder, reader = threads[0].slot, threads[1].slot
+        holder.ctx.begin(now=0)
+        run(system, holder.core.store(holder, 0x900, 7))
+        done = []
+
+        def access():
+            done.append((yield from reader.core.load(reader, 0x900)))
+
+        system.sim.spawn(access())
+        system.sim.run(until=system.sim.now + 500)
+        assert not done  # NACKed by the holder's write set
+        assert system.stats.value("mem.nontx_stalls") > 0
+        assert system.stats.value("tm.summary_conflicts") == 0
+        block = reader.core.amap.block_of(threads[1].translate(0x900))
+        install_summary(system, reader).write.insert(block)
+        system.sim.run(until=system.sim.now + 500)
+        assert not done
+        assert system.stats.value("tm.summary_conflicts") > 0
+        holder.ctx.commit()
+        reader.summary.clear()
+        system.sim.run()
+        assert done == [7]
+
+    def test_threads_that_never_leave_their_contexts_build_no_register(self):
+        cfg = SystemConfig.small(num_cores=2, threads_per_core=2)
+        result = run_workload(cfg, SharedCounter(num_threads=4,
+                                                 units_per_thread=3),
+                              keep_system=True)
+        assert result.commits == 12
+        assert result.counters.get("os.summary_installs", 0) == 0
+        slots = result.system.all_slots()
+        assert len(slots) == 4
+        assert all(slot.summary is None for slot in slots)
 
 
 class TestVictimizationPath:

@@ -207,7 +207,10 @@ class TestSummarySignature:
     @staticmethod
     def model_with_summary_on_b0():
         model = ProtocolModel(ModelConfig(fabric="directory"))
-        model.cores[0].slots[0].summary.write.insert(model.block_addrs[0])
+        slot = model.slots[0]
+        assert slot.summary is None  # no register until the OS installs one
+        model.manager._install_summary(slot, 0, exclude_tid=0)
+        slot.summary.write.insert(model.block_addrs[0])
         return model
 
     def test_summary_conflict_aborts_the_transaction(self):

@@ -166,13 +166,14 @@ class TestSummaryPerProcess:
         t0 = system.new_thread(asid=0)
         t1 = system.new_thread(asid=1)
         system.cores[0].slots[0].bind(t0)
-        system.cores[1].slots[0].bind(t1)
 
         def run(gen):
             proc = system.sim.spawn(gen)
             system.sim.run()
             return proc.done.value
 
+        # Scheduling through the OS installs process 1's (empty) summary.
+        run(system.manager.schedule(t1, system.cores[1].slots[0]))
         run(system.manager.begin(t0.slot))
         run(system.manager.deschedule(t0.slot))
         # Process 1's context has an empty summary; its accesses fly.

@@ -125,11 +125,6 @@ class TestRunResultDerived:
                       counters={})
         assert r.false_positive_pct == 0.0
 
-    def test_cycles_per_unit(self):
-        r = RunResult(workload="w", config_label="c", cycles=100, units=4,
-                      counters={})
-        assert r.cycles_per_unit() == 25.0
-
     def test_victimizations_sums_l1_l2(self):
         r = RunResult(workload="w", config_label="c", cycles=1, units=1,
                       counters={"victimization.l1_tx": 2,

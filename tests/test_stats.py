@@ -128,14 +128,6 @@ class TestConfidenceInterval:
         assert ci.mean == pytest.approx(10.0)
         assert ci.half_width > 0
 
-    def test_overlap(self):
-        a = ConfidenceInterval(10.0, 1.0)
-        b = ConfidenceInterval(10.5, 1.0)
-        c = ConfidenceInterval(20.0, 1.0)
-        assert a.overlaps(b)
-        assert b.overlaps(a)
-        assert not a.overlaps(c)
-
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             ConfidenceInterval.from_samples([])

@@ -14,6 +14,7 @@ import multiprocessing
 import os
 import re
 import signal
+import socket
 import sqlite3
 import statistics
 import subprocess
@@ -211,6 +212,24 @@ class TestServiceEndToEnd:
         second_digests = {label: e["digest"] for label, e
                           in results.items()}
         assert first_digests == second_digests
+
+    def test_cell_done_carries_the_workers_cpu_time(self, service):
+        """An executed cell reports the worker's CPU time around
+        ``Cell.run``, which fits inside its dispatch-to-result wall time;
+        a repository hit reports 0.0 for both."""
+        spec = fig4_spec()
+        for source in ("executed", "repository"):
+            job = service.submit(spec.to_dict())
+            assert wait_terminal(service, job["id"])["state"] == "done"
+            done = [e.fields for e in service.job_events(job["id"])
+                    if e.kind == "svc.cell.done"]
+            assert len(done) == 6
+            for fields in done:
+                assert fields["source"] == source
+                if source == "executed":
+                    assert 0 < fields["cpu_time"] <= fields["wall_time"]
+                else:
+                    assert fields["cpu_time"] == fields["wall_time"] == 0.0
 
     def test_prewarmed_cache_serves_cells(self, tmp_path):
         db_path = tmp_path / "sweeps.db"
@@ -712,7 +731,7 @@ class TestWorkerFleet:
             assert message.item is cell  # the parent's own object
             assert message.item.label == label
             assert message.result.cycles > 0
-            assert message.wall_time > 0
+            assert 0 < message.cpu_time <= message.wall_time
         finally:
             fleet.stop()
 
@@ -897,6 +916,45 @@ class TestHTTPApi:
         # The first request opens the connection; the stall, when present,
         # hits every later one (about 40 ms of delayed ACK each).
         assert statistics.median(elapsed[1:]) < 0.020, elapsed
+
+    def test_each_response_leaves_in_one_send(self, endpoint, monkeypatch):
+        """Headers and body collect in the handler's buffered writer and
+        go out in one send, so no response waits on a delayed ACK."""
+        url = urlparse(endpoint.base_url)
+        sends = []
+
+        def counting(real):
+            def send(sock, data, *args):
+                if sock.getsockname()[1] == url.port:  # the server's end
+                    sends.append(len(data))
+                return real(sock, data, *args)
+            return send
+
+        for name in ("send", "sendall"):
+            monkeypatch.setattr(socket.socket, name,
+                                counting(getattr(socket.socket, name)))
+
+        def request(method, path, body=None):
+            del sends[:]
+            conn = http.client.HTTPConnection(url.hostname, url.port,
+                                              timeout=30)
+            try:
+                conn.request(method, path, body=body)
+                response = conn.getresponse()
+                payload = response.read()
+            finally:
+                conn.close()
+            assert len(sends) == 1, (method, path, sends)
+            return response.status, json.loads(payload)
+
+        assert request("GET", "/healthz")[0] == 200
+        status, job = request("POST", "/sweeps",
+                              json.dumps(tiny_spec().to_dict()))
+        assert status == 201
+        endpoint.wait(job["id"], timeout=120)
+        assert request("GET", f"/sweeps/{job['id']}")[0] == 200
+        assert request("GET", f"/sweeps/{job['id']}/results")[0] == 200
+        assert request("GET", "/sweeps/ghost")[0] == 404
 
     def test_unreachable_server(self):
         client = ServiceClient("http://127.0.0.1:9", timeout=1.0)

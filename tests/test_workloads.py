@@ -7,6 +7,7 @@ import pytest
 
 from repro.common.errors import WorkloadError
 from repro.common.rng import make_rng
+from repro.harness.sweep import workload_fingerprint
 from repro.workloads import (PAPER_SUITE, BerkeleyDB, BigFootprint, Cholesky,
                              Mp3d, NestedUpdate, Op, OpKind, Radiosity,
                              Raytrace, RepeatStores, Section, SharedCounter,
@@ -37,6 +38,44 @@ class TestVirtualAllocator:
     def test_page_alignment(self):
         alloc = VirtualAllocator(base=0x1004, page_bytes=8192)
         assert alloc.page() % 8192 == 0
+
+    @pytest.mark.parametrize("count", [0, 1, 2, 256])
+    @pytest.mark.parametrize("base", [0x1000_0000, 0x1004])
+    def test_blocks_match_successive_isolated_words(self, base, count):
+        """One ``blocks(n)`` call lays out memory as n ``isolated_word()``
+        calls do, and leaves the allocator at the same next address."""
+        batch, single = (VirtualAllocator(base=base) for _ in range(2))
+        assert batch.blocks(count) == [single.isolated_word()
+                                       for _ in range(count)]
+        assert batch.word() == single.word()
+
+
+#: ``workload_fingerprint`` of each paper-suite workload, built with
+#: ``(num_threads=4, units_per_thread=2, seed=7)``. The fingerprint hashes
+#: every instance attribute, so a layout change (an address, an order)
+#: moves it, and with it every stored cell key.
+PINNED_FINGERPRINTS = {
+    "BerkeleyDB": "35608c5ac50643ea8eac44f9213e33db"
+                  "24a744e72a42eb731bba996e06002268",
+    "Cholesky": "f95f19a1fa51fff7ecda9eb16c0fd312"
+                "a845c47fa02d1ccd26e80c4ebdc0220b",
+    "Radiosity": "7df5d590220d852230d630f88b6d9777"
+                 "807fd9b4fbb831e2206a3241f3d52a62",
+    "Raytrace": "ee85e1502f1d48829492295be97708ea"
+                "a7cb9872d2438ea2bca7fd5c9e68a355",
+    "Mp3d": "b738b08821c49927bee0f7c2dd134252"
+            "803591e75c6b83362fbc06fbf9eb6ada",
+}
+
+
+@pytest.mark.parametrize("cls", PAPER_SUITE, ids=lambda cls: cls.name)
+def test_layout_fingerprint_pinned(cls):
+    fingerprint = workload_fingerprint(
+        cls(num_threads=4, units_per_thread=2, seed=7))
+    assert fingerprint == (
+        f"{cls.__module__}.{cls.__qualname__}"
+        f"|{cls.name}(threads=4, units/thread=2)|seed=7"
+        f"|{PINNED_FINGERPRINTS[cls.name]}")
 
 
 class TestOp:
