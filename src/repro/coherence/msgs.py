@@ -127,6 +127,8 @@ class ConflictPort:
     ``ctx``.
     """
 
+    __slots__ = ("core_id", "l1", "slots", "_lazy", "_use_asid_filter")
+
     def __init__(self, core_id: int, l1, slots: list,
                  cfg: SystemConfig) -> None:
         self.core_id = core_id

@@ -12,9 +12,7 @@ import hashlib
 import random
 from bisect import bisect_right
 from functools import lru_cache
-from typing import Iterable, List, Sequence, Tuple, TypeVar
-
-T = TypeVar("T")
+from typing import List, Tuple
 
 #: Seed used by harness entry points when the caller does not supply one.
 DEFAULT_SEED = 0xC0FFEE
@@ -38,25 +36,6 @@ def perturbed_seeds(seed: int, runs: int) -> List[int]:
         raise ValueError(f"runs must be >= 1, got {runs}")
     base = random.Random(seed)
     return [base.randrange(1 << 48) for _ in range(runs)]
-
-
-def weighted_choice(rng: random.Random, items: Sequence[T],
-                    weights: Iterable[float]) -> T:
-    """Pick one item with the given relative weights."""
-    total = 0.0
-    cumulative = []
-    for w in weights:
-        if w < 0:
-            raise ValueError("weights must be non-negative")
-        total += w
-        cumulative.append(total)
-    if total <= 0:
-        raise ValueError("at least one weight must be positive")
-    x = rng.random() * total
-    for item, bound in zip(items, cumulative):
-        if x < bound:
-            return item
-    return items[-1]
 
 
 def zipf_rank(rng: random.Random, n: int, skew: float = 1.0) -> int:

@@ -30,6 +30,9 @@ class UndoRecord(NamedTuple):
     old_words: Tuple[int, ...]   # previous values, in address order
 
 
+_tuple_new = tuple.__new__
+
+
 @dataclass
 class LogFrame:
     """One nesting level: header (checkpoint + signature save) + records."""
@@ -119,8 +122,10 @@ class UndoLog:
         # ``AddressMap`` requires power-of-two block and page sizes with
         # the page a multiple of the block, so an aligned block never
         # straddles a page.
-        record = UndoRecord(vblock, memory.load_block(translate(vblock),
-                                                      self.block_bytes))
+        # Built positionally (one per logged store): the named tuple's own
+        # ``__new__`` adds a Python-level call around the same copy.
+        record = _tuple_new(UndoRecord, (vblock, memory.load_block(
+            translate(vblock), self.block_bytes)))
         self.current.records.append(record)
         if self._stats is not None and self._stats.recorder is not None:
             self._stats.emit("log.append", thread=self._thread_id,

@@ -52,11 +52,24 @@ _OP_LOAD, _OP_STORE, _OP_FETCH_ADD, _OP_SWAP = 0, 1, 2, 3
 
 
 class Core(ConflictPort):
-    """One processor core: L1 cache + ``threads_per_core`` SMT slots."""
+    """One processor core: L1 cache + ``threads_per_core`` SMT slots.
+
+    Slotted: a Table 1 machine builds sixteen, and the machine's address
+    map is shared, not rebuilt per core.
+    """
+
+    __slots__ = (
+        "cfg", "fabric", "memory", "stats", "backoff", "threads_per_core",
+        "amap", "policy", "tlb", "_c_loads", "_c_stores", "_c_stalls",
+        "_c_nontx_stalls", "_c_conflicts", "_c_conflicts_fp", "_c_summary",
+        "_c_sibling", "_c_log_appends", "_c_log_filtered", "_c_tlb_misses",
+        "_c_tm_lazy", "_l1_latency", "_tlb_walk_latency",
+        "_log_store_cycles", "_block_mask", "_page_mask", "_multi_slot")
 
     def __init__(self, core_id: int, cfg: SystemConfig,
                  fabric: CoherenceFabric, memory: PhysicalMemory,
-                 stats: StatsRegistry, backoff: BackoffPolicy) -> None:
+                 stats: StatsRegistry, backoff: BackoffPolicy,
+                 amap: AddressMap) -> None:
         super().__init__(core_id, CacheArray(cfg.l1, name=f"L1[{core_id}]"),
                          [HardwareSlot(self, i)
                           for i in range(cfg.threads_per_core)], cfg)
@@ -66,9 +79,7 @@ class Core(ConflictPort):
         self.stats = stats
         self.backoff = backoff
         self.threads_per_core = cfg.threads_per_core
-        self.amap = AddressMap(block_bytes=cfg.block_bytes,
-                               page_bytes=cfg.page_bytes,
-                               num_banks=cfg.l2_banks)
+        self.amap = amap
         self.policy: ContentionPolicy = make_policy(cfg.tm)
         self.tlb = Tlb(entries=cfg.tlb_entries)
         self._c_loads = stats.counter("mem.loads")

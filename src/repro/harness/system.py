@@ -46,7 +46,7 @@ class System:
         self.backoff = BackoffPolicy(cfg.tm, backoff_rng)
         self.cores: List[Core] = [
             Core(core_id, cfg, self.fabric, self.memory, self.stats,
-                 self.backoff)
+                 self.backoff, self.amap)
             for core_id in range(cfg.total_cores)]
         self.manager = TMManager(cfg, self.sim, self.memory, self.cores,
                                  self.stats, pair_factory=self._make_pair)

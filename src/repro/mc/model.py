@@ -60,6 +60,7 @@ from repro.core.txcontext import TxContext
 from repro.core.undolog import UndoRecord
 from repro.cpu.core import Core
 from repro.cpu.thread import HardwareSlot, SoftwareThread
+from repro.mem.address import AddressMap
 from repro.mem.physical import WORD_BYTES, PhysicalMemory
 from repro.mem.vm import FrameAllocator, PageTable
 from repro.sim.engine import Simulator
@@ -295,12 +296,13 @@ class ProtocolModel:
             return make_rw_pair(cfg.tm.signature, cfg.block_bytes)
 
         backoff = _StallEndsAction()
+        amap = AddressMap(block_bytes=cfg.block_bytes,
+                          page_bytes=cfg.page_bytes, num_banks=cfg.l2_banks)
         self.cores = [Core(core_id, cfg, self.fabric, self.memory,
-                           self.stats, backoff)
+                           self.stats, backoff, amap)
                       for core_id in range(mcfg.total_cores)]
         # Every model block sits in page 0, which a fresh allocator maps
         # to frame 0: translation is the identity, in address space 0.
-        amap = self.cores[0].amap
         page_table = PageTable(amap, FrameAllocator(amap, cfg.memory_bytes))
         #: Thread id -> its slot and context (tid = core * contexts + slot).
         self.slots: List[HardwareSlot] = []

@@ -22,17 +22,22 @@ Errors are JSON too:
 ``{"error": "..."}`` with 400 (bad spec), 404 (unknown job), 409
 (illegal cancel), 405, or 500.
 
-Built on :class:`http.server.ThreadingHTTPServer` — one OS thread per
-in-flight request, which is plenty for a control-plane API whose heavy
-lifting happens in the worker fleet, and keeps the service entirely
-inside the standard library.
+Built on :class:`http.server.HTTPServer` with a pool of handler
+threads: each accepted connection goes to an idle handler thread, and a
+new thread starts only when none is idle, so every in-flight connection
+(a followed event stream included) has its own thread without paying a
+thread start per connection. That is plenty for a control-plane API
+whose heavy lifting happens in the worker fleet, and keeps the service
+entirely inside the standard library.
 """
 
 from __future__ import annotations
 
 import json
+import queue
+import threading
 import time
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http.server import BaseHTTPRequestHandler, HTTPServer
 from typing import Any, Dict, Tuple
 from urllib.parse import parse_qs, urlparse
 
@@ -42,17 +47,69 @@ from repro.svc.spec import SpecError
 #: Poll interval while following a job's event stream.
 FOLLOW_POLL_SECONDS = 0.1
 
+#: Handler threads kept waiting for a connection; a thread that finishes
+#: a connection while this many wait exits instead.
+MAX_IDLE_HANDLERS = 8
 
-class SweepServer(ThreadingHTTPServer):
-    """The HTTP server, carrying the service for its handler threads."""
 
-    daemon_threads = True
+class SweepServer(HTTPServer):
+    """The HTTP server, carrying the service for its handler threads.
+
+    A handler thread serves one connection, then waits on ``_handoff``
+    for the next; ``_idle`` counts the waiting threads, so the accepting
+    thread hands a connection over only when a thread will take it.
+    Handler threads are daemons, as ``ThreadingHTTPServer``'s were with
+    ``daemon_threads``: ``server_close`` releases the idle ones and does
+    not wait for a connection still being served.
+    """
+
     allow_reuse_address = True
 
     def __init__(self, address: Tuple[str, int],
                  service: SweepService) -> None:
         super().__init__(address, SweepRequestHandler)
         self.service = service
+        self._handoff: "queue.SimpleQueue[Any]" = queue.SimpleQueue()
+        self._idle_lock = threading.Lock()
+        self._idle = 0
+        self._closed = False
+
+    def process_request(self, request: Any,
+                        client_address: Tuple[str, int]) -> None:
+        with self._idle_lock:
+            if self._idle:
+                self._idle -= 1
+                self._handoff.put((request, client_address))
+                return
+        threading.Thread(target=self._handle_connections,
+                         args=(request, client_address),
+                         name="svc-http", daemon=True).start()
+
+    def _handle_connections(self, request: Any,
+                            client_address: Tuple[str, int]) -> None:
+        while True:
+            try:
+                self.finish_request(request, client_address)
+            except Exception:
+                self.handle_error(request, client_address)
+            finally:
+                self.shutdown_request(request)
+            with self._idle_lock:
+                if self._closed or self._idle >= MAX_IDLE_HANDLERS:
+                    return
+                self._idle += 1
+            handed = self._handoff.get()
+            if handed is None:
+                return
+            request, client_address = handed
+
+    def server_close(self) -> None:
+        super().server_close()
+        with self._idle_lock:
+            self._closed = True
+            idle, self._idle = self._idle, 0
+        for _ in range(idle):
+            self._handoff.put(None)
 
 
 class SweepRequestHandler(BaseHTTPRequestHandler):

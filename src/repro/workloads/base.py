@@ -37,6 +37,11 @@ class OpKind(enum.Enum):
     CALL = "call"              # data-dependent code (pointer chasing etc.)
 
 
+_tuple_new = tuple.__new__
+_LOAD, _STORE, _INCR, _COMPUTE = (OpKind.LOAD, OpKind.STORE, OpKind.INCR,
+                                  OpKind.COMPUTE)
+
+
 class Op(NamedTuple):
     """One primitive operation of a thread program (immutable; a named
     tuple because programs build and read one per operation)."""
@@ -52,21 +57,27 @@ class Op(NamedTuple):
     #: memory — exactly the semantics a real retried transaction has).
     fn: Optional[Callable] = None
 
+    # The four per-operation builders fill every field positionally
+    # (``kind, vaddr, value, cycles, open_nest, fn``) through
+    # ``tuple.__new__``: the named tuple's own ``__new__`` parses keywords
+    # and defaults, which more than doubles the cost of the most-built
+    # object of a run.
+
     @staticmethod
     def load(vaddr: int) -> "Op":
-        return Op(OpKind.LOAD, vaddr=vaddr)
+        return _tuple_new(Op, (_LOAD, vaddr, 0, 0, False, None))
 
     @staticmethod
     def store(vaddr: int, value: int = 1) -> "Op":
-        return Op(OpKind.STORE, vaddr=vaddr, value=value)
+        return _tuple_new(Op, (_STORE, vaddr, value, 0, False, None))
 
     @staticmethod
     def incr(vaddr: int, delta: int = 1) -> "Op":
-        return Op(OpKind.INCR, vaddr=vaddr, value=delta)
+        return _tuple_new(Op, (_INCR, vaddr, delta, 0, False, None))
 
     @staticmethod
     def compute(cycles: int) -> "Op":
-        return Op(OpKind.COMPUTE, cycles=cycles)
+        return _tuple_new(Op, (_COMPUTE, 0, 0, cycles, False, None))
 
     @staticmethod
     def nest_begin(open_nest: bool = False) -> "Op":

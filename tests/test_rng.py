@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro.common.rng import make_rng, perturbed_seeds, weighted_choice, zipf_rank
+from repro.common.rng import make_rng, perturbed_seeds, zipf_rank
 
 
 class TestMakeRng:
@@ -42,29 +42,6 @@ class TestPerturbedSeeds:
     def test_rejects_zero_runs(self):
         with pytest.raises(ValueError):
             perturbed_seeds(42, 0)
-
-
-class TestWeightedChoice:
-    def test_zero_weight_never_chosen(self):
-        rng = random.Random(0)
-        picks = {weighted_choice(rng, ["a", "b"], [0.0, 1.0])
-                 for _ in range(50)}
-        assert picks == {"b"}
-
-    def test_rough_proportions(self):
-        rng = random.Random(0)
-        counts = {"a": 0, "b": 0}
-        for _ in range(4000):
-            counts[weighted_choice(rng, ["a", "b"], [3.0, 1.0])] += 1
-        assert counts["a"] > counts["b"] * 2
-
-    def test_negative_weight_rejected(self):
-        with pytest.raises(ValueError):
-            weighted_choice(random.Random(0), ["a"], [-1.0])
-
-    def test_all_zero_rejected(self):
-        with pytest.raises(ValueError):
-            weighted_choice(random.Random(0), ["a", "b"], [0.0, 0.0])
 
 
 class TestZipfRank:

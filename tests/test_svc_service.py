@@ -30,7 +30,7 @@ import repro.svc.client as client_mod
 from repro.harness import sweep as sweep_mod
 from repro.harness.fleet import WorkerFleet
 from repro.harness.sweep import run_sweep
-from repro.svc.api import serve
+from repro.svc.api import SweepServer, serve
 from repro.svc.client import ClientError, ServiceClient
 from repro.svc.repository import RunRepository, result_digest
 from repro.svc.service import EVENT_COUNTERS, ServiceError, SweepService
@@ -809,20 +809,34 @@ class TestWorkerFleet:
             probe.stdout.close()
 
 
+@contextlib.contextmanager
+def _listening(service):
+    """A started :class:`SweepServer` over ``service``, closed on exit."""
+    server = serve(service, port=0)
+    thread = threading.Thread(target=server.serve_forever,
+                              kwargs={"poll_interval": 0.05}, daemon=True)
+    thread.start()
+    try:
+        yield server
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
+def _client_of(server):
+    host, port = server.server_address[:2]
+    return ServiceClient(f"http://{host}:{port}")
+
+
+def _handler_threads():
+    return [t for t in threading.enumerate() if t.name == "svc-http"]
+
+
 class TestHTTPApi:
     @pytest.fixture
     def endpoint(self, service):
-        server = serve(service, port=0)
-        thread = threading.Thread(target=server.serve_forever,
-                                  kwargs={"poll_interval": 0.05},
-                                  daemon=True)
-        thread.start()
-        host, port = server.server_address[:2]
-        try:
-            yield ServiceClient(f"http://{host}:{port}")
-        finally:
-            server.shutdown()
-            server.server_close()
+        with _listening(service) as server:
+            yield _client_of(server)
 
     def test_full_submit_poll_fetch_cycle(self, endpoint):
         assert endpoint.healthz()["status"] == "ok"
@@ -955,6 +969,65 @@ class TestHTTPApi:
         assert request("GET", f"/sweeps/{job['id']}")[0] == 200
         assert request("GET", f"/sweeps/{job['id']}/results")[0] == 200
         assert request("GET", "/sweeps/ghost")[0] == 404
+
+    def test_sequential_requests_share_one_handler_thread(self, service,
+                                                          monkeypatch):
+        """A connection goes to an idle handler thread when there is
+        one: twenty requests in a row start one thread, not twenty."""
+        served = []
+        finish = SweepServer.finish_request
+
+        def recording(server, request, client_address):
+            served.append(threading.current_thread())
+            finish(server, request, client_address)
+
+        monkeypatch.setattr(SweepServer, "finish_request", recording)
+        before = set(_handler_threads())
+        with _listening(service) as server:
+            client = _client_of(server)
+            for _ in range(20):
+                assert client.healthz()["status"] == "ok"
+                # The client has its response before the handler thread
+                # has closed the connection and gone back to waiting.
+                deadline = time.monotonic() + 5
+                while server._idle == 0 and time.monotonic() < deadline:
+                    time.sleep(0.001)
+            assert len(served) == 20
+            assert len(set(served)) == 1
+            assert set(_handler_threads()) - before == set(served)
+
+    def test_polls_complete_while_an_event_stream_is_open(self, tmp_path):
+        """A followed stream holds its handler thread until the job ends;
+        requests on other connections get threads of their own."""
+        # Never started, so its scheduler claims nothing: the job stays
+        # queued and its stream open until the cancel.
+        idle = SweepService(tmp_path / "idle.db", workers=1)
+        try:
+            with _listening(idle) as server:
+                client = _client_of(server)
+                job = client.submit(tiny_spec().to_dict())
+                stream = client.events(job["id"], follow=True)
+                assert next(stream)["kind"] == "svc.job.submitted"
+                for _ in range(5):
+                    assert client.job(job["id"])["state"] == "queued"
+                    assert client.healthz()["status"] == "ok"
+                assert client.cancel(job["id"])["state"] == "cancelled"
+                assert [e["kind"] for e in stream] == ["svc.job.cancelled"]
+        finally:
+            idle.shutdown(drain=False)
+
+    def test_server_close_releases_idle_handler_threads(self, service):
+        before = set(_handler_threads())
+        with _listening(service) as server:
+            client = _client_of(server)
+            for _ in range(3):
+                assert client.healthz()["status"] == "ok"
+            assert set(_handler_threads()) - before
+        deadline = time.monotonic() + 5
+        while (set(_handler_threads()) - before
+               and time.monotonic() < deadline):
+            time.sleep(0.01)
+        assert set(_handler_threads()) - before == set()
 
     def test_unreachable_server(self):
         client = ServiceClient("http://127.0.0.1:9", timeout=1.0)
