@@ -33,7 +33,7 @@ Request walkthrough (GETM from core R):
 from __future__ import annotations
 
 import abc
-from typing import Dict, Optional, Set
+from typing import Dict, Optional, Set, Tuple
 
 from repro.cache.array import CacheArray
 from repro.cache.block import MESI
@@ -59,6 +59,15 @@ class CoreEntry:
         self.sharers: Set[int] = set()     # cores with S
         self.sticky: Set[int] = set()      # cores with sticky obligations
 
+    def state(self) -> Tuple:
+        """(owner, sharers, sticky), the sets frozen; a subclass appends
+        its own fields, which :meth:`set_state` leaves to it."""
+        return (self.owner, frozenset(self.sharers), frozenset(self.sticky))
+
+    def set_state(self, state: Tuple) -> None:
+        self.owner, sharers, sticky = state[:3]
+        self.sharers, self.sticky = set(sharers), set(sticky)
+
     def forward_targets(self, is_write: bool) -> Set[int]:
         """Cores whose signatures must be checked for this request."""
         targets = set(self.sticky)
@@ -80,6 +89,13 @@ class DirectoryEntry(CoreEntry):
         self.lost_info = False
         self.must_check_all = False
         self.lock = SimLock(f"dir[{block_addr:#x}]")
+
+    def state(self) -> Tuple:
+        return super().state() + (self.lost_info, self.must_check_all)
+
+    def set_state(self, state: Tuple) -> None:
+        super().set_state(state)
+        self.lost_info, self.must_check_all = state[3:]
 
     @property
     def present_anywhere(self) -> bool:

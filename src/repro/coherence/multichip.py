@@ -39,7 +39,7 @@ no transient-state races exist (DESIGN.md §5).
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Set
+from typing import Dict, List, Optional, Set, Tuple
 
 from repro.cache.array import CacheArray
 from repro.cache.block import MESI
@@ -62,6 +62,13 @@ class ChipEntry(CoreEntry):
         #: Chip-level rights: 'M' (exclusive chip), 'S' (shared), or None.
         self.rights: Optional[str] = None
 
+    def state(self) -> Tuple:
+        return super().state() + (self.rights,)
+
+    def set_state(self, state: Tuple) -> None:
+        super().set_state(state)
+        self.rights = state[3]
+
     @property
     def present(self) -> bool:
         return (self.rights is not None or self.owner is not None
@@ -81,6 +88,15 @@ class MemDirEntry:
         #: still forwarded for signature checks.
         self.sticky_chips: Set[int] = set()
         self.lock = SimLock(f"memdir[{block_addr:#x}]")
+
+    def state(self) -> Tuple:
+        """(owner chip, sharer chips, sticky chips), the sets frozen."""
+        return (self.owner_chip, frozenset(self.sharer_chips),
+                frozenset(self.sticky_chips))
+
+    def set_state(self, state: Tuple) -> None:
+        self.owner_chip, sharers, sticky = state
+        self.sharer_chips, self.sticky_chips = set(sharers), set(sticky)
 
 
 class MultiChipFabric(DirectoryLevel):

@@ -16,7 +16,7 @@ phase, so a competing request observes consistent state.
 
 from __future__ import annotations
 
-from typing import Dict, Optional, Set
+from typing import Dict, Optional, Set, Tuple
 
 from repro.cache.array import CacheArray
 from repro.cache.block import MESI
@@ -166,6 +166,15 @@ class SnoopingFabric(CoherenceFabric):
             return MESI.EXCLUSIVE
         sharers.add(requester_core)
         return MESI.SHARED
+
+    def block_state(self, block_addr: int) -> Tuple:
+        """Who caches the block: (owner, sharers), the set frozen."""
+        return (self._owner.get(block_addr),
+                frozenset(self._sharers.get(block_addr, ())))
+
+    def set_block_state(self, block_addr: int, state: Tuple) -> None:
+        self._owner[block_addr], sharers = state
+        self._sharers[block_addr] = set(sharers)
 
     def scrub_block(self, block_addr: int) -> None:
         super().scrub_block(block_addr)

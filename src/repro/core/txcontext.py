@@ -11,7 +11,7 @@ accounting lives in the CPU model.
 
 from __future__ import annotations
 
-from typing import Callable, Optional
+from typing import Callable, Optional, Tuple
 
 from repro.common.errors import TransactionError
 from repro.common.stats import StatsRegistry
@@ -205,6 +205,38 @@ class TxContext:
         if self.escape_depth <= 0:
             raise TransactionError("unbalanced escape end")
         self.escape_depth -= 1
+
+    # -- state description (the model checker's snapshot) ------------------
+
+    def state(self) -> Tuple:
+        """(log depth, exact read set, exact write set, undo records) of a
+        context at most one level deep: its filter bits and log filter
+        follow from them."""
+        if self.log.depth > 1:
+            raise TransactionError("state() describes at most one level")
+        return (self.log.depth, self.signature.read.exact_set(),
+                self.signature.write.exact_set(), self.log.records())
+
+    def set_state(self, state: Tuple) -> None:
+        """Install a :meth:`state`. A transaction in it has the timestamp
+        a begin at time 0 gives; every field it leaves out is idle."""
+        depth, reads, writes, records = state
+        self.signature.clear()
+        for addr in reads:
+            self.signature.insert_read(addr)
+        for addr in writes:
+            self.signature.insert_write(addr)
+        self.log.reset()
+        self.log_filter.clear()
+        if depth:
+            self.log.push_frame().records.extend(records)
+            for record in records:
+                self.log_filter.should_log(record.vblock)
+        self.timestamp = (0, self.thread_id) if depth else None
+        self.possible_cycle = self.pending_abort = self.pending_abort_fp = False
+        self.aborted_by_os = self.needs_summary_recompute = False
+        self.escape_depth = 0
+        self.write_buffer.clear()
 
     # -- conflict bookkeeping ---------------------------------------------------
 

@@ -151,3 +151,8 @@ class UndoLog:
     @property
     def total_records(self) -> int:
         return sum(len(f.records) for f in self._frames)
+
+    def records(self) -> Tuple[UndoRecord, ...]:
+        """Every undo record, oldest first across the frames."""
+        return tuple(record for frame in self._frames
+                     for record in frame.records)

@@ -14,8 +14,9 @@ Layout:
 * :mod:`repro.mc.model` — the finite transition system: the
   simulator's fabric, cores and TM manager, driven one atomic action at
   a time, with ``encode`` / ``decode`` state round-tripping;
-* :mod:`repro.mc.state` — symmetry reduction over core/block (and chip)
-  permutations;
+* :mod:`repro.mc.state` — symmetry reduction over core (and chip)
+  permutations and the block permutations the signature cannot tell
+  apart, each an index permutation of an encoded state;
 * :mod:`repro.mc.invariants` — TM-level invariants layered on the
   coherence audits;
 * :mod:`repro.mc.checker` — BFS frontier, state cap, counterexample

@@ -15,12 +15,13 @@ protocol model's reachable states, with
   relabelings as the state encoding, checking one representative per
   canonical class is sound;
 * **shortest counterexamples** — BFS order makes the first violating
-  path minimal in transition count. The parent chain stores the exact
-  (non-canonicalized) predecessor states and actions, so the extracted
-  path is concretely executable; :func:`replay` re-runs it on a fresh
-  model with an :class:`~repro.obs.bus.EventBus` attached, turning the
-  abstract action list into the PR-2 event taxonomy (``coh.*``,
-  ``tm.*``, ``log.*``, ``os.*``) with the step index as the clock.
+  path minimal in transition count. The parent chain stores the action
+  that first reached each canonical state from its parent's exact
+  state, so the extracted path is concretely executable; the
+  counterexample re-runs it on a fresh model with an
+  :class:`~repro.obs.bus.EventBus` attached, turning the abstract action
+  list into the PR-2 event taxonomy (``coh.*``, ``tm.*``, ``log.*``,
+  ``os.*``) with the step index as the clock.
 
 Single live model, no deep copies: BFS re-installs states via
 ``decode(raw)`` before expanding each transition.
@@ -37,7 +38,7 @@ from repro.mc.invariants import violated_invariant
 from repro.mc.model import (Action, ModelConfig, ProtocolModel,
                             TransitionViolation, action_from_dict,
                             action_to_dict, format_action)
-from repro.mc.state import canonical_key, symmetry_maps
+from repro.mc.state import canonical_key, state_remaps, symmetry_maps
 from repro.obs.bus import EventBus, RingBufferLog
 
 #: Default bound on distinct canonical states explored. The clean
@@ -179,14 +180,12 @@ def check(mcfg: ModelConfig,
     if observer is not None:
         sink = _EventSink()
         model.stats.recorder = sink
-    maps = symmetry_maps(mcfg)
+    remaps = state_remaps(model.layout, symmetry_maps(mcfg))
     init_raw = model.encode()
-    init_key = canonical_key(model, maps)
+    init_key = canonical_key(init_raw, remaps)
 
-    # parent chain: canonical key -> (parent key, action, own raw state).
-    parents: Dict[Tuple, Optional[Tuple[Optional[Tuple], Action]]] = {
-        init_key: None}
-    raws: Dict[Tuple, Tuple] = {init_key: init_raw}
+    # parent chain: canonical key -> (parent key, action).
+    parents: Dict[Tuple, Optional[Tuple[Tuple, Action]]] = {init_key: None}
     frontier: Deque[Tuple[Tuple, Tuple, int]] = deque(
         [(init_raw, init_key, 0)])
     states = 1
@@ -198,17 +197,16 @@ def check(mcfg: ModelConfig,
         return ModelCheckResult(
             config=mcfg, states=states, transitions=transitions, depth=0,
             fixed_point=False, state_cap=state_cap, violation=bad,
-            counterexample=_extract(mcfg, parents, raws, init_key,
-                                    bad))
+            counterexample=_replayed(mcfg, [], *bad))
 
     while frontier and states < state_cap:
         raw, key, depth = frontier.popleft()
         model.decode(raw)
-        actions = model.actions()
-        for action in actions:
+        for i, action in enumerate(model.actions()):
             if states >= state_cap:
                 break
-            model.decode(raw)
+            if i:
+                model.decode(raw)
             if sink is not None:
                 sink.events = []
             try:
@@ -229,11 +227,10 @@ def check(mcfg: ModelConfig,
             if child_raw == raw:
                 continue        # self-loop (e.g. a NACK that moved nothing)
             transitions += 1
-            child_key = canonical_key(model, maps)
+            child_key = canonical_key(child_raw, remaps)
             if child_key in parents:
                 continue
             parents[child_key] = (key, action)
-            raws[child_key] = child_raw
             states += 1
             max_depth = max(max_depth, depth + 1)
             bad = violated_invariant(model)
@@ -242,8 +239,8 @@ def check(mcfg: ModelConfig,
                     config=mcfg, states=states, transitions=transitions,
                     depth=max_depth, fixed_point=False,
                     state_cap=state_cap, violation=bad,
-                    counterexample=_extract(mcfg, parents, raws,
-                                            child_key, bad))
+                    counterexample=_replayed(
+                        mcfg, _path_to(parents, child_key), *bad))
             frontier.append((child_raw, child_key, depth + 1))
     return ModelCheckResult(
         config=mcfg, states=states, transitions=transitions,
@@ -254,20 +251,10 @@ def check(mcfg: ModelConfig,
 def _path_to(parents: Dict, key: Tuple) -> List[Action]:
     """Walk the parent chain back to the initial state."""
     path: List[Action] = []
-    while True:
-        link = parents[key]
-        if link is None:
-            break
-        key, action = link[0], link[1]
+    while parents[key] is not None:
+        key, action = parents[key]
         path.append(action)
-    path.reverse()
-    return path
-
-
-def _extract(mcfg: ModelConfig, parents: Dict, raws: Dict, key: Tuple,
-             violation: Tuple[str, str]) -> Counterexample:
-    return _replayed(mcfg, _path_to(parents, key),
-                     violation[0], violation[1])
+    return path[::-1]
 
 
 def _replayed(mcfg: ModelConfig, path: List[Action], invariant: str,

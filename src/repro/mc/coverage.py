@@ -117,7 +117,7 @@ class TransitionCoverage:
         """True when the last apply bumped the escalation counter."""
         if self.fabric_kind != "multichip":
             return False
-        current = model.fabric._c_interchip.value
+        current = model.stats.value("coherence.interchip_requests")
         previous = self._interchip_seen
         self._interchip_seen = current
         return previous is not None and current != previous

@@ -107,7 +107,7 @@ def check_frame_tenancy(model: ProtocolModel) -> None:
     """No cached line may survive its frame's reuse."""
     for core in model.cores:
         for block in core.l1.resident_blocks():
-            b = model._block_index[block.addr]
+            b = model.block_index[block.addr]
             line_gen = core.l1.line_tenancy[block.addr]
             if line_gen != model.tenancy[b]:
                 raise InvariantViolation(

@@ -27,13 +27,14 @@ is a self-loop once the contention manager has decided, and its retry
 is a later action.
 
 The model's state is fully captured by :meth:`ProtocolModel.encode` — a
-canonical, hashable tuple — and any encoded state can be re-installed
-with :meth:`ProtocolModel.decode`, which is what lets the checker in
-:mod:`repro.mc.checker` run a Murphi-style BFS over one live model
-instance instead of deep-copying machines.
+flat, hashable tuple laid out by :attr:`ProtocolModel.layout` — and any
+encoded state can be re-installed with :meth:`ProtocolModel.decode`,
+which is what lets the checker in :mod:`repro.mc.checker` run a
+Murphi-style BFS over one live model instance instead of deep-copying
+machines.
 
 Functional values are abstracted to a tiny modular counter per block
-(writes bump the value mod ``value_mod``), which keeps the state space
+(writes bump the value mod :data:`VALUES`), which keeps the state space
 finite while making undo-log restoration observable. Frame reuse bumps a
 per-block *tenancy* generation; a cached line remembers the generation it
 was filled under, so a line that survives a scrub is statically visible
@@ -44,7 +45,8 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Tuple
+from itertools import compress, islice, product
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.cache.block import CacheBlock, MESI
 from repro.coherence import make_fabric
@@ -70,72 +72,59 @@ from repro.signatures.rwpair import ReadWriteSignature
 #: Fabric names accepted by :class:`ModelConfig`.
 FABRICS = ("directory", "snooping", "multichip")
 
-#: Action opcodes (first element of every action tuple).
-OPS = ("begin", "read", "write", "commit", "abort", "evict", "l2_evict",
-       "reuse")
+#: The abstract value domain: a store writes ``(old + 1) % VALUES``. Two
+#: values are enough to make undo-log restoration observable.
+VALUES = 2
 
-#: One transition: ("read", tid, block_index), ("evict", core_id,
-#: block_index), ("l2_evict", chip, block_index), ("reuse", block_index),
-#: or ("begin"|"commit"|"abort", tid).
+#: Every action opcode with the names of its operands, in tuple order:
+#: ``("write", 1, 0)`` is thread 1 writing block 0. An operand name is
+#: also the kind of identity it holds, which is what a symmetry
+#: relabels (:mod:`repro.mc.state`).
+OPERANDS: Dict[str, Tuple[str, ...]] = {
+    "begin": ("thread",),
+    "read": ("thread", "block"),
+    "write": ("thread", "block"),
+    "commit": ("thread",),
+    "abort": ("thread",),
+    "evict": ("core", "block"),
+    "l2_evict": ("chip", "block"),
+    "reuse": ("block",),
+}
+
+#: How :func:`format_action` prefixes each kind of operand.
+_PREFIXES = {"thread": "t", "core": "core", "chip": "chip", "block": "B"}
+
+#: One transition: the opcode, then its operands (see :data:`OPERANDS`).
 Action = Tuple
 
 
 def action_to_dict(action: Action) -> Dict[str, object]:
     """JSON-friendly rendering of one action tuple."""
-    op = action[0]
-    if op in ("begin", "commit", "abort"):
-        return {"op": op, "thread": action[1]}
-    if op in ("read", "write"):
-        return {"op": op, "thread": action[1], "block": action[2]}
-    if op == "evict":
-        return {"op": op, "core": action[1], "block": action[2]}
-    if op == "l2_evict":
-        return {"op": op, "chip": action[1], "block": action[2]}
-    if op == "reuse":
-        return {"op": op, "block": action[1]}
-    raise ConfigError(f"unknown action {action!r}")
+    names = OPERANDS.get(action[0])
+    if names is None:
+        raise ConfigError(f"unknown action {action!r}")
+    return {"op": action[0], **dict(zip(names, action[1:]))}
 
 
 def action_from_dict(data: Dict[str, object]) -> Action:
     """Inverse of :func:`action_to_dict` (replay of dumped traces)."""
-    op = data["op"]
-    if op in ("begin", "commit", "abort"):
-        return (op, data["thread"])
-    if op in ("read", "write"):
-        return (op, data["thread"], data["block"])
-    if op == "evict":
-        return (op, data["core"], data["block"])
-    if op == "l2_evict":
-        return (op, data["chip"], data["block"])
-    if op == "reuse":
-        return (op, data["block"])
-    raise ConfigError(f"unknown action {data!r}")
+    names = OPERANDS.get(data["op"])
+    if names is None:
+        raise ConfigError(f"unknown action {data!r}")
+    return (data["op"],) + tuple(data[name] for name in names)
 
 
 def format_action(action: Action) -> str:
     """Human-readable rendering, e.g. ``write t1 B0`` or ``reuse B1``."""
-    op = action[0]
-    if op in ("begin", "commit", "abort"):
-        return f"{op} t{action[1]}"
-    if op in ("read", "write"):
-        return f"{op} t{action[1]} B{action[2]}"
-    if op == "evict":
-        return f"evict core{action[1]} B{action[2]}"
-    if op == "l2_evict":
-        return f"l2_evict chip{action[1]} B{action[2]}"
-    return f"reuse B{action[1]}"
+    return " ".join([action[0]] + [
+        f"{_PREFIXES[name]}{value}"
+        for name, value in zip(OPERANDS[action[0]], action[1:])])
 
 
 @dataclass(frozen=True)
 class ModelConfig:
-    """Shape of one model-checking configuration.
-
-    ``cores`` is per chip (``chips`` matters only for the multichip
-    fabric). ``value_mod`` bounds the abstract per-block value domain;
-    2 is enough to make undo-log restoration observable. The
-    ``allow_nontx`` / ``enable_*`` switches prune whole transition
-    families to trade coverage for state count.
-    """
+    """Shape of one model-checking configuration. ``cores`` is per chip
+    (``chips`` matters only for the multichip fabric)."""
 
     fabric: str = "directory"
     cores: int = 2
@@ -144,11 +133,6 @@ class ModelConfig:
     chips: int = 2
     signature: SignatureKind = SignatureKind.PERFECT
     signature_bits: int = 64
-    value_mod: int = 2
-    allow_nontx: bool = True
-    enable_evict: bool = True
-    enable_l2_evict: bool = True
-    enable_reuse: bool = True
     mutation: Optional[str] = None
 
     def __post_init__(self) -> None:
@@ -163,12 +147,25 @@ class ModelConfig:
             raise ConfigError("model contexts_per_core must be 1 or 2")
         if not 2 <= self.chips <= 3:
             raise ConfigError("model chips must be 2 or 3")
-        if self.value_mod < 2:
-            raise ConfigError("value_mod must be >= 2")
 
     @property
     def total_cores(self) -> int:
         return self.cores * (self.chips if self.fabric == "multichip" else 1)
+
+    def system_config(self) -> SystemConfig:
+        """The simulator configuration the model's machine is built from."""
+        if self.fabric == "multichip":
+            base = SystemConfig.multichip(
+                num_chips=self.chips, cores_per_chip=self.cores,
+                threads_per_core=self.contexts_per_core)
+        else:
+            base = SystemConfig.small(
+                num_cores=self.cores,
+                threads_per_core=self.contexts_per_core)
+            if self.fabric == "snooping":
+                base = dataclasses.replace(
+                    base, coherence=CoherenceStyle.SNOOPING)
+        return base.with_signature(self.signature, bits=self.signature_bits)
 
     def describe(self) -> str:
         chips = f"{self.chips}x" if self.fabric == "multichip" else ""
@@ -216,22 +213,26 @@ class ModelL1:
                ) -> Tuple[CacheBlock, None]:
         """A fill after a grant: never a victim (the L1 has no capacity)."""
         tenancy = self._tenancy[self._block_index[block_addr]]
-        return self.install(block_addr, state, tenancy), None
-
-    def install(self, block_addr: int, state: MESI, tenancy: int
-                ) -> CacheBlock:
-        block = CacheBlock(block_addr, state)
-        self._lines[block_addr] = block
-        self.line_tenancy[block_addr] = tenancy
-        return block
+        self.set_line_state(block_addr, (state.value, tenancy))
+        return self._lines[block_addr], None
 
     def invalidate(self, block_addr: int) -> Optional[CacheBlock]:
         self.line_tenancy.pop(block_addr, None)
         return self._lines.pop(block_addr, None)
 
-    def clear(self) -> None:
-        self._lines.clear()
-        self.line_tenancy.clear()
+    def line_state(self, block_addr: int) -> Tuple:
+        """``()`` when the line is absent, else (MESI letter, tenancy)."""
+        block = self._lines.get(block_addr)
+        if block is None:
+            return ()
+        return (block.state.value, self.line_tenancy[block_addr])
+
+    def set_line_state(self, block_addr: int, line: Tuple) -> None:
+        """Install a :meth:`line_state`."""
+        self.invalidate(block_addr)
+        if line:
+            self._lines[block_addr] = CacheBlock(block_addr, MESI(line[0]))
+            self.line_tenancy[block_addr] = line[1]
 
 
 class _Stalled(Exception):
@@ -277,16 +278,57 @@ class TransitionViolation(Exception):
         self.invariant = invariant
 
 
+#: The sections of an encoded state, in order, each with the identities
+#: that index it (outermost first; cells in row-major order). No cell
+#: holds an identity, so relabeling identities only moves cells: an
+#: entry's owner and sets become one flag tuple per core or chip. Every
+#: cell of a section holds one leaf type, so tuple order is total.
+_SECTIONS = (
+    ("value", ("block",)),                # abstract memory value
+    ("tenancy", ("block",)),              # frame generation
+    ("line", ("core", "block")),          # ModelL1.line_state
+    ("depth", ("thread",)),               # undo-log depth
+    ("footprint", ("thread", "block")),   # (read, written, undo entry)
+)
+_DIRECTORY_SECTIONS = (
+    # (lost_info, must_check_all) or (rights or ""), then in the L2
+    ("entry", ("chip", "block")),
+    ("holder", ("chip", "block", "core")),    # (owner, sharer, sticky)
+)
+_FABRIC_SECTIONS = {
+    "directory": _DIRECTORY_SECTIONS,         # one chip
+    "multichip": _DIRECTORY_SECTIONS + (
+        ("chip_holder", ("block", "chip")),   # (owner, sharer, sticky)
+    ),
+    "snooping": (("holder", ("block", "core")),),   # (owner, sharer)
+}
+
+
+def _spread(holders: Tuple, count: int) -> List[Tuple[bool, ...]]:
+    """An entry's ``(owner, *id sets)`` as one flag tuple per id."""
+    owner, *sets = holders
+    return [(i == owner,) + tuple(i in ids for ids in sets)
+            for i in range(count)]
+
+
+def _gather(cells: Iterable[Tuple[bool, ...]]) -> Tuple:
+    """Inverse of :func:`_spread`."""
+    owners, *sets = zip(*cells)
+    ids = range(len(owners))
+    return (owners.index(True) if True in owners else None,
+            *(set(compress(ids, flags)) for flags in sets))
+
+
 class ProtocolModel:
     """The live model: the simulator's machine without its clock."""
 
     def __init__(self, mcfg: ModelConfig) -> None:
         self.mcfg = mcfg
-        cfg = self.cfg = self._system_config(mcfg)
+        cfg = self.cfg = mcfg.system_config()
         self.stats = StatsRegistry()
         self.block_addrs = [i * cfg.block_bytes for i in range(mcfg.blocks)]
-        self._block_index = {addr: i
-                             for i, addr in enumerate(self.block_addrs)}
+        #: Block address -> its index among the model's blocks.
+        self.block_index = {addr: i for i, addr in enumerate(self.block_addrs)}
         self.memory = PhysicalMemory(capacity_bytes=cfg.memory_bytes)
         #: Per-block frame-tenancy generation, bumped by ``reuse``.
         self.tenancy = [0] * mcfg.blocks
@@ -308,7 +350,7 @@ class ProtocolModel:
         self.slots: List[HardwareSlot] = []
         self.contexts: List[TxContext] = []
         for core in self.cores:
-            core.l1 = ModelL1(self.tenancy, self._block_index)
+            core.l1 = ModelL1(self.tenancy, self.block_index)
             for slot in core.slots:
                 ctx = TxContext(
                     thread_id=len(self.slots), signature=pair(),
@@ -322,26 +364,15 @@ class ProtocolModel:
         if mcfg.mutation is not None:
             from repro.verify.faults import apply_protocol_mutation
             apply_protocol_mutation(self.fabric, mcfg.mutation)
-
-    # ------------------------------------------------------------------
-    # Construction helpers
-    # ------------------------------------------------------------------
-
-    @staticmethod
-    def _system_config(mcfg: ModelConfig) -> SystemConfig:
-        if mcfg.fabric == "multichip":
-            base = SystemConfig.multichip(
-                num_chips=mcfg.chips, cores_per_chip=mcfg.cores,
-                threads_per_core=mcfg.contexts_per_core)
-        else:
-            base = SystemConfig.small(
-                num_cores=mcfg.cores,
-                threads_per_core=mcfg.contexts_per_core)
-            if mcfg.fabric == "snooping":
-                base = dataclasses.replace(
-                    base, coherence=CoherenceStyle.SNOOPING)
-        return base.with_signature(mcfg.signature,
-                                   bits=mcfg.signature_bits)
+        sizes = {"block": mcfg.blocks, "core": mcfg.total_cores,
+                 "thread": len(self.contexts), "chip": cfg.num_chips}
+        #: One ``(section, ((identity kind, index), ...))`` per position
+        #: of :meth:`encode`'s tuple.
+        self.layout = [
+            (name, tuple(zip(kinds, index)))
+            for name, kinds in _SECTIONS + _FABRIC_SECTIONS[mcfg.fabric]
+            for index in product(*(range(sizes[kind]) for kind in kinds))]
+        self._record_tail = (0,) * (cfg.block_bytes // WORD_BYTES - 1)
 
     # ------------------------------------------------------------------
     # Action enumeration
@@ -352,47 +383,32 @@ class ProtocolModel:
         order. Guards are *structural* (is a line resident, is the thread
         in a transaction); whether an access actually changes state (it
         may be NACKed) is discovered by applying it."""
-        mcfg = self.mcfg
+        blocks = range(self.mcfg.blocks)
         out: List[Action] = []
         for ctx in self.contexts:
             tid = ctx.thread_id
-            if ctx.in_tx:
-                out.append(("commit", tid))
-                out.append(("abort", tid))
-            else:
-                out.append(("begin", tid))
-            if ctx.in_tx or mcfg.allow_nontx:
-                for b in range(mcfg.blocks):
-                    out.append(("read", tid, b))
-                    out.append(("write", tid, b))
-        if mcfg.enable_evict:
-            for core in self.cores:
-                for b in range(mcfg.blocks):
-                    if core.l1.peek(self.block_addrs[b]) is not None:
-                        out.append(("evict", core.core_id, b))
-        if mcfg.enable_l2_evict:
-            out.extend(self._l2_evict_actions())
-        if mcfg.enable_reuse:
-            for b in range(mcfg.blocks):
-                if not self._block_in_write_set(b):
-                    out.append(("reuse", b))
+            out += ([("commit", tid), ("abort", tid)] if ctx.in_tx
+                    else [("begin", tid)])
+            for b in blocks:
+                out += [("read", tid, b), ("write", tid, b)]
+        for core in self.cores:
+            out += [("evict", core.core_id, b) for b in blocks
+                    if core.l1.peek(self.block_addrs[b]) is not None]
+        out += [("l2_evict", chip, b) for chip, l2 in enumerate(self._l2s())
+                for b, addr in enumerate(self.block_addrs)
+                if l2.peek(addr) is not None]
+        out += [("reuse", b) for b in blocks
+                if not self._block_in_write_set(b)]
         return out
 
-    def _l2_evict_actions(self) -> List[Action]:
-        out: List[Action] = []
+    def _l2s(self) -> List:
+        """The shared L2s by chip (a single-CMP directory is chip 0).
+        Snooping L2 residency is latency only: nothing to explore."""
+        if isinstance(self.fabric, MultiChipFabric):
+            return self.fabric.l2s
         if isinstance(self.fabric, DirectoryFabric):
-            for b in range(self.mcfg.blocks):
-                if self.fabric.l2.peek(self.block_addrs[b]) is not None:
-                    out.append(("l2_evict", 0, b))
-        elif isinstance(self.fabric, MultiChipFabric):
-            for chip in range(self.cfg.num_chips):
-                for b in range(self.mcfg.blocks):
-                    if self.fabric.l2s[chip].peek(
-                            self.block_addrs[b]) is not None:
-                        out.append(("l2_evict", chip, b))
-        # Snooping: L2 residency is behaviorally inert (latency only), so
-        # there is nothing to explore.
-        return out
+            return [self.fabric.l2]
+        return []
 
     def _block_in_write_set(self, b: int) -> bool:
         """Reuse guard: freeing a frame some transaction would restore
@@ -440,12 +456,11 @@ class ProtocolModel:
         slot = self.slots[tid]
         ctx = slot.thread.ctx
         logged: Dict[int, int] = {}
-        for frame in ctx.log._frames:
-            for record in frame.records:
-                # Earliest record per block wins: that is the value the
-                # LIFO unroll must land on.
-                logged.setdefault(record.vblock, record.old_words[0])
-        missing = [f"B{self._block_index[a]}"
+        for record in ctx.log.records():
+            # Earliest record per block wins: that is the value the
+            # LIFO unroll must land on.
+            logged.setdefault(record.vblock, record.old_words[0])
+        missing = [f"B{self.block_index[a]}"
                    for a in sorted(ctx.signature.write.exact_set())
                    if a not in logged]
         if missing:
@@ -460,14 +475,14 @@ class ProtocolModel:
             if actual != expected:
                 raise TransitionViolation(
                     "log-restore",
-                    f"t{tid}'s abort left B{self._block_index[addr]} = "
+                    f"t{tid}'s abort left B{self.block_index[addr]} = "
                     f"{actual}, undo log says pre-tx value was {expected}")
 
     def _do_access(self, tid: int, b: int, is_write: bool) -> None:
         """One load or store through the core's own access path.
 
-        A store writes ``(old + 1) % value_mod``; the action is atomic,
-        so ``old``, read before the access, is the value it replaces. A
+        A store writes ``(old + 1) % VALUES``; the action is atomic, so
+        ``old``, read before the access, is the value it replaces. A
         stall ends the action before the access completes (a self-loop
         unless the request itself moved fabric state); an abort the
         access raises runs the abort handler.
@@ -475,7 +490,7 @@ class ProtocolModel:
         slot = self.slots[tid]
         addr = self.block_addrs[b]
         if is_write:
-            value = (self.memory.load(addr) + 1) % self.mcfg.value_mod
+            value = (self.memory.load(addr) + 1) % VALUES
             access = slot.core.store(slot, addr, value)
         else:
             access = slot.core.load(slot, addr)
@@ -494,9 +509,8 @@ class ProtocolModel:
         if line is None:
             raise SimulationError(f"evict of non-resident block B{b}")
         transactional = core.holds_transactional(addr)
-        state = line.state
         core.l1.invalidate(addr)
-        self.fabric.l1_evicted(core_id, addr, state, transactional)
+        self.fabric.l1_evicted(core_id, addr, line.state, transactional)
 
     def _do_l2_evict(self, chip: int, b: int) -> None:
         """Shared-L2 victimization: the lost-directory-info / sticky-M
@@ -504,16 +518,13 @@ class ProtocolModel:
         victimization handlers, which the capacity-driven path also
         calls — the model only makes *when* nondeterministic."""
         addr = self.block_addrs[b]
-        if isinstance(self.fabric, DirectoryFabric):
-            if self.fabric.l2.invalidate(addr) is None:
-                raise SimulationError(f"l2_evict of non-resident B{b}")
-            self.fabric._l2_victimized(addr)
-        elif isinstance(self.fabric, MultiChipFabric):
-            if self.fabric.l2s[chip].invalidate(addr) is None:
-                raise SimulationError(f"l2_evict of non-resident B{b}")
+        l2s = self._l2s()
+        if chip >= len(l2s) or l2s[chip].invalidate(addr) is None:
+            raise SimulationError(f"l2_evict of non-resident B{b}")
+        if isinstance(self.fabric, MultiChipFabric):
             self.fabric._chip_l2_victimized(chip, addr)
         else:
-            raise SimulationError("l2_evict is undefined for snooping")
+            self.fabric._l2_victimized(addr)
 
     def _do_reuse(self, b: int) -> None:
         """Scrub + frame reuse: the OS frees the frame and hands it to a
@@ -530,212 +541,100 @@ class ProtocolModel:
     # State encoding
     # ------------------------------------------------------------------
 
-    def encode(self, core_map: Optional[Tuple[int, ...]] = None,
-               block_map: Optional[Tuple[int, ...]] = None,
-               chip_map: Optional[Tuple[int, ...]] = None) -> Tuple:
-        """Canonical hashable snapshot of all behavior-relevant state.
+    def encode(self) -> Tuple:
+        """Every behavior-relevant piece of state as one flat tuple in
+        :attr:`layout` order: each component's own state description,
+        its core, chip and block identities turned into positions.
 
-        ``core_map``/``block_map``/``chip_map`` relabel identities on the
-        way out (``map[old] = new``); the identity maps give the *raw*
-        encoding that :meth:`decode` accepts. Observability state
-        (counters, TLBs, LRU clocks) is deliberately excluded: it never
-        feeds back into protocol decisions. So is ``possible_cycle``, which
-        :meth:`decode` clears: an access can set it only on *other*
-        contexts, so the timestamp policy never aborts a requester during
-        the search, and every contention-manager decision is a stall.
-        """
-        mcfg = self.mcfg
-        cm = core_map or tuple(range(mcfg.total_cores))
-        bm = block_map or tuple(range(mcfg.blocks))
-
-        mem = [0] * mcfg.blocks
-        ten = [0] * mcfg.blocks
-        for b, addr in enumerate(self.block_addrs):
-            mem[bm[b]] = self.memory.load(addr)
-            ten[bm[b]] = self.tenancy[b]
-
-        lines: List[Optional[Tuple]] = [None] * mcfg.total_cores
-        ctxs: List[Optional[Tuple]] = [None] * mcfg.total_cores
+        Observability state (counters, TLBs, LRU clocks) is left out, and
+        so is ``possible_cycle``, which :meth:`decode` clears: an access
+        sets it only on *other* contexts, so the timestamp policy never
+        aborts a requester and every contention-manager decision is a
+        stall."""
+        addrs = self.block_addrs
+        cells = [self.memory.load(addr) for addr in addrs] + self.tenancy
         for core in self.cores:
-            # An absent line is ``()``, which sorts below every present
-            # ``(state, tenancy)``: plain tuple order is total.
-            row: List[Tuple] = [()] * mcfg.blocks
-            for b, addr in enumerate(self.block_addrs):
-                block = core.l1.peek(addr)
-                if block is not None:
-                    row[bm[b]] = (block.state.value,
-                                  core.l1.line_tenancy[addr])
-            lines[cm[core.core_id]] = tuple(row)
-            slot_rows = []
-            for slot in core.slots:
-                ctx = slot.thread.ctx
-                rs = tuple(sorted(bm[self._block_index[a]]
-                                  for a in ctx.signature.read.exact_set()
-                                  if a in self._block_index))
-                ws = tuple(sorted(bm[self._block_index[a]]
-                                  for a in ctx.signature.write.exact_set()
-                                  if a in self._block_index))
-                log = tuple(
-                    (bm[self._block_index[rec.vblock]], rec.old_words[0])
-                    for frame in ctx.log._frames
-                    for rec in frame.records)
-                slot_rows.append((ctx.log.depth, rs, ws, log))
-            ctxs[cm[core.core_id]] = tuple(slot_rows)
+            cells += [core.l1.line_state(addr) for addr in addrs]
+        footprints: List[Tuple] = []
+        for ctx in self.contexts:
+            # A block's undo entry: () or (log position, old value).
+            depth, reads, writes, records = ctx.state()
+            logged = {record.vblock: (position, record.old_words[0])
+                      for position, record in enumerate(records)}
+            if len(logged) != len(records):
+                raise SimulationError(f"t{ctx.thread_id} logged a block twice")
+            cells.append(depth)
+            footprints += [(addr in reads, addr in writes,
+                            logged.get(addr, ())) for addr in addrs]
+        return tuple(cells + footprints + self._fabric_cells())
 
-        return (tuple(mem), tuple(ten), tuple(lines), tuple(ctxs),
-                self._encode_fabric(cm, bm, chip_map))
+    def _fabric_cells(self) -> List[Tuple]:
+        fabric, addrs = self.fabric, self.block_addrs
+        cores = self.mcfg.total_cores
+        if isinstance(fabric, SnoopingFabric):
+            return [cell for addr in addrs
+                    for cell in _spread(fabric.block_state(addr), cores)]
+        entries = [(entry.state(), l2.peek(addr) is not None)
+                   for entry, l2, addr in self._entries()]
+        cells = [tuple("" if flag is None else flag for flag in state[3:])
+                 + (in_l2,) for state, in_l2 in entries]
+        cells += [cell for state, _in_l2 in entries
+                  for cell in _spread(state[:3], cores)]
+        if isinstance(fabric, MultiChipFabric):
+            cells += [cell for addr in addrs for cell in _spread(
+                fabric.mem_entry_view(addr).state(), self.cfg.num_chips)]
+        return cells
 
-    def _encode_fabric(self, cm: Tuple[int, ...], bm: Tuple[int, ...],
-                       chip_map: Optional[Tuple[int, ...]]) -> Tuple:
-        mcfg = self.mcfg
-        if isinstance(self.fabric, DirectoryFabric):
-            entries: List[Optional[Tuple]] = [None] * mcfg.blocks
-            l2 = [False] * mcfg.blocks
-            for b, addr in enumerate(self.block_addrs):
-                e = self.fabric.entry_view(addr)
-                entries[bm[b]] = (
-                    -1 if e.owner is None else cm[e.owner],
-                    tuple(sorted(cm[c] for c in e.sharers)),
-                    tuple(sorted(cm[c] for c in e.sticky)),
-                    e.lost_info, e.must_check_all)
-                l2[bm[b]] = self.fabric.l2.peek(addr) is not None
-            return ("dir", tuple(entries), tuple(l2))
-        if isinstance(self.fabric, SnoopingFabric):
-            entries = [None] * mcfg.blocks
-            for b, addr in enumerate(self.block_addrs):
-                owner = self.fabric._owner.get(addr)
-                sharers = self.fabric._sharers.get(addr, set())
-                entries[bm[b]] = (
-                    -1 if owner is None else cm[owner],
-                    tuple(sorted(cm[c] for c in sharers)))
-            return ("snoop", tuple(entries))
+    def _entries(self) -> List[Tuple]:
+        """(entry, its chip's L2, block address) by (chip, block)."""
         fabric = self.fabric
-        assert isinstance(fabric, MultiChipFabric)
-        xm = chip_map or tuple(range(self.cfg.num_chips))
-        chips: List[Optional[Tuple]] = [None] * self.cfg.num_chips
-        for chip in range(self.cfg.num_chips):
-            rows: List[Optional[Tuple]] = [None] * mcfg.blocks
-            l2 = [False] * mcfg.blocks
-            for b, addr in enumerate(self.block_addrs):
-                e = fabric.chip_entry_view(chip, addr)
-                rows[bm[b]] = (
-                    e.rights or "",
-                    -1 if e.owner is None else cm[e.owner],
-                    tuple(sorted(cm[c] for c in e.sharers)),
-                    tuple(sorted(cm[c] for c in e.sticky)))
-                l2[bm[b]] = fabric.l2s[chip].peek(addr) is not None
-            chips[xm[chip]] = (tuple(rows), tuple(l2))
-        mems: List[Optional[Tuple]] = [None] * mcfg.blocks
-        for b, addr in enumerate(self.block_addrs):
-            m = fabric.mem_entry_view(addr)
-            mems[bm[b]] = (
-                -1 if m.owner_chip is None else xm[m.owner_chip],
-                tuple(sorted(xm[c] for c in m.sharer_chips)),
-                tuple(sorted(xm[c] for c in m.sticky_chips)))
-        return ("multichip", tuple(chips), tuple(mems))
+        return [(fabric.chip_entry_view(chip, addr)
+                 if isinstance(fabric, MultiChipFabric)
+                 else fabric.entry_view(addr), l2, addr)
+                for chip, l2 in enumerate(self._l2s())
+                for addr in self.block_addrs]
 
-    # ------------------------------------------------------------------
-    # State decoding
-    # ------------------------------------------------------------------
-
-    def decode(self, state: Tuple) -> None:
-        """Re-install a raw (identity-mapped) encoded state."""
-        mcfg = self.mcfg
-        mem, ten, lines, ctxs, fabric_state = state
-        for b, addr in enumerate(self.block_addrs):
-            self.memory.store(addr, mem[b])
-            self.tenancy[b] = ten[b]
+    def decode(self, raw: Tuple) -> None:
+        """Re-install an :meth:`encode`d state, handing each component
+        its own state description back."""
+        cells = iter(raw)
+        addrs = self.block_addrs
+        for addr in addrs:
+            self.memory.store(addr, next(cells))
+        self.tenancy[:] = islice(cells, len(addrs))
         for core in self.cores:
-            core.l1.clear()
-            row = lines[core.core_id]
-            for b, cell in enumerate(row):
-                if cell:
-                    state_char, tenancy = cell
-                    core.l1.install(self.block_addrs[b], MESI(state_char),
-                                    tenancy)
-            for slot, slot_state in zip(core.slots, ctxs[core.core_id]):
-                self._decode_ctx(slot.thread.ctx, slot_state)
-        self._decode_fabric(fabric_state)
+            for addr in addrs:
+                core.l1.set_line_state(addr, next(cells))
+        depths = list(islice(cells, len(self.contexts)))
+        for ctx, depth in zip(self.contexts, depths):
+            prints = list(zip(addrs, islice(cells, len(addrs))))
+            logged = sorted((cell[2], addr) for addr, cell in prints
+                            if cell[2])
+            ctx.set_state((
+                depth,
+                [addr for addr, cell in prints if cell[0]],
+                [addr for addr, cell in prints if cell[1]],
+                [UndoRecord(addr, (old,) + self._record_tail)
+                 for (_position, old), addr in logged]))
+        self._set_fabric_cells(cells)
 
-    def _decode_ctx(self, ctx: TxContext, slot_state: Tuple) -> None:
-        depth, rs, ws, log = slot_state
-        ctx.signature.clear()
-        for b in rs:
-            ctx.signature.insert_read(self.block_addrs[b])
-        for b in ws:
-            ctx.signature.insert_write(self.block_addrs[b])
-        ctx.log.reset()
-        ctx.log_filter.clear()
-        if depth:
-            ctx.log.push_frame(checkpoint=None)
-            zeros = (0,) * (self.cfg.block_bytes // WORD_BYTES - 1)
-            for b, old in log:
-                addr = self.block_addrs[b]
-                ctx.log.current.records.append(
-                    UndoRecord(addr, (old,) + zeros))
-                ctx.log_filter.should_log(addr)
-            ctx.timestamp = (0, ctx.thread_id)
-        else:
-            ctx.timestamp = None
-        ctx.possible_cycle = False
-        ctx.pending_abort = False
-        ctx.pending_abort_fp = False
-        ctx.aborted_by_os = False
-        ctx.needs_summary_recompute = False
-        ctx.escape_depth = 0
-        ctx.write_buffer.clear()
-
-    def _decode_fabric(self, fabric_state: Tuple) -> None:
-        tag = fabric_state[0]
-        if tag == "dir":
-            fabric = self.fabric
-            assert isinstance(fabric, DirectoryFabric)
-            _tag, entries, l2 = fabric_state
-            for b, addr in enumerate(self.block_addrs):
-                owner, sharers, sticky, lost, check_all = entries[b]
-                e = fabric.entry_view(addr)
-                e.owner = None if owner < 0 else owner
-                e.sharers = set(sharers)
-                e.sticky = set(sticky)
-                e.lost_info = lost
-                e.must_check_all = check_all
-                fabric.l2.invalidate(addr)
-                if l2[b]:
-                    _blk, victim = fabric.l2.insert(addr, MESI.SHARED)
-                    assert victim is None, "model L2 must not overflow"
-        elif tag == "snoop":
-            fabric = self.fabric
-            assert isinstance(fabric, SnoopingFabric)
-            _tag, entries = fabric_state
-            fabric._owner.clear()
-            fabric._sharers.clear()
-            for b, addr in enumerate(self.block_addrs):
-                owner, sharers = entries[b]
-                if owner >= 0:
-                    fabric._owner[addr] = owner
-                if sharers:
-                    fabric._sharers[addr] = set(sharers)
-        else:
-            fabric = self.fabric
-            assert isinstance(fabric, MultiChipFabric)
-            _tag, chips, mems = fabric_state
-            for chip in range(self.cfg.num_chips):
-                rows, l2 = chips[chip]
-                for b, addr in enumerate(self.block_addrs):
-                    rights, owner, sharers, sticky = rows[b]
-                    e = fabric.chip_entry_view(chip, addr)
-                    e.rights = rights or None
-                    e.owner = None if owner < 0 else owner
-                    e.sharers = set(sharers)
-                    e.sticky = set(sticky)
-                    fabric.l2s[chip].invalidate(addr)
-                    if l2[b]:
-                        _blk, victim = fabric.l2s[chip].insert(
-                            addr, MESI.SHARED)
-                        assert victim is None, "model L2 must not overflow"
-            for b, addr in enumerate(self.block_addrs):
-                owner_chip, sharer_chips, sticky_chips = mems[b]
-                m = fabric.mem_entry_view(addr)
-                m.owner_chip = None if owner_chip < 0 else owner_chip
-                m.sharer_chips = set(sharer_chips)
-                m.sticky_chips = set(sticky_chips)
+    def _set_fabric_cells(self, cells: Iterator) -> None:
+        fabric, addrs = self.fabric, self.block_addrs
+        cores = self.mcfg.total_cores
+        if isinstance(fabric, SnoopingFabric):
+            for addr in addrs:
+                fabric.set_block_state(addr, _gather(islice(cells, cores)))
+            return
+        entries = self._entries()
+        for (entry, l2, addr), (*flags, in_l2) in zip(
+                entries, list(islice(cells, len(entries)))):
+            entry.set_state(_gather(islice(cells, cores)) + tuple(
+                None if flag == "" else flag for flag in flags))
+            l2.invalidate(addr)
+            if in_l2:
+                _block, victim = l2.insert(addr, MESI.SHARED)
+                assert victim is None, "model L2 must not overflow"
+        if isinstance(fabric, MultiChipFabric):
+            for addr in addrs:
+                fabric.mem_entry_view(addr).set_state(
+                    _gather(islice(cells, self.cfg.num_chips)))

@@ -20,12 +20,18 @@ import pytest
 from repro.common.config import ConfigError, SignatureKind
 from repro.mc import (Counterexample, ModelConfig, ProtocolModel,
                       action_from_dict, action_to_dict, check, replay)
-from repro.mc.state import canonical_key, symmetry_maps
+from repro.mc.state import canonical_key, state_remaps, symmetry_maps
 
 
 def explore_a_little(model, script):
     for action in script:
         model.apply(action)
+
+
+def key(model):
+    """The model's current state in canonical form."""
+    remaps = state_remaps(model.layout, symmetry_maps(model.mcfg))
+    return canonical_key(model.encode(), remaps)
 
 
 class TestModelMechanics:
@@ -95,22 +101,20 @@ class TestSymmetry:
         """t0 reading B0 and t1 reading B1 are the same state up to
         core x block relabeling."""
         mcfg = ModelConfig(fabric="directory")
-        maps = symmetry_maps(mcfg)
         a = ProtocolModel(mcfg)
         explore_a_little(a, [("begin", 0), ("read", 0, 0)])
         b = ProtocolModel(mcfg)
         explore_a_little(b, [("begin", 1), ("read", 1, 1)])
         assert a.encode() != b.encode()
-        assert canonical_key(a, maps) == canonical_key(b, maps)
+        assert key(a) == key(b)
 
     def test_asymmetric_states_stay_distinct(self):
         mcfg = ModelConfig(fabric="directory")
-        maps = symmetry_maps(mcfg)
         a = ProtocolModel(mcfg)
         explore_a_little(a, [("begin", 0), ("read", 0, 0)])
         b = ProtocolModel(mcfg)
         explore_a_little(b, [("begin", 0), ("write", 0, 0)])
-        assert canonical_key(a, maps) != canonical_key(b, maps)
+        assert key(a) != key(b)
 
     def test_symmetry_shrinks_the_state_count(self):
         whole = check(ModelConfig(fabric="directory"), state_cap=400)
@@ -123,12 +127,11 @@ class TestSymmetry:
         # (4 core x block relabelings) collapses 2 raw variants of
         # "some thread began" into one canonical state.
         mcfg = ModelConfig(fabric="directory")
-        maps = symmetry_maps(mcfg)
         keys = set()
         for tid in (0, 1):
             model = ProtocolModel(mcfg)
             model.apply(("begin", tid))
-            keys.add(canonical_key(model, maps))
+            keys.add(key(model))
         assert len(keys) == 1
 
 
@@ -147,16 +150,6 @@ class TestCleanExploration:
     def test_multichip_clean(self):
         result = check(ModelConfig(fabric="multichip"), state_cap=250)
         assert result.clean, result.summary()
-
-    def test_tiny_config_reaches_fixed_point(self):
-        """With eviction/reuse pruned the space closes under the cap."""
-        mcfg = ModelConfig(fabric="directory", allow_nontx=False,
-                           enable_evict=False, enable_l2_evict=False,
-                           enable_reuse=False, blocks=1)
-        result = check(mcfg, state_cap=5000)
-        assert result.clean, result.summary()
-        assert result.fixed_point
-        assert result.states < 5000
 
     def test_smt_core_reaches_fixed_point(self):
         """Two contexts on one core: every access first runs the SMT
