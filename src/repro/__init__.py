@@ -20,58 +20,49 @@ Quick start::
     print(result.cycles, result.commits, result.aborts)
 """
 
-from repro.common.config import (
-    CacheConfig,
-    CoherenceStyle,
-    LockImpl,
-    SignatureConfig,
-    SignatureKind,
-    SyncMode,
-    SystemConfig,
-    TMConfig,
-    figure4_variants,
-)
-from repro.common.errors import (
-    AbortTransaction,
-    ConfigError,
-    ReproError,
-    SimulationError,
-    TransactionError,
-    WorkloadError,
-)
-from repro.common.stats import ConfidenceInterval, StatsRegistry
-from repro.harness.runner import RunResult, run_workload
-from repro.harness.sweep import SweepExecutionError, SweepResult, run_sweep
-from repro.harness.system import System
-from repro.signatures.factory import make_rw_pair, make_signature
+import importlib
+
+#: Each re-exported name and the module that defines it. The package
+#: imports a module on first use of one of its names, so ``import
+#: repro.svc.client`` (or any other light submodule) loads no simulator.
+_EXPORTS = {
+    "CacheConfig": "repro.common.config",
+    "CoherenceStyle": "repro.common.config",
+    "LockImpl": "repro.common.config",
+    "SignatureConfig": "repro.common.config",
+    "SignatureKind": "repro.common.config",
+    "SyncMode": "repro.common.config",
+    "SystemConfig": "repro.common.config",
+    "TMConfig": "repro.common.config",
+    "figure4_variants": "repro.common.config",
+    "AbortTransaction": "repro.common.errors",
+    "ConfigError": "repro.common.errors",
+    "ReproError": "repro.common.errors",
+    "SimulationError": "repro.common.errors",
+    "TransactionError": "repro.common.errors",
+    "WorkloadError": "repro.common.errors",
+    "ConfidenceInterval": "repro.common.stats",
+    "StatsRegistry": "repro.common.stats",
+    "RunResult": "repro.harness.runner",
+    "run_workload": "repro.harness.runner",
+    "SweepExecutionError": "repro.harness.sweep",
+    "SweepResult": "repro.harness.sweep",
+    "run_sweep": "repro.harness.sweep",
+    "System": "repro.harness.system",
+    "make_rw_pair": "repro.signatures.factory",
+    "make_signature": "repro.signatures.factory",
+}
+
+
+def __getattr__(name: str):
+    module = _EXPORTS.get(name)
+    if module is None:
+        raise AttributeError(f"module 'repro' has no attribute {name!r}")
+    value = getattr(importlib.import_module(module), name)
+    globals()[name] = value
+    return value
+
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "AbortTransaction",
-    "CacheConfig",
-    "CoherenceStyle",
-    "ConfidenceInterval",
-    "LockImpl",
-    "ConfigError",
-    "ReproError",
-    "RunResult",
-    "SignatureConfig",
-    "SignatureKind",
-    "SimulationError",
-    "StatsRegistry",
-    "SweepExecutionError",
-    "SweepResult",
-    "SyncMode",
-    "System",
-    "SystemConfig",
-    "TMConfig",
-    "TransactionError",
-    "WorkloadError",
-    "figure4_variants",
-    "make_rw_pair",
-    "make_signature",
-    "run_sweep",
-    "run_workload",
-    "__version__",
-]
+__all__ = [*_EXPORTS, "__version__"]

@@ -232,7 +232,6 @@ def _cmd_lint(args) -> int:
         for finding in findings:
             print(finding)
         print(f"lint: {len(findings)} finding(s)")
-        print(f"{len(findings)} finding(s) in {len(paths)} path(s)")
         return 1
     print(f"clean: no findings in {', '.join(paths)}")
     return 0

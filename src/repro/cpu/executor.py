@@ -16,7 +16,7 @@ including a different core (thread migration).
 from __future__ import annotations
 
 import random
-from typing import Iterable, List
+from typing import TYPE_CHECKING, Iterable, List
 
 from repro.common.config import LockImpl, SyncMode, SystemConfig
 from repro.common.errors import (AbortTransaction, PreemptedAccess,
@@ -24,9 +24,11 @@ from repro.common.errors import (AbortTransaction, PreemptedAccess,
 from repro.common.stats import StatsRegistry
 from repro.core import locks
 from repro.core.conflict import BackoffPolicy
-from repro.core.manager import TMManager
 from repro.cpu.thread import SoftwareThread
 from repro.workloads.base import Op, OpKind, Section
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.core.manager import TMManager
 
 #: Safety valve: a single transaction restarting this many times is a model
 #: livelock, not workload behavior.

@@ -24,12 +24,16 @@ Layout:
 * :mod:`repro.mc.coverage` — classifies explored transitions into the
   static ``(stimulus, variant, outcome)`` keys of
   :mod:`repro.analysis.protocol`'s extracted tables and diffs the two
-  (the ``repro analyze --protocol --coverage`` fusion).
+  (the ``repro analyze --protocol --coverage`` fusion);
+* :mod:`repro.mc.matrix` — every pinned exploration and its exact
+  outcome, declared once: tier-1 and CI run its rows, and the docs
+  publish the table it renders.
 
 Validation: the mutation harness in :mod:`repro.verify.faults`
 resurrects the three protocol bugs fixed by the dynamic-analysis PR
-(sticky over-discharge, eager E grants, missing frame scrub); the test
-suite proves the checker convicts each with a counterexample.
+(sticky over-discharge, eager E grants, missing frame scrub); a
+conviction row of the matrix per (mutation, fabric) pair proves the
+checker convicts each with a counterexample.
 """
 
 from repro.mc.checker import (DEFAULT_STATE_CAP, Counterexample,

@@ -42,11 +42,11 @@ from repro.mc.state import canonical_key, state_remaps, symmetry_maps
 from repro.obs.bus import EventBus, RingBufferLog
 
 #: Default bound on distinct canonical states explored. The clean
-#: 2-core/2-block/1-context directory space closes at 124,229 canonical
-#: states (depth 24) — pass ``--state-cap 150000`` to verify it
-#: exhaustively (several minutes). The default trades completeness for
-#: runtime; every known mutation convicts by depth 7, far under it.
-#: Measured sizes per fabric are tabulated in docs/modelcheck.md.
+#: 2-core/2-block/1-context directory space closes above it — pass
+#: ``--state-cap 150000`` to verify it exhaustively (several minutes).
+#: The default trades completeness for runtime; every known mutation
+#: convicts far under it. Every pinned exploration, with its cap and
+#: counts, is a row of :mod:`repro.mc.matrix`.
 DEFAULT_STATE_CAP = 50_000
 
 

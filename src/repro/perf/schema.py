@@ -133,10 +133,6 @@ class BenchRecord:
     schema_version: int = SCHEMA_VERSION
     trajectory: List[BenchMeasurement] = field(default_factory=list)
 
-    @property
-    def latest(self) -> Optional[BenchMeasurement]:
-        return self.trajectory[-1] if self.trajectory else None
-
     def record(self, measurement: BenchMeasurement) -> None:
         """Append a measurement; re-measuring under the same label at the
         tail replaces it (so iterating on one label is idempotent)."""

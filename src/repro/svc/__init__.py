@@ -24,21 +24,6 @@ This package turns the one-shot sweep harness
 
 Importing the package is side-effect free: no sockets, threads, or
 processes are created until :meth:`SweepService.start` /
-:func:`repro.svc.api.serve` are called explicitly.
+:func:`repro.svc.api.serve` are called explicitly. The package imports
+none of its modules, so ``import repro.svc.client`` loads no simulator.
 """
-
-from repro.svc.repository import (TRANSITIONS, RunRepository, StateError,
-                                  result_digest)
-from repro.svc.service import ServiceError, SweepService
-from repro.svc.spec import SpecError, SweepSpec
-
-__all__ = [
-    "RunRepository",
-    "ServiceError",
-    "SpecError",
-    "StateError",
-    "SweepService",
-    "SweepSpec",
-    "TRANSITIONS",
-    "result_digest",
-]

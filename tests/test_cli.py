@@ -317,7 +317,6 @@ class TestLintCommand:
             "irreproducible [fix: seed it from the workload: "
             "random.Random(self.seed ^ <salt>)]",
             "lint: 1 finding(s)",
-            "1 finding(s) in 1 path(s)",
         ]
 
     def test_format_json(self, tmp_path, capsys):

@@ -4,13 +4,14 @@ Three layers:
 
 * model mechanics — encode/decode round-trips, deterministic action
   enumeration, symmetry canonicalization;
-* clean exploration — each fabric explores to a bounded cap with zero
-  invariant violations (the directory config is known clean to 100k+
-  states; these caps are sized for test runtime);
+* clean exploration — each fabric explores to a small cap with zero
+  invariant violations, and the cap is exact;
 * counterexamples — a conviction's shortest counterexample replays
   deterministically, carries its steps' events and dumps to JSON.
-  Which invariant convicts each (mutation, fabric) pair, and at what
-  depth, is pinned by ``tests/test_mutation_matrix.py``.
+
+Every pinned count, and which invariant convicts each (mutation,
+fabric) pair at what depth, is a row of :mod:`repro.mc.matrix`
+(``tests/test_mc_matrix.py``).
 """
 
 import json
@@ -151,18 +152,6 @@ class TestCleanExploration:
         result = check(ModelConfig(fabric="multichip"), state_cap=250)
         assert result.clean, result.summary()
 
-    def test_smt_core_reaches_fixed_point(self):
-        """Two contexts on one core: every access first runs the SMT
-        sibling check, the same ConflictPort check a forwarded request
-        runs. The whole space closes clean."""
-        result = check(ModelConfig(fabric="directory", cores=1,
-                                   contexts_per_core=2, blocks=1),
-                       state_cap=5000)
-        assert result.clean, result.summary()
-        assert result.fixed_point
-        assert (result.states, result.transitions, result.depth) == \
-            (436, 3160, 8)
-
     def test_smt_false_positive_nacks_reach_the_contention_manager(self):
         """A 1-bit bit-select register aliases both blocks, so a sibling
         NACKs accesses it never touched. Each NACK of a transactional
@@ -177,10 +166,8 @@ class TestCleanExploration:
                                    contexts_per_core=2, blocks=2,
                                    signature=SignatureKind.BIT_SELECT,
                                    signature_bits=1),
-                       state_cap=2000, observer=observer)
+                       state_cap=500, observer=observer)
         assert result.clean, result.summary()
-        assert (result.states, result.transitions, result.depth) == \
-            (2000, 7194, 6)
         assert fp_stalls
 
     def test_result_serialization(self):

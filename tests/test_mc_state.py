@@ -3,8 +3,9 @@
 * every field of every class the model snapshots is either covered by
   the encoded state or declared left out, with the reason;
 * every symmetry element commutes with every transition on the first
-  states of each pinned shape: relabeling a successor gives the
-  successor of the relabeled state under the relabeled action;
+  states of each clean shape of the model-checking matrix: relabeling
+  a successor gives the successor of the relabeled state under the
+  relabeled action;
 * the block group keeps only the permutations the signature cannot
   tell apart;
 * the action vocabulary renders and parses every opcode.
@@ -23,6 +24,7 @@ from repro.core.txcontext import TxContext
 from repro.core.undolog import LogFrame, UndoLog
 from repro.cpu.thread import HardwareSlot
 from repro.mc import ModelConfig, ProtocolModel
+from repro.mc.matrix import ROWS
 from repro.mc.model import (OPERANDS, ModelL1, TransitionViolation,
                             action_from_dict, action_to_dict, format_action)
 from repro.mc.state import block_symmetries, state_remaps, symmetry_maps
@@ -182,18 +184,20 @@ def test_every_field_is_classified():
 
 BS = SignatureKind.BIT_SELECT
 
-#: Shape -> (config, states explored). The counts keep the test to a
-#: few seconds: a multichip state has 16 group elements to check.
-COMMUTING_SHAPES = {
-    "directory": (ModelConfig(fabric="directory"), 100),
-    "snooping": (ModelConfig(fabric="snooping"), 100),
-    "multichip": (ModelConfig(fabric="multichip"), 20),
-    "smt-1-core": (ModelConfig(cores=1, contexts_per_core=2, blocks=1), 200),
-    "smt-2-core": (ModelConfig(cores=2, contexts_per_core=2, blocks=1), 100),
-    "bs-1-bit": (ModelConfig(signature=BS, signature_bits=1), 100),
-    "bs-2-bit-3-blocks": (ModelConfig(signature=BS, signature_bits=2,
-                                      blocks=3), 60),
-}
+def clean_shapes():
+    """Each distinct clean config of the matrix, named by its first row."""
+    shapes = {}
+    for row in ROWS:
+        if row.config.mutation is None:
+            shapes.setdefault(row.config, row.name)
+    return {name: mcfg for mcfg, name in shapes.items()}
+
+
+SHAPES = clean_shapes()
+
+#: States explored per fabric. The limits keep each shape to about a
+#: second: a multichip state has up to 16 group elements to check.
+LIMITS = {"directory": 100, "snooping": 100, "multichip": 20}
 
 
 def remap_action(action, relabel):
@@ -215,15 +219,15 @@ def _successor(model, raw, action):
     return model.encode()
 
 
-@pytest.mark.parametrize("shape", sorted(COMMUTING_SHAPES))
+@pytest.mark.parametrize("shape", sorted(SHAPES))
 def test_every_symmetry_commutes_with_every_transition(shape):
-    mcfg, limit = COMMUTING_SHAPES[shape]
+    mcfg = SHAPES[shape]
     model = ProtocolModel(mcfg)
     maps = symmetry_maps(mcfg)
     group = list(zip(maps, state_remaps(model.layout, maps)))
     start = model.encode()
     seen, frontier = {start}, deque([start])
-    for _ in range(limit):
+    for _ in range(LIMITS[mcfg.fabric]):
         if not frontier:
             break
         raw = frontier.popleft()

@@ -61,7 +61,7 @@ class TestSchema:
         record.record(BenchMeasurement.from_totals("tuning", 2.0))
         record.record(BenchMeasurement.from_totals("tuning", 3.0))
         assert [m.label for m in record.trajectory] == ["first", "tuning"]
-        assert record.latest.wall_seconds == 3.0
+        assert record.trajectory[-1].wall_seconds == 3.0
         # only the *tail* label collapses; earlier labels may repeat
         record.record(BenchMeasurement.from_totals("first", 4.0))
         assert [m.label for m in record.trajectory] == \

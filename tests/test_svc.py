@@ -1,10 +1,11 @@
 """Tests for the sweep-service building blocks (no live fleet).
 
-Covers :mod:`repro.svc.spec` (submission contract) and
+Covers :mod:`repro.svc.spec` (submission contract),
 :mod:`repro.svc.repository` (SQLite persistence + dedupe + recovery,
 LRU pruning, the job table as queue and state machine, and the
-concurrent-access guarantees the sweep CLI and the service rely on). The live end-to-end paths (worker fleet, HTTP) are
-in ``test_svc_service.py``.
+concurrent-access guarantees the sweep CLI and the service rely on)
+and the import cost of :mod:`repro.svc.client`. The live end-to-end
+paths (worker fleet, HTTP) are in ``test_svc_service.py``.
 """
 
 import json
@@ -34,6 +35,38 @@ from repro.svc.spec import SweepSpec
 SweepSpec(workload="Mp3d").cache_keys()
 assert "repro.harness.experiments" not in sys.modules
 """
+
+#: Imports the service client in a fresh interpreter and lists every
+#: simulator package it loaded.
+_LEAN_CLIENT_PROBE = """
+import sys
+import repro.svc.client
+print(sorted(name for name in sys.modules
+             if name.split(".")[:2] in (["repro", "cpu"],
+                                        ["repro", "harness"],
+                                        ["repro", "coherence"])))
+"""
+
+#: ``import repro`` loads no simulator; each documented name resolves on
+#: first use. Prints the names ``from repro import *`` left unbound.
+_LAZY_PACKAGE_PROBE = """
+import sys
+import repro
+assert "repro.harness" not in sys.modules
+from repro import *
+from repro.harness.runner import run_workload as defined
+assert run_workload is defined
+print(sorted(set(repro.__all__) - set(globals())))
+"""
+
+
+def run_probe(probe):
+    """Run ``probe`` in a fresh interpreter over this checkout's source."""
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    return subprocess.run([sys.executable, "-c", probe],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, check=False)
 
 
 def tiny_spec(**overrides):
@@ -140,11 +173,7 @@ class TestSweepSpec:
             {"workload": "Mp3d", "timeout": 5}).timeout == 5
 
     def test_spec_validates_against_the_suite_alone(self):
-        src = os.path.join(os.path.dirname(os.path.dirname(
-            os.path.abspath(__file__))), "src")
-        proc = subprocess.run([sys.executable, "-c", _LEAN_SPEC_PROBE],
-                              env=dict(os.environ, PYTHONPATH=src),
-                              capture_output=True, text=True, check=False)
+        proc = run_probe(_LEAN_SPEC_PROBE)
         assert proc.returncode == 0, proc.stderr
 
     def test_cache_keys_match_cli_path(self):
@@ -180,6 +209,20 @@ class TestSweepSpec:
         via_cell = cell.run()
         assert result_digest(via_cell.to_dict()) == \
             result_digest(direct.to_dict())
+
+
+class TestLazyImports:
+    def test_client_import_loads_no_simulator(self):
+        """A ``ServiceClient`` user pays for HTTP and JSON, not for the
+        machine the server simulates."""
+        proc = run_probe(_LEAN_CLIENT_PROBE)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
+
+    def test_package_names_resolve_on_first_use(self):
+        proc = run_probe(_LAZY_PACKAGE_PROBE)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
 
 def queued_jobs(repo, priorities):
