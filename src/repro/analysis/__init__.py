@@ -11,9 +11,10 @@ and runs every static check in the repo:
 * :mod:`repro.analysis.locksets` — Eraser-style lockset and section-
   consistency analysis for workload programs (RC001, RC002);
 * :mod:`repro.analysis.threads` — thread-safety lockset inference for
-  threaded service classes (RC003, RC004);
-* :mod:`repro.analysis.protocol` — coherence-protocol conformance
-  against a declarative spec (PC001–PC004).
+  threaded service classes (RC003, RC004).
+
+The coherence fabrics' transition tables are recorded by the model
+checker instead (:mod:`repro.mc.tables`).
 
 Output formats: text, JSON, and SARIF 2.1.0
 (:mod:`repro.analysis.sarif`); CI gating goes through the committed

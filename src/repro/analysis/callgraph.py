@@ -248,35 +248,6 @@ class Project:
                     return found
         return None
 
-    def resolve_method_call(self, call: ast.Call,
-                            cls: ClassInfo) -> Optional[FunctionInfo]:
-        """Resolve ``self._helper(...)`` (or ``super().helper(...)``)
-        relative to a class, honouring in-project inheritance.
-
-        This is the interprocedural step the protocol extractor leans
-        on: fabric transitions hidden one level down behind helper
-        delegation (``DirectoryFabric._broadcast_check``,
-        ``MultiChipFabric._chip_l2_victimized``) resolve to their
-        defining :class:`FunctionInfo` so their bodies can be inlined
-        or summarized into the caller's paths.
-        """
-        func = call.func
-        if not isinstance(func, ast.Attribute):
-            return None
-        base = func.value
-        if isinstance(base, ast.Name) and base.id == "self":
-            return self.method_of(cls, func.attr)
-        if isinstance(base, ast.Call) and \
-                isinstance(base.func, ast.Name) and \
-                base.func.id == "super":
-            for base_name in cls.bases:
-                base_cls = self.resolve_class(base_name, cls.module)
-                if base_cls is not None and base_cls is not cls:
-                    method = self.method_of(base_cls, func.attr)
-                    if method is not None:
-                        return method
-        return None
-
     def resolve_call(self, call: ast.Call,
                      fn: FunctionInfo) -> List[FunctionInfo]:
         """Project functions a call site may invoke (possibly empty)."""

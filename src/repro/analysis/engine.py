@@ -1,7 +1,7 @@
 """The static-analysis engine behind ``repro analyze`` and ``repro lint``.
 
 One loader walks the given paths, reads every ``.py`` file and parses
-it once; a missing or unreadable path raises :class:`OSError`. Three
+it once; a missing or unreadable path raises :class:`OSError`. Two
 entry points share it:
 
 * :func:`lint_paths` runs one lint scope
@@ -13,8 +13,6 @@ entry points share it:
   modules inside the installed ``repro`` package — and then the
   :data:`PROJECT_PASSES` once over every parsed module. An unparsable
   file is one ``VR000`` finding.
-* :func:`build_project` returns the parsed modules as a
-  :class:`Project` without running anything.
 
 Lint findings follow the ``# lint: disable`` suppression comments;
 project-pass findings are governed by the committed baseline instead
@@ -33,8 +31,6 @@ from repro.analysis.callgraph import ModuleInfo, Project, parse_module
 from repro.analysis.findings import ANALYSIS_RULES, Finding
 from repro.analysis.lint import RULES, SELF_RULES, lint_tree, parse_error
 from repro.analysis.locksets import analyze_workload_module
-from repro.analysis.protocol import protocol_pass
-from repro.analysis.protospec import PROTOCOL_RULES
 from repro.analysis.threads import analyze_threads
 
 
@@ -147,10 +143,9 @@ def _workload_pass(project: Project) -> List[Finding]:
 
 
 #: The whole-project passes, in report order: workload locksets
-#: (RC001, RC002), thread safety (RC003, RC004) and protocol
-#: conformance (PC001-PC004).
+#: (RC001, RC002) and thread safety (RC003, RC004).
 PROJECT_PASSES: Tuple[Callable[[Project], List[Finding]], ...] = (
-    _workload_pass, analyze_threads, protocol_pass)
+    _workload_pass, analyze_threads)
 
 
 def lint_paths(paths: Optional[Sequence[str]],
@@ -171,18 +166,6 @@ def lint_paths(paths: Optional[Sequence[str]],
         findings.extend(lint_tree(parsed.tree, parsed.source, path,
                                   scope))
     return _with_context(findings, modules)
-
-
-def build_project(paths: Optional[Sequence[str]] = None) -> Project:
-    """Parse ``paths`` (default: the repro package) into a Project.
-
-    Unparsable files are skipped — callers that need parse errors
-    reported as findings use :func:`analyze_paths`. This is the entry
-    point for consumers that want the call graph without the passes
-    (the protocol extractor, table dumping, tests).
-    """
-    return Project([parsed for _path, parsed in _load(paths)
-                    if isinstance(parsed, ModuleInfo)])
 
 
 def analyze_paths(paths: Optional[Sequence[str]] = None
@@ -235,8 +218,8 @@ def render_text(findings: Sequence[Finding]) -> str:
 def rules_catalog() -> Dict[str, str]:
     """Complete rule id -> description catalog: both lint scopes and
     every project pass."""
-    return {**RULES, **SELF_RULES, **ANALYSIS_RULES, **PROTOCOL_RULES}
+    return {**RULES, **SELF_RULES, **ANALYSIS_RULES}
 
 
-__all__ = ["PROJECT_PASSES", "analyze_paths", "build_project",
-           "lint_paths", "render_text", "rules_catalog"]
+__all__ = ["PROJECT_PASSES", "analyze_paths", "lint_paths",
+           "render_text", "rules_catalog"]

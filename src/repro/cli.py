@@ -49,9 +49,7 @@ import traceback
 from typing import List, Optional
 
 from repro.common.config import SignatureKind, SyncMode, SystemConfig
-from repro.harness.runner import run_workload
-from repro.harness.sweep import SweepExecutionError, run_sweep
-from repro.svc.spec import SWEEP_MODES, SpecError, SweepSpec
+from repro.svc.spec import SWEEP_MODES
 
 
 def _nonneg_int(text: str) -> int:
@@ -94,6 +92,7 @@ def _cmd_paper(args) -> int:
     """Run, print and check the paper's experiments; exit 1 if any failed
     a claim or raised, after running all of them."""
     from repro.harness import experiments as E
+    from repro.harness.sweep import SweepExecutionError
 
     scale = E.QUICK if args.scale == "quick" else E.FULL
     payload = {}
@@ -162,6 +161,8 @@ class _ExperimentNames:
 
 
 def _cmd_run(args) -> int:
+    from repro.harness.runner import run_workload
+
     catalog = _workloads()
     if args.workload not in catalog:
         print(f"unknown workload {args.workload!r}; choose from "
@@ -238,15 +239,10 @@ def _cmd_lint(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    from repro.analysis import (analyze_paths, render_sarif, render_text,
-                                rules_catalog)
-
-    if args.protocol:
-        return _cmd_analyze_protocol(args)
-    if args.coverage or args.dump_table:
-        print("analyze: --coverage/--dump-table require --protocol",
-              file=sys.stderr)
-        return 2
+    from repro.analysis import (analyze_paths, apply_baseline,
+                                default_baseline_path, load_baseline,
+                                render_sarif, render_text, rules_catalog)
+    from repro.analysis.baseline import BaselineError
 
     paths = args.paths
     if not paths:
@@ -260,9 +256,15 @@ def _cmd_analyze(args) -> int:
     if args.update_baseline:
         return _write_baseline(args, findings)
 
-    findings, new, status = _apply_baseline_arg(args, findings)
-    if status:
-        return status
+    new = findings
+    baseline_path = default_baseline_path(args.baseline)
+    if baseline_path is not None:
+        try:
+            baseline = load_baseline(baseline_path)
+        except BaselineError as exc:
+            print(f"analyze: {exc}", file=sys.stderr)
+            return 2
+        findings, new = apply_baseline(findings, baseline)
 
     if args.format == "sarif":
         print(render_sarif(findings, rules_catalog()))
@@ -290,129 +292,6 @@ def _write_baseline(args, findings) -> int:
     print(f"analyze: baseline written to {target} "
           f"({len(findings)} finding(s))")
     return 0
-
-
-def _apply_baseline_arg(args, findings):
-    """(marked findings, new findings, error status) for --baseline."""
-    from repro.analysis import (apply_baseline, default_baseline_path,
-                                load_baseline)
-    from repro.analysis.baseline import BaselineError
-
-    baseline_path = default_baseline_path(args.baseline)
-    if baseline_path is None:
-        return findings, findings, 0
-    try:
-        baseline = load_baseline(baseline_path)
-    except BaselineError as exc:
-        print(f"analyze: {exc}", file=sys.stderr)
-        return findings, findings, 2
-    findings, new = apply_baseline(findings, baseline)
-    return findings, new, 0
-
-
-def _cmd_analyze_protocol(args) -> int:
-    """``repro analyze --protocol``: transition-table conformance.
-
-    Extracts each fabric's transition table, checks it against the
-    declarative spec (PC001-PC004), and optionally dumps the tables
-    (``--dump-table DIR``) or fuses them with bounded model-checker
-    reachability (``--coverage FABRIC``). Paths default to the
-    ``repro.coherence`` package — the extractor resolves ``super()``
-    delegation, so the fabrics' shared base must be in scope.
-    """
-    from repro.analysis import render_sarif, render_text, rules_catalog
-    from repro.analysis.engine import build_project
-    from repro.analysis.protocol import (check_extraction, extract_tables,
-                                         tables_json)
-    from repro.analysis.protomodel import render_tables
-
-    paths = args.paths
-    if not paths:
-        import repro.coherence
-        paths = [str(__import__("pathlib").Path(
-            repro.coherence.__file__).parent)]
-    try:
-        project = build_project(paths)
-    except OSError as exc:
-        return _cannot_read("analyze", exc)
-    extractions = extract_tables(project)
-    if not extractions:
-        print("analyze: no coherence fabric classes found under "
-              f"{', '.join(paths)}", file=sys.stderr)
-        return 2
-    tables = [e.table for e in extractions]
-
-    if args.dump_table:
-        os.makedirs(args.dump_table, exist_ok=True)
-        for kind, payload in sorted(tables_json(extractions).items()):
-            target = os.path.join(args.dump_table, f"{kind}.json")
-            with open(target, "w", encoding="utf-8") as handle:
-                json.dump(payload, handle, indent=2, sort_keys=True)
-                handle.write("\n")
-            print(f"analyze: wrote {target}")
-
-    findings = []
-    for extraction in extractions:
-        findings.extend(check_extraction(extraction))
-    findings.sort(key=lambda f: (f.path, f.line, f.rule))
-
-    if args.update_baseline:
-        return _write_baseline(args, findings)
-    findings, new, status = _apply_baseline_arg(args, findings)
-    if status:
-        return status
-
-    reports = []
-    if args.coverage:
-        report, status = _protocol_coverage(args, extractions)
-        if status:
-            return status
-        reports.append(report)
-
-    if args.format == "sarif":
-        print(render_sarif(findings, rules_catalog()))
-    elif args.format == "json" or args.json:
-        _emit_json({
-            "tables": tables_json(extractions),
-            "findings": [f.to_dict() for f in findings],
-            "coverage": [r.to_dict() for r in reports],
-        })
-    else:
-        print(render_tables(tables))
-        if findings:
-            print(render_text(findings))
-        else:
-            print("protocol: no conformance findings")
-        for report in reports:
-            print(report.render())
-    failed = bool(new) or any(not r.clean for r in reports)
-    return 1 if failed else 0
-
-
-def _protocol_coverage(args, extractions):
-    """Run the bounded exploration behind ``--coverage FABRIC``."""
-    from repro.mc import (DEFAULT_STATE_CAP, ModelConfig,
-                          TransitionCoverage, check, compare_coverage)
-
-    by_kind = {e.kind: e.table for e in extractions}
-    if args.coverage not in by_kind:
-        print(f"analyze: no extracted table for fabric "
-              f"{args.coverage!r} (found: {', '.join(sorted(by_kind))})",
-              file=sys.stderr)
-        return None, 2
-    cap = (args.state_cap if args.state_cap is not None
-           else DEFAULT_STATE_CAP)
-    coverage = TransitionCoverage(args.coverage)
-    result = check(ModelConfig(fabric=args.coverage), state_cap=cap,
-                   observer=coverage)
-    if not result.clean:
-        # Coverage of a violating fabric is meaningless; surface the
-        # model-checking failure instead.
-        print(f"analyze: model check failed: {result.summary()}",
-              file=sys.stderr)
-        return None, 2
-    return compare_coverage(args.coverage, by_kind[args.coverage].keys(),
-                            coverage), 0
 
 
 def _cmd_mc(args) -> int:
@@ -495,13 +374,15 @@ def _cmd_bench(args) -> int:
     return 0
 
 
-def _spec_from_args(args) -> "SweepSpec":
+def _spec_from_args(args):
     """Build the service-grade :class:`SweepSpec` from sweep-style args.
 
     ``repro sweep`` and ``repro submit`` share this, so a sweep run
     locally and the same sweep submitted to a service are guaranteed to
     describe (and content-address) identical cells.
     """
+    from repro.svc.spec import SweepSpec
+
     return SweepSpec(workload=args.workload, mode=args.mode,
                      threads=args.threads, units=args.units,
                      seed=args.seed, bits=args.bits, kind=args.kind,
@@ -512,6 +393,9 @@ def _spec_from_args(args) -> "SweepSpec":
 
 
 def _cmd_sweep(args) -> int:
+    from repro.harness.sweep import SweepExecutionError, run_sweep
+    from repro.svc.spec import SpecError
+
     try:
         spec = _spec_from_args(args)
     except SpecError as exc:
@@ -589,6 +473,7 @@ def _cmd_serve(args) -> int:
 
 def _cmd_submit(args) -> int:
     from repro.svc.client import ClientError, ServiceClient
+    from repro.svc.spec import SpecError
 
     try:
         spec = _spec_from_args(args)
@@ -718,6 +603,7 @@ def _cmd_cache(args) -> int:
 
 
 def _cmd_trace(args) -> int:
+    from repro.harness.runner import run_workload
     from repro.obs.analysis import attribute_aborts, render_attribution
     from repro.obs.export import export_chrome_trace, export_jsonl
 
@@ -840,22 +726,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--update-baseline", action="store_true",
                    help="rewrite the baseline from this run's findings "
                         "and exit 0")
-    p.add_argument("--protocol", action="store_true",
-                   help="protocol-conformance mode: extract coherence "
-                        "transition tables and check them against the "
-                        "declarative spec (rules PC001-PC004; default "
-                        "paths: the repro.coherence package)")
-    p.add_argument("--dump-table", default=None, metavar="DIR",
-                   help="with --protocol: write one <fabric>.json "
-                        "extracted table per fabric into DIR")
-    p.add_argument("--coverage", default=None, metavar="FABRIC",
-                   choices=["directory", "snooping", "multichip"],
-                   help="with --protocol: model-check FABRIC and "
-                        "report extracted-vs-exercised transition "
-                        "coverage (exit 1 on exercised-but-unextracted)")
-    p.add_argument("--state-cap", type=int, default=None,
-                   help="state bound for --coverage exploration "
-                        "(default: the mc default)")
     p.set_defaults(fn=_cmd_analyze)
 
     p = sub.add_parser(

@@ -16,6 +16,10 @@ from typing import Tuple
 
 from repro.common.errors import ConfigError
 
+#: Hard per-run cycle ceiling: a run exceeding this is a model bug, not a
+#: slow workload.
+DEFAULT_CYCLE_LIMIT = 500_000_000
+
 
 class CoherenceStyle(enum.Enum):
     """Which coherence substrate backs conflict detection (Sections 5 & 7)."""

@@ -57,7 +57,7 @@ class LazyCounters(dict):
 class Histogram:
     """Tracks a distribution of integer samples (read-set sizes, latencies)."""
 
-    __slots__ = ("name", "_counts", "_total", "_sum", "_max", "_min")
+    __slots__ = ("name", "_counts", "_total", "_sum", "_max")
 
     def __init__(self, name: str) -> None:
         self.name = name
@@ -65,7 +65,6 @@ class Histogram:
         self._total = 0
         self._sum = 0
         self._max = 0
-        self._min: int = -1
 
     def record(self, sample: int) -> None:
         self._counts[sample] += 1
@@ -73,8 +72,6 @@ class Histogram:
         self._sum += sample
         if sample > self._max:
             self._max = sample
-        if self._min < 0 or sample < self._min:
-            self._min = sample
 
     @property
     def count(self) -> int:
@@ -91,10 +88,6 @@ class Histogram:
     @property
     def maximum(self) -> int:
         return self._max
-
-    @property
-    def minimum(self) -> int:
-        return self._min if self._min >= 0 else 0
 
     def percentile(self, p: float) -> int:
         """The p-th percentile (0..100) of recorded samples."""
@@ -116,7 +109,6 @@ class Histogram:
     def reset(self) -> None:
         self._counts.clear()
         self._total = self._sum = self._max = 0
-        self._min = -1
 
     def to_dict(self) -> Dict[str, object]:
         """JSON-safe representation: name plus sorted (sample, count) pairs."""
@@ -131,8 +123,6 @@ class Histogram:
             hist._counts[int(sample)] = int(count)
             hist._total += int(count)
             hist._sum += int(sample) * int(count)
-            if hist._min < 0 or sample < hist._min:
-                hist._min = int(sample)
             if sample > hist._max:
                 hist._max = int(sample)
         return hist

@@ -16,16 +16,12 @@ from typing import Dict, List, Optional
 
 from repro.obs.events import Event
 
-from repro.common.config import SyncMode, SystemConfig
+from repro.common.config import DEFAULT_CYCLE_LIMIT, SyncMode, SystemConfig
 from repro.common.rng import DEFAULT_SEED, make_rng
 from repro.common.stats import Histogram
 from repro.cpu.executor import ThreadExecutor
 from repro.harness.system import System
 from repro.workloads.base import Workload
-
-#: Hard per-run cycle ceiling: a run exceeding this is a model bug, not a
-#: slow workload.
-DEFAULT_CYCLE_LIMIT = 500_000_000
 
 
 @dataclass

@@ -38,12 +38,13 @@ from pathlib import Path
 from typing import (TYPE_CHECKING, Any, Callable, Dict, Iterable, List,
                     Optional, Sequence, Tuple)
 
-from repro.common.config import SignatureKind, SystemConfig
+from repro.common.config import (DEFAULT_CYCLE_LIMIT, SignatureKind,
+                                 SystemConfig)
 from repro.common.errors import ReproError
 from repro.common.rng import DEFAULT_SEED
 from repro.harness.fleet import WorkerFleet
 from repro.harness.report import render_table
-from repro.harness.runner import DEFAULT_CYCLE_LIMIT, RunResult, run_workload
+from repro.harness.runner import RunResult, run_workload
 from repro.workloads.base import Workload
 
 if TYPE_CHECKING:  # the store lives in repro.svc, which pulls in sqlite3

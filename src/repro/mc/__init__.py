@@ -21,10 +21,10 @@ Layout:
   coherence audits;
 * :mod:`repro.mc.checker` — BFS frontier, state cap, counterexample
   extraction and replay;
-* :mod:`repro.mc.coverage` — classifies explored transitions into the
-  static ``(stimulus, variant, outcome)`` keys of
-  :mod:`repro.analysis.protocol`'s extracted tables and diffs the two
-  (the ``repro analyze --protocol --coverage`` fusion);
+* :mod:`repro.mc.tables` — records what each explored fabric
+  transition did, keyed by ``(stimulus, variant, outcome)``: the
+  observed protocol tables under ``docs/protocol_tables/`` and the
+  paper's contract they must satisfy;
 * :mod:`repro.mc.matrix` — every pinned exploration and its exact
   outcome, declared once: tier-1 and CI run its rows, and the docs
   publish the table it renders.
@@ -38,14 +38,12 @@ checker convicts each with a counterexample.
 
 from repro.mc.checker import (DEFAULT_STATE_CAP, Counterexample,
                               ModelCheckResult, check, replay)
-from repro.mc.coverage import (CoverageReport, TransitionCoverage,
-                               compare_coverage)
 from repro.mc.model import (ModelConfig, ProtocolModel, action_from_dict,
                             action_to_dict)
+from repro.mc.tables import TransitionRecorder
 
 __all__ = [
-    "DEFAULT_STATE_CAP", "Counterexample", "CoverageReport",
-    "ModelCheckResult", "ModelConfig", "ProtocolModel",
-    "TransitionCoverage", "action_from_dict", "action_to_dict", "check",
-    "compare_coverage", "replay",
+    "DEFAULT_STATE_CAP", "Counterexample", "ModelCheckResult",
+    "ModelConfig", "ProtocolModel", "TransitionRecorder",
+    "action_from_dict", "action_to_dict", "check", "replay",
 ]

@@ -168,12 +168,13 @@ def check(mcfg: ModelConfig,
     """Explore the reachable state space; stop at the first violation.
 
     ``observer``, when given, is called as ``observer(model, action,
-    events, changed)`` after every successfully applied transition —
-    *including* self-loops the BFS discards (a NACK that moved nothing
-    is still an exercised protocol transition, which is exactly what
-    the coverage fusion in :mod:`repro.mc.coverage` needs to see).
-    ``events`` is the list of ``(kind, fields)`` the transition emitted;
-    a sink recorder is installed for the duration of the exploration.
+    events, before, after)`` after every successfully applied
+    transition — *including* self-loops the BFS discards (a NACK that
+    moved nothing is still an exercised protocol transition, which the
+    observed tables of :mod:`repro.mc.tables` record). ``events`` is the
+    list of ``(kind, fields)`` the transition emitted; a sink recorder
+    is installed for the duration of the exploration. ``before`` and
+    ``after`` are the encoded states the action left and reached.
     """
     model = ProtocolModel(mcfg)
     sink: Optional[_EventSink] = None
@@ -223,7 +224,7 @@ def check(mcfg: ModelConfig,
                                              str(tv)))
             child_raw = model.encode()
             if observer is not None:
-                observer(model, action, sink.events, child_raw != raw)
+                observer(model, action, sink.events, raw, child_raw)
             if child_raw == raw:
                 continue        # self-loop (e.g. a NACK that moved nothing)
             transitions += 1

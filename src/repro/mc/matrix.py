@@ -10,9 +10,15 @@ generated in.
 
 Each row names where it runs. Tier-1 runs the rows that finish in a few
 seconds (``tests/test_mc_matrix.py``); CI's ``modelcheck`` job runs the
-others, and only those, through this module's :func:`main`::
+others through this module's :func:`main`::
 
-    python -m repro.mc.matrix --dump-dir mc-artifacts
+    python -m repro.mc.matrix --dump-dir mc-artifacts \
+        --tables docs/protocol_tables
+
+With ``--tables DIR`` it also runs the tier-1 rows without a mutation
+and records every row without a mutation: ``DIR/<fabric>.json`` is the
+union of what those rows observed each fabric transition do
+(:mod:`repro.mc.tables`).
 
 The same rows render the table in ``docs/modelcheck.md`` and the
 ``repro mc`` column of ``docs/verification.md``, and tier-1 checks that
@@ -33,6 +39,7 @@ from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 from repro.common.config import SignatureKind
 from repro.mc.checker import DEFAULT_STATE_CAP, ModelCheckResult, check
 from repro.mc.model import ModelConfig
+from repro.mc.tables import TransitionRecorder, write_table
 
 TIER1 = "tier-1"
 CI = "CI"
@@ -241,14 +248,28 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         description="Run the CI rows; exit 1 unless each reproduces.")
     parser.add_argument("--dump-dir", default=None, metavar="DIR",
                         help="write each counterexample to DIR/NAME.cx.json")
+    parser.add_argument("--tables", default=None, metavar="DIR",
+                        help="also run the tier-1 rows without a mutation, "
+                             "and write the protocol tables every row "
+                             "without a mutation observed to "
+                             "DIR/FABRIC.json")
     args = parser.parse_args(argv)
-    selected = rows(CI)
+    selected = [row for row in ROWS if row.where == CI
+                or (args.tables and row.config.mutation is None)]
     if args.dump_dir:
         os.makedirs(args.dump_dir, exist_ok=True)
+    #: fabric -> its recorder and the rows it recorded.
+    observed: Dict[str, Tuple[TransitionRecorder, List[str]]] = {}
     failed = 0
     for row in selected:
+        recorder = None
+        if args.tables and row.config.mutation is None:
+            recorder, names = observed.setdefault(
+                row.config.fabric, (TransitionRecorder(), []))
+            names.append(row.name)
         start = time.perf_counter()
-        result = check(row.config, state_cap=row.state_cap)
+        result = check(row.config, state_cap=row.state_cap,
+                       observer=recorder)
         seconds = time.perf_counter() - start
         got = Outcome.of(result)
         if args.dump_dir and result.counterexample is not None:
@@ -260,6 +281,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if got != row.expected:
             failed += 1
             print(f"  expected {row.expected}\n  got      {got}", flush=True)
+    for fabric, (recorder, names) in sorted(observed.items()):
+        path = write_table(args.tables, fabric, recorder.table, names)
+        print(f"wrote {path}: {len(recorder.table)} transition(s)")
     print(f"{len(selected) - failed} of {len(selected)} row(s) reproduced")
     return 1 if failed else 0
 

@@ -168,11 +168,15 @@ class ModelConfig:
         return base.with_signature(self.signature, bits=self.signature_bits)
 
     def describe(self) -> str:
+        """One line naming the shape: ``directory 2c/2b/1ctx bs/1``
+        (an inexact signature shows its register width)."""
         chips = f"{self.chips}x" if self.fabric == "multichip" else ""
+        bits = ("" if self.signature is SignatureKind.PERFECT
+                else f"/{self.signature_bits}")
         mut = f" +{self.mutation}" if self.mutation else ""
         return (f"{self.fabric} {chips}{self.cores}c/{self.blocks}b/"
                 f"{self.contexts_per_core}ctx "
-                f"{self.signature.value}{mut}")
+                f"{self.signature.value}{bits}{mut}")
 
     def to_dict(self) -> Dict[str, object]:
         out = dataclasses.asdict(self)

@@ -15,6 +15,10 @@ builds for the same arguments, and the content-address of each cell
 :attr:`~repro.harness.sweep.Cell.key`, as on the CLI path — that shared
 key is what makes service results byte-identical to, and dedupe
 against, direct ``run_sweep`` invocations.
+
+Importing this module loads no simulator (``repro sweep --help`` reads
+:data:`SWEEP_MODES`); the methods that build variants or cells import
+:mod:`repro.harness.sweep` when first called.
 """
 
 from __future__ import annotations
@@ -22,18 +26,18 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import (TYPE_CHECKING, Any, Callable, Dict, List, Optional,
+                    Tuple)
 
-from repro.common.config import (SignatureKind, SystemConfig,
-                                 figure4_variants)
+from repro.common.config import (DEFAULT_CYCLE_LIMIT, SignatureKind,
+                                 SystemConfig, figure4_variants)
 from repro.common.errors import ConfigError, ReproError
 from repro.common.rng import DEFAULT_SEED
-from repro.harness.runner import DEFAULT_CYCLE_LIMIT
-from repro.harness.sweep import (Cell, Variant, signature_design_variants,
-                                 signature_size_variants,
-                                 workload_fingerprint)
 from repro.workloads import PAPER_SUITE
 from repro.workloads.base import Workload
+
+if TYPE_CHECKING:
+    from repro.harness.sweep import Cell, Variant
 
 #: Variant families a spec can request (mirrors ``repro sweep --mode``).
 SWEEP_MODES: Tuple[str, ...] = ("designs", "sizes", "figure4")
@@ -128,6 +132,9 @@ class SweepSpec:
 
     def variants(self) -> List[Variant]:
         """The ``(label, config)`` grid this spec names."""
+        from repro.harness.sweep import (signature_design_variants,
+                                         signature_size_variants)
+
         base = SystemConfig.default()
         if self.mode == "designs":
             return signature_design_variants(self.bits, base=base)
@@ -157,6 +164,8 @@ class SweepSpec:
 
         One workload instance backs every cell; running never changes it.
         """
+        from repro.harness.sweep import Cell
+
         workload = self.make_workload()
         return [Cell(label, cfg, workload, seed=self.seed,
                      cycle_limit=self.cycle_limit, verify=self.verify)
@@ -171,6 +180,8 @@ class SweepSpec:
         is this spec's expansion when the caller already built it. One
         workload instance backs every cell, so it is fingerprinted once.
         """
+        from repro.harness.sweep import workload_fingerprint
+
         cells = self.cells() if cells is None else cells
         fingerprint = workload_fingerprint(cells[0].workload)
         return {cell.label: cell.key_with(fingerprint) for cell in cells}

@@ -19,12 +19,10 @@ provides the seeded bugs, at two levels:
   with a verbatim resurrection of the pre-fix logic. A mutation
   replaces one method on the class that defines it, so the grant the
   two directory fabrics share (``DirectoryLevel._apply_grant``) has one
-  pre-fix copy per bug, listed for both. Both protocol checkers are
-  tested against the table: :func:`apply_protocol_mutation`
-  monkeypatches a live fabric instance for the model checker
-  (:mod:`repro.mc`), and :func:`spliced_source` splices the pre-fix
-  function into the defining class's source for the static protocol
-  analyzer (:mod:`repro.analysis.protocol`). A checker that convicts
+  pre-fix copy per bug, listed for both.
+  :func:`apply_protocol_mutation` monkeypatches a live fabric instance
+  for the model checker (:mod:`repro.mc`), whose matrix holds one
+  conviction row per (mutation, fabric) pair. A checker that convicts
   all three known-real defects has demonstrated it can see the class
   of bug it was built for.
 
@@ -33,9 +31,6 @@ Test-only: nothing in the simulator proper imports this module.
 
 from __future__ import annotations
 
-import ast
-import inspect
-import sys
 from dataclasses import dataclass
 from types import MethodType
 from typing import (Any, Callable, Dict, FrozenSet, Iterable, Mapping,
@@ -242,7 +237,7 @@ class Mutation:
 
     ``mutants`` maps each fabric class the bug applies to onto the
     method it replaces and the pre-fix function that replaces it; the
-    method may be inherited (:func:`mutated_class` names its owner).
+    method may be inherited.
     """
 
     description: str
@@ -251,9 +246,8 @@ class Mutation:
     mutants: Mapping[type, Tuple[str, Callable[..., Any]]]
 
 
-#: Mutation name -> the bug. Validates ``repro mc --mutate``; both
-#: :func:`apply_protocol_mutation` (the model checker) and
-#: :func:`spliced_source` (the static protocol analyzer) read it.
+#: Mutation name -> the bug. Validates ``repro mc --mutate``;
+#: :func:`apply_protocol_mutation` installs it.
 MUTATIONS: Dict[str, Mutation] = {
     "sticky-discharge": Mutation(
         "a successful request discharges every sticky obligation on its "
@@ -278,22 +272,6 @@ MUTATIONS: Dict[str, Mutation] = {
 }
 
 
-def _lookup(name: str, fabric_cls: type) -> Tuple[str, Callable[..., Any]]:
-    """(replaced method, pre-fix function) of mutation ``name`` on
-    ``fabric_cls``; :class:`ConfigError` if the table has no such pair."""
-    mutation = MUTATIONS.get(name)
-    if mutation is None:
-        raise ConfigError(
-            f"unknown mutation {name!r}; choose from "
-            f"{sorted(MUTATIONS)}")
-    if fabric_cls not in mutation.mutants:
-        raise ConfigError(
-            f"mutation {name!r} does not apply to {fabric_cls.__name__}; "
-            f"it applies to "
-            f"{', '.join(sorted(c.__name__ for c in mutation.mutants))}")
-    return mutation.mutants[fabric_cls]
-
-
 def apply_protocol_mutation(fabric: CoherenceFabric, name: str) -> None:
     """Install one named pre-fix bug on a live fabric instance.
 
@@ -302,39 +280,15 @@ def apply_protocol_mutation(fabric: CoherenceFabric, name: str) -> None:
     snooping). Instance-level monkeypatching keeps the sabotage scoped
     to the one fabric under test.
     """
-    method, mutant = _lookup(name, type(fabric))
+    mutation = MUTATIONS.get(name)
+    if mutation is None:
+        raise ConfigError(
+            f"unknown mutation {name!r}; choose from "
+            f"{sorted(MUTATIONS)}")
+    if type(fabric) not in mutation.mutants:
+        raise ConfigError(
+            f"mutation {name!r} does not apply to "
+            f"{type(fabric).__name__}; it applies to "
+            f"{', '.join(sorted(c.__name__ for c in mutation.mutants))}")
+    method, mutant = mutation.mutants[type(fabric)]
     setattr(fabric, method, MethodType(mutant, fabric))
-
-
-def mutated_class(name: str, fabric_cls: type) -> type:
-    """The class whose method mutation ``name`` replaces on
-    ``fabric_cls``: the first class in its MRO that defines the method
-    (``DirectoryLevel`` for the grant both directory fabrics share).
-    Raises :class:`ConfigError` like :func:`apply_protocol_mutation`."""
-    method, _mutant = _lookup(name, fabric_cls)
-    return next(cls for cls in fabric_cls.__mro__ if method in vars(cls))
-
-
-def spliced_source(name: str, fabric_cls: type) -> str:
-    """The source of the module defining :func:`mutated_class` with
-    mutation ``name`` spliced in.
-
-    The pre-fix function replaces the method's definition in that class
-    body, renamed to the method, so the static protocol analyzer reads
-    the real fabrics with only the bug changed; a method a base class
-    defines changes for every fabric that inherits it. Raises
-    :class:`ConfigError` like :func:`apply_protocol_mutation`.
-    """
-    method, mutant = _lookup(name, fabric_cls)
-    owner = mutated_class(name, fabric_cls)
-    tree = ast.parse(inspect.getsource(sys.modules[owner.__module__]))
-    mutant_def = ast.parse(inspect.getsource(mutant)).body[0]
-    assert isinstance(mutant_def, ast.FunctionDef)
-    mutant_def.name = method
-    cls_def = next(node for node in tree.body
-                   if isinstance(node, ast.ClassDef)
-                   and node.name == owner.__name__)
-    cls_def.body = [mutant_def if isinstance(node, ast.FunctionDef)
-                    and node.name == method else node
-                    for node in cls_def.body]
-    return ast.unparse(tree)

@@ -124,6 +124,36 @@ assert "repro.harness.experiments" not in sys.modules, "loaded"
 """
 
 
+#: Runs ``python -m repro jobs --help`` in a fresh interpreter, then lists
+#: every simulator package it loaded.
+_JOBS_HELP_PROBE = """
+import runpy
+import sys
+sys.argv = ["repro", "jobs", "--help"]
+try:
+    runpy.run_module("repro", run_name="__main__")
+except SystemExit:
+    pass
+print(sorted(name for name in sys.modules
+             if name.split(".")[:2] in (["repro", "cpu"],
+                                        ["repro", "harness"],
+                                        ["repro", "coherence"])))
+"""
+
+
+def test_jobs_help_loads_no_simulator():
+    """A service client's help builds the whole parser, ``sweep
+    --mode`` choices included, without the simulator."""
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    proc = subprocess.run([sys.executable, "-c", _JOBS_HELP_PROBE],
+                          env=dict(os.environ, PYTHONPATH=src),
+                          capture_output=True, text=True, check=False)
+    assert proc.returncode == 0, proc.stderr
+    assert "usage:" in proc.stdout
+    assert proc.stdout.splitlines()[-1] == "[]"
+
+
 class TestPaperCommand:
     CHEAP = ["table1", "table4", "fig3", "ablation-log-filter"]
 
@@ -360,9 +390,7 @@ class TestMissingPaths:
     @pytest.mark.parametrize("argv", [
         ["lint"], ["lint", "--self"], ["analyze"],
         ["analyze", "--baseline", "ANALYSIS_BASELINE.json"],
-        ["analyze", "--protocol"],
-    ], ids=["lint", "lint-self", "analyze", "analyze-baseline",
-            "analyze-protocol"])
+    ], ids=["lint", "lint-self", "analyze", "analyze-baseline"])
     def test_missing_path_exits_two(self, argv, tmp_path, capsys):
         missing = str(tmp_path / "no" / "such")
         assert main(argv + [missing]) == 2

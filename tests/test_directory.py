@@ -269,3 +269,28 @@ class TestL2Victimization:
         result, _ = do_request(fabric, 2, victim, is_write=False)
         assert result.granted
         assert not fabric.entry_view(victim).must_check_all
+
+
+class TestRelocation:
+    def test_note_relocated_block_is_conservative_everywhere(self):
+        """Paging moved a block to a frame no directory pointer names, so
+        the next request to it checks every core's signatures and only a
+        granted request leaves check-all. The model checker generates no
+        relocation, so this pins the directory's RELOCATE transition."""
+        fabric, ports, stats = build()
+        block = 0x4000
+        fabric.note_relocated_block(block)
+        assert fabric.entry_view(block).must_check_all
+        ports[0].conflicts.append(block)
+        result, _ = do_request(fabric, 2, block, is_write=False)
+        assert not result.granted
+        assert fabric.entry_view(block).must_check_all
+        ports[0].conflicts.remove(block)
+        for port in ports:
+            port.checked.clear()
+        result, _ = do_request(fabric, 2, block, is_write=False)
+        assert result.granted
+        assert all(block in port.checked for port in ports
+                   if port.core_id != 2)
+        assert not fabric.entry_view(block).must_check_all
+        assert stats.value("coherence.broadcast_rebuilds") == 2

@@ -14,6 +14,7 @@ fabric) pair at what depth, is a row of :mod:`repro.mc.matrix`
 (``tests/test_mc_matrix.py``).
 """
 
+import dataclasses
 import json
 
 import pytest
@@ -85,6 +86,14 @@ class TestModelMechanics:
             ModelConfig(cores=5)
         with pytest.raises(ConfigError):
             ModelConfig(blocks=0)
+        # A summary line names an inexact register's width, so rows
+        # that differ only in it print differently.
+        one_bit = ModelConfig(signature=SignatureKind.BIT_SELECT,
+                              signature_bits=1)
+        assert one_bit.describe() == "directory 2c/2b/1ctx bs/1"
+        assert dataclasses.replace(one_bit, signature_bits=64).describe() \
+            == "directory 2c/2b/1ctx bs/64"
+        assert ModelConfig().describe() == "directory 2c/2b/1ctx perfect"
 
     def test_unknown_mutation_rejected(self):
         with pytest.raises(ConfigError):
@@ -158,7 +167,7 @@ class TestCleanExploration:
         access goes to the core's contention manager, which stalls."""
         fp_stalls = []
 
-        def observer(model, action, events, changed):
+        def observer(model, action, events, before, after):
             fp_stalls.extend(fields for kind, fields in events
                              if kind == "tm.stall" and fields["fp"])
 

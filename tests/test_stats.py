@@ -16,13 +16,12 @@ class TestCounter:
 
 
 class TestHistogram:
-    def test_mean_max_min(self):
+    def test_mean_max(self):
         h = Histogram("sizes")
         for v in (2, 4, 6):
             h.record(v)
         assert h.mean == pytest.approx(4.0)
         assert h.maximum == 6
-        assert h.minimum == 2
         assert h.count == 3
         assert h.total == 12
 
@@ -30,7 +29,6 @@ class TestHistogram:
         h = Histogram("empty")
         assert h.mean == 0.0
         assert h.maximum == 0
-        assert h.minimum == 0
         assert h.percentile(50) == 0
 
     def test_percentile(self):
@@ -70,13 +68,12 @@ class TestHistogram:
         assert back == h
         assert (back.count, back.total, back.mean) == (h.count, h.total,
                                                        h.mean)
-        assert (back.maximum, back.minimum) == (h.maximum, h.minimum)
+        assert back.maximum == h.maximum
         assert back.percentile(50) == h.percentile(50)
 
     def test_empty_dict_round_trip(self):
         back = Histogram.from_dict(Histogram("empty").to_dict())
         assert back.count == 0
-        assert back.minimum == 0
 
     def test_reset(self):
         h = Histogram("r")

@@ -20,9 +20,9 @@ import time
 import pytest
 
 from repro.harness.runner import run_workload
+from repro.harness import sweep as sweep_mod
 from repro.harness.sweep import Cell, run_sweep
 from repro.svc import repository as repository_mod
-from repro.svc import spec as spec_mod
 from repro.svc.repository import RunRepository, StateError, result_digest
 from repro.svc.spec import SpecError, SweepSpec
 
@@ -192,8 +192,9 @@ class TestSweepSpec:
         cells = spec.cells()
         expected = {cell.label: cell.key for cell in cells}
         fingerprinted = []
-        real = spec_mod.workload_fingerprint
-        monkeypatch.setattr(spec_mod, "workload_fingerprint",
+        # The spec imports the harness when first asked for keys.
+        real = sweep_mod.workload_fingerprint
+        monkeypatch.setattr(sweep_mod, "workload_fingerprint",
                             lambda w: fingerprinted.append(w) or real(w))
         assert spec.cache_keys(cells) == expected
         assert fingerprinted == [cells[0].workload]
